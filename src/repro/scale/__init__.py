@@ -76,7 +76,9 @@ clients as aggregate fluid demand instead:
     simulation, it never participates, so enabling it cannot change a
     single allocation.
 ``runner``
-    Experiment-campaign runners in the ``ExperimentRunnerProtocol`` style:
+    Experiment-campaign runners, all one :class:`CampaignRunner` contract
+    (units → simulate → merge in unit order) run by the one engine in
+    ``parallel`` — ``run()`` is that engine at one worker:
     the E12 population sweep, the E13 timeline-catalogue campaign, the
     E14 Monte-Carlo stochastic-availability campaign with its
     churn-vs-SLO frontier, the E15 queueing-latency campaign (elastic
@@ -171,7 +173,6 @@ from .stochastic import (
     rotated_uniforms,
 )
 from .parallel import (
-    CampaignRunnerProtocol,
     CampaignUnit,
     P2Quantile,
     ProcessPoolCampaignExecutor,
@@ -195,6 +196,8 @@ from .runner import (
     AdversaryCampaignRunner,
     AdversaryPointRecord,
     AdversaryReplicaRecord,
+    CampaignRunner,
+    CampaignRunnerProtocol,
     FleetScaleResult,
     FleetScaleRunner,
     FrontierPoint,
@@ -287,6 +290,7 @@ __all__ = [
     "BlackHoleDetector",
     "CATALOGUE",
     "CHURN_SLO_FRONTIER_COLUMNS",
+    "CampaignRunner",
     "CampaignRunnerProtocol",
     "CampaignUnit",
     "CapacityDegradation",

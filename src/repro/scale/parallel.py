@@ -1,20 +1,21 @@
 """Deterministic multi-core campaign execution with checkpointed resume.
 
-The Monte-Carlo runners (E13 timeline catalogue, E14 stochastic, E15
-latency, E16 adversary) all decompose into the same shape — a list of
+Every campaign (E12 sweep, E13 timeline catalogue, E14 stochastic, E15
+latency, E16 adversary) decomposes into the same shape — a list of
 independent :class:`CampaignUnit` work items, a pure per-unit simulation,
-and an order-insensitive merge (:class:`CampaignRunnerProtocol`).  This
-module farms those units over worker processes without changing a single
-number in any result:
+and an order-insensitive merge (:class:`repro.scale.runner.CampaignRunner`).
+:class:`ProcessPoolCampaignExecutor` is the one campaign lifecycle: a
+runner's ``run()`` is this executor at ``n_workers=1`` with no checkpoint,
+and more workers farm the same units over processes without changing a
+single number in any result:
 
 **Determinism contract.**  Each unit's outcome depends only on the unit
 spec and the campaign configuration (per-unit ``SeedSequence`` substreams;
 timelines restore fleet state), and :class:`ProcessPoolCampaignExecutor`
 always hands outcomes to ``merge_units`` in unit-index order, never in
 completion order.  Consequences, asserted in ``tests/scale/test_parallel.py``
-and the ``parallel-equivalence`` CI job: ``n_workers=1`` is bit-identical
-to the runner's serial ``run()``, and ``n_workers=N`` is bit-identical to
-``n_workers=1`` for any N.
+and the ``parallel-equivalence`` CI job: ``n_workers=1`` *is* the runner's
+``run()``, and ``n_workers=N`` is bit-identical to it for any N.
 
 **Shared memory.**  The read-only population arrays (class/region indices,
 ring positions, and the sorted-ring cache — the only O(n_clients) state a
@@ -59,9 +60,9 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,38 +96,16 @@ class CampaignUnit:
     rng_transform: object = None
 
 
-class CampaignRunnerProtocol(Protocol):
-    """What a runner must provide to run under the parallel executor.
+@dataclass
+class CampaignProgress:
+    """One run's progress: the engine writes it, ``get_current_state()`` reads it."""
 
-    All four Monte-Carlo runners (E13–E16) implement this on top of the
-    shared unit-campaign loop in :mod:`repro.scale.runner`; ``run()`` is
-    required to be exactly ``merge_units(map(run_unit, unit_specs()))`` so
-    the executor's output can be bit-identical to the serial path.
-    """
-
-    run_id: str
-    telemetry: Telemetry
-
-    def unit_specs(self) -> List[CampaignUnit]:
-        """The campaign's work units in canonical (index) order."""
-        ...
-
-    def run_unit(self, unit: CampaignUnit) -> object:
-        """Simulate one unit; the outcome must be picklable."""
-        ...
-
-    def merge_units(self, outcomes: Sequence[object], *, started_at: float,
-                    duration_seconds: float) -> object:
-        """Assemble the campaign result from outcomes in unit order."""
-        ...
-
-    def run(self) -> object:
-        """The serial reference path."""
-        ...
-
-    def get_current_state(self) -> object:
-        """Snapshot campaign progress."""
-        ...
+    completed: int = 0
+    #: The unit in flight (in-process) or last merged (pooled); ``None`` idle.
+    current: Optional[CampaignUnit] = None
+    #: The runner's progress-counter value when this run started (a runner
+    #: can be re-run on one cumulative registry).
+    counter_base: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +332,7 @@ class SharedPopulationPack:
         return sum(segment.size for segment in self._segments.values())
 
     @staticmethod
-    def attach(manifest: Dict[str, object], *, private_tracker: bool = False,
+    def attach(manifest: Dict[str, object],
                ) -> Tuple[ClientPopulation, List[shared_memory.SharedMemory]]:
         """A worker-side population view over the parent's segments.
 
@@ -362,21 +341,12 @@ class SharedPopulationPack:
         them at process exit.  Pool workers (fork- AND spawn-started)
         inherit the parent's resource-tracker fd, so their attach-side
         registration is a no-op against the parent's and needs no cleanup.
-        Only a process with its *own* tracker (an unrelated process
-        attaching by name) must pass ``private_tracker=True`` to
-        unregister the attach — otherwise its tracker would unlink (and
-        warn about) segments it never created when that process exits.
         """
         segments: List[shared_memory.SharedMemory] = []
         views: Dict[str, np.ndarray] = {}
         for key in _POPULATION_ARRAYS:
             spec = manifest["arrays"][key]
             segment = shared_memory.SharedMemory(name=spec["name"])
-            if private_tracker:
-                try:
-                    resource_tracker.unregister(segment._name, "shared_memory")
-                except Exception:
-                    pass
             segments.append(segment)
             views[key] = np.ndarray(tuple(spec["shape"]),
                                     dtype=np.dtype(spec["dtype"]),
@@ -569,6 +539,16 @@ def canonical_result_bytes(result: object) -> bytes:
 _WORKER: Optional[Dict[str, object]] = None
 
 
+def _run_unit_logged(runner, unit: CampaignUnit) -> object:
+    """``run_unit`` inside its lifecycle events (in-process loop and workers alike)."""
+    telemetry = runner.telemetry
+    telemetry.emit("unit_started", unit=unit.index, label=unit.label,
+                   replica=unit.replica)
+    outcome = runner.run_unit(unit)
+    telemetry.emit("unit_complete", unit=unit.index, label=unit.label)
+    return outcome
+
+
 def _worker_init(runner, manifest: Dict[str, object],
                  trace_dir: Optional[str],
                  collect_events: bool = False,
@@ -590,8 +570,8 @@ def _worker_init(runner, manifest: Dict[str, object],
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     population, segments = SharedPopulationPack.attach(manifest)
     runner.telemetry = Telemetry(trace=True, events=collect_events)
-    runner._adopt_population(population)
-    runner._prepare()
+    runner.adopt_population(population)
+    runner.prepare()
     _WORKER = {
         "runner": runner,
         "segments": segments,
@@ -632,8 +612,7 @@ def _worker_run_unit(unit: CampaignUnit):
     telemetry = runner.telemetry
     _worker_heartbeat(unit, "started")
     before = telemetry.metrics.as_dict()
-    runner._current = runner._unit_marker(unit)
-    outcome = runner._run_unit_logged(unit)
+    outcome = _run_unit_logged(runner, unit)
     _worker_heartbeat(unit, "complete")
     delta = MetricsRegistry.snapshot_delta(before, telemetry.metrics.as_dict())
     tracer = telemetry.tracer
@@ -657,12 +636,17 @@ def _worker_run_unit(unit: CampaignUnit):
 
 
 class ProcessPoolCampaignExecutor:
-    """Runs a unit-decomposed campaign across worker processes.
+    """The campaign engine: one lifecycle, in this process or across a pool.
 
-    Same decomposition, same merge order, same numbers as the serial path
-    — see the module docstring for the determinism contract.  With
-    ``n_workers=1`` everything runs in-process (no pool, no shared
-    memory), which is also the resume-capable serial mode.
+    prepare → ``unit_specs`` → campaign span → ``campaign_started`` →
+    restore checkpointed outcomes → dispatch the pending units → merge in
+    unit order → ``campaign_complete``.  With ``n_workers=1`` the units run
+    in this process (no pool, no shared memory): that is every runner's
+    ``run()`` and, with a ``checkpoint_dir``, the resume-capable serial
+    mode.  More workers change where units run and nothing else — see the
+    module docstring for the determinism contract.  The engine owns
+    progress and the lifecycle events, and touches only the public names
+    of :class:`repro.scale.runner.CampaignRunner`.
 
     Sizing ``n_workers``: units are CPU-bound numpy loops, so
     ``os.cpu_count()`` (the default) is the ceiling; past the number of
@@ -672,8 +656,7 @@ class ProcessPoolCampaignExecutor:
     """
 
     def __init__(self, runner, *, n_workers: Optional[int] = None,
-                 checkpoint_dir=None, trace_dir=None, mp_context=None,
-                 monitor=None) -> None:
+                 checkpoint_dir=None, trace_dir=None, monitor=None) -> None:
         if n_workers is None:
             n_workers = os.cpu_count() or 1
         if int(n_workers) < 1:
@@ -682,7 +665,6 @@ class ProcessPoolCampaignExecutor:
         self.n_workers = int(n_workers)
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.trace_dir = Path(trace_dir) if trace_dir else None
-        self._mp_context = mp_context
         #: An attached :class:`repro.scale.monitor.MonitorServer` (or
         #: ``None``).  Purely observational: it reads the runner's
         #: telemetry and receives out-of-band worker heartbeats, so the
@@ -704,11 +686,11 @@ class ProcessPoolCampaignExecutor:
             self.monitor.mount(telemetry, runner=runner)
             self.monitor._phase_source = self
             self.monitor.start()
-        runner._progress_base = telemetry.counter_value(runner._progress_counter)
-        runner._completed = 0
+        progress = runner.progress = CampaignProgress(
+            counter_base=telemetry.counter_value(runner.progress_counter))
         self.phase_durations = {}
         self.units_resumed = 0
-        runner._prepare()
+        runner.prepare()
         units = runner.unit_specs()
         table: Optional[RunTable] = None
         restored: Dict[int, object] = {}
@@ -718,51 +700,57 @@ class ProcessPoolCampaignExecutor:
             restored = table.completed_outcomes()
         outcomes: List[Optional[object]] = [None] * len(units)
         campaign_span = telemetry.span(
-            "campaign", **runner._campaign_span_attrs(len(units)))
+            "campaign", experiment=runner.experiment_id,
+            **{runner.unit_noun: len(units)})
         with campaign_span:
-            runner._begin_campaign()
-            runner._emit_campaign_started(len(units))
+            runner.begin_campaign()
+            telemetry.emit("campaign_started",
+                           experiment=runner.experiment_name, units=len(units))
             telemetry.set_gauge("parallel.n_workers", self.n_workers)
             for index, outcome in restored.items():
                 if 0 <= index < len(units) and outcomes[index] is None:
                     outcomes[index] = outcome
-                    telemetry.inc(runner._progress_counter)
                     telemetry.inc("parallel.units_resumed")
-                    runner._completed += 1
                     self.units_resumed += 1
+                    self._unit_done()
             pending = [unit for unit in units if outcomes[unit.index] is None]
             if pending:
                 if self.n_workers == 1:
-                    self._run_serial(pending, outcomes, table)
+                    self._run_in_process(pending, outcomes, table)
                 else:
                     self._run_pool(pending, outcomes, table)
-        runner._current = None
+        progress.current = None
         result = runner.merge_units(outcomes, started_at=started_at,
                                     duration_seconds=campaign_span.seconds)
-        runner._emit_campaign_complete(len(units))
+        telemetry.emit("campaign_complete",
+                       experiment=runner.experiment_name, units=len(units))
         return result
 
-    # -- serial (and resume-only) path ------------------------------------------------
-
-    def _run_serial(self, pending: List[CampaignUnit],
-                    outcomes: List[Optional[object]],
-                    table: Optional[RunTable]) -> None:
+    def _unit_done(self) -> None:
+        """Count a unit as soon as it is simulated or restored, ahead of its checkpoint."""
         runner = self.runner
-        telemetry = runner.telemetry
+        runner.telemetry.inc(runner.progress_counter)
+        runner.progress.completed += 1
+
+    # -- in-process path (``run()``, and resume-only) ---------------------------------
+
+    def _run_in_process(self, pending: List[CampaignUnit],
+                        outcomes: List[Optional[object]],
+                        table: Optional[RunTable]) -> None:
+        runner = self.runner
         for unit in pending:
-            runner._current = runner._unit_marker(unit)
+            runner.progress.current = unit
             try:
-                outcome = runner._run_unit_logged(unit)
-            except KeyboardInterrupt:
-                raise
+                outcome = _run_unit_logged(runner, unit)
             except Exception as exc:
+                # KeyboardInterrupt is not an Exception: it propagates
+                # untouched, with completed units already checkpointed.
                 self._mark_failed(unit, table, exc)
                 raise WorkloadError(
                     f"campaign unit {unit.label!r} failed: {exc}"
                 ) from exc
             outcomes[unit.index] = outcome
-            telemetry.inc(runner._progress_counter)
-            runner._completed += 1
+            self._unit_done()
             if table is not None:
                 table.record_outcome(unit, outcome)
 
@@ -774,20 +762,17 @@ class ProcessPoolCampaignExecutor:
         runner = self.runner
         telemetry = runner.telemetry
         manager = None
-        pack = SharedPopulationPack.create(runner._shared_population())
+        pack = SharedPopulationPack.create(runner.shared_population())
         try:
             telemetry.set_gauge("parallel.shared_bytes", pack.nbytes)
             if self.trace_dir is not None:
                 self.trace_dir.mkdir(parents=True, exist_ok=True)
-            context = self._mp_context
-            if context is None:
-                # fork shares the parent's pages copy-on-write (cheap start,
-                # no pickling); spawn is the portable fallback and exercises
-                # the runners' __getstate__ path.
-                method = ("fork" if "fork"
-                          in multiprocessing.get_all_start_methods()
-                          else "spawn")
-                context = multiprocessing.get_context(method)
+            # fork shares the parent's pages copy-on-write (cheap start, no
+            # pickling); spawn is the portable fallback and exercises the
+            # runners' __getstate__ path.
+            context = multiprocessing.get_context(
+                "fork" if "fork" in multiprocessing.get_all_start_methods()
+                else "spawn")
             heartbeat_queue = None
             if self.monitor is not None:
                 # Raw mp.Queue handles only cross process boundaries by
@@ -822,8 +807,6 @@ class ProcessPoolCampaignExecutor:
                     unit = futures[future]
                     try:
                         index, outcome, delta, spans, events = future.result()
-                    except KeyboardInterrupt:
-                        raise
                     except BrokenProcessPool as exc:
                         raise WorkloadError(
                             f"worker pool died while campaign unit "
@@ -847,9 +830,8 @@ class ProcessPoolCampaignExecutor:
                             elog.extend_raw(
                                 event_batches.pop(flush_order[flush_pos]))
                             flush_pos += 1
-                    runner._current = runner._unit_marker(unit)
-                    telemetry.inc(runner._progress_counter)
-                    runner._completed += 1
+                    runner.progress.current = unit
+                    self._unit_done()
                     if table is not None:
                         table.record_outcome(unit, outcome)
                 pool.shutdown(wait=True)
@@ -875,7 +857,7 @@ class ProcessPoolCampaignExecutor:
 
 
 __all__ = [
-    "CampaignRunnerProtocol",
+    "CampaignProgress",
     "CampaignUnit",
     "P2Quantile",
     "ProcessPoolCampaignExecutor",

@@ -1,10 +1,11 @@
 """Campaign runners: fleet-scale sweeps, timeline catalogues, Monte Carlo.
 
-Each runner owns one configured campaign and exposes the same contract as
-the experiment-runner pattern in SNIPPETS.md: ``run()`` produces a frozen
-result object with a run id, timing, per-point records, and a rendered
-report.  For live progress, attach an event log (``Telemetry(events=True)``)
-and subscribe to the structured event stream (:mod:`repro.scale.obs`) —
+Each runner owns one configured campaign and is one :class:`CampaignRunner`
+— data plus ``unit_specs`` / ``run_unit`` / ``merge_units`` — run by the one
+engine in :mod:`repro.scale.parallel`: ``run()`` is that engine at one
+worker and produces a frozen result object with a run id, timing, per-point
+records, and a rendered report.  For live progress, attach an event log
+(``Telemetry(events=True)``) and subscribe to its stream (:mod:`repro.scale.obs`) —
 the campaign emits ``campaign_started`` / ``unit_started`` /
 ``unit_complete`` / ``campaign_complete`` lifecycle events, so consumers
 never need a poll loop; ``get_current_state()`` remains as a passive
@@ -27,10 +28,9 @@ the wall-clock fields reflect the machine the campaign ran on.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .costmodel import CryptoCostModel, ProvisioningCostModel
 from .fleet import NeutralizerFleet
 from .latency import LatencyModel
 from .parallel import (
+    CampaignProgress,
     CampaignUnit,
     ProcessPoolCampaignExecutor,
     StreamingPercentiles,
@@ -79,26 +80,6 @@ def _default_telemetry() -> Telemetry:
     return Telemetry(trace=False)
 
 
-def _progress_count(telemetry: Telemetry, counter: str, base: float,
-                    fallback: int, total: Optional[int] = None) -> int:
-    """Completed points/replicas, preferring the telemetry counter.
-
-    The counter is incremented the moment a point's simulation finishes —
-    before record assembly and statistics — so polling no longer lags a
-    full sweep point.  ``base`` is the counter value at ``run()`` start (a
-    runner can be re-run); ``fallback`` covers callers that supplied a
-    metrics-less telemetry.  ``total`` clamps the answer for campaigns
-    whose registry merges multi-worker deltas — a custom ``run_unit`` that
-    also bumps the campaign counter would otherwise double-count and
-    report more progress than there are units.
-    """
-    counted = int(round(telemetry.counter_value(counter) - base))
-    counted = max(counted, fallback)
-    if total is not None:
-        counted = min(counted, int(total))
-    return counted
-
-
 @dataclass(frozen=True)
 class _RotationTransform:
     """A picklable rng transform applying :func:`rotated_uniforms`.
@@ -112,11 +93,6 @@ class _RotationTransform:
 
     def __call__(self, rng):
         return rotated_uniforms(rng, self.offset)
-
-
-def _rotation(offset: float) -> _RotationTransform:
-    """An rng transform applying :func:`rotated_uniforms` at ``offset``."""
-    return _RotationTransform(offset)
 
 
 def replica_seed_draws(seed: int, replicas: int,
@@ -153,47 +129,53 @@ def replica_seed_draws(seed: int, replicas: int,
     streams = np.random.SeedSequence(seed).spawn(replicas)
     return [(int(stream.generate_state(1)[0]), None) for stream in streams]
 
+
+def _mean_of(records: Sequence[object], name: str) -> float:
+    """The mean of one field over a set of replica records."""
+    return float(np.mean([getattr(record, name) for record in records]))
+
+
 #: The default campaign sweep: three decades up to a million clients.
 DEFAULT_CLIENT_COUNTS: Tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
-
-
-class ExperimentRunnerProtocol(Protocol):
-    """The runner contract shared with the campaign harness pattern."""
-
-    def run(self) -> "FleetScaleResult":
-        """Run the campaign to completion and return its result."""
-        ...
-
-    def get_current_state(self) -> "ScaleExperimentState":
-        """Snapshot campaign progress."""
-        ...
 
 
 #: Percentile-aggregation strategies for the Monte-Carlo runners.
 AGGREGATION_MODES = ("exact", "p2")
 
 
-class _UnitCampaignMixin:
-    """Shared unit-decomposed campaign loop (the campaign-runner core).
+class CampaignRunner:
+    """One configured campaign: data plus three functions, run by one engine.
 
     A campaign is a deterministic list of independent work units
     (:meth:`unit_specs`), a per-unit simulation whose outcome depends only
     on the unit and the campaign configuration (:meth:`run_unit`), and a
     merge that always consumes outcomes in unit-index order
     (:meth:`merge_units`) — so *completion* order can never change a
-    result.  ``run()`` is the serial composition of the three; the
-    process-pool executor in :mod:`repro.scale.parallel` farms the same
-    units over workers and calls the same merge, which is why
-    ``n_workers=1`` is bit-identical to this loop and ``n_workers=N`` is
-    bit-identical to ``n_workers=1``.
+    result.  :class:`repro.scale.parallel.ProcessPoolCampaignExecutor` is
+    the only lifecycle: :meth:`run` is that executor at one worker with no
+    checkpoint, :meth:`run_parallel` the same executor with more of either.
+    The engine owns progress and the lifecycle events and calls only the
+    public names of this class.
+
+    A subclass ``__init__`` sets ``run_id``, ``experiment_id``,
+    ``experiment_name``, ``total_units`` and what describes its population
+    (``clients``, ``seed``, ``mix``, ``regions``), then calls this one.
     """
 
-    #: Telemetry counter incremented once per completed unit.
-    _progress_counter = "campaign.replicas_completed"
+    #: "points" or "replicas": names the progress counter
+    #: (``campaign.<noun>_completed``) and the campaign span's unit count.
+    unit_noun = "replicas"
     #: Caches that cannot (and must not) cross a process boundary; workers
     #: rebuild them from shared-memory arrays in their initializer.
-    _worker_dropped = ("_population", "_population_cache", "_scenario_cache",
-                       "_point_runners")
+    _worker_dropped = ("_population", "_scenario")
+
+    def __init__(self, *, telemetry: Optional[Telemetry],
+                 population: Optional[ClientPopulation] = None) -> None:
+        self.telemetry = telemetry if telemetry is not None else _default_telemetry()
+        self.progress = CampaignProgress()
+        self._population: Optional[ClientPopulation] = None
+        if population is not None:
+            self.adopt_population(population)
 
     # -- campaign decomposition (per-runner) -----------------------------------------
 
@@ -210,45 +192,86 @@ class _UnitCampaignMixin:
         """Assemble the campaign result from outcomes in unit order."""
         raise NotImplementedError
 
-    # -- hooks with per-runner overrides ----------------------------------------------
+    # -- what the engine calls around the units ---------------------------------------
 
-    def _prepare(self) -> None:
-        """Build the state every unit shares (population, fleet, template)."""
+    def prepare(self) -> None:
+        """Build what every unit shares — the population, ring-sorted — off the clock."""
+        self.shared_population().ring_sorted()
 
-    def _begin_campaign(self) -> None:
+    def begin_campaign(self) -> None:
         """Campaign-scoped accounting that runs inside the campaign span."""
 
-    def _campaign_span_attrs(self, n_units: int) -> Dict[str, object]:
-        return {"experiment": self.experiment_id, "replicas": n_units}
+    def unit_state(self, unit: CampaignUnit) -> Tuple[int, Optional[str]]:
+        """(population size, label) a progress snapshot quotes for ``unit``."""
+        return self.clients, unit.label
 
-    def _unit_marker(self, unit: CampaignUnit) -> object:
-        """The ``_current`` progress marker shown while a unit runs."""
-        return unit.label
+    @property
+    def progress_counter(self) -> str:
+        """Telemetry counter incremented once per completed unit."""
+        return f"campaign.{self.unit_noun}_completed"
 
-    # -- event stream -----------------------------------------------------------------
-    #
-    # Campaign lifecycle events are emitted through the same helpers by the
-    # serial loop below and by the process-pool executor, so the two paths
-    # produce byte-identical streams.  Consumers subscribe to the log
-    # (``telemetry.events.subscribe``) instead of polling
-    # ``get_current_state()``; the final ``campaign_complete`` event marks
-    # termination.
+    def get_current_state(self) -> ScaleExperimentState:
+        """Snapshot campaign progress (poll-safe, cheap).
 
-    def _emit_campaign_started(self, n_units: int) -> None:
-        self.telemetry.emit("campaign_started",
-                            experiment=self.experiment_name, units=n_units)
+        Completed units come from the progress counter, re-based at the
+        start of this run (a runner can be re-run on one registry); the
+        engine's own count covers a metrics-less telemetry.  The total
+        clamps it: a custom ``run_unit`` that also bumps the counter in
+        pool workers would otherwise report more progress than units.
+        """
+        progress = self.progress
+        clients, label = ((None, None) if progress.current is None
+                          else self.unit_state(progress.current))
+        counted = int(round(self.telemetry.counter_value(self.progress_counter)
+                            - progress.counter_base))
+        return ScaleExperimentState(
+            completed_points=min(max(counted, progress.completed),
+                                 self.total_units),
+            total_points=self.total_units,
+            current_clients=clients,
+            current_label=label,
+        )
 
-    def _emit_campaign_complete(self, n_units: int) -> None:
-        self.telemetry.emit("campaign_complete",
-                            experiment=self.experiment_name, units=n_units)
+    def _result_header(self, started_at: float,
+                       duration_seconds: float) -> Dict[str, object]:
+        """The identity and timing fields every campaign result starts with."""
+        completed_at = started_at + duration_seconds
+        return dict(run_id=self.run_id, experiment_name=self.experiment_name,
+                    started_at=started_at, completed_at=completed_at,
+                    duration_seconds=completed_at - started_at)
 
-    def _run_unit_logged(self, unit: CampaignUnit) -> object:
-        """``run_unit`` wrapped in unit lifecycle events (both run paths)."""
-        self.telemetry.emit("unit_started", unit=unit.index, label=unit.label,
-                            replica=unit.replica)
-        outcome = self.run_unit(unit)
-        self.telemetry.emit("unit_complete", unit=unit.index, label=unit.label)
-        return outcome
+    # -- the shared population --------------------------------------------------------
+
+    def shared_population(self) -> ClientPopulation:
+        """The one population every unit shares: supplied, adopted, or built.
+
+        Built at most once; it is deterministic from (clients, mix, regions,
+        seed), so the memo never changes a result — it only removes an
+        O(n_clients) rebuild per unit and per run.
+        """
+        if self._population is None:
+            self._population = ClientPopulation(
+                self.clients, mix=self.mix, regions=self.regions, seed=self.seed)
+        return self._population
+
+    def adopt_population(self, population: ClientPopulation) -> None:
+        """Make a caller-built (or shared-memory) population the shared one.
+
+        It must be the population this campaign describes — same size, same
+        region count, and the runner's mix when the runner states one (a
+        runner whose ``mix`` is ``None`` takes the population's) — or the
+        report would be titled for a workload that did not run.  Seeds are
+        deliberately not compared: drawing the clients on one seed and the
+        events on another is legitimate.
+        """
+        stated = {"n_clients": self.clients, "regions": self.regions}
+        if self.mix is not None:
+            stated["mix"] = self.mix
+        for name, value in stated.items():
+            if getattr(population, name) != value:
+                raise WorkloadError(
+                    f"shared population does not match the campaign's {name}")
+        self._population = population
 
     # -- worker transport -------------------------------------------------------------
 
@@ -268,32 +291,11 @@ class _UnitCampaignMixin:
         if self.telemetry is None:
             self.telemetry = _default_telemetry()
 
-    # -- the serial loop --------------------------------------------------------------
+    # -- the two entry points, one engine ---------------------------------------------
 
     def run(self):
-        """Run every unit in order and merge — the reference serial path."""
-        telemetry = self.telemetry
-        started_at = time.time()
-        self._progress_base = telemetry.counter_value(self._progress_counter)
-        self._completed = 0
-        self._prepare()
-        units = self.unit_specs()
-        outcomes: List[object] = []
-        campaign_span = telemetry.span("campaign",
-                                       **self._campaign_span_attrs(len(units)))
-        with campaign_span:
-            self._begin_campaign()
-            self._emit_campaign_started(len(units))
-            for unit in units:
-                self._current = self._unit_marker(unit)
-                outcomes.append(self._run_unit_logged(unit))
-                telemetry.inc(self._progress_counter)
-                self._completed += 1
-        self._current = None
-        result = self.merge_units(outcomes, started_at=started_at,
-                                  duration_seconds=campaign_span.seconds)
-        self._emit_campaign_complete(len(units))
-        return result
+        """Run the campaign in this process: the engine at one worker."""
+        return ProcessPoolCampaignExecutor(self, n_workers=1).run()
 
     def run_parallel(self, *, n_workers: Optional[int] = None,
                      checkpoint_dir=None, trace_dir=None, monitor=None):
@@ -307,11 +309,14 @@ class _UnitCampaignMixin:
         heartbeats, without changing a single campaign number or
         canonical event byte (see docs/observability.md).
         """
-        executor = ProcessPoolCampaignExecutor(
+        return ProcessPoolCampaignExecutor(
             self, n_workers=n_workers, checkpoint_dir=checkpoint_dir,
             trace_dir=trace_dir, monitor=monitor,
-        )
-        return executor.run()
+        ).run()
+
+
+#: The name this contract was first published under (a typing Protocol then).
+CampaignRunnerProtocol = CampaignRunner
 
 
 @dataclass(frozen=True)
@@ -364,8 +369,14 @@ class FleetScaleResult:
         return max(self.records, key=lambda record: record.clients)
 
 
-class FleetScaleRunner:
-    """Sweeps client counts against a neutralizer fleet and tabulates results."""
+class FleetScaleRunner(CampaignRunner):
+    """Sweeps client counts against a neutralizer fleet and tabulates results.
+
+    One unit per client count; each builds its own population, so the
+    sweep shares only the fleet and runs in-process (``run()``).
+    """
+
+    unit_noun = "points"
 
     def __init__(
         self,
@@ -396,26 +407,30 @@ class FleetScaleRunner:
         self.seed = seed
         self.run_id = f"fleet-scale-{seed:08x}-{n_sites}x{len(self.client_counts)}"
         self.experiment_name = "fleet_scale_sweep"
-        self.telemetry = telemetry if telemetry is not None else _default_telemetry()
-        self._progress_base = 0.0
-        self._completed = 0
-        self._current: Optional[int] = None
+        self.experiment_id = "E12"
+        self.total_units = len(self.client_counts)
         self._fleet: Optional[NeutralizerFleet] = None
         self._fleet_config: Optional[tuple] = None
+        super().__init__(telemetry=telemetry)
 
-    # -- protocol --------------------------------------------------------------------
+    # -- campaign decomposition -------------------------------------------------------
 
-    def get_current_state(self) -> ScaleExperimentState:
-        """Snapshot campaign progress (poll-safe, cheap)."""
-        return ScaleExperimentState(
-            completed_points=_progress_count(
-                self.telemetry, "campaign.points_completed",
-                self._progress_base, self._completed,
-                total=len(self.client_counts),
-            ),
-            total_points=len(self.client_counts),
-            current_clients=self._current,
-        )
+    def prepare(self) -> None:
+        """Nothing to share up front: every point draws its own population."""
+
+    def shared_population(self) -> ClientPopulation:
+        raise WorkloadError(
+            "the E12 sweep builds one population per point and has none to "
+            "share with pool workers; run it with run() (n_workers=1)")
+
+    def unit_state(self, unit: CampaignUnit) -> Tuple[int, Optional[str]]:
+        return unit.point, None
+
+    def unit_specs(self) -> List[CampaignUnit]:
+        return [
+            CampaignUnit(index=index, point=clients, replica=0, label=str(clients))
+            for index, clients in enumerate(self.client_counts)
+        ]
 
     @property
     def fleet(self) -> NeutralizerFleet:
@@ -460,54 +475,26 @@ class FleetScaleRunner:
                 result = scenario.solve(telemetry=telemetry)
         return result, point_span.seconds
 
-    def run(self) -> FleetScaleResult:
-        """Run the whole sweep and render the campaign report."""
-        telemetry = self.telemetry
-        started_at = time.time()
-        self._progress_base = telemetry.counter_value("campaign.points_completed")
-        records: List[SweepRecord] = []
-        self._completed = 0
-        campaign_span = telemetry.span("campaign", experiment="E12",
-                                       points=len(self.client_counts))
-        with campaign_span:
-            telemetry.emit("campaign_started",
-                           experiment=self.experiment_name,
-                           units=len(self.client_counts))
-            for clients in self.client_counts:
-                self._current = clients
-                telemetry.emit("unit_started",
-                               unit=len(records), label=str(clients),
-                               replica=0)
-                fluid, wall = self.solve_point(clients)
-                telemetry.emit("unit_complete",
-                               unit=len(records), label=str(clients))
-                telemetry.inc("campaign.points_completed")
-                records.append(SweepRecord(
-                    clients=clients,
-                    wall_seconds=wall,
-                    solver_iterations=fluid.solver_iterations,
-                    goodput_bps=dict(fluid.goodput_bps),
-                    demand_bps=dict(fluid.demand_bps),
-                    delivered_fraction=fluid.delivered_fraction,
-                    peak_cpu_utilization=float(fluid.cpu_utilization.max()),
-                    peak_uplink_utilization=float(fluid.uplink_utilization.max()),
-                    key_setup_pps=fluid.key_setup_pps,
-                ))
-                self._completed += 1
-        self._current = None
-        completed_at = started_at + campaign_span.seconds
+    def run_unit(self, unit: CampaignUnit) -> SweepRecord:
+        fluid, wall = self.solve_point(unit.point)
+        return SweepRecord(
+            clients=unit.point,
+            wall_seconds=wall,
+            solver_iterations=fluid.solver_iterations,
+            goodput_bps=dict(fluid.goodput_bps),
+            demand_bps=dict(fluid.demand_bps),
+            delivered_fraction=fluid.delivered_fraction,
+            peak_cpu_utilization=float(fluid.cpu_utilization.max()),
+            peak_uplink_utilization=float(fluid.uplink_utilization.max()),
+            key_setup_pps=fluid.key_setup_pps,
+        )
 
-        report = self._render_report(records)
-        telemetry.emit("campaign_complete",
-                       experiment=self.experiment_name, units=len(records))
+    def merge_units(self, outcomes: Sequence[SweepRecord], *, started_at: float,
+                    duration_seconds: float) -> FleetScaleResult:
         return FleetScaleResult(
-            run_id=self.run_id,
-            experiment_name=self.experiment_name,
-            started_at=started_at,
-            completed_at=completed_at,
-            duration_seconds=completed_at - started_at,
-            records=tuple(records),
-            report=report,
+            **self._result_header(started_at, duration_seconds),
+            records=tuple(outcomes),
+            report=self._render_report(list(outcomes)),
         )
 
     def _render_report(self, records: List[SweepRecord]) -> ExperimentReport:
@@ -594,8 +581,14 @@ class TimelineUnitOutcome:
     timeline: TimelineResult
 
 
-class TimelineCampaignRunner(_UnitCampaignMixin):
-    """Runs every named catalogue scenario through the fluid timeline (E13)."""
+class TimelineCampaignRunner(CampaignRunner):
+    """Runs every named catalogue scenario through the fluid timeline (E13).
+
+    One unit per scenario, all on one shared population: the catalogue
+    re-derives only the fleet and events per scenario.
+    """
+
+    unit_noun = "points"
 
     def __init__(
         self,
@@ -630,65 +623,20 @@ class TimelineCampaignRunner(_UnitCampaignMixin):
             raise WorkloadError("the campaign needs a positive population size")
         self.clients = int(clients)
         self.seed = seed
+        #: The shared population is the default draw; a scenario that needs
+        #: another mix builds its own (:class:`repro.scale.config.PopulationSpec`).
+        self.mix: Optional[PopulationMix] = None
+        self.regions = 8
         self.cost_model = cost_model
         self.flagship = flagship
         self.series_rows = series_rows
         self.run_id = f"timeline-{seed:08x}-{self.clients}x{len(self.scenario_names)}"
         self.experiment_name = "timeline_catalogue"
-        self.telemetry = telemetry if telemetry is not None else _default_telemetry()
-        self._progress_base = 0.0
-        self._completed = 0
-        self._current: Optional[str] = None
-        self._population_cache: Optional[ClientPopulation] = None
-        self._population_key: Optional[tuple] = None
-
-    # -- protocol --------------------------------------------------------------------
-
-    def get_current_state(self) -> ScaleExperimentState:
-        """Snapshot campaign progress (poll-safe, cheap)."""
-        return ScaleExperimentState(
-            completed_points=_progress_count(
-                self.telemetry, "campaign.points_completed",
-                self._progress_base, self._completed,
-                total=len(self.scenario_names),
-            ),
-            total_points=len(self.scenario_names),
-            current_clients=self.clients if self._current is not None else None,
-            current_label=self._current,
-        )
+        self.experiment_id = "E13"
+        self.total_units = len(self.scenario_names)
+        super().__init__(telemetry=telemetry)
 
     # -- campaign decomposition -------------------------------------------------------
-
-    _progress_counter = "campaign.points_completed"
-
-    def _shared_population(self) -> ClientPopulation:
-        """One O(n_clients) population build shared by every scenario.
-
-        The catalogue re-derives only the fleet and events per scenario;
-        the population is deterministic from (clients, seed), so the cache
-        never changes results — it only removes a per-run rebuild.
-        """
-        key = (self.clients, self.seed)
-        if self._population_cache is None or self._population_key != key:
-            self._population_cache = ClientPopulation(self.clients, seed=self.seed)
-            self._population_key = key
-        return self._population_cache
-
-    def _adopt_population(self, population: ClientPopulation) -> None:
-        """Adopt an externally built (e.g. shared-memory) population."""
-        if population.n_clients != self.clients:
-            raise WorkloadError("adopted population does not match the client count")
-        self._population_cache = population
-        self._population_key = (self.clients, self.seed)
-
-    def _prepare(self) -> None:
-        self._shared_population()
-
-    def _campaign_span_attrs(self, n_units: int) -> Dict[str, object]:
-        return {"experiment": "E13", "points": n_units}
-
-    def _unit_marker(self, unit: CampaignUnit) -> object:
-        return unit.point
 
     def unit_specs(self) -> List[CampaignUnit]:
         return [
@@ -701,7 +649,7 @@ class TimelineCampaignRunner(_UnitCampaignMixin):
 
         telemetry = self.telemetry
         name = unit.point
-        population = self._shared_population()
+        population = self.shared_population()
         with telemetry.span("point", scenario=name):
             timeline = build_scenario(
                 name, clients=self.clients, seed=self.seed,
@@ -732,17 +680,11 @@ class TimelineCampaignRunner(_UnitCampaignMixin):
         records = [outcome.record for outcome in outcomes]
         timelines = {outcome.record.scenario: outcome.timeline
                      for outcome in outcomes}
-        completed_at = started_at + duration_seconds
-        report = self._render_report(records, timelines)
         return TimelineCampaignResult(
-            run_id=self.run_id,
-            experiment_name=self.experiment_name,
-            started_at=started_at,
-            completed_at=completed_at,
-            duration_seconds=completed_at - started_at,
+            **self._result_header(started_at, duration_seconds),
             records=tuple(records),
             timelines=timelines,
-            report=report,
+            report=self._render_report(records, timelines),
         )
 
     def _render_report(self, records: List[TimelineCampaignRecord],
@@ -917,7 +859,87 @@ class StochasticUnitOutcome:
     latency_p95: Optional[np.ndarray]
 
 
-class StochasticCampaignRunner(_UnitCampaignMixin):
+class _ReplicaCampaign(CampaignRunner):
+    """What E14–E16 share: seeded event replicas over one elastic fleet.
+
+    A subclass sets the fleet shape (``max_sites``, ``nominal_sites``,
+    ``at_utilization``, ``cost_model``), the horizon (``epochs``,
+    ``epoch_seconds``), the event ``processes`` and the timeline's
+    controllers (``load``, ``autoscaler``, ``provisioning_cost``,
+    ``latency_model``, ``latency_slo_seconds``, ``adversary``).
+    """
+
+    def __init__(self, *, variance_reduction: str, **kwargs) -> None:
+        if variance_reduction not in VARIANCE_SCHEMES:
+            # Fail here, not after the expensive population build inside run().
+            raise WorkloadError(
+                f"unknown variance-reduction scheme {variance_reduction!r}; "
+                f"pick one of {', '.join(VARIANCE_SCHEMES)}"
+            )
+        self.variance_reduction = variance_reduction
+        self._scenario: Optional[ScaleScenario] = None
+        super().__init__(**kwargs)
+
+    def begin_campaign(self) -> None:
+        self.telemetry.inc(f"campaign.variance_mode.{self.variance_reduction}")
+
+    def shared_scenario(self, population: ClientPopulation) -> ScaleScenario:
+        """One fleet + scenario shared by every replica of this campaign.
+
+        Replicas only ever mutate the fleet through timeline runs, which
+        restore its pre-run state, so the fleet's hashed ring points and the
+        scenario's O(n_clients) problem template are paid for once; each
+        subsequent replica refreshes the stale template incrementally over
+        zero moved clients.
+        """
+        if self._scenario is None or self._scenario.population is not population:
+            fleet = elastic_fleet(
+                population, self.max_sites, nominal_sites=self.nominal_sites,
+                at_utilization=self.at_utilization, cost_model=self.cost_model,
+            )
+            self._scenario = ScaleScenario(population, fleet)
+        return self._scenario
+
+    def run_replica(self, population: ClientPopulation, event_seed: int,
+                    rng_transform=None, *,
+                    adversary: Optional[AdversaryGame] = None) -> TimelineResult:
+        """One stochastic timeline: compiled events + controllers, solved.
+
+        ``adversary`` is the game this replica plays (default: the
+        campaign's own, if it has one).
+        """
+        scenario = self.shared_scenario(population)
+        fleet = scenario.fleet
+        events = compile_events(
+            self.processes, seed=event_seed, epochs=self.epochs,
+            site_names=[site.name for site in fleet.sites],
+            rng_transform=rng_transform,
+        )
+        return FluidTimeline(
+            population, fleet,
+            epochs=self.epochs, epoch_seconds=self.epoch_seconds,
+            load=self.load, events=events,
+            autoscaler=self.autoscaler,
+            provisioning_cost=self.provisioning_cost,
+            latency=self.latency_model,
+            latency_slo_seconds=self.latency_slo_seconds,
+            adversary=adversary or self.adversary,
+            scenario=scenario,
+            telemetry=self.telemetry,
+        ).run()
+
+    def _timed_replica(self, unit: CampaignUnit, adversary=None,
+                       **span_attrs) -> Tuple[TimelineResult, float]:
+        """``unit``'s timeline under its ``replica`` span, and the span's wall."""
+        replica_span = self.telemetry.span("replica", replica=unit.replica,
+                                           **span_attrs)
+        with replica_span:
+            result = self.run_replica(self.shared_population(), unit.event_seed,
+                                      unit.rng_transform, adversary=adversary)
+        return result, replica_span.seconds
+
+
+class StochasticCampaignRunner(_ReplicaCampaign):
     """E14: Monte-Carlo availability campaigns over stochastic fleets.
 
     Runs ``replicas`` independent timelines of the same scenario — one
@@ -967,17 +989,10 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
                 f"unknown aggregation mode {aggregation!r}; "
                 f"pick one of {', '.join(AGGREGATION_MODES)}"
             )
-        if population is not None and population.n_clients != clients:
-            raise WorkloadError("shared population does not match the client count")
         if latency_slo_seconds <= 0:
             raise WorkloadError("the latency SLO must be positive")
         if not 0 <= latency_violation_budget < 1:
             raise WorkloadError("the violation budget must be a fraction in [0, 1)")
-        if variance_reduction not in VARIANCE_SCHEMES:
-            raise WorkloadError(
-                f"unknown variance-reduction scheme {variance_reduction!r}; "
-                f"pick one of {', '.join(VARIANCE_SCHEMES)}"
-            )
         self.clients = int(clients)
         self.epochs = int(epochs)
         self.replicas = int(replicas)
@@ -999,123 +1014,23 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         self.mix = mix
         self.cost_model = cost_model
         self.provisioning_cost = provisioning_cost
-        self._population = population
         self.latency_model = latency_model
         self.latency_slo_seconds = latency_slo_seconds
         self.latency_violation_budget = latency_violation_budget
         self.adversary = adversary
-        self.variance_reduction = variance_reduction
         self.aggregation = aggregation
         self.run_id = f"stochastic-{seed:08x}-{self.clients}x{self.replicas}"
         self.experiment_name = "stochastic_availability"
         self.experiment_id = "E14"
-        self.telemetry = telemetry if telemetry is not None else _default_telemetry()
-        self._progress_base = 0.0
-        self._completed = 0
-        self._current: Optional[int] = None
-        self._population_cache: Optional[ClientPopulation] = None
-        self._population_key: Optional[tuple] = None
-        self._scenario_cache: Optional[ScaleScenario] = None
-
-    # -- protocol --------------------------------------------------------------------
-
-    def get_current_state(self) -> ScaleExperimentState:
-        """Snapshot campaign progress (poll-safe, cheap)."""
-        return ScaleExperimentState(
-            completed_points=_progress_count(
-                self.telemetry, "campaign.replicas_completed",
-                self._progress_base, self._completed,
-                total=self.replicas,
-            ),
-            total_points=self.replicas,
-            current_clients=self.clients if self._current is not None else None,
-            current_label=(f"replica {self._current}"
-                           if self._current is not None else None),
-        )
-
-    def _build_fleet(self, population: ClientPopulation) -> NeutralizerFleet:
-        return elastic_fleet(
-            population, self.max_sites, nominal_sites=self.nominal_sites,
-            at_utilization=self.at_utilization, cost_model=self.cost_model,
-        )
-
-    def _shared_scenario(self, population: ClientPopulation) -> ScaleScenario:
-        """One fleet + scenario shared by every replica of this campaign.
-
-        Replicas only ever mutate the fleet through timeline runs, which
-        restore its pre-run state, so the fleet's hashed ring points and the
-        scenario's O(n_clients) problem template are paid for once; each
-        subsequent replica refreshes the stale template incrementally over
-        zero moved clients.
-        """
-        if getattr(self, "_scenario_cache", None) is None or \
-                self._scenario_cache.population is not population:
-            fleet = self._build_fleet(population)
-            self._scenario_cache = ScaleScenario(population, fleet)
-        return self._scenario_cache
-
-    def run_replica(self, population: ClientPopulation, event_seed: int,
-                    rng_transform=None) -> TimelineResult:
-        """One stochastic timeline: compiled events + autoscaler, solved."""
-        scenario = self._shared_scenario(population)
-        fleet = scenario.fleet
-        events = compile_events(
-            self.processes, seed=event_seed, epochs=self.epochs,
-            site_names=[site.name for site in fleet.sites],
-            rng_transform=rng_transform,
-        )
-        timeline = FluidTimeline(
-            population, fleet,
-            epochs=self.epochs, epoch_seconds=self.epoch_seconds,
-            load=self.load, events=events,
-            autoscaler=self.autoscaler,
-            provisioning_cost=self.provisioning_cost,
-            latency=self.latency_model,
-            latency_slo_seconds=self.latency_slo_seconds,
-            adversary=self.adversary,
-            scenario=scenario,
-            telemetry=self.telemetry,
-        )
-        return timeline.run()
-
-    def _replica_draws(self) -> List[Tuple[int, object]]:
-        """Per-replica (event seed, rng transform); see :func:`replica_seed_draws`."""
-        return replica_seed_draws(self.seed, self.replicas,
-                                  self.variance_reduction)
+        self.total_units = self.replicas
+        super().__init__(variance_reduction=variance_reduction,
+                         telemetry=telemetry, population=population)
 
     # -- campaign decomposition -------------------------------------------------------
 
-    def _shared_population(self) -> ClientPopulation:
-        """The population every replica shares (built once, deterministic)."""
-        if self._population is not None:
-            return self._population
-        key = (self.clients, self.mix, self.regions, self.seed)
-        if self._population_cache is None or self._population_key != key:
-            self._population_cache = ClientPopulation(
-                self.clients, mix=self.mix, regions=self.regions, seed=self.seed,
-            )
-            self._population_key = key
-        return self._population_cache
-
-    def _adopt_population(self, population: ClientPopulation) -> None:
-        """Adopt an externally built (e.g. shared-memory) population."""
-        if population.n_clients != self.clients:
-            raise WorkloadError("adopted population does not match the client count")
-        self._population = population
-        self._scenario_cache = None
-
-    def _prepare(self) -> None:
-        # Warm the shared ring sort before timing replicas.
-        self._shared_population().ring_sorted()
-
-    def _begin_campaign(self) -> None:
-        self.telemetry.inc(f"campaign.variance_mode.{self.variance_reduction}")
-
-    def _unit_marker(self, unit: CampaignUnit) -> object:
-        return unit.replica
-
     def unit_specs(self) -> List[CampaignUnit]:
-        draws = self._replica_draws()
+        draws = replica_seed_draws(self.seed, self.replicas,
+                                   self.variance_reduction)
         return [
             CampaignUnit(index=replica, point=None, replica=replica,
                          label=f"replica {replica}", event_seed=event_seed,
@@ -1124,14 +1039,7 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         ]
 
     def run_unit(self, unit: CampaignUnit) -> StochasticUnitOutcome:
-        telemetry = self.telemetry
-        population = self._shared_population()
-        replica_span = telemetry.span("replica", replica=unit.replica,
-                                      event_seed=unit.event_seed)
-        with replica_span:
-            result = self.run_replica(population, unit.event_seed,
-                                      unit.rng_transform)
-        wall = replica_span.seconds
+        result, wall = self._timed_replica(unit, event_seed=unit.event_seed)
         latency_p95 = None
         latency_fields = {}
         if self.latency_model is not None:
@@ -1175,10 +1083,7 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         if self.aggregation == "exact":
             return MetricDistribution.from_samples(metric, samples, tail=tail)
         stream = StreamingPercentiles()
-        stream.extend(np.asarray(
-            samples if isinstance(samples, np.ndarray) else list(samples),
-            dtype=np.float64,
-        ))
+        stream.extend(samples)
         return MetricDistribution.from_stream(metric, stream, tail=tail)
 
     def merge_units(self, outcomes: Sequence[StochasticUnitOutcome], *,
@@ -1188,53 +1093,44 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         pooled_delivered = [outcome.delivered_fraction for outcome in outcomes]
         pooled_latency_p95 = [outcome.latency_p95 for outcome in outcomes
                               if outcome.latency_p95 is not None]
-        completed_at = started_at + duration_seconds
 
-        distributions = {
-            "availability": self._distribution(
-                "availability", np.concatenate(pooled_delivered), tail="low"),
-            "replica availability": self._distribution(
-                "replica availability",
-                [record.mean_delivered for record in records], tail="low"),
-            "worst-epoch availability": self._distribution(
-                "worst-epoch availability",
-                [record.worst_delivered for record in records], tail="low"),
-            f"slo attainment (>= {self.slo:g})": self._distribution(
-                f"slo attainment (>= {self.slo:g})",
-                [record.slo_attainment for record in records], tail="low"),
-            "remap churn (client-moves)": self._distribution(
-                "remap churn (client-moves)",
-                [float(record.clients_remapped) for record in records], tail="high"),
-            "provision cost (usd)": self._distribution(
-                "provision cost (usd)",
-                [record.provision_cost for record in records], tail="high"),
-        }
+        # (metric, samples, which tail is the risk), in report order.
+        rows = [
+            ("availability", np.concatenate(pooled_delivered), "low"),
+            ("replica availability",
+             [record.mean_delivered for record in records], "low"),
+            ("worst-epoch availability",
+             [record.worst_delivered for record in records], "low"),
+            (f"slo attainment (>= {self.slo:g})",
+             [record.slo_attainment for record in records], "low"),
+            ("remap churn (client-moves)",
+             [float(record.clients_remapped) for record in records], "high"),
+            ("provision cost (usd)",
+             [record.provision_cost for record in records], "high"),
+        ]
         if self.latency_model is not None:
             # Latency percentiles are upper-tail risks: the P99 row is the
             # per-epoch P95 delay only 1% of epochs exceed.
-            distributions["latency p95 (ms)"] = self._distribution(
-                "latency p95 (ms)",
-                np.concatenate(pooled_latency_p95) * 1e3, tail="high")
-            distributions["replica worst p95 (ms)"] = self._distribution(
-                "replica worst p95 (ms)",
-                [record.worst_latency_p95_seconds * 1e3 for record in records],
-                tail="high")
-            distributions[
-                f"latency slo attainment (<= {self.latency_violation_budget:g} viol)"
-            ] = self._distribution(
-                f"latency slo attainment (<= {self.latency_violation_budget:g} viol)",
-                [record.latency_slo_attainment for record in records], tail="low")
-        report = self._render_report(records, distributions)
+            rows += [
+                ("latency p95 (ms)",
+                 np.concatenate(pooled_latency_p95) * 1e3, "high"),
+                ("replica worst p95 (ms)",
+                 [record.worst_latency_p95_seconds * 1e3 for record in records],
+                 "high"),
+                (f"latency slo attainment (<= "
+                 f"{self.latency_violation_budget:g} viol)",
+                 [record.latency_slo_attainment for record in records], "low"),
+            ]
+        distributions = {
+            metric: self._distribution(metric, samples, tail=tail)
+            for metric, samples, tail in rows
+        }
         return StochasticCampaignResult(
-            run_id=self.run_id,
-            experiment_name=self.experiment_name,
-            started_at=started_at,
-            completed_at=completed_at,
-            duration_seconds=completed_at - started_at,
+            **self._result_header(started_at, duration_seconds),
             slo=self.slo,
             records=tuple(records),
             distributions=distributions,
-            report=report,
+            report=self._render_report(records, distributions),
         )
 
     def _campaign_title(self) -> str:
@@ -1300,19 +1196,33 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         return report
 
 
-def _run_frontier_point(runner, point_slug: str, *, n_workers: int,
-                        checkpoint_dir) -> object:
-    """Run one frontier point, through the executor when asked to.
+def _sweep_frontier(runner_class, knob: str, values: Sequence[float],
+                    slug: str, point_class, columns: Dict[str, object], *,
+                    n_workers: int, checkpoint_dir, **campaign_kwargs) -> tuple:
+    """One full campaign per ``knob`` value, all on ONE shared population.
 
-    Each point gets its own checkpoint subdirectory (one run-table per
-    campaign); the plain ``runner.run()`` path stays untouched when neither
-    knob is set, so existing callers pay nothing.
+    The first point's runner builds the population and every later point
+    adopts it; with the campaign seed reused too, the sweep isolates the
+    knob from the noise.  Each point is one engine run with its own
+    checkpoint subdirectory (one run-table per campaign).  ``columns`` maps
+    each ``point_class`` field after the knob to a replica-record field
+    (its mean over the point's replicas) or a function of the campaign result.
     """
-    if n_workers == 1 and checkpoint_dir is None:
-        return runner.run()
-    point_dir = (None if checkpoint_dir is None
-                 else Path(checkpoint_dir) / point_slug)
-    return runner.run_parallel(n_workers=n_workers, checkpoint_dir=point_dir)
+    population = None
+    points = []
+    for value in values:
+        runner = runner_class(population=population, **{knob: value},
+                              **campaign_kwargs)
+        population = runner.shared_population()
+        point_dir = (None if checkpoint_dir is None
+                     else Path(checkpoint_dir) / f"{slug}-{value:g}")
+        campaign = runner.run_parallel(n_workers=n_workers,
+                                       checkpoint_dir=point_dir)
+        points.append(point_class(value, **{
+            name: (column(campaign) if callable(column)
+                   else _mean_of(campaign.records, column))
+            for name, column in columns.items()}))
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -1374,32 +1284,18 @@ def run_churn_slo_frontier(
     """
     if not targets:
         raise WorkloadError("the frontier needs at least one utilization target")
-    population = ClientPopulation(
-        clients, mix=campaign_kwargs.get("mix"),
-        regions=campaign_kwargs.get("regions", 8), seed=seed,
+    points = _sweep_frontier(
+        StochasticCampaignRunner, "at_utilization", targets, "target",
+        FrontierPoint, {
+            "availability_p50": lambda campaign: campaign.availability.p50,
+            "availability_p99": lambda campaign: campaign.availability.p99,
+            "mean_slo_attainment": "slo_attainment",
+            "mean_churn": "clients_remapped",
+            "mean_cost_usd": "provision_cost",
+        },
+        n_workers=n_workers, checkpoint_dir=checkpoint_dir, clients=clients,
+        seed=seed, epochs=epochs, replicas=replicas, slo=slo, **campaign_kwargs,
     )
-    points: List[FrontierPoint] = []
-    for target in targets:
-        runner = StochasticCampaignRunner(
-            clients=clients, epochs=epochs, replicas=replicas, seed=seed,
-            slo=slo, at_utilization=target, population=population,
-            **campaign_kwargs,
-        )
-        campaign = _run_frontier_point(runner, f"target-{target:g}",
-                                       n_workers=n_workers,
-                                       checkpoint_dir=checkpoint_dir)
-        availability = campaign.availability
-        points.append(FrontierPoint(
-            target_utilization=target,
-            availability_p50=availability.p50,
-            availability_p99=availability.p99,
-            mean_slo_attainment=float(np.mean(
-                [record.slo_attainment for record in campaign.records])),
-            mean_churn=float(np.mean(
-                [record.clients_remapped for record in campaign.records])),
-            mean_cost_usd=float(np.mean(
-                [record.provision_cost for record in campaign.records])),
-        ))
     report = ExperimentReport(
         "E14",
         f"Churn-vs-SLO frontier ({clients:,} clients, {replicas} replicas "
@@ -1413,7 +1309,7 @@ def run_churn_slo_frontier(
         "hotter fleets are cheaper but lose SLO headroom to the same failure "
         "sequences; the elbow is where the deployment should sit"
     )
-    return FrontierResult(points=tuple(points), report=report)
+    return FrontierResult(points=points, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -1541,34 +1437,24 @@ def run_latency_cost_frontier(
     """
     if not targets_p95_seconds:
         raise WorkloadError("the frontier needs at least one latency target")
-    population = ClientPopulation(
-        clients, mix=campaign_kwargs.get("mix") or elastic_mix(),
-        regions=campaign_kwargs.get("regions", 8), seed=seed,
+
+    def pooled(quantile: str):
+        return lambda campaign: getattr(
+            campaign.distributions["latency p95 (ms)"], quantile)
+
+    points = _sweep_frontier(
+        LatencyCampaignRunner, "target_p95_seconds", targets_p95_seconds, "p95",
+        LatencyFrontierPoint, {
+            "latency_p50_ms": pooled("p50"),
+            "latency_p95_ms": pooled("p95"),
+            "latency_p99_ms": pooled("p99"),
+            "mean_slo_attainment": "latency_slo_attainment",
+            "mean_sites": "mean_sites",
+            "mean_cost_usd": "provision_cost",
+        },
+        n_workers=n_workers, checkpoint_dir=checkpoint_dir, clients=clients,
+        seed=seed, epochs=epochs, replicas=replicas, **campaign_kwargs,
     )
-    campaign_kwargs.setdefault("mix", population.mix)
-    points: List[LatencyFrontierPoint] = []
-    for target in targets_p95_seconds:
-        runner = LatencyCampaignRunner(
-            target_p95_seconds=target, clients=clients, epochs=epochs,
-            replicas=replicas, seed=seed, population=population,
-            **campaign_kwargs,
-        )
-        campaign = _run_frontier_point(runner, f"p95-{target:g}",
-                                       n_workers=n_workers,
-                                       checkpoint_dir=checkpoint_dir)
-        pooled = campaign.distributions["latency p95 (ms)"]
-        points.append(LatencyFrontierPoint(
-            target_p95_seconds=target,
-            latency_p50_ms=pooled.p50,
-            latency_p95_ms=pooled.p95,
-            latency_p99_ms=pooled.p99,
-            mean_slo_attainment=float(np.mean(
-                [record.latency_slo_attainment for record in campaign.records])),
-            mean_sites=float(np.mean(
-                [record.mean_sites for record in campaign.records])),
-            mean_cost_usd=float(np.mean(
-                [record.provision_cost for record in campaign.records])),
-        ))
     report = ExperimentReport(
         "E15",
         f"Latency-vs-cost frontier ({clients:,} clients, {replicas} replicas "
@@ -1582,7 +1468,7 @@ def run_latency_cost_frontier(
         "queueing delay is convex in utilization: the last milliseconds of "
         "P95 cost disproportionately many sites — the elbow prices the SLO"
     )
-    return LatencyFrontierResult(points=tuple(points), report=report)
+    return LatencyFrontierResult(points=points, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -1658,8 +1544,8 @@ def compare_variance_reduction(
                 variance_reduction=scheme, **campaign_kwargs,
             )
             campaign = runner.run()
-            mean_estimates[scheme].append(float(np.mean(
-                [record.mean_delivered for record in campaign.records])))
+            mean_estimates[scheme].append(
+                _mean_of(campaign.records, "mean_delivered"))
             tail_estimates[scheme].append(campaign.availability.p95)
     mean_std = {scheme: float(np.std(values, ddof=1))
                 for scheme, values in mean_estimates.items()}
@@ -1784,7 +1670,7 @@ class AdversaryCampaignResult:
         return self_defeating_points(self.points)
 
 
-class AdversaryCampaignRunner(_UnitCampaignMixin):
+class AdversaryCampaignRunner(_ReplicaCampaign):
     """E16: the discrimination arms race swept over both sides' dispositions.
 
     Sweeps ISP ``aggressiveness`` × client adoption ``sensitivities`` on one
@@ -1828,14 +1714,6 @@ class AdversaryCampaignRunner(_UnitCampaignMixin):
             raise WorkloadError("campaign needs positive clients, epochs and replicas")
         if not aggressiveness or not sensitivities:
             raise WorkloadError("the sweep needs aggressiveness and sensitivity values")
-        if population is not None and population.n_clients != clients:
-            raise WorkloadError("shared population does not match the client count")
-        if variance_reduction not in VARIANCE_SCHEMES:
-            # Fail here, not after the expensive population build inside run().
-            raise WorkloadError(
-                f"unknown variance-reduction scheme {variance_reduction!r}; "
-                f"pick one of {', '.join(VARIANCE_SCHEMES)}"
-            )
         self.clients = int(clients)
         self.epochs = int(epochs)
         self.aggressiveness = tuple(aggressiveness)
@@ -1846,6 +1724,18 @@ class AdversaryCampaignRunner(_UnitCampaignMixin):
         self.n_sites = n_sites
         self.headroom = headroom
         self.epoch_seconds = epoch_seconds
+        # The arms race plays on a statically provisioned fleet: an
+        # autoscaler would otherwise hide throttling harm behind capacity
+        # moves.  min==max pins the controller.
+        self.max_sites = self.nominal_sites = n_sites
+        self.at_utilization = 1.0 / headroom
+        self.autoscaler = Autoscaler(
+            TargetUtilizationPolicy(target=0.99, deadband=0.98),
+            min_sites=n_sites, max_sites=n_sites,
+        )
+        self.load = self.provisioning_cost = None
+        #: Each grid point plays its own game (:meth:`_game`).
+        self.adversary = None
         #: Per-point strategies/models are derived from these bases with the
         #: swept knob replaced, so every other disposition stays fixed
         #: across the grid.  The frontier isolates classifier-targeted
@@ -1870,37 +1760,14 @@ class AdversaryCampaignRunner(_UnitCampaignMixin):
                           else default_processes())
         self.mix = mix
         self.cost_model = cost_model
-        self._population = population
-        self.variance_reduction = variance_reduction
         self.total_replicas = (len(self.aggressiveness) * len(self.sensitivities)
                                * self.replicas_per_point)
+        self.total_units = self.total_replicas
         self.run_id = f"adversary-{seed:08x}-{self.clients}x{self.total_replicas}"
         self.experiment_name = "adversary_arms_race"
         self.experiment_id = "E16"
-        self.telemetry = telemetry if telemetry is not None else _default_telemetry()
-        self._progress_base = 0.0
-        self._completed = 0
-        self._current: Optional[str] = None
-        self._population_cache: Optional[ClientPopulation] = None
-        self._population_key: Optional[tuple] = None
-        self._scenario_cache: Optional[ScaleScenario] = None
-        self._point_runners: Dict[Tuple[float, float],
-                                  StochasticCampaignRunner] = {}
-
-    # -- protocol --------------------------------------------------------------------
-
-    def get_current_state(self) -> ScaleExperimentState:
-        """Snapshot campaign progress (poll-safe, cheap)."""
-        return ScaleExperimentState(
-            completed_points=_progress_count(
-                self.telemetry, "campaign.replicas_completed",
-                self._progress_base, self._completed,
-                total=self.total_replicas,
-            ),
-            total_points=self.total_replicas,
-            current_clients=self.clients if self._current is not None else None,
-            current_label=self._current,
-        )
+        super().__init__(variance_reduction=variance_reduction,
+                         telemetry=telemetry, population=population)
 
     def _game(self, aggressiveness: float, sensitivity: float) -> AdversaryGame:
         from dataclasses import replace
@@ -1910,76 +1777,13 @@ class AdversaryCampaignRunner(_UnitCampaignMixin):
             adoption=replace(self.base_adoption, sensitivity=sensitivity),
         )
 
-    def _point_runner(self, population: ClientPopulation,
-                      game: AdversaryGame) -> "StochasticCampaignRunner":
-        runner = StochasticCampaignRunner(
-            clients=self.clients, epochs=self.epochs,
-            replicas=self.replicas_per_point, seed=self.seed,
-            regions=self.regions, epoch_seconds=self.epoch_seconds,
-            processes=self.processes,
-            # The arms race plays on a statically provisioned fleet: the
-            # autoscaler would otherwise hide throttling harm behind
-            # capacity moves.  min==max pins the controller.
-            max_sites=self.n_sites, nominal_sites=self.n_sites,
-            at_utilization=1.0 / self.headroom,
-            autoscaler=Autoscaler(
-                TargetUtilizationPolicy(target=0.99, deadband=0.98),
-                min_sites=self.n_sites, max_sites=self.n_sites,
-            ),
-            mix=self.mix, cost_model=self.cost_model, population=population,
-            latency_model=self.latency_model,
-            latency_slo_seconds=self.latency_slo_seconds,
-            adversary=game,
-            variance_reduction=self.variance_reduction,
-            # Replica timelines run through the point runner, so its
-            # telemetry must be the campaign's for spans and counters to
-            # land in one place.
-            telemetry=self.telemetry,
-        )
-        # Share one fleet + template across every grid point: timelines
-        # restore fleet state, and the fleet shape does not depend on the
-        # game, so the O(n_clients) build is paid exactly once per campaign.
-        runner._scenario_cache = self._scenario_cache
-        return runner
+    def _grid(self) -> List[Tuple[float, float]]:
+        """The (aggressiveness, sensitivity) points, in unit and report order."""
+        return [(aggressiveness, sensitivity)
+                for sensitivity in self.sensitivities
+                for aggressiveness in self.aggressiveness]
 
     # -- campaign decomposition -------------------------------------------------------
-
-    def _shared_population(self) -> ClientPopulation:
-        """The population every grid point shares (built once, deterministic)."""
-        if self._population is not None:
-            return self._population
-        key = (self.clients, self.mix, self.regions, self.seed)
-        if self._population_cache is None or self._population_key != key:
-            self._population_cache = ClientPopulation(
-                self.clients, mix=self.mix, regions=self.regions, seed=self.seed,
-            )
-            self._population_key = key
-        return self._population_cache
-
-    def _adopt_population(self, population: ClientPopulation) -> None:
-        """Adopt an externally built (e.g. shared-memory) population."""
-        if population.n_clients != self.clients:
-            raise WorkloadError("adopted population does not match the client count")
-        self._population = population
-        self._scenario_cache = None
-
-    def _prepare(self) -> None:
-        population = self._shared_population()
-        population.ring_sorted()
-        if self._scenario_cache is None or \
-                self._scenario_cache.population is not population:
-            # Share one fleet + template across every grid point: timelines
-            # restore fleet state, and the fleet shape does not depend on
-            # the game, so the O(n_clients) build is paid once per campaign.
-            fleet = elastic_fleet(
-                population, self.n_sites, nominal_sites=self.n_sites,
-                at_utilization=1.0 / self.headroom, cost_model=self.cost_model,
-            )
-            self._scenario_cache = ScaleScenario(population, fleet)
-        self._point_runners = {}
-
-    def _begin_campaign(self) -> None:
-        self.telemetry.inc(f"campaign.variance_mode.{self.variance_reduction}")
 
     def unit_specs(self) -> List[CampaignUnit]:
         # Draws depend only on (seed, replicas_per_point, scheme), so every
@@ -1988,41 +1792,26 @@ class AdversaryCampaignRunner(_UnitCampaignMixin):
         draws = replica_seed_draws(self.seed, self.replicas_per_point,
                                    self.variance_reduction)
         units: List[CampaignUnit] = []
-        index = 0
-        for sensitivity in self.sensitivities:
-            for aggressiveness in self.aggressiveness:
-                for replica in range(self.replicas_per_point):
-                    event_seed, rng_transform = draws[replica]
-                    units.append(CampaignUnit(
-                        index=index,
-                        point=(aggressiveness, sensitivity),
-                        replica=replica,
-                        label=(f"agg {aggressiveness:g} x sens "
-                               f"{sensitivity:g} replica {replica}"),
-                        event_seed=event_seed,
-                        rng_transform=rng_transform,
-                    ))
-                    index += 1
+        for aggressiveness, sensitivity in self._grid():
+            for replica, (event_seed, rng_transform) in enumerate(draws):
+                units.append(CampaignUnit(
+                    index=len(units),
+                    point=(aggressiveness, sensitivity),
+                    replica=replica,
+                    label=(f"agg {aggressiveness:g} x sens "
+                           f"{sensitivity:g} replica {replica}"),
+                    event_seed=event_seed,
+                    rng_transform=rng_transform,
+                ))
         return units
 
     def run_unit(self, unit: CampaignUnit) -> AdversaryReplicaRecord:
-        telemetry = self.telemetry
-        population = self._shared_population()
         aggressiveness, sensitivity = unit.point
-        runner = self._point_runners.get(unit.point)
-        if runner is None:
-            game = self._game(aggressiveness, sensitivity)
-            runner = self._point_runner(population, game)
-            self._point_runners[unit.point] = runner
-        replica_span = telemetry.span(
-            "replica", replica=unit.replica,
-            aggressiveness=aggressiveness,
-            sensitivity=sensitivity,
-        )
-        with replica_span:
-            result = runner.run_replica(population, unit.event_seed,
-                                        unit.rng_transform)
-        wall = replica_span.seconds
+        # One fleet + template serves every grid point: the fleet shape does
+        # not depend on the game, only the replica's timeline does.
+        result, wall = self._timed_replica(
+            unit, self._game(aggressiveness, sensitivity),
+            aggressiveness=aggressiveness, sensitivity=sensitivity)
         tail = max(self.epochs // 4, 1)
         target_class = self.target_classes[0]
         target_delivered = result.class_delivered_fraction(self.target_classes)
@@ -2048,43 +1837,25 @@ class AdversaryCampaignRunner(_UnitCampaignMixin):
                     duration_seconds: float) -> AdversaryCampaignResult:
         points: List[AdversaryPointRecord] = []
         records: Dict[Tuple[float, float], Tuple[AdversaryReplicaRecord, ...]] = {}
-        index = 0
-        for sensitivity in self.sensitivities:
-            for aggressiveness in self.aggressiveness:
-                replica_records = tuple(
-                    outcomes[index:index + self.replicas_per_point])
-                index += self.replicas_per_point
-                key = (aggressiveness, sensitivity)
-                records[key] = replica_records
-                delivered = float(np.mean(
-                    [r.equilibrium_target_delivered
-                     for r in replica_records]))
-                points.append(AdversaryPointRecord(
-                    aggressiveness=aggressiveness,
-                    sensitivity=sensitivity,
-                    replicas=self.replicas_per_point,
-                    final_adoption=float(np.mean(
-                        [r.final_adoption for r in replica_records])),
-                    mean_discriminated_share=float(np.mean(
-                        [r.mean_discriminated_share
-                         for r in replica_records])),
-                    equilibrium_target_delivered=delivered,
-                    equilibrium_target_harm=1.0 - delivered,
-                    total_clients_rekeyed=float(np.mean(
-                        [r.clients_rekeyed for r in replica_records])),
-                    exposed_p95_seconds=float(np.mean(
-                        [r.exposed_p95_seconds for r in replica_records])),
-                    neutralized_p95_seconds=float(np.mean(
-                        [r.neutralized_p95_seconds
-                         for r in replica_records])),
-                ))
-        completed_at = started_at + duration_seconds
+        per_point = self.replicas_per_point
+        for number, (aggressiveness, sensitivity) in enumerate(self._grid()):
+            replica_records = tuple(
+                outcomes[number * per_point:(number + 1) * per_point])
+            records[(aggressiveness, sensitivity)] = replica_records
+            delivered = _mean_of(replica_records, "equilibrium_target_delivered")
+            points.append(AdversaryPointRecord(
+                aggressiveness=aggressiveness,
+                sensitivity=sensitivity,
+                replicas=per_point,
+                equilibrium_target_delivered=delivered,
+                equilibrium_target_harm=1.0 - delivered,
+                total_clients_rekeyed=_mean_of(replica_records, "clients_rekeyed"),
+                **{name: _mean_of(replica_records, name) for name in (
+                    "final_adoption", "mean_discriminated_share",
+                    "exposed_p95_seconds", "neutralized_p95_seconds")},
+            ))
         return AdversaryCampaignResult(
-            run_id=self.run_id,
-            experiment_name=self.experiment_name,
-            started_at=started_at,
-            completed_at=completed_at,
-            duration_seconds=completed_at - started_at,
+            **self._result_header(started_at, duration_seconds),
             points=tuple(points),
             records=records,
             report=self._render_report(points),

@@ -276,15 +276,18 @@ class TestLatencyCampaign:
         assert make().distributions == make().distributions
 
     def test_latency_cost_frontier_orders_costs(self):
-        frontier = run_latency_cost_frontier(
-            targets_p95_seconds=(0.045, 0.2), clients=6_000, epochs=24,
-            replicas=2, seed=11, nominal_sites=6, max_sites=10,
-        )
+        kwargs = dict(targets_p95_seconds=(0.045, 0.2), clients=6_000, epochs=24,
+                      replicas=2, seed=11, nominal_sites=6, max_sites=10)
+        frontier = run_latency_cost_frontier(**kwargs)
         assert len(frontier.points) == 2
         tight, loose = frontier.points
         # A tighter delay target can never be cheaper to hold.
         assert tight.mean_cost_usd >= loose.mean_cost_usd
         assert "E15" == frontier.report.experiment_id
+        # The mix feeds both the shared population and every point's runner;
+        # stating the default one explicitly changes nothing.
+        explicit = run_latency_cost_frontier(mix=elastic_mix(), **kwargs)
+        assert explicit.points == frontier.points
 
     def test_bad_target_rejected(self):
         with pytest.raises(WorkloadError):

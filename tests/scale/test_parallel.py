@@ -331,6 +331,20 @@ class TestFailureHandling:
                               total_units=5)
         assert table.failed_units()
         assert table.completed_outcomes()  # units before the crash persisted
+        # plain run() is the same engine: same error, same counter
+        plain = CrashingRunner(
+            clients=1500, nominal_sites=4, max_sites=6,
+            epochs=10, replicas=5, seed=7)
+        with pytest.raises(WorkloadError, match="'replica 2' failed: "
+                                                "synthetic unit failure") as caught:
+            plain.run()
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        assert plain.telemetry.counter_value("parallel.units_failed") == 1
+        assert runner.telemetry.counter_value("parallel.units_failed") == 1
+        with pytest.raises(KeyboardInterrupt):
+            InterruptingRunner(
+                clients=1500, nominal_sites=4, max_sites=6,
+                epochs=10, replicas=5, seed=7).run()
 
 
 def _shm_names():

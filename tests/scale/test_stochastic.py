@@ -172,11 +172,28 @@ class TestStochasticCampaign:
         assert state.done and state.total_points == 5
 
     def test_shared_population_must_match(self):
-        from repro.scale import ClientPopulation
+        from repro.scale import (ClientPopulation, LatencyCampaignRunner,
+                                 elastic_mix)
 
-        with pytest.raises(WorkloadError):
+        with pytest.raises(WorkloadError, match="n_clients"):
             StochasticCampaignRunner(
                 clients=100, population=ClientPopulation(200, seed=1))
+        # A default-mix population under E15's "elastic mix" report would
+        # be a plausible-looking wrong table: the runner's own mix (explicit
+        # or runner-default) and region count must be the population's.
+        with pytest.raises(WorkloadError, match="mix"):
+            LatencyCampaignRunner(clients=100, population=ClientPopulation(100))
+        with pytest.raises(WorkloadError, match="mix"):
+            StochasticCampaignRunner(
+                clients=100, mix=elastic_mix(), population=ClientPopulation(100))
+        with pytest.raises(WorkloadError, match="regions"):
+            StochasticCampaignRunner(
+                clients=100, population=ClientPopulation(100, regions=4))
+        # A runner that states no mix takes the population's, and seeds are
+        # not compared (clients on one seed, events on another is legitimate).
+        elastic = ClientPopulation(100, mix=elastic_mix(), seed=9)
+        runner = StochasticCampaignRunner(clients=100, seed=1, population=elastic)
+        assert runner.shared_population() is elastic
 
     def test_invalid_campaign_rejected(self):
         with pytest.raises(WorkloadError):

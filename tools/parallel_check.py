@@ -4,10 +4,10 @@
 Two modes, both exercised by the ``parallel-equivalence`` CI job:
 
 ``equivalence``
-    Runs a tiny E14 and E16 campaign serially, at ``n_workers=1``, and at
-    ``n_workers=4``, and fails on any byte difference between their
-    canonical aggregate tables (wall-clock fields excluded — everything
-    else must match exactly).
+    Runs a tiny E13, E14, E15 and E16 campaign with ``run()``, at
+    ``n_workers=1``, and at ``n_workers=4``, and fails on any byte
+    difference between their canonical aggregate tables (wall-clock fields
+    excluded — everything else must match exactly).
 
 ``resume``
     Launches a checkpointed frontier sweep in a child process, SIGINTs it
@@ -33,7 +33,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.scale import (  # noqa: E402
     AdversaryCampaignRunner,
+    LatencyCampaignRunner,
     StochasticCampaignRunner,
+    TimelineCampaignRunner,
     canonical_result_bytes,
     run_churn_slo_frontier,
 )
@@ -47,9 +49,21 @@ FRONTIER_KWARGS = dict(
 )
 
 
+def make_e13():
+    return TimelineCampaignRunner(
+        scenarios=("flash_crowd", "regional_outage", "diurnal_week",
+                   "elastic_web_mix"),
+        clients=CLIENTS, seed=SEED)
+
+
 def make_e14():
     return StochasticCampaignRunner(
         clients=CLIENTS, epochs=20, replicas=8, seed=SEED)
+
+
+def make_e15():
+    return LatencyCampaignRunner(
+        clients=CLIENTS, epochs=16, replicas=6, seed=SEED)
 
 
 def make_e16():
@@ -60,7 +74,8 @@ def make_e16():
 
 def check_equivalence() -> int:
     failures = 0
-    for label, factory in (("E14", make_e14), ("E16", make_e16)):
+    for label, factory in (("E13", make_e13), ("E14", make_e14),
+                           ("E15", make_e15), ("E16", make_e16)):
         serial = canonical_result_bytes(factory().run())
         for n_workers in (1, 4):
             candidate = canonical_result_bytes(
