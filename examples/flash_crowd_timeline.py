@@ -11,12 +11,16 @@ Two acts:
    warm-start fast path is worth in solver time.
 
 Run with:  PYTHONPATH=src python examples/flash_crowd_timeline.py
+(set SCALE_EXAMPLE_CLIENTS to shrink or grow the population; CI smoke uses
+a small value).
 """
+
+import os
 
 from repro.analysis.report import format_series
 from repro.scale import build_scenario
 
-CLIENTS = 200_000
+CLIENTS = int(os.environ.get("SCALE_EXAMPLE_CLIENTS", "200000"))
 
 
 def main() -> None:

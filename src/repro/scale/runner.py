@@ -1530,10 +1530,8 @@ def compare_variance_reduction(
     unknown = set(schemes) - set(VARIANCE_SCHEMES)
     if unknown:
         raise WorkloadError(f"unknown variance-reduction scheme(s) {sorted(unknown)}")
-    population = ClientPopulation(
-        clients, mix=campaign_kwargs.get("mix"),
-        regions=campaign_kwargs.get("regions", 8), seed=seed,
-    )
+    # Built by the first runner (batch 0 runs on ``seed``), adopted by the rest.
+    population = None
     mean_estimates: Dict[str, List[float]] = {scheme: [] for scheme in schemes}
     tail_estimates: Dict[str, List[float]] = {scheme: [] for scheme in schemes}
     for scheme in schemes:
@@ -1543,6 +1541,7 @@ def compare_variance_reduction(
                 seed=seed + 1009 * batch, population=population,
                 variance_reduction=scheme, **campaign_kwargs,
             )
+            population = runner.shared_population()
             campaign = runner.run()
             mean_estimates[scheme].append(
                 _mean_of(campaign.records, "mean_delivered"))

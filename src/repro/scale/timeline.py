@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,9 +59,9 @@ from .adversary import (
 from .autoscale import AutoscalePolicy, AutoscaleRun, Autoscaler, EpochMetrics
 from .costmodel import ProvisioningCostModel
 from .fleet import NeutralizerFleet
-from .latency import LatencyModel, evaluate_latency
+from .latency import LatencyModel, LatencyResult, evaluate_latency
 from .population import ClientPopulation
-from .scenario import ProblemTemplate, ScaleScenario
+from .scenario import EpochProblem, FluidResult, ProblemTemplate, ScaleScenario
 from .solver import Allocation, solve_allocation
 from .telemetry import NULL, Telemetry
 
@@ -801,138 +802,7 @@ class FluidTimeline:
             raise WorkloadError("event is not scheduled on this timeline")
         self.events = tuple(kept)
 
-    # -- stepping --------------------------------------------------------------------
-
-    def _apply_reconfig(self, event: ReconfigEvent,
-                        autoscale: Optional[AutoscaleRun],
-                        adversary: Optional[AdversaryRun],
-                        snapshot_ring) -> None:
-        """Apply one committed transaction atomically at the epoch boundary.
-
-        Every feasibility check runs before the first mutation, so a
-        rejected reconfiguration raises with the fleet, the controller and
-        the game exactly as they were.
-        """
-        fleet = self.fleet
-        if (event.policy is not None or event.min_sites is not None
-                or event.max_sites is not None) and autoscale is None:
-            raise WorkloadError(
-                "reconfig retunes an autoscaler this timeline does not run"
-            )
-        if event.adoption is not None and adversary is None:
-            raise WorkloadError(
-                "reconfig retunes an adversary game this timeline does not run"
-            )
-        will_be_active = {site.name: site.active for site in fleet.sites}
-        for name in event.activate_sites:
-            will_be_active[name] = True
-        for name in event.drain_sites:
-            will_be_active[name] = False
-        if not any(will_be_active[site.name] and site.healthy
-                   for site in fleet.sites):
-            raise WorkloadError(
-                f"reconfig at epoch {event.at_epoch} would leave no site "
-                f"in service"
-            )
-        # Activations before drains, so the ring never empties transiently.
-        for name in event.activate_sites:
-            site = fleet.site(name)
-            if not site.active:
-                if site.healthy:
-                    snapshot_ring()
-                fleet.activate_site(name)
-            if autoscale is not None:
-                autoscale.note_external_activation(name)
-        for name in event.drain_sites:
-            site = fleet.site(name)
-            if autoscale is not None:
-                autoscale.note_external_drain(name)
-            if site.active:
-                if site.in_service:
-                    snapshot_ring()
-                fleet.drain_site(name)
-        if autoscale is not None:
-            autoscale.reconfigure(policy=event.policy,
-                                  min_sites=event.min_sites,
-                                  max_sites=event.max_sites)
-        if event.adoption is not None and adversary is not None:
-            adversary.retune(event.adoption)
-
-    def _fire(self, event: FleetEvent, throttles: List[DiscriminationToggle],
-              degradations: List[CapacityDegradation]) -> bool:
-        """Apply one event; returns whether the hash ring changed."""
-        if isinstance(event, SiteFailure):
-            self.fleet.fail_site(event.site)
-            return True
-        if isinstance(event, SiteRecovery):
-            self.fleet.restore_site(event.site)
-            return True
-        if isinstance(event, CapacityDegradation):
-            degradations.append(event)
-            return False
-        if isinstance(event, DiscriminationToggle):
-            throttles.append(event)
-            return False
-        raise WorkloadError(f"unknown fleet event {event!r}")
-
-    def _demand_scale(self, template: ProblemTemplate, epoch: int, t: float,
-                      throttles: Sequence[DiscriminationToggle],
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-flow (offered, served) demand multipliers for this epoch.
-
-        The load curve scales what clients *offer*; discrimination throttles
-        further cap what the access ISP lets through.  Delivered fraction is
-        judged against the offered demand, so a rollout shows up as harm
-        rather than as demand conveniently disappearing.
-        """
-        regional = self.load.multipliers(t, self.population.regions)
-        if regional.shape != (self.population.regions,):
-            raise WorkloadError("load curve returned the wrong number of regions")
-        if np.any(regional < 0):
-            raise WorkloadError("load curve returned a negative multiplier")
-        offered = regional[template.region_of].astype(np.float64)
-        served = offered.copy()
-        for toggle in throttles:
-            if toggle.until_epoch is not None and epoch >= toggle.until_epoch:
-                continue
-            hit = template.region_of == toggle.region
-            if toggle.class_names is not None:
-                class_ids = [self.population.mix.names.index(name)
-                             for name in toggle.class_names]
-                hit &= np.isin(template.class_of, class_ids)
-            served[hit] *= toggle.factor
-        return offered, served
-
-    def _capacity_scale(self, epoch: int,
-                        degradations: Sequence[CapacityDegradation]) -> Optional[np.ndarray]:
-        if not degradations:
-            return None
-        scale = np.ones(self.fleet.n_sites)
-        for event in degradations:
-            if event.until_epoch is not None and epoch >= event.until_epoch:
-                continue
-            index = self.fleet.index_of_site(event.site)
-            scale[index] = min(scale[index], event.factor)
-        if (scale == 1.0).all():
-            return None
-        return scale
-
-    def _forecast(self, t_now: float, region_demand: Optional[np.ndarray]):
-        """A demand forecast for predictive autoscaling policies.
-
-        Returns offered demand ``lead`` epochs ahead relative to nominal,
-        weighted by each region's share of base demand — exactly the
-        ``demand_multiplier`` the future epoch will record, assuming no
-        discrimination throttles (a forecaster sees load, not policy).
-        """
-        def forecast(lead: int) -> float:
-            future = self.load.multipliers(
-                t_now + lead * self.epoch_seconds, self.population.regions
-            )
-            if region_demand is None or region_demand.sum() <= 0:
-                return float(future.mean())
-            return float((future * region_demand).sum() / region_demand.sum())
-        return forecast
+    # -- running ---------------------------------------------------------------------
 
     def run(self) -> TimelineResult:
         """Solve every epoch and assemble the result.
@@ -959,26 +829,25 @@ class FluidTimeline:
                 epoch_seconds=float(self.epoch_seconds),
                 latency_slo_seconds=float(self.latency_slo_seconds),
             )
+        state = _TimelineRun(self)
         run_span = telemetry.span(
             "timeline", epochs=self.epochs, clients=self.population.n_clients
         )
         with run_span:
-            records, cpu_util, uplink_util, clients_matrix = self._run_epochs(
-                telemetry
-            )
+            for epoch in range(self.epochs):
+                with telemetry.span("epoch", epoch=epoch):
+                    state.step(epoch)
+        records = state.records
         if elog is not None:
             elog.emit(
                 "timeline_complete",
                 epochs=len(records),
-                delivered_fraction_mean=(
-                    float(sum(r.delivered_fraction for r in records)
-                          / len(records)) if records else 1.0),
-                delivered_fraction_min=(
-                    min(float(r.delivered_fraction) for r in records)
-                    if records else 1.0),
-                latency_slo_violations_max=(
-                    max(float(r.latency_slo_violations) for r in records)
-                    if records else 0.0),
+                delivered_fraction_mean=float(
+                    sum(r.delivered_fraction for r in records) / len(records)),
+                delivered_fraction_min=min(
+                    float(r.delivered_fraction) for r in records),
+                latency_slo_violations_max=max(
+                    float(r.latency_slo_violations) for r in records),
             )
         return TimelineResult(
             n_clients=self.population.n_clients,
@@ -986,426 +855,556 @@ class FluidTimeline:
             site_names=tuple(site.name for site in self.fleet.sites),
             class_names=tuple(self.population.mix.names),
             records=tuple(records),
-            cpu_utilization=cpu_util,
-            uplink_utilization=uplink_util,
-            clients_per_site=clients_matrix,
+            cpu_utilization=state.cpu_util,
+            uplink_utilization=state.uplink_util,
+            clients_per_site=state.clients_matrix,
             wall_seconds=run_span.seconds,
         )
 
-    def _run_epochs(
-        self, telemetry: Telemetry,
-    ) -> Tuple[List[EpochRecord], np.ndarray, np.ndarray, np.ndarray]:
-        population = self.population
-        fleet = self.fleet
-        sites = fleet.n_sites
-        elog = telemetry.events
 
-        throttles: List[DiscriminationToggle] = []
-        degradations: List[CapacityDegradation] = []
-        pending = list(self.events)
-        autoscale = (AutoscaleRun(self.autoscaler, fleet, telemetry=telemetry)
-                     if self.autoscaler is not None else None)
-        adversary = (AdversaryRun(self.adversary, population,
-                                  latency=self.latency,
-                                  latency_slo_seconds=self.latency_slo_seconds,
-                                  telemetry=telemetry)
-                     if self.adversary is not None else None)
+@dataclass(frozen=True)
+class SolvedEpoch:
+    """One epoch's instantiated problem with everything solved from it.
 
-        template: Optional[ProblemTemplate] = None
-        previous_rates: Optional[np.ndarray] = None
-        #: Congestion prices of the previous elastic solve.  Prices are
-        #: per-resource, and the resource list (regions + site uplinks +
-        #: site CPUs, indices stable across failures) never changes shape,
-        #: so unlike the rates they survive template rebuilds.
-        previous_prices: Optional[np.ndarray] = None
-        base_demand_bps: Optional[float] = None
+    The timeline's only solve memo.  An epoch with the same template, demand
+    scaling and capacity scaling (steady load, no events) is the *same
+    problem*, so the instantiated problem, the allocation, the interpreted
+    fluid result and the latency metrics are all reused outright — the
+    steady-state epoch costs two small array comparisons, independent of
+    anything else.  A changed problem still takes its warm start from here.
+    """
+
+    template: ProblemTemplate
+    served_scale: np.ndarray
+    capacity_scale: Optional[np.ndarray]
+    extra_setups: Optional[np.ndarray]
+    problem: EpochProblem
+    allocation: Allocation
+    fluid: FluidResult
+    latency_result: Optional[LatencyResult]
+    #: Fleet-path (P50, P95, P99, SLO-violation fraction); zeros without a
+    #: latency model.
+    latency: Tuple[float, float, float, float]
+
+    def answers(self, template: ProblemTemplate, served_scale: np.ndarray,
+                capacity_scale: Optional[np.ndarray],
+                extra_setups: Optional[np.ndarray]) -> bool:
+        """Whether these inputs pose the bit-identical problem solved here."""
+        return (template is self.template
+                and np.array_equal(served_scale, self.served_scale)
+                and _optional_arrays_equal(capacity_scale, self.capacity_scale)
+                and _optional_arrays_equal(extra_setups, self.extra_setups))
+
+
+class _TimelineRun:
+    """Mutable state of one :meth:`FluidTimeline.run`, stepped epoch by epoch.
+
+    The timeline's twin of :class:`AutoscaleRun` / :class:`AdversaryRun`:
+    created fresh inside every run() so timelines stay re-runnable.
+    :meth:`step` is the epoch pipeline; every stage is a method bounded by
+    one span (or by nothing but its own call, for events and record
+    assembly), reading and writing only what this object holds.
+    """
+
+    def __init__(self, timeline: FluidTimeline) -> None:
+        self.timeline = timeline
+        self.telemetry = telemetry = timeline.telemetry
+        self.population = timeline.population
+        self.fleet = fleet = timeline.fleet
+        self.scenario = timeline._scenario
+        self.pending = list(timeline.events)
+        #: Live discrimination / degradation windows (expired ones pruned).
+        self.throttles: List[DiscriminationToggle] = []
+        self.degradations: List[CapacityDegradation] = []
+        self.autoscale = (AutoscaleRun(timeline.autoscaler, fleet,
+                                       telemetry=telemetry)
+                          if timeline.autoscaler is not None else None)
+        self.adversary = (
+            AdversaryRun(timeline.adversary, self.population,
+                         latency=timeline.latency,
+                         latency_slo_seconds=timeline.latency_slo_seconds,
+                         telemetry=telemetry)
+            if timeline.adversary is not None else None)
+        #: This epoch's pre-change ring; see :meth:`snapshot_ring`.
+        self.ring_before: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.template: Optional[ProblemTemplate] = None
+        self.base_demand_bps = 0.0
         #: Demand-weighted per-region weights for the autoscaler's forecast.
-        region_demand: Optional[np.ndarray] = None
-        last_metrics: Optional[EpochMetrics] = None
-        #: The previous epoch's full solved state: an epoch with the same
-        #: template, demand scaling and capacity scaling (steady load, no
-        #: events) is the *same problem*, so the instantiated problem, the
-        #: allocation, the interpreted fluid result and the latency metrics
-        #: are all reused outright — the steady-state epoch costs two small
-        #: array comparisons, independent of anything else.
-        previous_template = None
-        previous_served_scale: Optional[np.ndarray] = None
-        previous_capacity_scale: Optional[np.ndarray] = None
-        previous_extra_setups: Optional[np.ndarray] = None
-        previous_epoch_problem = None
-        previous_allocation = None
-        previous_fluid = None
-        previous_latency = (0.0, 0.0, 0.0, 0.0)
-        previous_latency_result = None
-        previous_split: Tuple[Dict[str, float], Dict[str, float]] = ({}, {})
-        previous_experienced = (0.0, 0.0, 0.0, 0.0)
-        #: Committed-capacity sums, cached while fleet state is unchanged.
-        committed_key = None
-        committed_totals = (0.0, 0.0, 0, 0.0, 0.0, 0)
+        self.region_demand: Optional[np.ndarray] = None
+        self.last_metrics: Optional[EpochMetrics] = None
+        self.solved: Optional[SolvedEpoch] = None
+        #: The adversary epochs' recorded latency and neutralized/exposed
+        #: per-class P95 split, kept while neither solve nor game moves.
+        self.experienced = ((0.0, 0.0, 0.0, 0.0), {}, {})
+        #: Committed-capacity sums (``epoch_cost`` keywords), cached while
+        #: the fleet state they were summed under, ``committed_key``, holds.
+        self.committed_key = None
+        self.committed: Dict[str, float] = {}
+        self.records: List[EpochRecord] = []
+        self.cpu_util = np.zeros((timeline.epochs, fleet.n_sites))
+        self.uplink_util = np.zeros((timeline.epochs, fleet.n_sites))
+        self.clients_matrix = np.zeros((timeline.epochs, fleet.n_sites),
+                                       dtype=np.int64)
 
-        records: List[EpochRecord] = []
-        cpu_util = np.zeros((self.epochs, sites))
-        uplink_util = np.zeros((self.epochs, sites))
-        clients_matrix = np.zeros((self.epochs, sites), dtype=np.int64)
+    def step(self, epoch: int) -> None:
+        """Solve one epoch: the pipeline, one stage per call."""
+        t = epoch * self.timeline.epoch_seconds
+        self.ring_before = None
+        fired = self.fire_events(epoch)
+        actions = self.autoscale_step(epoch, t)
+        remapped, ring_moved = self.remap_ring()
+        offered_scale, served_scale = self.demand_scale(t)
+        capacity_scale = self.capacity_scale()
+        move = self.adversary_step(epoch, offered_scale)
+        extra_setups = None
+        if move is not None:
+            served_scale = served_scale * move.served_multiplier
+            extra_setups = move.extra_setups_per_flow
+        solved, reused, solve_seconds = self.solve(
+            served_scale, capacity_scale, extra_setups)
+        quoted = self.quoted_latency(solved, reused, move)
+        provision_cost = self.bill(remapped)
+        self.record(epoch, t, fired, actions, remapped, ring_moved,
+                    offered_scale, capacity_scale, move, solved, reused,
+                    solve_seconds, quoted, provision_cost)
 
-        for epoch in range(self.epochs):
-            with telemetry.span("epoch", epoch=epoch):
-                t = epoch * self.epoch_seconds
+    # -- the stages, in step() order -----------------------------------------------
 
-                # The pre-change ring is snapshotted lazily: only epochs where
-                # an event or autoscale action actually touches the ring pays
-                # for it (and the array form is zero-copy — rebuilds allocate
-                # anew).
-                ring_before: List = []
+    def snapshot_ring(self) -> None:
+        """Keep the pre-change ring, before this epoch's first ring change.
 
-                def snapshot_ring() -> None:
-                    if not ring_before:
-                        ring_before.append(fleet.ring_state())
+        Snapshotted lazily: only epochs where an event or autoscale action
+        actually touches the ring pay for it (and the array form is
+        zero-copy — rebuilds allocate anew).  At epoch 0 no template exists
+        yet, so the pre-change one is built first — the O(n_clients) build
+        the epoch would pay anyway — and the clients epoch 0 moves are
+        counted against it like any later epoch's.
+        """
+        if self.ring_before is None:
+            if self.template is None:
+                with self.telemetry.span("ring_remap"):
+                    self.template = self.scenario.build_template()
+            self.ring_before = self.fleet.ring_state()
 
-                # Expired windows can never re-activate; pruning them keeps
-                # the per-epoch scans bounded by *live* windows even on long
-                # runs with frequent attack onsets.
-                if throttles:
-                    throttles[:] = [toggle for toggle in throttles
-                                    if toggle.until_epoch is None
-                                    or epoch < toggle.until_epoch]
-                if degradations:
-                    degradations[:] = [event for event in degradations
-                                       if event.until_epoch is None
-                                       or epoch < event.until_epoch]
+    def fire_events(self, epoch: int) -> List[str]:
+        """Apply every event scheduled at ``epoch``; returns their labels."""
+        # Expired windows can never re-activate; pruning them keeps the
+        # per-epoch scans bounded by *live* windows even on long runs with
+        # frequent attack onsets.
+        if self.throttles:
+            self.throttles = [toggle for toggle in self.throttles
+                              if toggle.until_epoch is None
+                              or epoch < toggle.until_epoch]
+        if self.degradations:
+            self.degradations = [event for event in self.degradations
+                                 if event.until_epoch is None
+                                 or epoch < event.until_epoch]
+        fired: List[str] = []
+        pending = self.pending
+        elog = self.telemetry.events
+        while pending and pending[0].at_epoch == epoch:
+            event = pending.pop(0)
+            kind = "fleet_event"
+            if isinstance(event, SiteFailure):
+                self.snapshot_ring()
+                self.fleet.fail_site(event.site)
+            elif isinstance(event, SiteRecovery):
+                self.snapshot_ring()
+                self.fleet.restore_site(event.site)
+            elif isinstance(event, CapacityDegradation):
+                self.degradations.append(event)
+            elif isinstance(event, DiscriminationToggle):
+                self.throttles.append(event)
+            elif isinstance(event, ReconfigEvent):
+                self.apply_reconfig(event)
+                kind = "reconfig"
+            else:
+                raise WorkloadError(f"unknown fleet event {event!r}")
+            fired.append(event.describe())
+            if elog is not None:
+                elog.emit(kind, epoch=epoch, description=fired[-1])
+        return fired
 
-                fired: List[str] = []
-                while pending and pending[0].at_epoch == epoch:
-                    event = pending.pop(0)
-                    if isinstance(event, ReconfigEvent):
-                        self._apply_reconfig(event, autoscale, adversary,
-                                             snapshot_ring)
-                        fired.append(event.describe())
-                        if elog is not None:
-                            elog.emit("reconfig", epoch=epoch,
-                                      description=fired[-1])
-                        continue
-                    if isinstance(event, (SiteFailure, SiteRecovery)):
-                        snapshot_ring()
-                    self._fire(event, throttles, degradations)
-                    fired.append(event.describe())
-                    if elog is not None:
-                        elog.emit("fleet_event", epoch=epoch,
-                                  description=fired[-1])
+    def apply_reconfig(self, event: ReconfigEvent) -> None:
+        """Apply one committed transaction atomically at the epoch boundary.
 
-                actions: Tuple[str, ...] = ()
-                if autoscale is not None:
-                    with telemetry.span("autoscale_step"):
-                        actions = tuple(autoscale.step(
-                            epoch, last_metrics,
-                            self._forecast(t, region_demand),
-                            snapshot_ring,
-                        ))
-                    if elog is not None and actions:
-                        elog.emit("autoscale", epoch=epoch,
-                                  actions=list(actions))
+        Every feasibility check runs before the first mutation, so a
+        rejected reconfiguration raises with the fleet, the controller and
+        the game exactly as they were.
+        """
+        fleet = self.fleet
+        autoscale = self.autoscale
+        if (event.policy is not None or event.min_sites is not None
+                or event.max_sites is not None) and autoscale is None:
+            raise WorkloadError(
+                "reconfig retunes an autoscaler this timeline does not run")
+        if event.adoption is not None and self.adversary is None:
+            raise WorkloadError(
+                "reconfig retunes an adversary game this timeline does not run")
+        will_be_active = {site.name: site.active for site in fleet.sites}
+        for name in event.activate_sites:
+            will_be_active[name] = True
+        for name in event.drain_sites:
+            will_be_active[name] = False
+        if not any(will_be_active[site.name] and site.healthy
+                   for site in fleet.sites):
+            raise WorkloadError(f"reconfig at epoch {event.at_epoch} would "
+                                f"leave no site in service")
+        # Activations before drains, so the ring never empties transiently.
+        for name in event.activate_sites:
+            site = fleet.site(name)
+            if not site.active:
+                if site.healthy:
+                    self.snapshot_ring()
+                fleet.activate_site(name)
+            if autoscale is not None:
+                autoscale.note_external_activation(name)
+        for name in event.drain_sites:
+            site = fleet.site(name)
+            if autoscale is not None:
+                autoscale.note_external_drain(name)
+            if site.active:
+                if site.in_service:
+                    self.snapshot_ring()
+                fleet.drain_site(name)
+        if autoscale is not None:
+            autoscale.reconfigure(policy=event.policy,
+                                  min_sites=event.min_sites,
+                                  max_sites=event.max_sites)
+        if event.adoption is not None:
+            self.adversary.retune(event.adoption)
 
-                ring_moved = 0.0
-                if ring_before:
-                    ring_moved = NeutralizerFleet.ring_moved_fraction(
-                        ring_before[0], fleet.ring_state()
-                    )
+    def forecast(self, t_now: float, lead: int) -> float:
+        """A demand forecast for predictive autoscaling policies.
 
-                with telemetry.span("ring_remap"):
-                    new_template = self._scenario.build_template()
-                remapped = 0
-                if new_template is not template:
-                    previous_rates = None  # flow structure changed; rates misaligned
-                    if template is not None:
-                        remapped = new_template.remapped_from_parent
-                template = new_template
-                telemetry.inc("timeline.clients_remapped", remapped)
-                if base_demand_bps is None:
-                    per_flow_bps = template.base_demands * template.group_clients
-                    base_demand_bps = float(per_flow_bps.sum())
-                    region_demand = np.bincount(
-                        template.region_of, weights=per_flow_bps,
-                        minlength=population.regions,
-                    )
+        Returns offered demand ``lead`` epochs ahead relative to nominal,
+        weighted by each region's share of base demand — exactly the
+        ``demand_multiplier`` the future epoch will record, assuming no
+        discrimination throttles (a forecaster sees load, not policy).
+        """
+        region_demand = self.region_demand
+        future = self.timeline.load.multipliers(
+            t_now + lead * self.timeline.epoch_seconds, self.population.regions
+        )
+        if region_demand is None or region_demand.sum() <= 0:
+            return float(future.mean())
+        return float((future * region_demand).sum() / region_demand.sum())
 
-                offered_scale, served_scale = self._demand_scale(
-                    template, epoch, t, throttles
+    def autoscale_step(self, epoch: int, t: float) -> Tuple[str, ...]:
+        """One controller tick; returns its action labels."""
+        if self.autoscale is None:
+            return ()
+        with self.telemetry.span("autoscale_step"):
+            actions = tuple(self.autoscale.step(
+                epoch, self.last_metrics, partial(self.forecast, t),
+                self.snapshot_ring,
+            ))
+        if self.telemetry.events is not None and actions:
+            self.telemetry.events.emit("autoscale", epoch=epoch,
+                                       actions=list(actions))
+        return actions
+
+    def remap_ring(self) -> Tuple[int, float]:
+        """Bring the template up to the current ring.
+
+        Returns the remap churn entering this epoch: clients whose site
+        changed, and the hash-space fraction the ring diff says moved.
+        """
+        ring_moved = 0.0
+        if self.ring_before is not None:
+            ring_moved = NeutralizerFleet.ring_moved_fraction(
+                self.ring_before, self.fleet.ring_state()
+            )
+        with self.telemetry.span("ring_remap"):
+            template = self.scenario.build_template()
+        remapped = 0
+        if template is not self.template:
+            if self.template is not None:
+                remapped = template.remapped_from_parent
+            self.template = template
+        self.telemetry.inc("timeline.clients_remapped", remapped)
+        if self.region_demand is None:
+            per_flow_bps = template.base_demands * template.group_clients
+            self.base_demand_bps = float(per_flow_bps.sum())
+            self.region_demand = np.bincount(
+                template.region_of, weights=per_flow_bps,
+                minlength=self.population.regions,
+            )
+        return remapped, ring_moved
+
+    def demand_scale(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-flow (offered, served) demand multipliers for this epoch.
+
+        The load curve scales what clients *offer*; discrimination throttles
+        further cap what the access ISP lets through.  Delivered fraction is
+        judged against the offered demand, so a rollout shows up as harm
+        rather than as demand conveniently disappearing.
+        """
+        template = self.template
+        population = self.population
+        regional = self.timeline.load.multipliers(t, population.regions)
+        if regional.shape != (population.regions,):
+            raise WorkloadError("load curve returned the wrong number of regions")
+        if np.any(regional < 0):
+            raise WorkloadError("load curve returned a negative multiplier")
+        offered = regional[template.region_of].astype(np.float64)
+        served = offered.copy()
+        for toggle in self.throttles:
+            hit = template.region_of == toggle.region
+            if toggle.class_names is not None:
+                class_ids = [population.mix.names.index(name)
+                             for name in toggle.class_names]
+                hit &= np.isin(template.class_of, class_ids)
+            served[hit] *= toggle.factor
+        return offered, served
+
+    def capacity_scale(self) -> Optional[np.ndarray]:
+        """Per-site capacity multipliers under the live degradations."""
+        if not self.degradations:
+            return None
+        scale = np.ones(self.fleet.n_sites)
+        for event in self.degradations:
+            index = self.fleet.index_of_site(event.site)
+            scale[index] = min(scale[index], event.factor)
+        if (scale == 1.0).all():
+            return None
+        return scale
+
+    def adversary_step(self, epoch: int, offered_scale: np.ndarray):
+        """One round of the ISP-vs-adoption game (``None`` without one)."""
+        if self.adversary is None:
+            return None
+        with self.telemetry.span("adversary_step"):
+            move = self.adversary.step(epoch, self.template, offered_scale,
+                                       self.timeline.epoch_seconds)
+        if self.telemetry.events is not None and move.events:
+            self.telemetry.events.emit("adversary", epoch=epoch,
+                                       events=list(move.events))
+        return move
+
+    def solve(self, served_scale: np.ndarray,
+              capacity_scale: Optional[np.ndarray],
+              extra_setups: Optional[np.ndarray],
+              ) -> Tuple[SolvedEpoch, bool, float]:
+        """This epoch's :class:`SolvedEpoch`, whether reused, and its seconds."""
+        timeline = self.timeline
+        telemetry = self.telemetry
+        template = self.template
+        last = self.solved if timeline.warm_start else None
+        if last is not None and last.answers(template, served_scale,
+                                             capacity_scale, extra_setups):
+            # Bit-identical problem (steady load, same fleet state): the
+            # previous answer IS the answer.
+            reuse_span = telemetry.span("solve", reused=True)
+            with reuse_span:
+                telemetry.inc("timeline.epochs_reused")
+            return last, True, reuse_span.seconds
+        instantiate_span = telemetry.span("template_instantiate")
+        with instantiate_span:
+            problem = template.instantiate(served_scale, capacity_scale,
+                                           extra_setups)
+        solve_span = telemetry.span("solve")
+        with solve_span:
+            # The previous rates align only with the flow structure they
+            # were solved on.  Congestion prices are per-resource, and the
+            # resource list (regions + site uplinks + site CPUs, indices
+            # stable across failures) never changes shape, so unlike the
+            # rates they survive template rebuilds.
+            allocation = solve_allocation(
+                problem.problem,
+                warm_start=(last.allocation.rates if last is not None
+                            and last.template is template else None),
+                warm_prices=(last.allocation.prices if last is not None
+                             else None),
+                telemetry=telemetry,
+            )
+            fluid = template.interpret(problem, allocation)
+        latency_result = None
+        latency = (0.0, 0.0, 0.0, 0.0)
+        latency_seconds = 0.0
+        if timeline.latency is not None:
+            latency_span = telemetry.span("latency_proxy")
+            with latency_span:
+                latency_result = evaluate_latency(
+                    template, problem, allocation, timeline.latency
                 )
-                capacity_scale = self._capacity_scale(epoch, degradations)
-
-                adversary_epoch = None
-                extra_setups: Optional[np.ndarray] = None
-                if adversary is not None:
-                    with telemetry.span("adversary_step"):
-                        adversary_epoch = adversary.step(
-                            epoch, template, offered_scale, self.epoch_seconds
-                        )
-                    served_scale = served_scale * adversary_epoch.served_multiplier
-                    extra_setups = adversary_epoch.extra_setups_per_flow
-                    if elog is not None and adversary_epoch.events:
-                        elog.emit("adversary", epoch=epoch,
-                                  events=list(adversary_epoch.events))
-
-                offered_flow_bps = (template.base_demands * offered_scale
-                                    * template.group_clients)
-                offered_bps = float(offered_flow_bps.sum())
-                offered_by_class = np.bincount(
-                    template.class_of, weights=offered_flow_bps,
-                    minlength=population.n_classes,
+                latency = (
+                    *latency_result.percentiles((0.50, 0.95, 0.99)),
+                    latency_result.slo_violation_fraction(
+                        timeline.latency_slo_seconds),
                 )
-                demand_bps_by_class = {
-                    name: float(offered_by_class[index])
-                    for index, name in enumerate(population.mix.names)
-                }
+            latency_seconds = latency_span.seconds
+        telemetry.observe("timeline.solver_iterations", allocation.iterations)
+        self.solved = SolvedEpoch(
+            template, served_scale, capacity_scale, extra_setups, problem,
+            allocation, fluid, latency_result, latency,
+        )
+        return self.solved, False, (instantiate_span.seconds
+                                    + solve_span.seconds + latency_seconds)
 
-                scales_unchanged = (
-                    self.warm_start
-                    and previous_epoch_problem is not None
-                    and template is previous_template
-                    and np.array_equal(served_scale, previous_served_scale)
-                    and _optional_arrays_equal(capacity_scale,
-                                               previous_capacity_scale)
-                    and _optional_arrays_equal(extra_setups,
-                                               previous_extra_setups)
-                )
-                if scales_unchanged:
-                    # Bit-identical problem (steady load, same fleet state):
-                    # the previous answer IS the answer — reuse the
-                    # instantiated problem, the allocation, the fluid
-                    # interpretation and the latency metrics without
-                    # rebuilding any of them.
-                    reuse_span = telemetry.span("solve", reused=True)
-                    with reuse_span:
-                        epoch_problem = previous_epoch_problem
-                        allocation = Allocation(
-                            rates=previous_allocation.rates,
-                            bottleneck=previous_allocation.bottleneck,
-                            iterations=0,
-                            warm_started=True,
-                            prices=previous_allocation.prices,
-                        )
-                        fluid = previous_fluid
-                        latency_result = previous_latency_result
-                        (latency_p50, latency_p95, latency_p99,
-                         latency_violations) = previous_latency
-                    solve_seconds = reuse_span.seconds
-                    telemetry.inc("timeline.epochs_reused")
-                else:
-                    instantiate_span = telemetry.span("template_instantiate")
-                    with instantiate_span:
-                        epoch_problem = template.instantiate(
-                            served_scale, capacity_scale, extra_setups
-                        )
-                    solve_span = telemetry.span("solve")
-                    with solve_span:
-                        allocation = solve_allocation(
-                            epoch_problem.problem,
-                            warm_start=(previous_rates if self.warm_start
-                                        else None),
-                            warm_prices=(previous_prices if self.warm_start
-                                         else None),
-                            telemetry=telemetry,
-                        )
-                        fluid = template.interpret(epoch_problem, allocation)
-                    latency_result = None
-                    latency_p50 = latency_p95 = latency_p99 = 0.0
-                    latency_violations = 0.0
-                    latency_seconds = 0.0
-                    if self.latency is not None:
-                        latency_span = telemetry.span("latency_proxy")
-                        with latency_span:
-                            latency_result = evaluate_latency(
-                                template, epoch_problem, allocation,
-                                self.latency
-                            )
-                            latency_p50, latency_p95, latency_p99 = (
-                                latency_result.percentiles((0.50, 0.95, 0.99))
-                            )
-                            latency_violations = (
-                                latency_result.slo_violation_fraction(
-                                    self.latency_slo_seconds
-                                )
-                            )
-                        latency_seconds = latency_span.seconds
-                    solve_seconds = (instantiate_span.seconds
-                                     + solve_span.seconds + latency_seconds)
-                    telemetry.observe("timeline.solver_iterations",
-                                      allocation.iterations)
-                telemetry.inc("timeline.epochs")
-                previous_rates = allocation.rates
-                previous_prices = allocation.prices
-                previous_template = template
-                previous_served_scale = served_scale
-                previous_capacity_scale = capacity_scale
-                previous_extra_setups = extra_setups
-                previous_epoch_problem = epoch_problem
-                previous_allocation = allocation
-                previous_fluid = fluid
-                previous_latency_result = latency_result
-                previous_latency = (latency_p50, latency_p95, latency_p99,
-                                    latency_violations)
+    def quoted_latency(self, solved: SolvedEpoch, reused: bool, move):
+        """(latency, neutralized P95, exposed P95) as the record quotes them.
 
-                neutralized_p95: Dict[str, float] = {}
-                exposed_p95: Dict[str, float] = {}
-                #: What the epoch record quotes.  Without an adversary this
-                #: is the fleet-path proxy; with one it is the
-                #: client-experienced mixture including the policer delay of
-                #: flagged traffic, so the headline fields agree with the
-                #: game's own harm ledger.  The autoscaler's control signal
-                #: stays the fleet-path P95 — capacity cannot buy back a
-                #: policer queue.
-                recorded_latency = (latency_p50, latency_p95, latency_p99,
-                                    latency_violations)
-                if adversary is not None:
-                    adversary.observe(template, allocation,
-                                      epoch_problem.problem, latency_result)
-                    if latency_result is not None:
-                        # A bit-identical epoch with no game moves has the
-                        # same split; only a fresh solve or an
-                        # adoption/strategy move can change it.
-                        if scales_unchanged and not adversary_epoch.events:
-                            neutralized_p95, exposed_p95 = previous_split
-                            recorded_latency = previous_experienced
-                        else:
-                            neutralized_p95, exposed_p95 = split_latency_by_class(
-                                template, latency_result, adversary_epoch
-                            )
-                            recorded_latency = experienced_latency(
-                                template, latency_result, adversary_epoch,
-                                self.latency_slo_seconds,
-                            )
-                        previous_split = (neutralized_p95, exposed_p95)
-                        previous_experienced = recorded_latency
+        Without an adversary this is the fleet-path proxy; with one it is
+        the client-experienced mixture including the policer delay of
+        flagged traffic, so the headline fields agree with the game's own
+        harm ledger.  The autoscaler's control signal stays the fleet-path
+        P95 — capacity cannot buy back a policer queue.
+        """
+        if self.adversary is None:
+            return solved.latency, {}, {}
+        self.adversary.observe(solved.template, solved.allocation,
+                               solved.problem.problem, solved.latency_result)
+        if solved.latency_result is None:
+            return solved.latency, {}, {}
+        # A bit-identical epoch with no game moves has the same split; only
+        # a fresh solve or an adoption/strategy move can change it.
+        if not reused or move.events:
+            self.experienced = (
+                experienced_latency(solved.template, solved.latency_result,
+                                    move, self.timeline.latency_slo_seconds),
+                *split_latency_by_class(solved.template,
+                                        solved.latency_result, move),
+            )
+        return self.experienced
 
-                cpu_util[epoch] = fluid.cpu_utilization
-                uplink_util[epoch] = fluid.uplink_utilization
-                clients_matrix[epoch] = fluid.clients_per_site
+    def bill(self, remapped: int) -> float:
+        """Dollars this epoch cost: committed capacity plus remap churn."""
+        fleet = self.fleet
+        # Billing covers every *commissioned* site — active (even while
+        # failed: a box being down does not stop its bill) plus warming
+        # ones — unlike the controller's capacity view, which counts only
+        # sites actually serving.
+        warming_names = (tuple(self.autoscale.warming)
+                         if self.autoscale is not None else ())
+        epoch_key = (fleet.active_version, warming_names)
+        if epoch_key != self.committed_key:
+            committed_sites = [site for site in fleet.sites if site.active]
+            committed_sites += [fleet.site(name) for name in warming_names]
+            reserved = [site for site in committed_sites
+                        if site.tier != "spot"]
+            spot = [site for site in committed_sites if site.tier == "spot"]
+            self.committed = dict(
+                cores=sum(site.cores for site in reserved),
+                uplink_bps=sum(site.uplink_bps for site in reserved),
+                sites=len(reserved),
+                spot_cores=sum(site.cores for site in spot),
+                spot_uplink_bps=sum(site.uplink_bps for site in spot),
+                spot_sites=len(spot),
+            )
+            self.committed_key = epoch_key
+        return self.timeline.provisioning_cost.epoch_cost(
+            epoch_seconds=self.timeline.epoch_seconds,
+            clients_remapped=remapped, **self.committed,
+        )
 
-                in_service = fleet.in_service_mask()
-                n_in_service = int(in_service.sum())
-                n_warming = len(autoscale.warming) if autoscale is not None else 0
-                demand_multiplier = (offered_bps / base_demand_bps
-                                     if base_demand_bps else 0.0)
-                delivered = (fluid.total_goodput_bps / offered_bps
-                             if offered_bps > 0 else 1.0)
+    def record(self, epoch: int, t: float, fired: List[str],
+               actions: Tuple[str, ...], remapped: int, ring_moved: float,
+               offered_scale: np.ndarray, capacity_scale: Optional[np.ndarray],
+               move, solved: SolvedEpoch, reused: bool, solve_seconds: float,
+               quoted, provision_cost: float) -> None:
+        """Append the :class:`EpochRecord`, fill the matrices, feed the
+        controller its metrics, and emit the ``epoch`` event."""
+        template = solved.template
+        fluid = solved.fluid
+        population = self.population
+        recorded_latency, neutralized_p95, exposed_p95 = quoted
+        self.telemetry.inc("timeline.epochs")
 
-                site_load = np.maximum(fluid.cpu_utilization,
-                                       fluid.uplink_utilization)
-                serving_load = site_load[in_service]
-                last_metrics = EpochMetrics(
-                    served_sites=n_in_service,
-                    mean_utilization=(float(serving_load.mean())
-                                      if n_in_service else 0.0),
-                    peak_utilization=(float(serving_load.max())
-                                      if n_in_service else 0.0),
-                    delivered_fraction=delivered,
-                    demand_multiplier=demand_multiplier,
-                    latency_p95_seconds=latency_p95,
-                    adoption_fraction=(adversary_epoch.adoption_fraction
-                                       if adversary_epoch is not None else 0.0),
-                )
+        offered_flow_bps = (template.base_demands * offered_scale
+                            * template.group_clients)
+        offered_bps = float(offered_flow_bps.sum())
+        offered_by_class = np.bincount(
+            template.class_of, weights=offered_flow_bps,
+            minlength=population.n_classes,
+        )
+        demand_multiplier = (offered_bps / self.base_demand_bps
+                             if self.base_demand_bps else 0.0)
+        delivered = (fluid.total_goodput_bps / offered_bps
+                     if offered_bps > 0 else 1.0)
 
-                # Billing covers every *commissioned* site — active (even
-                # while failed: a box being down does not stop its bill) plus
-                # warming ones — unlike the controller's capacity view, which
-                # counts only sites actually serving.
-                warming_names = (tuple(autoscale.warming)
-                                 if autoscale is not None else ())
-                epoch_key = (fleet.active_version, warming_names)
-                if epoch_key != committed_key:
-                    committed_sites = [site for site in fleet.sites
-                                       if site.active]
-                    committed_sites += [fleet.site(name)
-                                        for name in warming_names]
-                    reserved = [site for site in committed_sites
-                                if site.tier != "spot"]
-                    spot = [site for site in committed_sites
-                            if site.tier == "spot"]
-                    committed_totals = (
-                        sum(site.cores for site in reserved),
-                        sum(site.uplink_bps for site in reserved),
-                        len(reserved),
-                        sum(site.cores for site in spot),
-                        sum(site.uplink_bps for site in spot),
-                        len(spot),
-                    )
-                    committed_key = epoch_key
-                provision_cost = self.provisioning_cost.epoch_cost(
-                    cores=committed_totals[0],
-                    uplink_bps=committed_totals[1],
-                    sites=committed_totals[2],
-                    epoch_seconds=self.epoch_seconds,
-                    clients_remapped=remapped,
-                    spot_cores=committed_totals[3],
-                    spot_uplink_bps=committed_totals[4],
-                    spot_sites=committed_totals[5],
-                )
+        self.cpu_util[epoch] = fluid.cpu_utilization
+        self.uplink_util[epoch] = fluid.uplink_utilization
+        self.clients_matrix[epoch] = fluid.clients_per_site
 
-                records.append(EpochRecord(
-                    epoch=epoch,
-                    t_seconds=t,
-                    events=tuple(fired),
-                    demand_multiplier=demand_multiplier,
-                    demand_bps=offered_bps,
-                    goodput_bps=fluid.total_goodput_bps,
-                    goodput_bps_by_class=dict(fluid.goodput_bps),
-                    delivered_fraction=delivered,
-                    peak_cpu_utilization=float(fluid.cpu_utilization.max()),
-                    peak_uplink_utilization=float(fluid.uplink_utilization.max()),
-                    key_setup_pps=fluid.key_setup_pps,
-                    clients_remapped=remapped,
-                    ring_moved_fraction=ring_moved,
-                    warm_started=allocation.warm_started,
-                    solver_iterations=allocation.iterations,
-                    solve_seconds=solve_seconds,
-                    sites_in_service=n_in_service,
-                    sites_warming=n_warming,
-                    autoscale_actions=actions,
-                    provision_cost=provision_cost,
-                    latency_p50_seconds=recorded_latency[0],
-                    latency_p95_seconds=recorded_latency[1],
-                    latency_p99_seconds=recorded_latency[2],
-                    latency_slo_violations=recorded_latency[3],
-                    demand_bps_by_class=demand_bps_by_class,
-                    discriminated_share=(adversary_epoch.discriminated_share
-                                         if adversary_epoch is not None
-                                         else 0.0),
-                    adoption_fraction=(adversary_epoch.adoption_fraction
-                                       if adversary_epoch is not None
-                                       else 0.0),
-                    clients_rekeyed=(adversary_epoch.clients_rekeyed
-                                     if adversary_epoch is not None else 0),
-                    adversary_events=(adversary_epoch.events
-                                      if adversary_epoch is not None else ()),
-                    neutralized_latency_p95=neutralized_p95,
-                    exposed_latency_p95=exposed_p95,
-                ))
+        in_service = self.fleet.in_service_mask()
+        n_in_service = int(in_service.sum())
+        n_warming = (len(self.autoscale.warming)
+                     if self.autoscale is not None else 0)
+        adoption = move.adoption_fraction if move is not None else 0.0
+        serving_load = np.maximum(fluid.cpu_utilization,
+                                  fluid.uplink_utilization)[in_service]
+        self.last_metrics = EpochMetrics(
+            served_sites=n_in_service,
+            mean_utilization=(float(serving_load.mean())
+                              if n_in_service else 0.0),
+            peak_utilization=(float(serving_load.max())
+                              if n_in_service else 0.0),
+            delivered_fraction=delivered,
+            demand_multiplier=demand_multiplier,
+            latency_p95_seconds=solved.latency[1],
+            adoption_fraction=adoption,
+        )
 
-                if elog is not None:
-                    # Per-site served capacity: the in-service flag times the
-                    # degradation scale — the availability signal the
-                    # black-hole detector runs CUSUM over.  ``site_active``
-                    # masks out drained/warming sites (not commissioned to
-                    # serve), so scale-downs are never mistaken for faults.
-                    if capacity_scale is None:
-                        site_served = [1.0 if flag else 0.0
-                                       for flag in in_service]
-                    else:
-                        site_served = [float(scale) if flag else 0.0
-                                       for flag, scale
-                                       in zip(in_service, capacity_scale)]
-                    elog.emit(
-                        "epoch",
-                        epoch=epoch,
-                        delivered_fraction=float(delivered),
-                        demand_multiplier=float(demand_multiplier),
-                        latency_p95_seconds=float(recorded_latency[1]),
-                        latency_slo_violations=float(recorded_latency[3]),
-                        sites_in_service=n_in_service,
-                        sites_warming=n_warming,
-                        site_served=site_served,
-                        site_active=[bool(site.active)
-                                     for site in fleet.sites],
-                    )
+        self.records.append(EpochRecord(
+            epoch=epoch,
+            t_seconds=t,
+            events=tuple(fired),
+            demand_multiplier=demand_multiplier,
+            demand_bps=offered_bps,
+            goodput_bps=fluid.total_goodput_bps,
+            goodput_bps_by_class=dict(fluid.goodput_bps),
+            delivered_fraction=delivered,
+            peak_cpu_utilization=float(fluid.cpu_utilization.max()),
+            peak_uplink_utilization=float(fluid.uplink_utilization.max()),
+            key_setup_pps=fluid.key_setup_pps,
+            clients_remapped=remapped,
+            ring_moved_fraction=ring_moved,
+            warm_started=reused or solved.allocation.warm_started,
+            solver_iterations=0 if reused else solved.allocation.iterations,
+            solve_seconds=solve_seconds,
+            sites_in_service=n_in_service,
+            sites_warming=n_warming,
+            autoscale_actions=actions,
+            provision_cost=provision_cost,
+            latency_p50_seconds=recorded_latency[0],
+            latency_p95_seconds=recorded_latency[1],
+            latency_p99_seconds=recorded_latency[2],
+            latency_slo_violations=recorded_latency[3],
+            demand_bps_by_class={
+                name: float(offered_by_class[index])
+                for index, name in enumerate(population.mix.names)
+            },
+            discriminated_share=(move.discriminated_share
+                                 if move is not None else 0.0),
+            adoption_fraction=adoption,
+            clients_rekeyed=move.clients_rekeyed if move is not None else 0,
+            adversary_events=move.events if move is not None else (),
+            neutralized_latency_p95=neutralized_p95,
+            exposed_latency_p95=exposed_p95,
+        ))
 
-        return records, cpu_util, uplink_util, clients_matrix
+        if self.telemetry.events is not None:
+            # Per-site served capacity: the in-service flag times the
+            # degradation scale — the availability signal the black-hole
+            # detector runs CUSUM over.  ``site_active`` masks out
+            # drained/warming sites (not commissioned to serve), so
+            # scale-downs are never mistaken for faults.
+            if capacity_scale is None:
+                site_served = [1.0 if flag else 0.0 for flag in in_service]
+            else:
+                site_served = [float(scale) if flag else 0.0
+                               for flag, scale
+                               in zip(in_service, capacity_scale)]
+            self.telemetry.events.emit(
+                "epoch",
+                epoch=epoch,
+                delivered_fraction=float(delivered),
+                demand_multiplier=float(demand_multiplier),
+                latency_p95_seconds=float(recorded_latency[1]),
+                latency_slo_violations=float(recorded_latency[3]),
+                sites_in_service=n_in_service,
+                sites_warming=n_warming,
+                site_served=site_served,
+                site_active=[bool(site.active) for site in self.fleet.sites],
+            )

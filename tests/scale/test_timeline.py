@@ -176,6 +176,27 @@ class TestFailover:
         assert record.ring_moved_fraction > 0
         assert 0.5 < moved_share / record.ring_moved_fraction < 2.0
 
+    def test_epoch_zero_failure_counts_the_same_churn_as_epoch_one(self):
+        from repro.scale import provisioned_fleet
+
+        population = ClientPopulation(5_000, seed=3)
+        fleet = provisioned_fleet(population, 8)
+        site = fleet.sites[2].name
+
+        def churn(at_epoch):
+            result = FluidTimeline(population, fleet, epochs=3,
+                                   events=[SiteFailure(at_epoch, site)]).run()
+            record = result.records[at_epoch]
+            return (record.clients_remapped, record.ring_moved_fraction,
+                    record.provision_cost, result.total_clients_remapped)
+
+        # No template exists before epoch 0's first ring change; the run must
+        # still count the clients that failure moved, not report a moved
+        # hash-space fraction beside zero moved clients.
+        at_zero = churn(0)
+        assert at_zero == churn(1)
+        assert at_zero[0] > 0
+
 
 class TestWarmStart:
     @staticmethod
