@@ -12,12 +12,7 @@ million.
 
 import os
 
-from repro.scale import (
-    AdversaryCampaignRunner,
-    Telemetry,
-    cross_validate_adversary,
-    phase_breakdown,
-)
+from repro.scale import AdversaryCampaignRunner, cross_validate_adversary
 from repro.scale.runner import compare_variance_reduction
 
 from conftest import emit
@@ -26,15 +21,11 @@ _CLIENTS = int(os.environ.get("SCALE_BENCH_CLIENTS", "1000000"))
 _SEED = 81
 
 
-def test_e16_campaign_end_to_end(once, benchmark):
+def test_e16_campaign_end_to_end(once):
     """The acceptance target: 10^6 clients x 200 epochs x 32 replicas < 5 s."""
-    telemetry = Telemetry()
-    runner = AdversaryCampaignRunner(
-        clients=_CLIENTS, epochs=200, seed=_SEED, telemetry=telemetry,
-    )
+    runner = AdversaryCampaignRunner(clients=_CLIENTS, epochs=200, seed=_SEED)
     assert runner.total_replicas == 32
     result = once(runner.run)
-    benchmark.extra_info["phases"] = phase_breakdown(telemetry)
     if _CLIENTS >= 1_000_000:
         # The wall-clock bound is defined for the full-scale configuration;
         # smoke populations barely shrink the epoch x replica cost and the

@@ -11,12 +11,7 @@ full million.
 import os
 
 from repro.analysis.experiments import run_stochastic_campaign
-from repro.scale import (
-    StochasticCampaignRunner,
-    Telemetry,
-    phase_breakdown,
-    run_churn_slo_frontier,
-)
+from repro.scale import StochasticCampaignRunner, run_churn_slo_frontier
 
 from conftest import emit
 
@@ -24,15 +19,11 @@ _CLIENTS = int(os.environ.get("SCALE_BENCH_CLIENTS", "1000000"))
 _SEED = 81
 
 
-def test_e14_campaign_end_to_end(once, benchmark):
+def test_e14_campaign_end_to_end(once):
     """The acceptance target: 10^6 clients x 200 epochs x 32 replicas < 5 s."""
-    telemetry = Telemetry()
     runner = StochasticCampaignRunner(
-        clients=_CLIENTS, epochs=200, replicas=32, seed=_SEED,
-        telemetry=telemetry,
-    )
+        clients=_CLIENTS, epochs=200, replicas=32, seed=_SEED)
     result = once(runner.run)
-    benchmark.extra_info["phases"] = phase_breakdown(telemetry)
     assert result.duration_seconds < 5.0
     assert len(result.records) == 32
     availability = result.availability

@@ -6,13 +6,8 @@ at least 3×; machines with fewer than 8 cores (CI smoke runners included)
 measure whatever parallelism they have and skip the speedup assertion
 rather than fail on hardware they don't own.  ``SCALE_BENCH_CLIENTS``
 scales the population down for smoke runs, exactly like the other
-campaign benchmarks.
-
-The artifact embeds two sections the conftest schema check validates:
-``extra_info["phases"]`` (the parent trace merged with every worker's
-span durations) and ``extra_info["parallel"]`` (n_workers, serial vs
-parallel wall time, speedup, per-worker efficiency) — the scaling numbers
-``tools/perf_report.py`` renders for the bench-trajectory dashboards.
+campaign benchmarks.  Both arms run traced, so the pooled one also checks
+that every worker's replica spans come home with its outcomes.
 """
 
 import os
@@ -23,7 +18,6 @@ from repro.scale import (
     StochasticCampaignRunner,
     Telemetry,
     canonical_result_bytes,
-    phase_breakdown,
 )
 
 from conftest import emit
@@ -34,22 +28,20 @@ _WORKERS = min(int(os.environ.get("SCALE_BENCH_WORKERS", "8")),
 _SEED = 81
 
 
-def _campaign(telemetry=None):
+def _campaign():
     return StochasticCampaignRunner(
         clients=_CLIENTS, epochs=200, replicas=32, seed=_SEED,
-        telemetry=telemetry if telemetry is not None else Telemetry(),
+        telemetry=Telemetry(),
     )
 
 
-def test_parallel_campaign_scaling(once, benchmark):
+def test_parallel_campaign_scaling(once):
     """8-worker E14 must be >= 3x serial (asserted only on >= 8 cores)."""
     serial_start = time.perf_counter()
     serial_result = _campaign().run()
     serial_s = time.perf_counter() - serial_start
 
-    telemetry = Telemetry()
-    runner = _campaign(telemetry)
-    executor = ProcessPoolCampaignExecutor(runner, n_workers=_WORKERS)
+    executor = ProcessPoolCampaignExecutor(_campaign(), n_workers=_WORKERS)
     parallel_start = time.perf_counter()
     parallel_result = once(executor.run)
     parallel_s = time.perf_counter() - parallel_start
@@ -57,16 +49,10 @@ def test_parallel_campaign_scaling(once, benchmark):
     assert canonical_result_bytes(parallel_result) == \
         canonical_result_bytes(serial_result)
 
+    if _WORKERS > 1:
+        assert len(executor.phase_durations["replica"]) == 32
+
     speedup = serial_s / parallel_s
-    benchmark.extra_info["phases"] = phase_breakdown(
-        telemetry, extra_durations=executor.phase_durations)
-    benchmark.extra_info["parallel"] = {
-        "n_workers": _WORKERS,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": speedup,
-        "efficiency": speedup / _WORKERS,
-    }
     emit(parallel_result.report)
     print(f"\nparallel scaling: {_WORKERS} workers, "
           f"serial {serial_s:.2f}s -> parallel {parallel_s:.2f}s "
@@ -76,7 +62,7 @@ def test_parallel_campaign_scaling(once, benchmark):
             f"8-worker campaign only {speedup:.2f}x faster than serial")
 
 
-def test_parallel_checkpoint_roundtrip(once, benchmark, tmp_path):
+def test_parallel_checkpoint_roundtrip(once, tmp_path):
     """A checkpointed run resumes to the identical table with zero re-work."""
     clients = min(_CLIENTS, 50_000)
 
@@ -94,4 +80,3 @@ def test_parallel_checkpoint_roundtrip(once, benchmark, tmp_path):
     resumed = once(resume.run)
     assert canonical_result_bytes(resumed) == baseline
     assert resume.units_resumed == 8
-    benchmark.extra_info["units_resumed"] = resume.units_resumed

@@ -4,14 +4,11 @@ Every benchmark prints the experiment's report table (the rows EXPERIMENTS.md
 quotes) in addition to timing the underlying operation with pytest-benchmark.
 Scenario-level experiments are timed with a single round — they are simulation
 runs, not microbenchmarks — while the fast-path experiments (E1–E3) use real
-repeated timing.
+repeated timing.  The timings are for the reader of one run: nothing here
+writes or checks an artifact.  To compare two commits, use ``benchmarks/suite``.
 """
 
 from __future__ import annotations
-
-import datetime
-import json
-from typing import List
 
 import pytest
 
@@ -30,112 +27,3 @@ def once(benchmark):
         return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return runner
-
-
-# -- BENCH_*.json artifact schema --------------------------------------------------
-#
-# Every benchmark job publishes its ``--benchmark-json`` artifact; a malformed
-# one (empty timing data, unordered stats, an incoherent telemetry ``phases``
-# section) silently poisons the trend dashboards, so the schema is checked
-# in-process the moment pytest-benchmark writes the file.
-
-def check_bench_artifact(data: dict) -> List[str]:
-    """Validate a pytest-benchmark JSON artifact; return the list of problems.
-
-    Checks the required top-level keys, that the datetime stamp parses, that
-    every benchmark is named with non-empty, non-negative timing data and
-    ordered min/mean/max stats, and — when a benchmark embeds a telemetry
-    ``extra_info["phases"]`` section — that each phase row is coherent
-    (positive count, ordered percentiles).  ``phases`` itself is optional:
-    the fast-path crypto benchmarks share this conftest and carry none.
-
-    Multi-worker campaign artifacts (``BENCH_parallel.json``) merge phase
-    rows from every worker process, so a row's ``count`` reflects the whole
-    fleet and its ``total_s`` can legitimately exceed the benchmark's own
-    wall time — neither is treated as malformed.  Those benchmarks also
-    embed an ``extra_info["parallel"]`` section whose shape is validated
-    here: a positive integer ``n_workers`` and a ``speedup`` consistent
-    with its own ``serial_s`` / ``parallel_s`` timings.
-    An empty return value means the artifact is well formed.
-    """
-    problems: List[str] = []
-    for key in ("machine_info", "datetime", "benchmarks"):
-        if key not in data:
-            problems.append(f"missing top-level key {key!r}")
-    if problems:
-        return problems
-    try:
-        datetime.datetime.fromisoformat(str(data["datetime"]))
-    except ValueError:
-        problems.append(f"unparseable datetime {data['datetime']!r}")
-    if not data["benchmarks"]:
-        problems.append("no benchmarks recorded")
-    for bench in data["benchmarks"]:
-        name = bench.get("name")
-        if not name:
-            problems.append("benchmark with no name")
-            continue
-        stats = bench.get("stats") or {}
-        timings = stats.get("data")
-        if not timings:
-            problems.append(f"{name}: empty timing data")
-        else:
-            if min(timings) < 0:
-                problems.append(f"{name}: negative timing sample")
-            ordered = stats.get("min", 0) <= stats.get("mean", 0) <= stats.get("max", 0)
-            if not ordered:
-                problems.append(f"{name}: min/mean/max stats out of order")
-        extra = bench.get("extra_info") or {}
-        parallel = extra.get("parallel")
-        if parallel is not None:
-            n_workers = parallel.get("n_workers")
-            if not isinstance(n_workers, int) or n_workers < 1:
-                problems.append(f"{name}: parallel.n_workers must be a "
-                                f"positive integer, got {n_workers!r}")
-            serial_s = parallel.get("serial_s", 0.0)
-            parallel_s = parallel.get("parallel_s", 0.0)
-            if serial_s <= 0.0 or parallel_s <= 0.0:
-                problems.append(f"{name}: parallel timings must be positive")
-            else:
-                implied = serial_s / parallel_s
-                if abs(parallel.get("speedup", implied) - implied) > 0.01 * implied:
-                    problems.append(
-                        f"{name}: parallel.speedup inconsistent with timings")
-        phases = extra.get("phases")
-        if phases is None:
-            continue
-        if not phases:
-            problems.append(f"{name}: phases section present but empty")
-        for phase, row in phases.items():
-            if row.get("count", 0) <= 0:
-                problems.append(f"{name}: phase {phase!r} has count <= 0")
-            p50, p95 = row.get("p50_s", 0.0), row.get("p95_s", 0.0)
-            if not 0.0 <= p50 <= p95 + 1e-12 <= row.get("max_s", 0.0) + 2e-12:
-                problems.append(f"{name}: phase {phase!r} percentiles out of order")
-    return problems
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Fail the run when ``--benchmark-json`` produced a malformed artifact.
-
-    pytest-benchmark writes the JSON from its own hookwrapper around this
-    hook, *before* yielding to plain implementations, so the file is
-    complete by the time this runs.
-    """
-    handle = getattr(session.config.option, "benchmark_json", None)
-    if handle is None:
-        return
-    path = getattr(handle, "name", handle)
-    try:
-        with open(path) as artifact:
-            data = json.load(artifact)
-    except (OSError, ValueError) as exc:
-        session.exitstatus = 1
-        print(f"\nBENCH artifact {path} unreadable: {exc}")
-        return
-    problems = check_bench_artifact(data)
-    if problems:
-        session.exitstatus = 1
-        print(f"\nBENCH artifact {path} failed schema check:")
-        for problem in problems:
-            print(f"  - {problem}")

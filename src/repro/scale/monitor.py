@@ -262,7 +262,6 @@ class MonitorServer:
         self._live: List[Dict[str, object]] = []
         self._telemetry: Optional[Telemetry] = None
         self._runner = None
-        self._phase_source = None  # executor with .phase_durations
         self._subscription = None
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
@@ -608,9 +607,11 @@ class MonitorServer:
         if telemetry is not None and telemetry.tracer is not None:
             for record in list(telemetry.tracer.spans):
                 durations.setdefault(record.name, []).append(record.dur_s)
-        source = self._phase_source
-        if source is not None:
-            for name, values in dict(source.phase_durations).items():
+        if self._runner is not None:
+            # Pool workers' spans, which the engine merges into the run's
+            # progress record (the parent tracer never sees them).
+            workers = self._runner.progress.phase_durations
+            for name, values in dict(workers).items():
                 durations.setdefault(name, []).extend(list(values))
         if not durations:
             return {}

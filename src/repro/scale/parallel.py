@@ -59,7 +59,7 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -98,14 +98,14 @@ class CampaignUnit:
 
 @dataclass
 class CampaignProgress:
-    """One run's progress: the engine writes it, ``get_current_state()`` reads it."""
+    """One run's progress: the engine writes it; ``get_current_state()`` and
+    a mounted monitor read it."""
 
     completed: int = 0
     #: The unit in flight (in-process) or last merged (pooled); ``None`` idle.
     current: Optional[CampaignUnit] = None
-    #: The runner's progress-counter value when this run started (a runner
-    #: can be re-run on one cumulative registry).
-    counter_base: float = 0.0
+    #: Pool workers' span durations by phase name (empty for in-process runs).
+    phase_durations: Dict[str, List[float]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +671,12 @@ class ProcessPoolCampaignExecutor:
         #: campaign's numbers and canonical event bytes are identical
         #: with or without it.
         self.monitor = monitor
-        #: Worker span durations by phase name, for ``phase_breakdown``.
-        self.phase_durations: Dict[str, List[float]] = {}
         self.units_resumed = 0
+
+    @property
+    def phase_durations(self) -> Dict[str, List[float]]:
+        """The last run's worker span durations by phase name."""
+        return self.runner.progress.phase_durations
 
     def run(self):
         """Run (or resume) the campaign and return its merged result."""
@@ -681,14 +684,10 @@ class ProcessPoolCampaignExecutor:
         telemetry = runner.telemetry
         started_at = time.time()
         if self.monitor is not None:
-            # Mount (idempotent) and start serving before the first unit,
-            # and let /progress read the merged worker phase durations.
+            # Mount (idempotent) and start serving before the first unit.
             self.monitor.mount(telemetry, runner=runner)
-            self.monitor._phase_source = self
             self.monitor.start()
-        progress = runner.progress = CampaignProgress(
-            counter_base=telemetry.counter_value(runner.progress_counter))
-        self.phase_durations = {}
+        progress = runner.progress = CampaignProgress()
         self.units_resumed = 0
         runner.prepare()
         units = runner.unit_specs()
@@ -797,6 +796,7 @@ class ProcessPoolCampaignExecutor:
             # the merged stream is byte-identical to the serial one for any
             # worker count.
             elog = telemetry.events
+            phase_durations = runner.progress.phase_durations
             event_batches: Dict[int, List] = {}
             flush_order = [unit.index for unit in pending]
             flush_pos = 0
@@ -822,7 +822,7 @@ class ProcessPoolCampaignExecutor:
                     if telemetry.metrics is not None:
                         telemetry.metrics.merge_snapshot(delta)
                     for name, duration in spans:
-                        self.phase_durations.setdefault(name, []).append(duration)
+                        phase_durations.setdefault(name, []).append(duration)
                     if elog is not None:
                         event_batches[index] = events
                         while (flush_pos < len(flush_order)

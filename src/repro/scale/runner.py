@@ -72,8 +72,8 @@ VARIANCE_SCHEMES = ("iid", "stratified", "antithetic")
 def _default_telemetry() -> Telemetry:
     """A runner's out-of-the-box telemetry: work counters, no span trace.
 
-    Progress counters must function without any opt-in (they back
-    ``get_current_state()``), but span collection on a long campaign is a
+    Work counters must function without any opt-in (``/metrics`` and the
+    perf tooling read them), but span collection on a long campaign is a
     memory commitment the caller should make explicitly by passing a
     tracing :class:`Telemetry`.
     """
@@ -211,22 +211,12 @@ class CampaignRunner:
         return f"campaign.{self.unit_noun}_completed"
 
     def get_current_state(self) -> ScaleExperimentState:
-        """Snapshot campaign progress (poll-safe, cheap).
-
-        Completed units come from the progress counter, re-based at the
-        start of this run (a runner can be re-run on one registry); the
-        engine's own count covers a metrics-less telemetry.  The total
-        clamps it: a custom ``run_unit`` that also bumps the counter in
-        pool workers would otherwise report more progress than units.
-        """
+        """Snapshot the engine's progress record (poll-safe, cheap)."""
         progress = self.progress
         clients, label = ((None, None) if progress.current is None
                           else self.unit_state(progress.current))
-        counted = int(round(self.telemetry.counter_value(self.progress_counter)
-                            - progress.counter_base))
         return ScaleExperimentState(
-            completed_points=min(max(counted, progress.completed),
-                                 self.total_units),
+            completed_points=progress.completed,
             total_points=self.total_units,
             current_clients=clients,
             current_label=label,

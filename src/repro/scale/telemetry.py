@@ -576,17 +576,14 @@ def _percentile(ordered: List[float], q: float) -> float:
     return ordered[index]
 
 
-def phase_breakdown(source, extra_durations: Optional[
-        Dict[str, List[float]]] = None) -> Dict[str, Dict[str, float]]:
+def phase_breakdown(source) -> Dict[str, Dict[str, float]]:
     """Per-phase wall statistics from a tracer's spans, grouped by name.
 
     ``source`` is a :class:`Tracer`, a :class:`Telemetry` carrying one, or a
-    plain ``{phase: [durations]}`` mapping (how worker processes ship their
-    span timings home — a parallel campaign's phase table merges the parent
-    trace with every worker's durations via ``extra_durations``).
+    plain ``{phase: [durations]}`` mapping (how the monitor merges the
+    parent trace with the span timings pool workers ship home).
     Returns ``{phase: {count, total_s, p50_s, p95_s, max_s}}`` sorted by
-    total time descending — the rows ``tools/perf_report.py`` renders and
-    ``BENCH_*.json`` artifacts embed under ``extra_info["phases"]``.
+    total time descending — the rows ``tools/perf_report.py`` renders.
     """
     durations: Dict[str, List[float]] = {}
     if isinstance(source, dict):
@@ -598,8 +595,6 @@ def phase_breakdown(source, extra_durations: Optional[
             raise WorkloadError("phase_breakdown needs tracing telemetry")
         for record in tracer.spans:
             durations.setdefault(record.name, []).append(record.dur_s)
-    for name, values in (extra_durations or {}).items():
-        durations.setdefault(name, []).extend(float(v) for v in values)
     out: Dict[str, Dict[str, float]] = {}
     for name in sorted(durations, key=lambda n: -sum(durations[n])):
         ordered = sorted(durations[name])

@@ -1,4 +1,4 @@
-"""The observability plane: event stream, fan-in determinism, detectors, gates.
+"""The observability plane: event stream, fan-in determinism, detectors.
 
 The load-bearing properties, mirroring the telemetry contract:
 
@@ -12,9 +12,7 @@ The load-bearing properties, mirroring the telemetry contract:
   zero false positives), and against the scripted catalogue scenarios.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -514,93 +512,3 @@ class TestCatalogueFalsePositives:
                     if event.payload["detector"] == "black_hole_region"]
         assert len(regional) == 1
         assert sorted(regional[0]["sites"]) == sorted(s for s, _ in scripted)
-
-
-# -- the perf-regression gate and report tooling -----------------------------------
-
-
-def _load_tool(name):
-    path = Path(__file__).resolve().parents[2] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _artifact(mean):
-    return {
-        "machine_info": {"cpu": {"brand_raw": "test-cpu"}},
-        "benchmarks": [{
-            "fullname": "benchmarks/bench_x.py::test_one",
-            "stats": {"mean": mean, "stddev": mean / 20, "rounds": 5},
-        }],
-    }
-
-
-class TestPerfGate:
-    def test_seed_then_pass_then_2x_slowdown_fails(self, tmp_path):
-        perf_gate = _load_tool("perf_gate")
-        baseline_dir = tmp_path / "baselines"
-        artifact = tmp_path / "BENCH_x.json"
-        artifact.write_text(json.dumps(_artifact(0.1)))
-        assert perf_gate.main(["--baseline-dir", str(baseline_dir),
-                               "--update", str(artifact)]) == 0
-        pinned = json.loads((baseline_dir / "BENCH_x.json").read_text())
-        assert pinned["machine"] == "test-cpu"
-        assert pinned["benchmarks"][0]["mean"] == pytest.approx(0.1)
-        # Fresh == baseline: passes.
-        assert perf_gate.main(["--baseline-dir", str(baseline_dir),
-                               str(artifact)]) == 0
-        # A genuine 2x slowdown always fails (tolerance is < 2x).
-        artifact.write_text(json.dumps(_artifact(0.2)))
-        assert perf_gate.main(["--baseline-dir", str(baseline_dir),
-                               str(artifact)]) == 1
-
-    def test_tolerances_file_overrides_per_benchmark(self, tmp_path):
-        perf_gate = _load_tool("perf_gate")
-        baseline_dir = tmp_path / "baselines"
-        artifact = tmp_path / "BENCH_x.json"
-        artifact.write_text(json.dumps(_artifact(0.1)))
-        perf_gate.main(["--baseline-dir", str(baseline_dir), "--update",
-                        str(artifact)])
-        artifact.write_text(json.dumps(_artifact(0.2)))
-        (baseline_dir / "tolerances.json").write_text(json.dumps(
-            {"benchmarks/bench_x.py::test_one": 2.5}))
-        assert perf_gate.main(["--baseline-dir", str(baseline_dir),
-                               str(artifact)]) == 0
-
-    def test_missing_baseline_and_vanished_benchmark_fail(self, tmp_path):
-        perf_gate = _load_tool("perf_gate")
-        baseline_dir = tmp_path / "baselines"
-        artifact = tmp_path / "BENCH_x.json"
-        artifact.write_text(json.dumps(_artifact(0.1)))
-        # No baseline committed yet: the gate demands one.
-        assert perf_gate.main(["--baseline-dir", str(baseline_dir),
-                               str(artifact)]) == 1
-        perf_gate.main(["--baseline-dir", str(baseline_dir), "--update",
-                        str(artifact)])
-        # A pinned benchmark that vanished from the fresh run fails too.
-        gone = _artifact(0.1)
-        gone["benchmarks"][0]["fullname"] = "benchmarks/bench_x.py::test_two"
-        artifact.write_text(json.dumps(gone))
-        assert perf_gate.main(["--baseline-dir", str(baseline_dir),
-                               str(artifact)]) == 1
-
-    def test_missing_artifact_exits_2(self, tmp_path, capsys):
-        perf_gate = _load_tool("perf_gate")
-        assert perf_gate.main([str(tmp_path / "BENCH_nope.json")]) == 2
-        assert "BENCH_nope.json" in capsys.readouterr().err
-
-
-class TestPerfReport:
-    def test_missing_artifact_exits_2_naming_the_file(self, tmp_path, capsys):
-        perf_report = _load_tool("perf_report")
-        present = tmp_path / "BENCH_ok.json"
-        present.write_text(json.dumps(_artifact(0.1)))
-        code = perf_report.main([str(present),
-                                 str(tmp_path / "BENCH_gone.json")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "BENCH_gone.json" in captured.err
-        # Nothing rendered: a partial table would read as complete.
-        assert "bench" not in captured.out

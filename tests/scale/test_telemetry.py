@@ -1,4 +1,4 @@
-"""Telemetry: determinism, span-tree discipline, exporters, progress, schema.
+"""Telemetry: determinism, span-tree discipline, exporters, progress.
 
 The load-bearing property is that telemetry *observes* the simulation and
 never participates: enabling a tracer + registry on any campaign must leave
@@ -8,10 +8,8 @@ of each experiment (E13–E16) at smoke scale.
 """
 
 import dataclasses
-import importlib.util
 import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -399,8 +397,8 @@ class TestProgress:
             clients=_CLIENTS, epochs=8, replicas=3, seed=_SEED)
         runner.run()
         runner.run()
-        # The counter keeps climbing across runs (it is cumulative), but the
-        # progress snapshot is re-based at each run() start.
+        # The counter keeps climbing across runs (it is cumulative), but
+        # each run() starts a fresh progress record.
         assert runner.telemetry.counter_value("campaign.replicas_completed") == 6
         assert runner.get_current_state().completed_points == 3
 
@@ -411,80 +409,6 @@ class TestProgress:
         runner.run()
         state = runner.get_current_state()
         assert state.completed_points == state.total_points == 1
-
-
-# -- the shared BENCH_*.json schema check ------------------------------------------
-
-
-def _bench_conftest():
-    path = Path(__file__).resolve().parents[2] / "benchmarks" / "conftest.py"
-    spec = importlib.util.spec_from_file_location("bench_conftest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _artifact():
-    return {
-        "machine_info": {"cpu": {}},
-        "datetime": "2026-08-08T12:00:00",
-        "benchmarks": [{
-            "name": "test_bench",
-            "stats": {"data": [0.1, 0.2], "min": 0.1, "mean": 0.15, "max": 0.2},
-            "extra_info": {"phases": {"solve": {
-                "count": 2, "total_s": 0.3,
-                "p50_s": 0.1, "p95_s": 0.2, "max_s": 0.2,
-            }}},
-        }],
-    }
-
-
-class TestBenchArtifactSchema:
-    def test_well_formed_artifact_passes(self):
-        assert _bench_conftest().check_bench_artifact(_artifact()) == []
-
-    def test_missing_top_level_key_fails(self):
-        artifact = _artifact()
-        del artifact["machine_info"]
-        problems = _bench_conftest().check_bench_artifact(artifact)
-        assert any("machine_info" in problem for problem in problems)
-
-    def test_empty_timing_data_fails(self):
-        artifact = _artifact()
-        artifact["benchmarks"][0]["stats"]["data"] = []
-        problems = _bench_conftest().check_bench_artifact(artifact)
-        assert any("empty timing data" in problem for problem in problems)
-
-    def test_unordered_stats_fail(self):
-        artifact = _artifact()
-        artifact["benchmarks"][0]["stats"]["mean"] = 0.5
-        problems = _bench_conftest().check_bench_artifact(artifact)
-        assert any("out of order" in problem for problem in problems)
-
-    def test_unparseable_datetime_fails(self):
-        artifact = _artifact()
-        artifact["datetime"] = "not-a-timestamp"
-        problems = _bench_conftest().check_bench_artifact(artifact)
-        assert any("datetime" in problem for problem in problems)
-
-    def test_incoherent_phase_rows_fail(self):
-        artifact = _artifact()
-        phases = artifact["benchmarks"][0]["extra_info"]["phases"]
-        phases["solve"]["p50_s"] = 0.9
-        problems = _bench_conftest().check_bench_artifact(artifact)
-        assert any("percentiles" in problem for problem in problems)
-        phases["solve"] = {"count": 0, "total_s": 0.0,
-                           "p50_s": 0.0, "p95_s": 0.0, "max_s": 0.0}
-        problems = _bench_conftest().check_bench_artifact(artifact)
-        assert any("count" in problem for problem in problems)
-
-    def test_phases_are_optional_but_not_empty(self):
-        artifact = _artifact()
-        del artifact["benchmarks"][0]["extra_info"]
-        assert _bench_conftest().check_bench_artifact(artifact) == []
-        artifact["benchmarks"][0]["extra_info"] = {"phases": {}}
-        problems = _bench_conftest().check_bench_artifact(artifact)
-        assert any("empty" in problem for problem in problems)
 
 
 # -- overhead ----------------------------------------------------------------------

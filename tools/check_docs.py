@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docs gate: relative links must resolve and python snippets must compile.
+"""Docs gate: links resolve, snippets compile, named files and CI jobs exist.
 
 Checks every markdown file under docs/ plus the top-level README.md,
 EXPERIMENTS.md, ROADMAP.md and CHANGES.md:
@@ -10,6 +10,13 @@ EXPERIMENTS.md, ROADMAP.md and CHANGES.md:
 * every fenced ```python code block must byte-compile (the snippet
   equivalent of ``python -m compileall``) — snippets are not executed, so
   they stay cheap and side-effect free.
+
+ROADMAP.md and CHANGES.md are history and stop there.  The docs that
+describe the tree as it is (docs/, README.md, EXPERIMENTS.md) must also
+name only files that exist: every backticked repo path (``tools/…``,
+``benchmarks/…``, ``src/…``, ``docs/…``, ``tests/…``, ``examples/…``;
+globs and placeholders are skipped) is checked, as is every such path the
+CI workflow runs, and README's CI section must name every workflow job.
 
 Exits non-zero with one line per problem, so the CI docs job fails loudly
 and locally ``python tools/check_docs.py`` tells you what to fix.
@@ -28,8 +35,15 @@ DOC_FILES = sorted(
                                 "CHANGES.md")]
 )
 
+HISTORY = ("ROADMAP.md", "CHANGES.md")
+WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
+
 LINK = re.compile(r"\[[^\]]*\]\(([^)]+)\)")
 FENCE = re.compile(r"^```(\w*)\s*$")
+_PATH = r"(?:tools|benchmarks|src|docs|tests|examples)/[^\s`:]*"
+BACKTICKED_PATH = re.compile(r"`(" + _PATH + r")[^`\n]*`")
+BARE_PATH = re.compile(r"(?<![\w./-])" + _PATH)
+JOB_ID = re.compile(r"^  ([\w-]+):\s*$", re.MULTILINE)
 
 
 def slugify(heading: str) -> str:
@@ -98,6 +112,29 @@ def check_snippets(path: Path, problems: list) -> None:
             block.append(line)
 
 
+def check_paths(source: Path, paths, problems: list) -> None:
+    """Every repo path ``source`` names must exist; globs/placeholders skip."""
+    for name in sorted(set(paths)):
+        name = name.rstrip(".,;")
+        if re.search(r"[*{<…]|NN_", name) or (REPO / name).exists():
+            continue
+        problems.append(f"{source.relative_to(REPO)}: names a missing file "
+                        f"-> {name}")
+
+
+def check_workflow(problems: list) -> None:
+    """The workflow runs only files that exist; README lists all its jobs."""
+    text = WORKFLOW.read_text()
+    commands = "\n".join(line for line in text.splitlines()
+                         if not line.lstrip().startswith("#"))
+    check_paths(WORKFLOW, BARE_PATH.findall(commands), problems)
+    readme = (REPO / "README.md").read_text()
+    section = readme.partition("\n## CI\n")[2].partition("\n## ")[0]
+    for job in JOB_ID.findall(text.partition("\njobs:\n")[2]):
+        if f"`{job}`" not in section:
+            problems.append(f"README.md: CI section does not name job `{job}`")
+
+
 def main() -> int:
     problems: list = []
     missing = [path for path in DOC_FILES if not path.exists()]
@@ -107,13 +144,18 @@ def main() -> int:
         if path.exists():
             check_links(path, problems)
             check_snippets(path, problems)
+            if path.name not in HISTORY:
+                check_paths(path, BACKTICKED_PATH.findall(path.read_text()),
+                            problems)
+    check_workflow(problems)
     if problems:
         print(f"docs check: {len(problems)} problem(s)")
         for problem in problems:
             print(f"  {problem}")
         return 1
     checked = len([path for path in DOC_FILES if path.exists()])
-    print(f"docs check: {checked} files OK (links resolve, snippets compile)")
+    print(f"docs check: {checked} files OK (links resolve, snippets compile, "
+          f"named paths and CI jobs exist)")
     return 0
 
 

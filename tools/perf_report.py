@@ -1,26 +1,15 @@
 #!/usr/bin/env python3
-"""Per-phase wall-clock report over telemetry traces and BENCH artifacts.
+"""Telemetry smoke: run one catalogue scenario traced, print its phase table.
 
-Two modes:
-
-* **Render** (default): given one or more pytest-benchmark JSON artifacts
-  (``BENCH_*.json``), print each benchmark's embedded per-phase breakdown
-  — count, total wall, P50/P95/max — the ``extra_info["phases"]`` section
-  the scale benchmarks attach from their campaign traces.  Exits non-zero
-  when a requested artifact does not exist (naming each missing file —
-  never a silently partial table), or when no artifact contributes a
-  single phase row, so CI notices a benchmark that silently stopped
-  tracing.
-
-* **Smoke** (``--scenario NAME``): build and run one named catalogue
-  scenario with tracing telemetry, print its phase table, and optionally
-  export the raw trace (``--trace out.jsonl``) and the metrics registry
-  (``--prom out.prom``, Prometheus text exposition).  Exits non-zero when
-  the run records no phases — the CI telemetry smoke step.
+Builds and runs one named catalogue scenario with tracing telemetry, prints
+the per-phase breakdown (count, total wall, P50/P95/max), and optionally
+exports the raw trace (``--trace out.jsonl``) and the metrics registry
+(``--prom out.prom``, Prometheus text exposition).  Exits non-zero for an
+unknown scenario or when the run records no phases — the CI telemetry
+smoke step.  To compare two commits, use ``benchmarks/suite`` instead.
 
 Run from the repo root::
 
-    PYTHONPATH=src python tools/perf_report.py BENCH_*.json
     PYTHONPATH=src python tools/perf_report.py --scenario flash_crowd \
         --clients 5000 --trace trace.jsonl --prom metrics.prom
 """
@@ -28,7 +17,6 @@ Run from the repo root::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -44,53 +32,6 @@ from repro.scale import (  # noqa: E402  (path bootstrap above)
 )
 
 
-def render_artifacts(paths) -> int:
-    """Print the phase tables embedded in BENCH artifacts; 0 if any rows.
-
-    Parallel-campaign benchmarks additionally carry an
-    ``extra_info["parallel"]`` scaling section (worker count, serial vs
-    parallel wall time, speedup/efficiency), rendered as a one-line summary
-    under the phase table.
-    """
-    missing = [path for path in paths if not Path(path).is_file()]
-    if missing:
-        # Fail before rendering anything: a partial table over the
-        # artifacts that do exist would read as a complete report.
-        for path in missing:
-            print(f"perf_report: missing artifact: {path}", file=sys.stderr)
-        return 2
-    rows = 0
-    for path in paths:
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"{path}: unreadable ({exc})", file=sys.stderr)
-            return 1
-        for bench in data.get("benchmarks", []):
-            extra = bench.get("extra_info") or {}
-            phases = extra.get("phases")
-            if phases:
-                rows += len(phases)
-                print(format_phase_table(
-                    phases, title=f"{Path(path).name} :: {bench['name']}"))
-            parallel = extra.get("parallel")
-            if parallel:
-                speedup = parallel.get("speedup", 0.0)
-                print(f"{Path(path).name} :: {bench['name']} scaling: "
-                      f"{parallel.get('n_workers', '?')} workers, "
-                      f"serial {parallel.get('serial_s', 0.0):.2f}s -> "
-                      f"parallel {parallel.get('parallel_s', 0.0):.2f}s "
-                      f"({speedup:.2f}x, "
-                      f"{parallel.get('efficiency', 0.0):.0%} efficiency)")
-            if phases or parallel:
-                print()
-    if rows == 0:
-        print("no phase rows found in any artifact", file=sys.stderr)
-        return 1
-    return 0
-
-
 def run_smoke(args) -> int:
     """Run one catalogue scenario traced; print/export its phase table."""
     if args.scenario not in scenario_names():
@@ -98,9 +39,8 @@ def run_smoke(args) -> int:
               f"{', '.join(scenario_names())}", file=sys.stderr)
         return 1
     telemetry = Telemetry()
-    kwargs = {"clients": args.clients, "seed": args.seed,
-              "telemetry": telemetry}
-    result = run_scenario(args.scenario, **kwargs)
+    result = run_scenario(args.scenario, clients=args.clients,
+                          seed=args.seed, telemetry=telemetry)
     phases = phase_breakdown(telemetry)
     print(format_phase_table(
         phases,
@@ -122,10 +62,8 @@ def run_smoke(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("artifacts", nargs="*",
-                        help="pytest-benchmark JSON files to render")
-    parser.add_argument("--scenario", help="run this catalogue scenario "
-                        "with tracing telemetry instead of rendering files")
+    parser.add_argument("--scenario", required=True,
+                        help="the catalogue scenario to run traced")
     parser.add_argument("--clients", type=int, default=5000,
                         help="population size for --scenario (default 5000)")
     parser.add_argument("--seed", type=int, default=2006,
@@ -133,12 +71,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", help="write the span trace as JSONL here")
     parser.add_argument("--prom", help="write the metrics registry in "
                         "Prometheus text format here")
-    args = parser.parse_args(argv)
-    if args.scenario:
-        return run_smoke(args)
-    if not args.artifacts:
-        parser.error("either BENCH artifacts or --scenario is required")
-    return render_artifacts(args.artifacts)
+    return run_smoke(parser.parse_args(argv))
 
 
 if __name__ == "__main__":
