@@ -55,13 +55,11 @@ def arc_moved_fraction(positions_a: np.ndarray, owners_a: np.ndarray,
     changed = np.flatnonzero(
         owners_at(positions_a, owners_a) != owners_at(positions_b, owners_b)
     )
-    last = boundaries.size - 1
-    moved = 0
-    for index in changed:
-        if index == last:  # the wrap-around arc past the final point
-            moved += space - int(boundaries[last]) + int(boundaries[0])
-        else:
-            moved += int(boundaries[index + 1]) - int(boundaries[index])
+    # An arc runs from its boundary up to its probe; the final one wraps
+    # past the last point to the first, so its probe is ``space`` short.
+    moved = sum(probes[changed].tolist()) - sum(boundaries[changed].tolist())
+    if changed.size and changed[-1] == boundaries.size - 1:
+        moved += space
     return moved / space
 
 

@@ -37,8 +37,8 @@ clients as aggregate fluid demand instead:
     problem and interprets the allocation as per-class goodput and
     per-site utilization; the O(n_clients) structure is cached in a
     :class:`ProblemTemplate` reused across epochs and sweep points, and a
-    ring change rebuilds it *incrementally* in O(moved clients) via the
-    population's sorted-position segment view.
+    ring change rebuilds it *incrementally* in O(ring points × bins) from
+    the template's per-arc client histogram, touching no per-client array.
 ``timeline``
     The time-stepped fluid simulator: load curves (diurnal, flash crowd,
     ramp), fleet events (failure/recovery, degradation, discrimination

@@ -10,7 +10,10 @@ plus an uplink.  Clients are spread over healthy sites with the
 ring's position table is pulled into numpy arrays once and a million clients
 are assigned with a single ``searchsorted``.  Failing a site withdraws its
 ring points, so exactly the failed site's clients move — the fleet-level
-analogue of a router withdrawing its anycast route.
+analogue of a router withdrawing its anycast route.  The sites are fixed at
+construction, so every point they can contribute is hashed and sorted once
+(the *universe*) and each in-service ring is a boolean mask of it: a
+membership change is O(ring points), with no re-hash and no re-sort.
 """
 
 from __future__ import annotations
@@ -82,26 +85,24 @@ class NeutralizerFleet:
         self.cost_model = cost_model or CryptoCostModel.default()
         self.replicas = replicas
         self._index_by_name: Dict[str, int] = {name: i for i, name in enumerate(names)}
-        # Every site's ring points are hashed once here (through an empty
-        # ring, so the hash stays the single source of truth); membership
-        # changes then assemble the in-service table from these cached
-        # arrays instead of re-hashing, so a failover epoch costs an argsort
-        # over ~10^3 points, not thousands of blake2b calls plus sorted
-        # list inserts.
+        # The sites are fixed, so every ring point that can ever exist is
+        # hashed once here (through an empty ring, so the hash stays the
+        # single source of truth) and sorted once, stably, in site order:
+        # the *universe*.  Every in-service ring is a boolean mask of it, so
+        # a membership change costs one pass over ~10^3 points — no
+        # re-hashing, no re-sorting.
         hasher = ConsistentHashRing([], replicas=replicas)
-        self._site_points: Dict[str, np.ndarray] = {}
-        for name in names:
-            points = np.fromiter(
-                (hasher._position(f"{name}#{replica}".encode())
-                 for replica in range(replicas)),
-                dtype=np.uint64, count=replicas,
-            )
-            points.sort()
-            self._site_points[name] = points
+        points = np.fromiter(
+            (hasher._position(f"{name}#{replica}".encode())
+             for name in names for replica in range(replicas)),
+            dtype=np.uint64, count=len(names) * replicas,
+        )
+        order = np.argsort(points, kind="stable")
+        self._universe_positions = points[order]
+        self._universe_owner = order // replicas
         self._ring_object: Optional[ConsistentHashRing] = None
         self._cpu_capacity: Optional[np.ndarray] = None
         self._uplink_capacity: Optional[np.ndarray] = None
-        self._service_mask: Optional[np.ndarray] = None
         #: Bumped whenever any site's ``active`` flag flips — unlike
         #: :attr:`generation` this moves even when the ring does not (e.g.
         #: draining an already-failed site), so billing caches can key on it.
@@ -138,22 +139,22 @@ class NeutralizerFleet:
     # -- health and commissioning ----------------------------------------------------
 
     def _rebuild_ring(self) -> None:
-        serving = [site.name for site in self.sites if site.in_service]
-        if not serving:
+        serving = np.array([site.in_service for site in self.sites], dtype=bool)
+        if not serving.any():
             raise TopologyError("every site of the fleet is out of service")
-        positions = np.concatenate([self._site_points[name] for name in serving])
-        owners = np.concatenate([
-            np.full(self._site_points[name].size, self._index_by_name[name],
-                    dtype=np.int64)
-            for name in serving
-        ])
-        order = np.argsort(positions, kind="stable")
-        self._ring_positions = positions[order]
-        self._ring_owner_index = owners[order]
+        in_ring = serving[self._universe_owner]
+        self._ring_positions = self._universe_positions[in_ring]
+        self._ring_owner_index = self._universe_owner[in_ring]
+        # Universe arc i (keys after point i-1 up to point i; the last arc
+        # wraps) belongs to the first in-ring point at or after i: ring
+        # slot "in-ring points before i", wrapping to 0 when none is left.
+        slots = np.concatenate([[0], np.cumsum(in_ring)])
+        self._arc_owners = self._ring_owner_index[slots % self._ring_positions.size]
+        self._in_ring = in_ring
+        self._service_mask = serving
         self._ring_object = None
         self._cpu_capacity = None
         self._uplink_capacity = None
-        self._service_mask = None
         self.generation += 1
 
     @property
@@ -229,6 +230,8 @@ class NeutralizerFleet:
         """
         from ..core.anycast import ConsistentHashRing, arc_moved_fraction
 
+        if before[0] is after[0] and before[1] is after[1]:
+            return 0.0  # the same snapshot: no membership change in between
         return arc_moved_fraction(
             before[0], before[1], after[0], after[1],
             1 << ConsistentHashRing._SPACE_BITS,
@@ -279,6 +282,11 @@ class NeutralizerFleet:
             raise TopologyError("health snapshot does not match the fleet's sites")
         if snapshot == self.health_snapshot():
             return
+        # Refuse before mutating anything, like ``_set_site_state``.
+        if not any(healthy and active for healthy, active in snapshot):
+            raise TopologyError(
+                "refusing a health snapshot that leaves no site in service"
+            )
         before = [site.in_service for site in self.sites]
         for site, (healthy, active) in zip(self.sites, snapshot):
             site.healthy = healthy
@@ -299,13 +307,8 @@ class NeutralizerFleet:
     def in_service_mask(self) -> np.ndarray:
         """Boolean per-site in-service flags, in :attr:`sites` order.
 
-        Cached per ring state (like the capacity arrays) — treat as
-        read-only.
+        Built with the ring on every membership change — read-only.
         """
-        if self._service_mask is None:
-            self._service_mask = np.array(
-                [site.in_service for site in self.sites], dtype=bool
-            )
         return self._service_mask
 
     @property
@@ -336,10 +339,7 @@ class NeutralizerFleet:
         owners)`` where clients ``cuts[i]:cuts[i + 1]`` of the sorted order
         belong to site index ``owners[i]`` (the final segment wraps past the
         last ring point back to the first).  Equivalent to
-        :meth:`assign_sites` on the same positions, verified by tests;
-        :class:`repro.scale.scenario.ProblemTemplate` diffs two segment
-        structures to update group counts in O(moved clients) after a ring
-        change.
+        :meth:`assign_sites` on the same positions, verified by tests.
         """
         bounds = np.searchsorted(positions_sorted, self._ring_positions, side="right")
         cuts = np.concatenate([
@@ -349,6 +349,19 @@ class NeutralizerFleet:
         ])
         owners = np.concatenate([self._ring_owner_index, self._ring_owner_index[:1]])
         return cuts, owners
+
+    def universe_arcs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The current ring as a mask of the fleet's fixed point universe.
+
+        Returns ``(positions, in_ring, arc_owners)``: every point the sites
+        can ever contribute, sorted (fixed for the fleet's lifetime); which
+        of them are in the ring now; and the site index owning each of the
+        ``len(positions) + 1`` arcs they cut the key space into (arc ``i``
+        ends at point ``i``, the last one wraps).  Read-only; a
+        :class:`repro.scale.scenario.ProblemTemplate` counts clients per arc
+        once, so a ring change is a diff of two ``arc_owners`` arrays.
+        """
+        return self._universe_positions, self._in_ring, self._arc_owners
 
     # -- capacity --------------------------------------------------------------------
 

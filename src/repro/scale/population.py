@@ -10,7 +10,9 @@ is simulated per client; the population is three numpy arrays — class index,
 region index, ring position — drawn deterministically from a seed, and every
 downstream consumer (fleet assignment, demand aggregation) is a vectorized
 reduction over them.  A million clients fit in a few megabytes and aggregate
-in milliseconds.
+in milliseconds; the ring-sorted view (:meth:`ClientPopulation.ring_sorted`)
+is read once per (population, fleet) pair, after which ring changes are
+served from a per-arc histogram and touch no per-client array.
 """
 
 from __future__ import annotations
@@ -285,11 +287,14 @@ class ClientPopulation:
         ``region * n_classes + class`` index used for group counting.  With
         clients sorted this way, a consistent-hash assignment is a *segment
         structure* — ``searchsorted`` of the ring's points into the client
-        positions — so fleet membership changes cost O(ring points + moved
-        clients) instead of a full O(n_clients) pass
-        (:meth:`repro.scale.fleet.NeutralizerFleet.assignment_segments`).
-        The one O(n log n) sort is paid once and shared by every scenario,
-        timeline, and Monte-Carlo replica built on this population.
+        positions
+        (:meth:`repro.scale.fleet.NeutralizerFleet.assignment_segments`) —
+        and :meth:`repro.scale.scenario.ProblemTemplate.build` reads this
+        view exactly once, to histogram the clients per arc of the fleet's
+        point universe; fleet membership changes then cost O(ring points ×
+        bins) and never come back here.  The one O(n log n) sort is paid
+        once and shared by every scenario, timeline, and Monte-Carlo replica
+        built on this population.
         """
         if self._ring_sorted is None:
             order = np.argsort(self.ring_positions, kind="stable")

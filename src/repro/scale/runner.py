@@ -880,7 +880,7 @@ class _ReplicaCampaign(CampaignRunner):
         restore its pre-run state, so the fleet's hashed ring points and the
         scenario's O(n_clients) problem template are paid for once; each
         subsequent replica refreshes the stale template incrementally over
-        zero moved clients.
+        zero moved arcs.
         """
         if self._scenario is None or self._scenario.population is not population:
             fleet = elastic_fleet(

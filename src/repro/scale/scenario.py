@@ -22,9 +22,11 @@ runner sweeps and tabulates.
 
 Time-stepped callers solve the *same* structure many times with perturbed
 demands and capacities, so problem construction is split in two: the
-O(n_clients) part (site assignment, group counting, the usage matrix) lives
-in a :class:`ProblemTemplate` that stays valid until the fleet's hash ring
-changes, and the per-epoch part (:meth:`ProblemTemplate.instantiate`) only
+O(n_clients) part (one histogram of the clients per arc of the fleet's ring
+point universe) lives in a :class:`ProblemTemplate` that stays valid until
+the fleet's hash ring changes — and is then succeeded in O(ring points ×
+bins) by moving histogram rows between sites, never re-reading the
+population — and the per-epoch part (:meth:`ProblemTemplate.instantiate`) only
 scales small per-flow/per-site vectors — a few hundred elements regardless
 of population size.
 """
@@ -88,6 +90,15 @@ class EpochProblem:
     setups_per_site: np.ndarray
 
 
+def _credit_arcs(ufunc: np.ufunc, counts3d: np.ndarray, owners: np.ndarray,
+                 rows: np.ndarray) -> None:
+    """``ufunc`` (add/subtract) one histogram row per arc into its owning
+    site's column of the (region, class, site) counts, in place."""
+    bin_offsets = np.arange(rows.shape[1]) * counts3d.shape[2]
+    ufunc.at(counts3d.reshape(-1), (owners[:, None] + bin_offsets).ravel(),
+             rows.ravel())
+
+
 @dataclass
 class ProblemTemplate:
     """The population×fleet flow structure, frozen for one hash-ring state.
@@ -99,18 +110,25 @@ class ProblemTemplate:
     per-site capacity scaling (degradation, failure) by touching only
     per-flow and per-site vectors.  The template is valid until the fleet's
     ring changes (``fleet.generation`` moves), after which
-    :meth:`rebuilt` derives a successor template in O(moved clients): the
-    assignment is held as the *segment structure* of the ring over the
-    population's sorted positions (:meth:`ClientPopulation.ring_sorted` /
-    :meth:`NeutralizerFleet.assignment_segments`), so the diff of two ring
-    states is a walk over merged segment boundaries and the group counts
-    move only for the clients whose arc changed owner.
+    :meth:`rebuilt` derives a successor template in O(ring points × bins):
+    the one per-client pass histograms the ring-sorted population
+    (:meth:`ClientPopulation.ring_sorted`) per arc of the fleet's fixed
+    point universe (:meth:`NeutralizerFleet.universe_arcs`), every ring
+    state is an owner per arc, and the group counts of a new ring move
+    only the histogram rows of the arcs that changed owner.
     """
 
     population: ClientPopulation
     fleet: NeutralizerFleet
     fleet_generation: int
     region_uplink_bps: float
+    #: The arc table, shared by reference down the :meth:`rebuilt` chain:
+    #: sorted clients ``arc_cuts[i]:arc_cuts[i+1]`` fall in universe arc
+    #: ``i``, and ``arc_hist[i]`` counts them per fused region×class bin.
+    arc_cuts: np.ndarray
+    arc_hist: np.ndarray
+    #: Site index owning each universe arc under this ring state.
+    arc_owners: np.ndarray
     #: Segment assignment over the ring-sorted population: sorted clients
     #: ``cuts[i]:cuts[i+1]`` belong to site index ``seg_owners[i]``.
     cuts: np.ndarray
@@ -164,6 +182,7 @@ class ProblemTemplate:
         docs/parallel.md).  Lazy labels are not counted.
         """
         arrays = (
+            self.arc_cuts, self.arc_hist, self.arc_owners,
             self.cuts, self.seg_owners, self.counts3d, self.clients_per_site,
             self.region_of, self.class_of, self.site_of, self.group_clients,
             self.base_demands, self.bits_per_packet,
@@ -184,64 +203,59 @@ class ProblemTemplate:
     @classmethod
     def build(cls, population: ClientPopulation, fleet: NeutralizerFleet,
               *, region_uplink_bps: float) -> "ProblemTemplate":
-        """The one O(n_clients) pass: assign, count, and lay out the matrix."""
+        """The one O(n_clients) pass: histogram clients per universe arc."""
         positions, _, _, region_class = population.ring_sorted()
-        cuts, seg_owners = fleet.assignment_segments(positions)
-        site_sorted = np.repeat(seg_owners, np.diff(cuts))
-        fused = region_class * fleet.n_sites + site_sorted
-        counts3d = np.bincount(
-            fused, minlength=population.regions * population.n_classes * fleet.n_sites
-        ).reshape(population.regions, population.n_classes, fleet.n_sites)
+        universe, _, arc_owners = fleet.universe_arcs()
+        bins = population.regions * population.n_classes
+        arc_cuts = np.concatenate([
+            [0], np.searchsorted(positions, universe, side="right"), [positions.size],
+        ]).astype(np.int64)
+        arcs = arc_cuts.size - 1
+        arc_sorted = np.repeat(np.arange(arcs), np.diff(arc_cuts))
+        arc_hist = np.bincount(
+            arc_sorted * bins + region_class, minlength=arcs * bins
+        ).reshape(arcs, bins)
+        counts3d = np.zeros(
+            (population.regions, population.n_classes, fleet.n_sites), dtype=np.int64
+        )
+        _credit_arcs(np.add, counts3d, arc_owners, arc_hist)
         return cls._assemble(
             population, fleet, region_uplink_bps=region_uplink_bps,
-            cuts=cuts, seg_owners=seg_owners, counts3d=counts3d,
+            arc_cuts=arc_cuts, arc_hist=arc_hist, counts3d=counts3d,
             remapped_from_parent=0,
         )
 
     def rebuilt(self) -> "ProblemTemplate":
         """A successor template for the fleet's *current* ring, incrementally.
 
-        Walks the merged segment boundaries of the old and new assignments;
-        wherever the owning site differs, the affected slice of the sorted
-        population is histogrammed once (O(slice)) and its counts move from
-        the old site to the new one.  An unchanged arc costs nothing, so a
-        single site failing out of a large fleet reassigns only that site's
-        clients — consistent hashing's contract, now also the rebuild cost.
+        Diffs the owner of every universe arc against this template's; the
+        arcs that changed hands move their histogram rows from the old
+        site's counts to the new one's.  That is O(ring points × bins)
+        whatever the population size — nothing here reads a per-client
+        array — and an unchanged arc costs nothing, so a single site
+        failing out of a large fleet reassigns only that site's clients:
+        consistent hashing's contract, now also the rebuild cost.
         """
-        population = self.population
-        fleet = self.fleet
-        positions, _, _, region_class = population.ring_sorted()
-        new_cuts, new_owners = fleet.assignment_segments(positions)
-
-        merged = np.unique(np.concatenate([self.cuts, new_cuts]))
-        starts, ends = merged[:-1], merged[1:]
-        old_of = self.seg_owners[np.searchsorted(self.cuts, starts, side="right") - 1]
-        new_of = new_owners[np.searchsorted(new_cuts, starts, side="right") - 1]
-        changed = np.flatnonzero((old_of != new_of) & (ends > starts))
-
+        arc_owners = self.fleet.universe_arcs()[2]
+        moved = np.flatnonzero(arc_owners != self.arc_owners)
+        rows = self.arc_hist[moved]
         counts3d = self.counts3d.copy()
-        bins = population.regions * population.n_classes
-        moved = 0
-        for k in changed:
-            lo, hi = int(starts[k]), int(ends[k])
-            hist = np.bincount(region_class[lo:hi], minlength=bins).reshape(
-                population.regions, population.n_classes
-            )
-            counts3d[:, :, old_of[k]] -= hist
-            counts3d[:, :, new_of[k]] += hist
-            moved += hi - lo
+        _credit_arcs(np.subtract, counts3d, self.arc_owners[moved], rows)
+        _credit_arcs(np.add, counts3d, arc_owners[moved], rows)
         return type(self)._assemble(
-            population, fleet, region_uplink_bps=self.region_uplink_bps,
-            cuts=new_cuts, seg_owners=new_owners, counts3d=counts3d,
-            remapped_from_parent=moved,
+            self.population, self.fleet, region_uplink_bps=self.region_uplink_bps,
+            arc_cuts=self.arc_cuts, arc_hist=self.arc_hist, counts3d=counts3d,
+            remapped_from_parent=int(rows.sum()),
         )
 
     @classmethod
     def _assemble(cls, population: ClientPopulation, fleet: NeutralizerFleet,
-                  *, region_uplink_bps: float, cuts: np.ndarray,
-                  seg_owners: np.ndarray, counts3d: np.ndarray,
+                  *, region_uplink_bps: float, arc_cuts: np.ndarray,
+                  arc_hist: np.ndarray, counts3d: np.ndarray,
                   remapped_from_parent: int) -> "ProblemTemplate":
         """Lay out flows, usage matrix, and labels from the group counts."""
+        _, in_ring, arc_owners = fleet.universe_arcs()
+        ring_owners = fleet.ring_state()[1]
         counts = counts3d.astype(np.float64)
         pps_per_client = population.demand_pps_per_client()
         bits_per_packet = population.packet_bits()
@@ -278,8 +292,11 @@ class ProblemTemplate:
             fleet=fleet,
             fleet_generation=fleet.generation,
             region_uplink_bps=region_uplink_bps,
-            cuts=cuts,
-            seg_owners=seg_owners,
+            arc_cuts=arc_cuts,
+            arc_hist=arc_hist,
+            arc_owners=arc_owners,
+            cuts=arc_cuts[np.concatenate([[True], in_ring, [True]])],
+            seg_owners=np.concatenate([ring_owners, ring_owners[:1]]),
             counts3d=counts3d,
             clients_per_site=counts3d.sum(axis=(0, 1)).astype(np.int64),
             remapped_from_parent=remapped_from_parent,
@@ -432,8 +449,8 @@ class ScaleScenario:
         """The cached flow/resource structure, rebuilt when the ring changes.
 
         The first build pays one O(n_clients) counting pass; every later ring
-        change is absorbed by :meth:`ProblemTemplate.rebuilt`, which touches
-        only the clients whose arc of the hash ring changed owner.
+        change is absorbed by :meth:`ProblemTemplate.rebuilt`, which moves
+        only the histogram rows of the arcs that changed owner.
         """
         if self._template is None:
             self._template = ProblemTemplate.build(

@@ -27,7 +27,7 @@ the max-min solver through a sequence of epochs:
   served-demand caps and adopter re-key load back into the solve;
 * each epoch is solved *warm*: the flow structure is a cached
   :class:`repro.scale.scenario.ProblemTemplate` (rebuilt incrementally, in
-  O(moved clients), only when the ring actually changes) and the previous
+  O(ring points × bins), only when the ring actually changes) and the previous
   epoch's allocation is offered to
   :func:`repro.scale.solver.max_min_allocation` as a verified warm start,
   so an event-free epoch costs a few vectorized passes over per-flow
@@ -700,7 +700,7 @@ class FluidTimeline:
         #: across timelines (Monte-Carlo campaigns reuse one population x
         #: fleet structure over many replicas); after a previous run
         #: restored the fleet, the stale template rebuilds incrementally
-        #: over zero moved clients instead of paying the O(n_clients) pass.
+        #: over zero moved arcs instead of paying the O(n_clients) pass.
         if scenario is not None:
             if scenario.population is not population or scenario.fleet is not fleet:
                 raise WorkloadError(

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.anycast import ConsistentHashRing
 from repro.exceptions import TopologyError, WorkloadError
 from repro.scale import (
     ClientPopulation,
@@ -196,6 +199,10 @@ class TestIncrementalTemplate:
         assert np.array_equal(incremental.class_of, fresh.class_of)
         assert np.array_equal(incremental.site_of, fresh.site_of)
         assert np.array_equal(incremental.usage, fresh.usage)
+        assert np.array_equal(incremental.cuts, fresh.cuts)
+        assert np.array_equal(incremental.seg_owners, fresh.seg_owners)
+        for ours, reference in zip(incremental.class_members, fresh.class_members):
+            assert np.array_equal(ours, reference)
 
     def test_rebuild_after_failure_and_recovery(self):
         from repro.scale.scenario import ProblemTemplate, ScaleScenario
@@ -228,6 +235,7 @@ class TestIncrementalTemplate:
         expected = sum(
             a.nbytes
             for a in (
+                template.arc_cuts, template.arc_hist, template.arc_owners,
                 template.cuts, template.seg_owners, template.counts3d,
                 template.clients_per_site, template.region_of,
                 template.class_of, template.site_of, template.group_clients,
@@ -241,10 +249,18 @@ class TestIncrementalTemplate:
         if template.flow_alpha is not None:
             expected += template.flow_alpha.nbytes
         assert template.payload_nbytes == expected > 0
-        # The footprint is per-flow/per-site state, not O(n_clients): the
-        # parallel engine keeps the population in shared memory precisely
-        # because the per-worker template cache stays small beside it.
-        assert template.payload_nbytes < population.class_index.nbytes * 8
+        # The footprint is per-flow/per-site/per-ring-point state, not
+        # O(n_clients): the parallel engine keeps the population in shared
+        # memory precisely because the per-worker template cache stays small
+        # beside it.  The arc table is (points + 1) × (regions·classes)
+        # int64 whatever the population, so 4× the clients adds no byte.
+        points = 6 * 64
+        assert template.arc_hist.nbytes == (points + 1) * 8 * 3 * 8 < 1 << 20
+        assert template.arc_cuts.nbytes == (points + 2) * 8
+        larger = ScaleScenario(
+            ClientPopulation(40_000, seed=23), NeutralizerFleet.build(6)
+        ).build_template()
+        assert larger.payload_nbytes == template.payload_nbytes
 
     def test_rebuild_through_many_membership_changes(self):
         from repro.scale.scenario import ProblemTemplate, ScaleScenario
@@ -266,6 +282,176 @@ class TestIncrementalTemplate:
             )
             self.assert_equivalent(incremental, fresh)
         assert population.n_clients == incremental.counts3d.sum()
+
+    def test_rebuilt_reads_nothing_per_client(self, monkeypatch):
+        """Pins the rebuild's complexity without a clock: once the first
+        template exists, the population's per-client arrays are off limits."""
+        from repro.scale.scenario import ProblemTemplate, ScaleScenario
+
+        population, twin = (ClientPopulation(6_000, seed=31) for _ in range(2))
+        fleet, twin_fleet = (NeutralizerFleet.build(7, replicas=16) for _ in range(2))
+        scenario = ScaleScenario(population, fleet)
+        scenario.build_template()
+
+        def off_limits():
+            raise AssertionError("rebuilt() went back to the sorted population")
+
+        monkeypatch.setattr(population, "ring_sorted", off_limits)
+        for name in ("ring_positions", "class_index", "region_index", "_ring_sorted"):
+            monkeypatch.setattr(population, name, None)
+        for action, site in [("fail_site", "site02"), ("drain_site", "site05"),
+                             ("restore_site", "site02")]:
+            getattr(fleet, action)(site)
+            getattr(twin_fleet, action)(site)
+            incremental = scenario.build_template()
+            assert incremental.remapped_from_parent > 0
+            fresh = ProblemTemplate.build(
+                twin, twin_fleet, region_uplink_bps=scenario.region_uplink_bps
+            )
+            self.assert_equivalent(incremental, fresh)
+
+
+RING_FUZZ = dict(
+    deadline=None,
+    derandomize=True,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+ring_actions = st.lists(
+    st.tuples(
+        st.sampled_from(["fail_site", "restore_site", "drain_site", "activate_site"]),
+        st.integers(0, 11),
+    ),
+    min_size=1, max_size=10,
+)
+
+
+def reference_ring(fleet):
+    """The ring as it was built before the universe mask: concatenate the
+    serving sites' (sorted) points in site order, stable argsort."""
+    hasher = ConsistentHashRing([], replicas=fleet.replicas)
+    positions, owners = [], []
+    for index, site in enumerate(fleet.sites):
+        if site.in_service:
+            positions.append(np.sort(np.array(
+                [hasher._position(f"{site.name}#{replica}".encode())
+                 for replica in range(fleet.replicas)], dtype=np.uint64)))
+            owners.append(np.full(fleet.replicas, index, dtype=np.int64))
+    positions, owners = np.concatenate(positions), np.concatenate(owners)
+    order = np.argsort(positions, kind="stable")
+    return positions[order], owners[order]
+
+
+def reference_moved_fraction(before, after):
+    """:func:`repro.core.anycast.arc_moved_fraction` as the per-arc loop it
+    replaced — exact Python ints, so the comparison below is ``==``."""
+    space = 1 << 64
+    boundaries = np.sort(np.concatenate([before[0], after[0]]), kind="stable")
+    moved = 0
+    for index in range(boundaries.size):
+        upper = boundaries[(index + 1) % boundaries.size]
+        owners = []
+        for positions, ring_owners in (before, after):
+            slot = int(np.searchsorted(positions, upper, side="left"))
+            owners.append(ring_owners[slot % positions.size])
+        if owners[0] != owners[1]:
+            moved += int(upper) - int(boundaries[index])
+            moved += space if index == boundaries.size - 1 else 0
+    return moved / space
+
+
+def check_ring_walk(population, fleet, actions):
+    """Drive ``actions`` through ``fleet``; after each, the masked ring, the
+    incremental template and the churn figures must equal their from-scratch
+    references."""
+    from repro.scale.scenario import ProblemTemplate, ScaleScenario
+
+    scenario = ScaleScenario(population, fleet)
+    template = scenario.build_template()
+    sorted_positions = population.ring_sorted()[0]
+    for action, site in actions:
+        ring_before = fleet.ring_state()
+        assigned_before = fleet.assign_sites(population.ring_positions)
+        try:
+            getattr(fleet, action)(fleet.sites[site % fleet.n_sites].name)
+        except TopologyError:  # the last serving site refuses to leave
+            assert fleet.ring_state()[0] is ring_before[0]
+            continue
+        # (a) the masked universe is the old concatenate-and-argsort ring.
+        for ours, reference in zip(fleet.ring_state(), reference_ring(fleet)):
+            assert ours.dtype == reference.dtype and np.array_equal(ours, reference)
+        assert NeutralizerFleet.ring_moved_fraction(ring_before, fleet.ring_state()) \
+            == reference_moved_fraction(ring_before, fleet.ring_state())
+        # (b) rebuilt() is indistinguishable from a from-scratch build.
+        parent, template = template, scenario.build_template()
+        fresh = ProblemTemplate.build(
+            population, fleet, region_uplink_bps=scenario.region_uplink_bps
+        )
+        TestIncrementalTemplate.assert_equivalent(template, fresh)
+        for ours, reference in zip((template.cuts, template.seg_owners),
+                                   fleet.assignment_segments(sorted_positions)):
+            assert ours.dtype == reference.dtype and np.array_equal(ours, reference)
+        assigned = fleet.assign_sites(population.ring_positions)
+        assert np.array_equal(
+            template.counts3d, population.group_counts(assigned, fleet.n_sites)
+        )
+        # (c) the churn figure counts exactly the clients whose site changed.
+        if template is not parent:
+            assert template.remapped_from_parent == np.count_nonzero(
+                assigned != assigned_before
+            )
+
+
+class TestRingUniverse:
+    """Every ring is a mask of one sorted point universe, every template a
+    re-crediting of one arc histogram — against the constructions they
+    replaced, over random fleets, populations and membership walks."""
+
+    @settings(**RING_FUZZ)
+    @given(n_sites=st.integers(1, 12), replicas=st.integers(1, 64),
+           n_clients=st.integers(1, 400), regions=st.integers(1, 5),
+           seed=st.integers(0, 2**16), actions=ring_actions)
+    def test_masked_ring_and_arc_histogram_match_their_references(
+            self, n_sites, replicas, n_clients, regions, seed, actions):
+        fleet = NeutralizerFleet.build(n_sites, replicas=replicas)
+        for ours, reference in zip(fleet.ring_state(), reference_ring(fleet)):
+            assert np.array_equal(ours, reference)
+        population = ClientPopulation(n_clients, regions=regions, seed=seed)
+        check_ring_walk(population, fleet, actions)
+
+    def test_two_sites_hashing_to_one_point(self, monkeypatch):
+        """A hash collision: the tie goes to the lower site index while both
+        serve, and to whichever is left when one fails — for clients sitting
+        exactly on the shared point too."""
+        collide = {b"site00#1": 1 << 40, b"site02#0": 1 << 40, b"site01#2": 1 << 40}
+        hashed = ConsistentHashRing._position
+        monkeypatch.setattr(
+            ConsistentHashRing, "_position",
+            lambda self, data: collide.get(data, hashed(self, data)),
+        )
+        fleet = NeutralizerFleet.build(3, replicas=4)
+        positions, owners = fleet.ring_state()
+        shared = np.flatnonzero(positions == np.uint64(1 << 40))
+        assert owners[shared].tolist() == [0, 1, 2]
+        # Clients on, just below and just above every ring point.
+        points = np.unique(positions)
+        ring_positions = np.concatenate([points, points - np.uint64(1),
+                                         points + np.uint64(1)])
+        rng = np.random.default_rng(5)
+        population = ClientPopulation.from_arrays(
+            mix=None, regions=2, seed=0, ring_positions=ring_positions,
+            class_index=rng.integers(0, 3, ring_positions.size).astype(np.int32),
+            region_index=rng.integers(0, 2, ring_positions.size).astype(np.int32),
+        )
+        on_shared = np.flatnonzero(ring_positions == np.uint64(1 << 40))
+        assert fleet.assign_sites(ring_positions)[on_shared].tolist() == [0]
+        check_ring_walk(population, fleet, [
+            ("fail_site", 0), ("drain_site", 1), ("restore_site", 0),
+            ("fail_site", 2), ("activate_site", 1), ("restore_site", 2),
+        ])
+        fleet.fail_site("site00")
+        assert fleet.assign_sites(ring_positions)[on_shared].tolist() == [1]
 
 
 class TestDrainLifecycle:
@@ -312,6 +498,31 @@ class TestDrainLifecycle:
         fleet.restore_health(snapshot)
         assert fleet.health_snapshot() == snapshot
         assert fleet.in_service_names == [f"site{i:02d}" for i in range(4)]
+
+    def test_restore_health_refuses_an_all_down_snapshot_untouched(self):
+        fleet = NeutralizerFleet.build(4)
+        fleet.fail_site("site01")
+        fleet.drain_site("site03")
+        health, generation = fleet.health_snapshot(), fleet.generation
+        active_version, ring = fleet.active_version, fleet.ring_state()
+        capacity = fleet.cpu_capacity_cores().copy()
+        # Failed everywhere: no site would be left in service.
+        with pytest.raises(TopologyError, match="no site in service"):
+            fleet.restore_health(((False, True),) * 4)
+        assert fleet.health_snapshot() == health
+        assert (fleet.generation, fleet.active_version) == (generation, active_version)
+        assert fleet.ring_state()[0] is ring[0] and fleet.ring_state()[1] is ring[1]
+        assert fleet.n_in_service == 2
+        assert np.array_equal(fleet.cpu_capacity_cores(), capacity)
+
+    def test_moved_fraction_of_one_snapshot_is_exactly_zero(self, monkeypatch):
+        from repro.core import anycast
+
+        fleet = NeutralizerFleet.build(3)
+        monkeypatch.setattr(anycast, "arc_moved_fraction",
+                            lambda *args: pytest.fail("diffed a ring with itself"))
+        moved = NeutralizerFleet.ring_moved_fraction(fleet.ring_state(), fleet.ring_state())
+        assert moved == 0.0 and isinstance(moved, float)
 
     def test_moved_fraction_matches_snapshot_diff(self):
         fleet = NeutralizerFleet.build(6)
