@@ -101,9 +101,9 @@ def test_e13_obs_overhead(once):
 def test_e13_monitor_overhead(once):
     """The live-monitor guard: an attached HTTP/SSE monitor costs <= 5% wall.
 
-    The monitor mirrors every canonical event into its HTTP views while
-    the timeline runs, so this bounds the subscription + mirror cost on
-    top of the full observability stack (trace + events + detectors).
+    The monitor is notified of every canonical event while the timeline
+    runs, so this bounds the subscription cost on top of the full
+    observability stack (trace + events + detectors).
     Same noise floor as the guards above; same observe-don't-participate
     assertion — identical solver work, byte-identical canonical stream.
     """
@@ -114,13 +114,13 @@ def test_e13_monitor_overhead(once):
     attach_detectors(telemetry.events)
     with MonitorServer.attach(telemetry) as monitor:
         enabled = once(lambda: _diurnal_timeline(telemetry=telemetry).run())
-        mirrored = monitor.progress()["events"]["total"]
+        served = monitor.progress()["events"]["total"]
     assert enabled.wall_seconds <= disabled.wall_seconds * 1.05 + 0.05
     assert ([record.solver_iterations for record in enabled.records]
             == [record.solver_iterations for record in disabled.records])
-    # The monitor mirrored the whole canonical stream, live.
-    assert mirrored == len(telemetry.events)
-    assert mirrored >= _EPOCHS + 2
+    # The monitor serves the whole canonical stream, live.
+    assert served == len(telemetry.events)
+    assert served >= _EPOCHS + 2
 
 
 def test_e13_epoch_solves_warm(benchmark):

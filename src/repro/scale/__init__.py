@@ -174,11 +174,9 @@ from .stochastic import (
 )
 from .parallel import (
     CampaignUnit,
-    P2Quantile,
     ProcessPoolCampaignExecutor,
     RunTable,
     SharedPopulationPack,
-    StreamingPercentiles,
     canonical_result_bytes,
 )
 from .population import (
@@ -197,7 +195,6 @@ from .runner import (
     AdversaryPointRecord,
     AdversaryReplicaRecord,
     CampaignRunner,
-    CampaignRunnerProtocol,
     FleetScaleResult,
     FleetScaleRunner,
     FrontierPoint,
@@ -207,7 +204,6 @@ from .runner import (
     LatencyCampaignRunner,
     LatencyFrontierPoint,
     LatencyFrontierResult,
-    AGGREGATION_MODES,
     MetricDistribution,
     ScaleExperimentState,
     replica_seed_draws,
@@ -272,7 +268,6 @@ from .validate import (
 )
 
 __all__ = [
-    "AGGREGATION_MODES",
     "AdoptionModel",
     "AdversaryCampaignResult",
     "AdversaryCampaignRunner",
@@ -291,7 +286,6 @@ __all__ = [
     "CATALOGUE",
     "CHURN_SLO_FRONTIER_COLUMNS",
     "CampaignRunner",
-    "CampaignRunnerProtocol",
     "CampaignUnit",
     "CapacityDegradation",
     "CapacityProblem",
@@ -345,7 +339,6 @@ __all__ = [
     "NULL",
     "NeutralizerFleet",
     "NullTelemetry",
-    "P2Quantile",
     "PoissonSiteFailures",
     "PopulationMix",
     "PopulationSpec",
@@ -371,7 +364,6 @@ __all__ = [
     "StochasticCampaignResult",
     "StochasticCampaignRunner",
     "StochasticReplicaRecord",
-    "StreamingPercentiles",
     "Subscription",
     "SweepRecord",
     "TargetLatencyPolicy",

@@ -32,9 +32,18 @@ Endpoints (see ``docs/observability.md`` for the full reference):
 Determinism contract — the monitor is an *observer*:
 
 * It subscribes to the campaign's :class:`~repro.scale.obs.EventLog` and
-  mirrors canonical events into its own buffer; it never emits into the
-  log, so serial/parallel canonical NDJSON and ``canonical_result_bytes``
-  are byte-identical with the monitor on or off.
+  serves the mounted log up to a high-water mark — one integer, the
+  highest ``seq`` it has been notified of plus one; it keeps no copy of
+  an event and never emits into the log, so serial/parallel canonical
+  NDJSON and ``canonical_result_bytes`` are byte-identical with the
+  monitor on or off.  A subscriber's nested emit reaches the monitor
+  before the event that triggered it, but both are already in the log by
+  then, so ``log.events[:mark]`` is in canonical order by construction.
+* Thread safety: ``EventLog.events`` is an append-only list, a request
+  thread takes a slice of it in one step under the GIL, and the mark only
+  moves under the condition that wakes SSE waiters.  The one call that
+  shrinks a log, ``drain_raw()``, runs only in pool workers, which carry
+  no monitor.
 * Pool workers ship canonical events home only with finished units, so
   liveness between completions comes from an out-of-band
   ``multiprocessing`` heartbeat queue (see
@@ -52,11 +61,13 @@ import json
 import queue as queue_module
 import threading
 import time
+from collections import Counter
 from dataclasses import asdict, is_dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from .obs import Event, EventLog, verdicts
 from .telemetry import Telemetry, phase_breakdown
 
 __all__ = ["MonitorServer"]
@@ -64,6 +75,12 @@ __all__ = ["MonitorServer"]
 #: Event kind used for out-of-band worker liveness records.  Quarantined:
 #: never emitted into (or merged into) a canonical :class:`EventLog`.
 HEARTBEAT_KIND = "unit_heartbeat"
+
+#: Longest a quiet ``/stream`` waits before it writes a keep-alive comment.
+HEARTBEAT_SECONDS = 10.0
+
+#: ``/events`` page size when the request carries no ``?limit=``.
+PAGE_LIMIT = 500
 
 
 def _json_bytes(payload: object) -> bytes:
@@ -149,7 +166,7 @@ class _MonitorHandler(BaseHTTPRequestHandler):
 
     def _serve_events(self, params: Dict[str, List[str]]) -> None:
         since_seq = self._query_int(params, "since_seq", -1)
-        limit = self._query_int(params, "limit", self.monitor.page_limit)
+        limit = self._query_int(params, "limit", PAGE_LIMIT)
         lines, next_seq, remaining = self.monitor.events_page(since_seq, limit)
         body = "".join(line + "\n" for line in lines).encode("utf-8")
         self._send(200, "application/x-ndjson", body, {
@@ -190,11 +207,11 @@ class _MonitorHandler(BaseHTTPRequestHandler):
         live_cursor = monitor.live_len()
         while True:
             chunk, cursor, live, live_cursor, closing = monitor.wait_for_frames(
-                cursor, live_cursor, timeout=monitor.heartbeat_seconds)
+                cursor, live_cursor, timeout=HEARTBEAT_SECONDS)
             frames: List[bytes] = []
-            for seq, kind, line in chunk:
-                frames.append(f"id: {seq}\nevent: {kind}\ndata: {line}\n\n"
-                              .encode("utf-8"))
+            for event in chunk:
+                frames.append(f"id: {event.seq}\nevent: {event.kind}\n"
+                              f"data: {event.to_json()}\n\n".encode("utf-8"))
                 sent += 1
                 if limit and sent >= limit:
                     break
@@ -239,26 +256,17 @@ class MonitorServer:
     is mounted on.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 heartbeat_seconds: float = 10.0,
-                 page_limit: int = 500) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
         self.port = port
-        self.heartbeat_seconds = float(heartbeat_seconds)
-        self.page_limit = int(page_limit)
         self._cond = threading.Condition()
-        #: Canonical mirror: ``(seq, kind, canonical_json_line)`` in seq
-        #: order.  seq numbers are contiguous from 0 (the EventLog
-        #: contract), so list index == seq.
-        self._canonical: List[Tuple[int, str, str]] = []
-        #: Events whose notification arrived ahead of a lower seq.  A
-        #: detector's nested emit is delivered to later subscribers (this
-        #: monitor) *before* the outer event that triggered it, so the
-        #: mirror stages arrivals here and appends only the contiguous
-        #: prefix — the served stream is always in canonical log order.
-        self._out_of_order: Dict[int, Tuple[object, str]] = {}
+        #: The mounted log and the high-water mark into it: every view
+        #: serves ``_log.events[:_seen]``.  seq numbers are contiguous
+        #: from 0 (the EventLog contract), so list index == seq.
+        self._log: Optional[EventLog] = None
+        self._seen = 0
         #: Quarantined live feed (heartbeats); plain dicts, never merged
-        #: into the canonical mirror or any export.
+        #: into the canonical log or any export.
         self._live: List[Dict[str, object]] = []
         self._telemetry: Optional[Telemetry] = None
         self._runner = None
@@ -269,13 +277,12 @@ class MonitorServer:
         self._started_wall = time.time()
         # progress state (under self._cond)
         self._units_total: Optional[int] = None
-        self._units_done_canonical = 0
+        self._units_done_logged = 0
         self._units_done_live = 0
         self._experiment: Optional[str] = None
         self._complete = False
         self._campaign_started_wall: Optional[float] = None
         self._in_flight: Dict[int, Dict[str, object]] = {}
-        self._kind_counts: Dict[str, int] = {}
         # heartbeat drain (worker pools)
         self._hb_thread: Optional[threading.Thread] = None
         self._hb_stop: Optional[threading.Event] = None
@@ -284,10 +291,9 @@ class MonitorServer:
 
     @classmethod
     def attach(cls, telemetry: Telemetry, *, runner=None,
-               host: str = "127.0.0.1", port: int = 0,
-               **kwargs) -> "MonitorServer":
+               host: str = "127.0.0.1", port: int = 0) -> "MonitorServer":
         """Create a monitor mounted on ``telemetry`` and start serving."""
-        monitor = cls(host, port, **kwargs)
+        monitor = cls(host, port)
         monitor.mount(telemetry, runner=runner)
         monitor.start()
         return monitor
@@ -298,7 +304,8 @@ class MonitorServer:
         Subscribes to the telemetry's event log with full replay, so a
         monitor attached mid-campaign still serves the stream from seq 0.
         A telemetry without an event log still gets ``/metrics``,
-        ``/progress`` (heartbeat-driven), and ``/healthz``.
+        ``/progress`` (heartbeat-driven), and ``/healthz``.  Every mount
+        starts from nothing: whatever an earlier mount served is dropped.
         """
         if self._telemetry is telemetry and self._subscription is not None:
             if runner is not None:
@@ -308,49 +315,42 @@ class MonitorServer:
         self._telemetry = telemetry
         if runner is not None:
             self._runner = runner
+        with self._cond:
+            self._log = telemetry.events
+            self._seen = 0
+            self._units_total = None
+            self._units_done_logged = 0
+            self._experiment = None
+            self._complete = False
+            self._in_flight.clear()
         if telemetry.events is not None:
-            with self._cond:
-                self._reset_locked()
             self._subscription = telemetry.events.subscribe(
                 self._observe, replay=True)
         return self
 
     def detach(self) -> None:
-        """Stop observing the mounted event log (server keeps running)."""
+        """Stop observing the mounted event log (server keeps running).
+
+        The mark freezes: the views keep serving the prefix seen so far,
+        however far the log grows afterwards.
+        """
         if self._subscription is not None:
             self._subscription.cancel()
             self._subscription = None
 
-    def _reset_locked(self) -> None:
-        self._canonical.clear()
-        self._out_of_order.clear()
-        self._units_total = None
-        self._units_done_canonical = 0
-        self._experiment = None
-        self._complete = False
-        self._in_flight.clear()
-        self._kind_counts.clear()
-
     # -- the observer (runs on the simulation thread) ------------------
 
-    def _observe(self, event) -> None:
-        line = event.to_json()
+    def _observe(self, event: Event) -> None:
         with self._cond:
-            self._out_of_order[event.seq] = (event, line)
-            while len(self._canonical) in self._out_of_order:
-                ready, ready_line = self._out_of_order.pop(
-                    len(self._canonical))
-                self._ingest_locked(ready, ready_line)
+            self._seen = max(self._seen, event.seq + 1)
+            self._ingest_locked(event)
             self._cond.notify_all()
 
-    def _ingest_locked(self, event, line: str) -> None:
-        self._canonical.append((event.seq, event.kind, line))
-        self._kind_counts[event.kind] = \
-            self._kind_counts.get(event.kind, 0) + 1
+    def _ingest_locked(self, event: Event) -> None:
         payload = event.payload
         if event.kind == "campaign_started":
             self._units_total = int(payload.get("units", 0))
-            self._units_done_canonical = 0
+            self._units_done_logged = 0
             self._units_done_live = 0
             self._experiment = payload.get("experiment")
             self._complete = False
@@ -363,7 +363,7 @@ class MonitorServer:
             }
         elif event.kind == "unit_complete":
             self._in_flight.pop(int(payload["unit"]), None)
-            self._units_done_canonical += 1
+            self._units_done_logged += 1
         elif event.kind == "campaign_complete":
             self._complete = True
             self._in_flight.clear()
@@ -486,7 +486,7 @@ class MonitorServer:
             return {
                 "status": "ok",
                 "mounted": self._telemetry is not None,
-                "events": len(self._canonical),
+                "events": self._seen,
                 "heartbeats": len(self._live),
                 "uptime_seconds": round(time.time() - self._started_wall, 3),
             }
@@ -505,6 +505,25 @@ class MonitorServer:
                 time.sleep(0.005)
         return telemetry.metrics.prometheus_text()
 
+    def _served_locked(self, since_seq: int,
+                       limit: Optional[int] = None
+                       ) -> Tuple[List[Event], int]:
+        """``(events, cursor)``: the served events strictly after
+        ``since_seq``, at most ``limit`` of them, and the cursor as read.
+
+        The one place a client cursor is read, for ``/events``,
+        ``/verdicts``, ``/stream?since_seq=`` and ``Last-Event-ID`` alike:
+        anything below -1 means -1 (the whole stream), so the returned
+        cursor never counts events that do not exist, and a negative
+        ``limit`` is 0.
+        """
+        cursor = max(-1, since_seq)
+        start = cursor + 1
+        stop = self._seen if limit is None else \
+            min(self._seen, start + max(0, limit))
+        events = [] if self._log is None else self._log.events[start:stop]
+        return events, cursor
+
     def events_page(self, since_seq: int,
                     limit: int) -> Tuple[List[str], int, int]:
         """Canonical lines strictly after ``since_seq`` (paged).
@@ -512,20 +531,17 @@ class MonitorServer:
         Returns ``(lines, next_seq, remaining)`` — the same strictly-after
         cursor contract as :meth:`EventLog.tail`.
         """
-        start = max(0, since_seq + 1)
         with self._cond:
-            page = self._canonical[start:start + max(0, limit)]
-            total = len(self._canonical)
-        lines = [line for _, _, line in page]
-        next_seq = page[-1][0] if page else since_seq
-        remaining = max(0, total - (next_seq + 1))
-        return lines, next_seq, remaining
+            page, cursor = self._served_locked(since_seq, limit)
+            seen = self._seen
+        next_seq = page[-1].seq if page else cursor
+        remaining = max(0, seen - (next_seq + 1))
+        return [event.to_json() for event in page], next_seq, remaining
 
     def verdict_lines(self, since_seq: int = -1) -> List[str]:
-        start = max(0, since_seq + 1)
         with self._cond:
-            return [line for _, kind, line in self._canonical[start:]
-                    if kind == "detector"]
+            events, _ = self._served_locked(since_seq)
+        return [event.to_json() for event in verdicts(events)]
 
     def live_len(self) -> int:
         with self._cond:
@@ -536,30 +552,31 @@ class MonitorServer:
         """Block until there is something past either cursor (or timeout).
 
         Returns ``(canonical_chunk, new_cursor, live_chunk,
-        new_live_cursor, closing)`` where ``canonical_chunk`` is
-        ``(seq, kind, line)`` tuples strictly after ``cursor``.
+        new_live_cursor, closing)`` where ``canonical_chunk`` is the
+        log's own events strictly after ``cursor``.
         """
-        start = max(0, cursor + 1)
         deadline = time.monotonic() + timeout
         with self._cond:
-            while (len(self._canonical) <= start
-                   and len(self._live) <= live_cursor
-                   and not self._closing):
+            while True:
+                chunk, cursor = self._served_locked(cursor)
+                if (chunk or len(self._live) > live_cursor
+                        or self._closing):
+                    break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 self._cond.wait(remaining)
-            chunk = self._canonical[start:]
             live = self._live[live_cursor:]
             closing = self._closing
-        new_cursor = chunk[-1][0] if chunk else cursor
+        new_cursor = chunk[-1].seq if chunk else cursor
         return chunk, new_cursor, live, live_cursor + len(live), closing
 
     def progress(self) -> Dict[str, object]:
         """The ``/progress`` view: completion, in-flight units, ETA, phases."""
         with self._cond:
+            served, _ = self._served_locked(-1)
             total = self._units_total
-            done = max(self._units_done_canonical, self._units_done_live)
+            done = max(self._units_done_logged, self._units_done_live)
             if total is not None:
                 done = min(done, total)
             in_flight = sorted(self._in_flight.values(),
@@ -570,16 +587,16 @@ class MonitorServer:
                 "units_done": done,
                 "units_in_flight": in_flight,
                 "complete": self._complete,
-                "events": {
-                    "total": len(self._canonical),
-                    "last_seq": (self._canonical[-1][0]
-                                 if self._canonical else -1),
-                    "by_kind": dict(sorted(self._kind_counts.items())),
-                },
                 "heartbeats": len(self._live),
             }
             started = self._campaign_started_wall
             complete = self._complete
+        out["events"] = {
+            "total": len(served),
+            "last_seq": len(served) - 1,
+            "by_kind": dict(sorted(
+                Counter(event.kind for event in served).items())),
+        }
         elapsed = (time.time() - started) if started is not None else None
         out["elapsed_seconds"] = (round(elapsed, 3)
                                   if elapsed is not None else None)

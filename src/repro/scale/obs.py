@@ -78,20 +78,31 @@ class Event:
     ``kind`` the event type, and ``payload`` the type-specific fields.
     """
 
-    __slots__ = ("seq", "kind", "payload")
+    __slots__ = ("seq", "kind", "payload", "_json")
 
     def __init__(self, seq: int, kind: str, payload: Mapping[str, object]):
         self.seq = seq
         self.kind = kind
         self.payload = payload
+        self._json: Optional[str] = None
 
     def to_json(self) -> str:
-        """Canonical single-line JSON: sorted keys, no whitespace."""
-        record = dict(self.payload)
-        record["seq"] = self.seq
-        record["kind"] = self.kind
-        record["schema"] = EVENT_SCHEMA_VERSION
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+        """Canonical single-line JSON: sorted keys, no whitespace.
+
+        The observation plane's only event encoder.  The line is built
+        by the first reader that asks and kept, so the NDJSON export and
+        the monitor's ``/events``, ``/verdicts`` and ``/stream`` all hand
+        out the same ``str``; emitting an event encodes nothing.
+        """
+        line = self._json
+        if line is None:
+            record = dict(self.payload)
+            record["seq"] = self.seq
+            record["kind"] = self.kind
+            record["schema"] = EVENT_SCHEMA_VERSION
+            line = self._json = json.dumps(
+                record, sort_keys=True, separators=(",", ":"))
+        return line
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Event(seq={self.seq}, kind={self.kind!r}, payload={dict(self.payload)!r})"
@@ -230,8 +241,9 @@ class EventLog:
         return iter(self.events)
 
 
-def verdicts(log: EventLog) -> Tuple[Event, ...]:
-    """All detector verdict events currently in ``log``."""
+def verdicts(log: Iterable[Event]) -> Tuple[Event, ...]:
+    """All detector verdict events in ``log`` (an :class:`EventLog` or
+    any slice of its events)."""
     return tuple(event for event in log if event.kind == "detector")
 
 

@@ -40,10 +40,6 @@ collect their units' structured events locally and ship them home with
 each outcome; the parent flushes batches into its log strictly in unit
 order, so the merged event stream — and any detector verdicts derived
 from it — is byte-identical to the serial run's for any worker count.
-
-:class:`StreamingPercentiles` (P² estimators) backs the runners' opt-in
-``aggregation="p2"`` mode: constant-memory percentile summaries with the
-tolerance documented in docs/parallel.md.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -106,156 +102,6 @@ class CampaignProgress:
     current: Optional[CampaignUnit] = None
     #: Pool workers' span durations by phase name (empty for in-process runs).
     phase_durations: Dict[str, List[float]] = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# Streaming percentiles (P², Jain & Chlamtac 1985)
-# ---------------------------------------------------------------------------
-
-
-class P2Quantile:
-    """One streaming quantile estimate in O(1) memory (the P² algorithm).
-
-    Five markers track the running quantile without storing observations.
-    The estimate is order-dependent — feeding the same values in a
-    different order can move it within its tolerance — which is exactly why
-    the parallel executor merges outcomes in unit order: the stream sees
-    one canonical order no matter how many workers ran.
-    """
-
-    __slots__ = ("q", "_initial", "_heights", "_positions", "_desired",
-                 "_increments")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise WorkloadError("P² quantile must be in (0, 1)")
-        self.q = float(q)
-        self._initial: List[float] = []
-        self._heights: Optional[List[float]] = None
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._increments: List[float] = []
-
-    @property
-    def count(self) -> int:
-        if self._heights is None:
-            return len(self._initial)
-        return int(self._positions[4])
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        if self._heights is None:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                q = self.q
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                                 3.0 + 2.0 * q, 5.0]
-                self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-            return
-        heights, positions = self._heights, self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and value >= heights[cell + 1]:
-                cell += 1
-        for marker in range(cell + 1, 5):
-            positions[marker] += 1.0
-        for marker in range(5):
-            self._desired[marker] += self._increments[marker]
-        for marker in (1, 2, 3):
-            drift = self._desired[marker] - positions[marker]
-            if ((drift >= 1.0 and positions[marker + 1] - positions[marker] > 1.0)
-                    or (drift <= -1.0
-                        and positions[marker - 1] - positions[marker] < -1.0)):
-                step = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(marker, step)
-                if not heights[marker - 1] < candidate < heights[marker + 1]:
-                    candidate = self._linear(marker, step)
-                heights[marker] = candidate
-                positions[marker] += step
-
-    def _parabolic(self, marker: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[marker] + step / (n[marker + 1] - n[marker - 1]) * (
-            (n[marker] - n[marker - 1] + step)
-            * (h[marker + 1] - h[marker]) / (n[marker + 1] - n[marker])
-            + (n[marker + 1] - n[marker] - step)
-            * (h[marker] - h[marker - 1]) / (n[marker] - n[marker - 1])
-        )
-
-    def _linear(self, marker: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        other = marker + int(step)
-        return h[marker] + step * (h[other] - h[marker]) / (n[other] - n[marker])
-
-    def value(self) -> float:
-        """The current quantile estimate (exact while under 5 samples)."""
-        if self._heights is None:
-            if not self._initial:
-                raise WorkloadError("P² estimator has no samples")
-            return float(np.percentile(np.asarray(self._initial, dtype=np.float64),
-                                       self.q * 100.0))
-        return float(self._heights[2])
-
-
-class StreamingPercentiles:
-    """The fixed quantile set the campaign summaries need, streamed in O(1).
-
-    Wraps one :class:`P2Quantile` per needed quantile plus exact running
-    count/sum/min/max, so :class:`repro.scale.runner.MetricDistribution`
-    rows built from a stream have exact ``mean``/``worst``/``samples`` and
-    P²-estimated percentiles.
-    """
-
-    #: Both tails of both tail conventions: 1/5/50/95/99.
-    QUANTILES: Tuple[float, ...] = (0.01, 0.05, 0.50, 0.95, 0.99)
-
-    def __init__(self, quantiles: Sequence[float] = QUANTILES) -> None:
-        self._estimators: Dict[float, P2Quantile] = {
-            float(q): P2Quantile(q) for q in quantiles
-        }
-        self.count = 0
-        self._sum = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self._sum += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        for estimator in self._estimators.values():
-            estimator.add(value)
-
-    def extend(self, values) -> None:
-        for value in np.asarray(values, dtype=np.float64).ravel():
-            self.add(float(value))
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise WorkloadError("streaming percentiles have no samples")
-        return self._sum / self.count
-
-    def quantile(self, q: float) -> float:
-        estimator = self._estimators.get(float(q))
-        if estimator is None:
-            raise WorkloadError(
-                f"quantile {q:g} is not tracked; tracked: "
-                f"{', '.join(f'{key:g}' for key in sorted(self._estimators))}"
-            )
-        return estimator.value()
 
 
 # ---------------------------------------------------------------------------
@@ -859,10 +705,8 @@ class ProcessPoolCampaignExecutor:
 __all__ = [
     "CampaignProgress",
     "CampaignUnit",
-    "P2Quantile",
     "ProcessPoolCampaignExecutor",
     "RunTable",
     "SharedPopulationPack",
-    "StreamingPercentiles",
     "canonical_result_bytes",
 ]

@@ -51,7 +51,6 @@ from .parallel import (
     CampaignProgress,
     CampaignUnit,
     ProcessPoolCampaignExecutor,
-    StreamingPercentiles,
 )
 from .population import ClientPopulation, PopulationMix, default_mix, elastic_mix
 from .scenario import FluidResult, ScaleScenario
@@ -137,10 +136,6 @@ def _mean_of(records: Sequence[object], name: str) -> float:
 
 #: The default campaign sweep: three decades up to a million clients.
 DEFAULT_CLIENT_COUNTS: Tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
-
-
-#: Percentile-aggregation strategies for the Monte-Carlo runners.
-AGGREGATION_MODES = ("exact", "p2")
 
 
 class CampaignRunner:
@@ -303,10 +298,6 @@ class CampaignRunner:
             self, n_workers=n_workers, checkpoint_dir=checkpoint_dir,
             trace_dir=trace_dir, monitor=monitor,
         ).run()
-
-
-#: The name this contract was first published under (a typing Protocol then).
-CampaignRunnerProtocol = CampaignRunner
 
 
 @dataclass(frozen=True)
@@ -757,28 +748,6 @@ class MetricDistribution:
                    p95=float(p95), p99=float(p99), mean=float(values.mean()),
                    worst=float(worst), samples=int(values.size))
 
-    @classmethod
-    def from_stream(cls, metric: str, stream: StreamingPercentiles,
-                    *, tail: str = "high") -> "MetricDistribution":
-        """Summary from a constant-memory P² stream (``aggregation='p2'``).
-
-        Mean, worst and sample count are exact; the percentile rows are P²
-        estimates with the tolerance documented in docs/parallel.md.
-        """
-        if tail not in ("low", "high"):
-            raise WorkloadError("distribution tail must be 'low' or 'high'")
-        if stream.count == 0:
-            raise WorkloadError(f"metric {metric!r} has no samples")
-        if tail == "low":
-            p95, p99, worst = (stream.quantile(0.05), stream.quantile(0.01),
-                               stream.minimum)
-        else:
-            p95, p99, worst = (stream.quantile(0.95), stream.quantile(0.99),
-                               stream.maximum)
-        return cls(metric=metric, tail=tail, p50=float(stream.quantile(0.5)),
-                   p95=float(p95), p99=float(p99), mean=float(stream.mean),
-                   worst=float(worst), samples=int(stream.count))
-
 
 @dataclass(frozen=True)
 class StochasticReplicaRecord:
@@ -967,18 +936,12 @@ class StochasticCampaignRunner(_ReplicaCampaign):
         latency_violation_budget: float = 0.05,
         adversary: Optional[AdversaryGame] = None,
         variance_reduction: str = "iid",
-        aggregation: str = "exact",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if clients <= 0 or epochs <= 0 or replicas <= 0:
             raise WorkloadError("campaign needs positive clients, epochs and replicas")
         if not 0 < slo <= 1:
             raise WorkloadError("SLO threshold must be in (0, 1]")
-        if aggregation not in AGGREGATION_MODES:
-            raise WorkloadError(
-                f"unknown aggregation mode {aggregation!r}; "
-                f"pick one of {', '.join(AGGREGATION_MODES)}"
-            )
         if latency_slo_seconds <= 0:
             raise WorkloadError("the latency SLO must be positive")
         if not 0 <= latency_violation_budget < 1:
@@ -1008,7 +971,6 @@ class StochasticCampaignRunner(_ReplicaCampaign):
         self.latency_slo_seconds = latency_slo_seconds
         self.latency_violation_budget = latency_violation_budget
         self.adversary = adversary
-        self.aggregation = aggregation
         self.run_id = f"stochastic-{seed:08x}-{self.clients}x{self.replicas}"
         self.experiment_name = "stochastic_availability"
         self.experiment_id = "E14"
@@ -1062,20 +1024,6 @@ class StochasticCampaignRunner(_ReplicaCampaign):
                                      delivered_fraction=result.delivered_fraction,
                                      latency_p95=latency_p95)
 
-    def _distribution(self, metric: str, samples, *,
-                      tail: str) -> MetricDistribution:
-        """One summary honouring the campaign's ``aggregation`` mode.
-
-        ``exact`` takes full-array numpy percentiles — bit-identical to the
-        historical serial aggregation.  ``p2`` folds the same samples, in
-        the same (unit) order, through constant-memory P² estimators.
-        """
-        if self.aggregation == "exact":
-            return MetricDistribution.from_samples(metric, samples, tail=tail)
-        stream = StreamingPercentiles()
-        stream.extend(samples)
-        return MetricDistribution.from_stream(metric, stream, tail=tail)
-
     def merge_units(self, outcomes: Sequence[StochasticUnitOutcome], *,
                     started_at: float,
                     duration_seconds: float) -> StochasticCampaignResult:
@@ -1112,7 +1060,7 @@ class StochasticCampaignRunner(_ReplicaCampaign):
                  [record.latency_slo_attainment for record in records], "low"),
             ]
         distributions = {
-            metric: self._distribution(metric, samples, tail=tail)
+            metric: MetricDistribution.from_samples(metric, samples, tail=tail)
             for metric, samples, tail in rows
         }
         return StochasticCampaignResult(

@@ -4,10 +4,12 @@ The load-bearing contract is negative: attaching a
 :class:`repro.scale.monitor.MonitorServer` to a campaign — or tearing it
 down mid-run, gracefully or not — must leave ``canonical_result_bytes``
 and the canonical NDJSON event stream byte-identical to the monitor-less
-run.  The monitor subscribes; it never writes.
+run.  The monitor subscribes; it never writes — and it keeps no copy:
+every view is a slice of the mounted ``EventLog`` up to a high-water mark.
 """
 
 import json
+import sys
 import threading
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
@@ -57,6 +59,21 @@ def sse_frames(text):
         elif "data" in fields:
             heartbeats.append(fields["data"])
     return canonical, heartbeats
+
+
+def nested_emitting_telemetry():
+    """A telemetry whose log answers every ``epoch`` with a nested verdict,
+    from a subscriber registered before any monitor mounts."""
+    telemetry = Telemetry(trace=False, events=True)
+    log = telemetry.events
+
+    def fake_detector(event):
+        if event.kind == "epoch":
+            log.emit("detector", detector="fake",
+                     epoch=event.payload["epoch"])
+
+    log.subscribe(fake_detector)
+    return telemetry
 
 
 @pytest.fixture(scope="module")
@@ -116,19 +133,12 @@ class TestMonitorIdentity:
         with pytest.raises(OSError):
             http_get(url + "/healthz", timeout=5)
 
-    def test_nested_detector_emits_mirror_in_canonical_order(self):
+    def test_nested_detector_emits_serve_in_canonical_order(self):
         """Detectors subscribe before the monitor and emit *nested* events,
         so the monitor hears a verdict before the event that triggered it;
         the served stream must still be in canonical log order."""
-        telemetry = Telemetry(trace=False, events=True)
+        telemetry = nested_emitting_telemetry()
         log = telemetry.events
-
-        def fake_detector(event):
-            if event.kind == "epoch":
-                log.emit("detector", detector="fake",
-                         epoch=event.payload["epoch"])
-
-        log.subscribe(fake_detector)
         with MonitorServer.attach(telemetry) as monitor:
             log.emit("campaign_started", experiment="X", units=1)
             log.emit("epoch", epoch=0)
@@ -153,6 +163,160 @@ class TestMonitorIdentity:
         ndjson = runner.telemetry.events.to_ndjson()
         assert "unit_heartbeat" not in ndjson
         assert ndjson == baseline[1]
+
+
+class TestServesTheLog:
+    """The monitor has no event store of its own: log + one integer."""
+
+    def test_served_lines_are_the_logs_own_strings(self):
+        telemetry = nested_emitting_telemetry()
+        log = telemetry.events
+        monitor = MonitorServer().mount(telemetry)
+        log.emit("epoch", epoch=0)
+        log.emit("epoch", epoch=1)
+        lines, next_seq, remaining = monitor.events_page(-1, 100)
+        assert (next_seq, remaining) == (3, 0)
+        assert len(lines) == 4
+        for line, event in zip(lines, log.events):
+            assert line is event.to_json()
+        for line, event in zip(monitor.verdict_lines(), log.events[1::2]):
+            assert line is event.to_json()
+
+    def test_cursor_below_minus_one_reads_as_minus_one(self):
+        telemetry = Telemetry(trace=False, events=True)
+        monitor = MonitorServer().mount(telemetry)
+        # Nothing to read must say so, wherever the client starts.
+        assert monitor.events_page(-5, 500) == ([], -1, 0)
+        telemetry.events.emit("a", x=1)
+        telemetry.events.emit("b", x=2)
+        assert monitor.events_page(-7, 0) == ([], -1, 2)
+        assert monitor.events_page(-7, -3) == ([], -1, 2)
+        lines, next_seq, remaining = monitor.events_page(-7, 1)
+        assert (len(lines), next_seq, remaining) == (1, 0, 1)
+        assert monitor.verdict_lines(-7) == []
+        chunk, cursor, _, _, _ = monitor.wait_for_frames(-9, 0, timeout=0.0)
+        assert [event.seq for event in chunk] == [0, 1] and cursor == 1
+
+    def test_small_pages_from_below_minus_one_stitch_to_ndjson(self):
+        telemetry = nested_emitting_telemetry()
+        log = telemetry.events
+        with MonitorServer.attach(telemetry) as monitor:
+            for epoch in range(5):
+                log.emit("epoch", epoch=epoch)
+            stitched, cursor, pages = [], -5, 0
+            while True:
+                _, headers, body = http_get(
+                    monitor.url + f"/events?since_seq={cursor}&limit=3")
+                stitched.append(body)
+                cursor = int(headers["X-Next-Seq"])
+                pages += 1
+                assert pages <= 4, "X-Remaining never reached 0"
+                if headers["X-Remaining"] == "0":
+                    break
+            assert "".join(stitched) == log.to_ndjson()
+            assert pages == 4
+            # The SSE cursor goes through the same clamp, by query and by
+            # reconnect header.
+            for url, headers in (("/stream?since_seq=-9&limit=10", {}),
+                                 ("/stream?limit=10", {"Last-Event-ID": "-9"})):
+                _, _, text = http_get(monitor.url + url, headers=headers)
+                canonical, _ = sse_frames(text)
+                assert [seq for seq, _, _ in canonical] == list(range(10))
+
+    def test_detach_freezes_the_prefix_and_remount_serves_from_zero(self):
+        telemetry = nested_emitting_telemetry()
+        log = telemetry.events
+        monitor = MonitorServer().mount(telemetry)
+        log.emit("campaign_started", experiment="X", units=2)
+        log.emit("epoch", epoch=0)
+        frozen = log.to_ndjson()
+        monitor.detach()
+        log.emit("epoch", epoch=1)
+        log.emit("campaign_complete", experiment="X", units=2)
+        lines, next_seq, remaining = monitor.events_page(-1, 100)
+        assert "".join(line + "\n" for line in lines) == frozen
+        assert (next_seq, remaining) == (2, 0)
+        assert monitor.health()["events"] == 3
+        progress = monitor.progress()
+        assert progress["events"] == {
+            "total": 3, "last_seq": 2,
+            "by_kind": {"campaign_started": 1, "detector": 1, "epoch": 1}}
+        assert progress["complete"] is False
+        monitor.mount(telemetry)
+        lines, next_seq, remaining = monitor.events_page(-1, 100)
+        assert "".join(line + "\n" for line in lines) == log.to_ndjson()
+        assert (next_seq, remaining) == (5, 0)
+        assert monitor.progress()["complete"] is True
+
+    def test_remount_on_a_telemetry_without_events_serves_nothing_stale(self):
+        first = Telemetry(trace=False, events=True)
+        monitor = MonitorServer().mount(first)
+        first.events.emit("campaign_started", experiment="E14", units=4)
+        first.events.emit("unit_started", unit=0, label="r0")
+        assert monitor.health()["events"] == 2
+        monitor.mount(Telemetry(trace=False))
+        assert monitor.health()["events"] == 0
+        assert monitor.events_page(-1, 100) == ([], -1, 0)
+        progress = monitor.progress()
+        assert progress["experiment"] is None
+        assert progress["units_total"] is None
+        assert progress["units_in_flight"] == []
+        assert progress["events"] == {"total": 0, "last_seq": -1,
+                                      "by_kind": {}}
+        # ...and the first log no longer reaches the monitor.
+        first.events.emit("unit_complete", unit=0, label="r0")
+        assert monitor.health()["events"] == 0
+
+    def test_paging_reader_races_a_nested_emitting_campaign(self):
+        """An HTTP reader pages ``/events`` flat out while the emitting
+        thread appends 5,000+ events, half of them nested: the stitched
+        read is gap-free, duplicate-free, in order, and ends equal to the
+        export."""
+        telemetry = nested_emitting_telemetry()
+        log = telemetry.events
+        epochs = 2_500
+        emitted = threading.Event()
+        first_page = threading.Event()
+        box = {"bodies": [], "pages_while_emitting": 0}
+
+        with MonitorServer.attach(telemetry) as monitor:
+            def reader():
+                cursor = -5
+                while True:
+                    done = emitted.is_set()
+                    _, headers, body = http_get(
+                        monitor.url + f"/events?since_seq={cursor}&limit=64")
+                    first_page.set()
+                    box["bodies"].append(body)
+                    box["pages_while_emitting"] += not done
+                    cursor = int(headers["X-Next-Seq"])
+                    if done and headers["X-Remaining"] == "0":
+                        return
+
+            client = threading.Thread(target=reader, daemon=True)
+            client.start()
+            assert first_page.wait(timeout=60)
+            # Hand the GIL over far more often than the 5 ms default, so
+            # requests land between an append and its notification.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                log.emit("campaign_started", experiment="X", units=1)
+                for epoch in range(epochs):
+                    log.emit("epoch", epoch=epoch)
+                log.emit("campaign_complete", experiment="X", units=1)
+            finally:
+                sys.setswitchinterval(interval)
+            emitted.set()
+            client.join(timeout=120)
+            assert not client.is_alive()
+
+        assert len(log) == 2 * epochs + 2
+        assert box["pages_while_emitting"] >= 1
+        body = "".join(box["bodies"])
+        seqs = [json.loads(line)["seq"] for line in body.splitlines()]
+        assert seqs == list(range(len(log)))
+        assert body == log.to_ndjson()
 
 
 class TestEndpoints:

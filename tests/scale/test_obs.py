@@ -151,6 +151,37 @@ class TestEventLog:
         parent.extend_raw(batch)
         assert parent.to_ndjson() == expected
 
+    def test_event_is_encoded_once(self):
+        log = EventLog()
+        event = log.emit("epoch", epoch=3, site_served=[1.0, 0.0])
+        line = event.to_json()
+        assert event.to_json() is line
+        record = dict(event.payload, seq=0, kind="epoch",
+                      schema=EVENT_SCHEMA_VERSION)
+        assert line == json.dumps(record, sort_keys=True,
+                                  separators=(",", ":"))
+        # Every export hands out that same string.
+        assert log.to_ndjson() == line + "\n"
+        assert log.events[0].to_json() is line
+
+    def test_fan_in_reencodes_at_the_parents_seq(self):
+        """A worker's memoised lines never travel: ``drain_raw`` ships
+        ``(kind, payload)`` and the parent's events encode their own seq."""
+        reference = EventLog()
+        reference.emit("campaign_started", units=1)
+        reference.emit("unit_started", unit=0)
+        reference.emit("epoch", epoch=0, delivered_fraction=1.0)
+        worker = EventLog()
+        worker.emit("unit_started", unit=0)
+        worker.emit("epoch", epoch=0, delivered_fraction=1.0)
+        worker.to_ndjson()  # encodes (and memoises) the lines at seq 0, 1
+        parent = EventLog()
+        parent.emit("campaign_started", units=1)
+        parent.extend_raw(worker.drain_raw())
+        assert parent.to_ndjson() == reference.to_ndjson()
+        assert [json.loads(line)["seq"]
+                for line in parent.to_ndjson().splitlines()] == [0, 1, 2]
+
     def test_write_ndjson(self, tmp_path):
         log = EventLog()
         log.emit("a", x=1)

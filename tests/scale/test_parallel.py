@@ -1,4 +1,4 @@
-"""The parallel campaign executor: equivalence, resume, crashes, shm, P²."""
+"""The parallel campaign executor: equivalence, resume, crashes, shm."""
 
 import json
 import os
@@ -12,12 +12,10 @@ from repro.scale import (
     AdversaryCampaignRunner,
     CampaignUnit,
     LatencyCampaignRunner,
-    P2Quantile,
     ProcessPoolCampaignExecutor,
     RunTable,
     SharedPopulationPack,
     StochasticCampaignRunner,
-    StreamingPercentiles,
     Telemetry,
     TimelineCampaignRunner,
     canonical_result_bytes,
@@ -87,53 +85,6 @@ class PoisonedRunner(StochasticCampaignRunner):
 
     def run_unit(self, unit):
         raise AssertionError("resume must not re-run completed units")
-
-
-class TestStreamingPercentiles:
-    def test_small_streams_are_exact(self):
-        stream = StreamingPercentiles()
-        stream.extend([3.0, 1.0, 2.0])
-        assert stream.quantile(0.5) == pytest.approx(2.0)
-        assert stream.minimum == 1.0 and stream.maximum == 3.0
-        assert stream.mean == pytest.approx(2.0)
-        assert stream.count == 3
-
-    def test_count_sum_min_max_stay_exact_on_long_streams(self):
-        values = np.random.default_rng(1).normal(10.0, 2.0, size=5000)
-        stream = StreamingPercentiles()
-        stream.extend(values)
-        assert stream.count == 5000
-        assert stream.mean == pytest.approx(float(values.mean()))
-        assert stream.minimum == float(values.min())
-        assert stream.maximum == float(values.max())
-
-    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
-    def test_p2_matches_numpy_within_documented_tolerance(self, q):
-        # docs/parallel.md documents ~1% of the sample spread for smooth
-        # distributions at >= 10^3 samples.
-        values = np.random.default_rng(7).normal(0.0, 1.0, size=10_000)
-        stream = StreamingPercentiles()
-        stream.extend(values)
-        exact = float(np.percentile(values, q * 100.0))
-        spread = float(values.max() - values.min())
-        assert abs(stream.quantile(q) - exact) <= 0.01 * spread
-
-    def test_untracked_quantile_and_empty_stream_raise(self):
-        stream = StreamingPercentiles()
-        with pytest.raises(WorkloadError):
-            stream.quantile(0.5)
-        stream.add(1.0)
-        with pytest.raises(WorkloadError):
-            stream.quantile(0.123)
-        with pytest.raises(WorkloadError):
-            P2Quantile(1.5)
-
-    def test_p2_quantile_tracks_uniform_median(self):
-        est = P2Quantile(0.5)
-        for value in np.random.default_rng(3).uniform(0.0, 1.0, size=4000):
-            est.add(float(value))
-        assert est.value() == pytest.approx(0.5, abs=0.03)
-        assert est.count == 4000
 
 
 class TestCanonicalResultBytes:
@@ -398,21 +349,3 @@ class TestSharedMemoryLifecycle:
         with pytest.raises(KeyboardInterrupt):
             ProcessPoolCampaignExecutor(runner, n_workers=2).run()
         assert _shm_names() <= before
-
-
-class TestAggregationModes:
-    def test_p2_aggregation_close_to_exact(self):
-        exact = make_e14(replicas=8).run()
-        streamed = make_e14(replicas=8, aggregation="p2").run()
-        for name, reference in exact.distributions.items():
-            estimate = streamed.distributions[name]
-            assert estimate.samples == reference.samples
-            assert estimate.mean == pytest.approx(reference.mean)
-            assert estimate.worst == pytest.approx(reference.worst)
-            spread = abs(reference.worst - reference.p50)
-            assert abs(estimate.p50 - reference.p50) <= \
-                max(0.05 * abs(reference.p50), 0.2 * spread, 1e-6), name
-
-    def test_unknown_aggregation_mode_rejected(self):
-        with pytest.raises(WorkloadError):
-            make_e14(aggregation="tdigest")

@@ -13,8 +13,9 @@ operator role over plain HTTP while the campaign runs:
   strictly from 0, and a reconnect with ``Last-Event-ID`` must replay
   the remaining canonical sequence exactly once, in order;
 * after completion, ``/events`` must serve bytes identical to
-  ``EventLog.to_ndjson()`` and ``/verdicts`` must filter to
-  ``kind == "detector"``.
+  ``EventLog.to_ndjson()`` — in one page, and stitched from 97-event
+  pages walked from ``since_seq=-5`` until ``X-Remaining: 0`` — and
+  ``/verdicts`` must filter to ``kind == "detector"``.
 
 The captured SSE stream is written to ``--out`` for upload as a CI
 artifact.  Run from the repo root::
@@ -171,6 +172,22 @@ def main(argv=None) -> int:
           "/events serves the canonical NDJSON byte-identically")
     check(headers.get("X-Remaining") == "0",
           "/events cursor reports nothing remaining")
+
+    # The operator's poll loop, started below the stream: small pages of
+    # the log itself until the server says there is nothing left.
+    pages, cursor = [], -5
+    while len(pages) <= len(expected):
+        _, headers, body = get(
+            monitor.url + f"/events?since_seq={cursor}&limit=97")
+        pages.append(body)
+        cursor = int(headers["X-Next-Seq"])
+        if headers.get("X-Remaining") == "0":
+            break
+    check(headers.get("X-Remaining") == "0",
+          f"paging from since_seq=-5 ends on X-Remaining: 0 "
+          f"({len(pages)} pages of 97)")
+    check("".join(pages) == telemetry.events.to_ndjson(),
+          "the stitched pages byte-match the canonical NDJSON export")
 
     status, _, body = get(monitor.url + "/verdicts")
     verdict_events = [json.loads(line) for line in body.splitlines() if line]
