@@ -373,10 +373,11 @@ class MonitorServer:
     def watch_heartbeats(self, heartbeat_queue) -> None:
         """Drain an out-of-band worker heartbeat queue into the live feed.
 
-        ``heartbeat_queue`` is a manager queue the pool initializer hands
-        to every worker; records land in the quarantined live feed (they
-        carry PIDs and wall-clock) and update ``/progress`` between unit
-        completions.  Called by the executor — one channel per pooled run.
+        ``heartbeat_queue`` is a multiprocessing queue the pool initializer
+        hands to every worker; records land in the quarantined live feed
+        (they carry PIDs and wall-clock) and update ``/progress`` between
+        unit completions.  Called by the executor — one channel per pooled
+        run.
         """
         self.unwatch_heartbeats()
         self._hb_stop = threading.Event()
@@ -390,7 +391,7 @@ class MonitorServer:
                         return
                     continue
                 except (EOFError, OSError, ValueError):
-                    # Manager gone (pool torn down mid-drain): nothing
+                    # Queue closed (pool torn down mid-drain): nothing
                     # left to read.
                     return
                 if isinstance(record, dict):

@@ -17,11 +17,12 @@ completion order.  Consequences, asserted in ``tests/scale/test_parallel.py``
 and the ``parallel-equivalence`` CI job: ``n_workers=1`` *is* the runner's
 ``run()``, and ``n_workers=N`` is bit-identical to it for any N.
 
-**Shared memory.**  The read-only population arrays (class/region indices,
-ring positions, and the sorted-ring cache — the only O(n_clients) state a
-replica needs) are packed into POSIX shared memory once by
-:class:`SharedPopulationPack`; each worker attaches zero-copy views and
-rebuilds its fleet/template caches deterministically in its initializer.
+**Inputs.**  A unit gets its inputs one way, serial or pooled: from the
+runner ``prepare()`` left behind.  ``prepare()`` does what a campaign's
+units share — for E14–E16 that is every O(n_clients) pass there is — once,
+in the parent; the pool receives that runner as it is (``fork`` inherits it
+copy-on-write, zero copies; ``spawn`` pickles it whole, one population per
+worker) and a worker never prepares anything.
 
 **Checkpointed resume.**  With a ``checkpoint_dir``, a :class:`RunTable`
 directory records one JSON file per completed unit (written atomically:
@@ -105,26 +106,20 @@ class CampaignProgress:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory population pack
+# Shared-memory population pack (not used by the engine)
 # ---------------------------------------------------------------------------
-
-#: Population arrays shipped to workers, in manifest order.
-_POPULATION_ARRAYS = (
-    "class_index", "region_index", "ring_positions",
-    "ring_sorted_positions", "ring_sorted_region", "ring_sorted_class",
-    "ring_sorted_region_class",
-)
 
 
 class SharedPopulationPack:
     """One population's arrays in POSIX shared memory, attachable by name.
 
-    ``create`` packs the parent's arrays (including the sorted-ring cache,
-    so workers skip the O(n log n) sort); ``attach`` reconstructs a
-    zero-copy :class:`ClientPopulation` view in a worker.  The parent owns
-    the segments: it must ``close()`` and ``unlink()`` them in a
-    ``finally`` — success, failure, and KeyboardInterrupt alike — which the
-    executor does and the shared-memory lifecycle tests assert.
+    The engine does not use this class — pool workers take the prepared
+    runner as it is (module docstring, *Inputs*); it stays for the
+    benchmark suite's ``parallel.shared_pack_*`` probe.  ``create`` packs a
+    population's arrays (including the sorted-ring cache, so an attacher
+    skips the O(n log n) sort); ``attach`` reconstructs a zero-copy
+    :class:`ClientPopulation` view in another process.  The creator owns
+    the segments: it must ``close()`` and ``unlink()`` them in a ``finally``.
     """
 
     def __init__(self, segments: Dict[str, shared_memory.SharedMemory],
@@ -134,21 +129,19 @@ class SharedPopulationPack:
 
     @classmethod
     def create(cls, population: ClientPopulation) -> "SharedPopulationPack":
-        sorted_cache = population.ring_sorted()
+        sorted_positions, sorted_region_class = population.ring_sorted()
         arrays = {
             "class_index": population.class_index,
             "region_index": population.region_index,
             "ring_positions": population.ring_positions,
-            "ring_sorted_positions": sorted_cache[0],
-            "ring_sorted_region": sorted_cache[1],
-            "ring_sorted_class": sorted_cache[2],
-            "ring_sorted_region_class": sorted_cache[3],
+            "ring_sorted_positions": sorted_positions,
+            "ring_sorted_region_class": sorted_region_class,
         }
         segments: Dict[str, shared_memory.SharedMemory] = {}
         specs: Dict[str, Dict[str, object]] = {}
         try:
-            for key in _POPULATION_ARRAYS:
-                array = np.ascontiguousarray(arrays[key])
+            for key, array in arrays.items():
+                array = np.ascontiguousarray(array)
                 segment = shared_memory.SharedMemory(create=True,
                                                      size=array.nbytes)
                 view = np.ndarray(array.shape, dtype=array.dtype,
@@ -168,30 +161,26 @@ class SharedPopulationPack:
             "mix": population.mix,
             "regions": population.regions,
             "seed": population.seed,
-            "n_clients": population.n_clients,
         }
         return cls(segments, manifest)
 
     @property
     def nbytes(self) -> int:
-        """Total shared bytes (what ``parallel.shared_bytes`` reports)."""
+        """Total shared bytes."""
         return sum(segment.size for segment in self._segments.values())
 
     @staticmethod
     def attach(manifest: Dict[str, object],
                ) -> Tuple[ClientPopulation, List[shared_memory.SharedMemory]]:
-        """A worker-side population view over the parent's segments.
+        """A population view over the creator's segments.
 
         Returns the population and the open segments; the caller must keep
         the segments referenced for the arrays' lifetime and ``close()``
-        them at process exit.  Pool workers (fork- AND spawn-started)
-        inherit the parent's resource-tracker fd, so their attach-side
-        registration is a no-op against the parent's and needs no cleanup.
+        them when done.
         """
         segments: List[shared_memory.SharedMemory] = []
         views: Dict[str, np.ndarray] = {}
-        for key in _POPULATION_ARRAYS:
-            spec = manifest["arrays"][key]
+        for key, spec in manifest["arrays"].items():
             segment = shared_memory.SharedMemory(name=spec["name"])
             segments.append(segment)
             views[key] = np.ndarray(tuple(spec["shape"]),
@@ -205,8 +194,6 @@ class SharedPopulationPack:
             region_index=views["region_index"],
             ring_positions=views["ring_positions"],
             ring_sorted=(views["ring_sorted_positions"],
-                         views["ring_sorted_region"],
-                         views["ring_sorted_class"],
                          views["ring_sorted_region_class"]),
         )
         return population, segments
@@ -395,11 +382,11 @@ def _run_unit_logged(runner, unit: CampaignUnit) -> object:
     return outcome
 
 
-def _worker_init(runner, manifest: Dict[str, object],
-                 trace_dir: Optional[str],
+def _worker_init(runner, trace_dir: Optional[str],
                  collect_events: bool = False,
                  heartbeat_queue=None) -> None:
-    """Install the campaign in a worker: shared population, fresh telemetry.
+    """Install the campaign in a worker, as the parent prepared it, under a
+    fresh telemetry.
 
     Workers ignore SIGINT so an interrupt lands only in the parent, which
     checkpoints and tears the pool down; the worker's telemetry always
@@ -414,13 +401,9 @@ def _worker_init(runner, manifest: Dict[str, object],
     """
     global _WORKER
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    population, segments = SharedPopulationPack.attach(manifest)
     runner.telemetry = Telemetry(trace=True, events=collect_events)
-    runner.adopt_population(population)
-    runner.prepare()
     _WORKER = {
         "runner": runner,
-        "segments": segments,
         "trace_dir": Path(trace_dir) if trace_dir else None,
         "heartbeat_queue": heartbeat_queue,
     }
@@ -487,7 +470,7 @@ class ProcessPoolCampaignExecutor:
     prepare → ``unit_specs`` → campaign span → ``campaign_started`` →
     restore checkpointed outcomes → dispatch the pending units → merge in
     unit order → ``campaign_complete``.  With ``n_workers=1`` the units run
-    in this process (no pool, no shared memory): that is every runner's
+    in this process (no pool): that is every runner's
     ``run()`` and, with a ``checkpoint_dir``, the resume-capable serial
     mode.  More workers change where units run and nothing else — see the
     module docstring for the determinism contract.  The engine owns
@@ -535,7 +518,6 @@ class ProcessPoolCampaignExecutor:
             self.monitor.start()
         progress = runner.progress = CampaignProgress()
         self.units_resumed = 0
-        runner.prepare()
         units = runner.unit_specs()
         table: Optional[RunTable] = None
         restored: Dict[int, object] = {}
@@ -548,6 +530,7 @@ class ProcessPoolCampaignExecutor:
             "campaign", experiment=runner.experiment_id,
             **{runner.unit_noun: len(units)})
         with campaign_span:
+            runner.prepare()
             runner.begin_campaign()
             telemetry.emit("campaign_started",
                            experiment=runner.experiment_name, units=len(units))
@@ -606,94 +589,82 @@ class ProcessPoolCampaignExecutor:
                   table: Optional[RunTable]) -> None:
         runner = self.runner
         telemetry = runner.telemetry
-        manager = None
-        pack = SharedPopulationPack.create(runner.shared_population())
+        if self.trace_dir is not None:
+            self.trace_dir.mkdir(parents=True, exist_ok=True)
+        # fork hands workers the prepared runner copy-on-write (cheap start,
+        # no pickling); spawn is the portable fallback and pickles it whole
+        # (the runners' __getstate__ path), one population per worker.
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
+        # Pool initargs reach a worker at process start — inherited under
+        # fork, pickled while spawning otherwise — which is exactly when a
+        # multiprocessing queue may cross.
+        heartbeat_queue = context.Queue() if self.monitor is not None else None
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.n_workers, len(pending)),
+            mp_context=context,
+            initializer=_worker_init,
+            initargs=(runner,
+                      str(self.trace_dir) if self.trace_dir else None,
+                      telemetry.events is not None,
+                      heartbeat_queue),
+        )
+        if self.monitor is not None:
+            self.monitor.watch_heartbeats(heartbeat_queue)
+        # Worker event batches arrive in completion order but fan into the
+        # parent log strictly in unit order: each batch is buffered until
+        # every earlier pending unit's batch has been flushed, so the merged
+        # stream is byte-identical to the serial one for any worker count.
+        elog = telemetry.events
+        phase_durations = runner.progress.phase_durations
+        event_batches: Dict[int, List] = {}
+        flush_order = [unit.index for unit in pending]
+        flush_pos = 0
         try:
-            telemetry.set_gauge("parallel.shared_bytes", pack.nbytes)
-            if self.trace_dir is not None:
-                self.trace_dir.mkdir(parents=True, exist_ok=True)
-            # fork shares the parent's pages copy-on-write (cheap start, no
-            # pickling); spawn is the portable fallback and exercises the
-            # runners' __getstate__ path.
-            context = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn")
-            heartbeat_queue = None
-            if self.monitor is not None:
-                # Raw mp.Queue handles only cross process boundaries by
-                # inheritance, and pool initargs travel by pickle under
-                # spawn — a manager proxy queue is the start-method-
-                # agnostic channel.  Monitor-only cost, paid off-path.
-                manager = context.Manager()
-                heartbeat_queue = manager.Queue()
-                self.monitor.watch_heartbeats(heartbeat_queue)
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.n_workers, len(pending)),
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(runner, pack.manifest,
-                          str(self.trace_dir) if self.trace_dir else None,
-                          telemetry.events is not None,
-                          heartbeat_queue),
-            )
-            # Worker event batches arrive in completion order but fan into
-            # the parent log strictly in unit order: each batch is buffered
-            # until every earlier pending unit's batch has been flushed, so
-            # the merged stream is byte-identical to the serial one for any
-            # worker count.
-            elog = telemetry.events
-            phase_durations = runner.progress.phase_durations
-            event_batches: Dict[int, List] = {}
-            flush_order = [unit.index for unit in pending]
-            flush_pos = 0
-            try:
-                futures = {pool.submit(_worker_run_unit, unit): unit
-                           for unit in pending}
-                for future in as_completed(futures):
-                    unit = futures[future]
-                    try:
-                        index, outcome, delta, spans, events = future.result()
-                    except BrokenProcessPool as exc:
-                        raise WorkloadError(
-                            f"worker pool died while campaign unit "
-                            f"{unit.label!r} was in flight: {exc}"
-                        ) from exc
-                    except Exception as exc:
-                        self._mark_failed(unit, table, exc)
-                        raise WorkloadError(
-                            f"campaign unit {unit.label!r} failed in a "
-                            f"worker: {exc}"
-                        ) from exc
-                    outcomes[index] = outcome
-                    if telemetry.metrics is not None:
-                        telemetry.metrics.merge_snapshot(delta)
-                    for name, duration in spans:
-                        phase_durations.setdefault(name, []).append(duration)
-                    if elog is not None:
-                        event_batches[index] = events
-                        while (flush_pos < len(flush_order)
-                               and flush_order[flush_pos] in event_batches):
-                            elog.extend_raw(
-                                event_batches.pop(flush_order[flush_pos]))
-                            flush_pos += 1
-                    runner.progress.current = unit
-                    self._unit_done()
-                    if table is not None:
-                        table.record_outcome(unit, outcome)
-                pool.shutdown(wait=True)
-            except BaseException:
-                # Interrupt or failure: drop queued units and leave running
-                # ones to drain — completed work is already checkpointed.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+            futures = {pool.submit(_worker_run_unit, unit): unit
+                       for unit in pending}
+            for future in as_completed(futures):
+                unit = futures[future]
+                try:
+                    index, outcome, delta, spans, events = future.result()
+                except BrokenProcessPool as exc:
+                    raise WorkloadError(
+                        f"worker pool died while campaign unit "
+                        f"{unit.label!r} was in flight: {exc}"
+                    ) from exc
+                except Exception as exc:
+                    self._mark_failed(unit, table, exc)
+                    raise WorkloadError(
+                        f"campaign unit {unit.label!r} failed in a "
+                        f"worker: {exc}"
+                    ) from exc
+                outcomes[index] = outcome
+                if telemetry.metrics is not None:
+                    telemetry.metrics.merge_snapshot(delta)
+                for name, duration in spans:
+                    phase_durations.setdefault(name, []).append(duration)
+                if elog is not None:
+                    event_batches[index] = events
+                    while (flush_pos < len(flush_order)
+                           and flush_order[flush_pos] in event_batches):
+                        elog.extend_raw(
+                            event_batches.pop(flush_order[flush_pos]))
+                        flush_pos += 1
+                runner.progress.current = unit
+                self._unit_done()
+                if table is not None:
+                    table.record_outcome(unit, outcome)
+            pool.shutdown(wait=True)
+        except BaseException:
+            # Interrupt or failure: drop queued units and leave running
+            # ones to drain — completed work is already checkpointed.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
         finally:
             if self.monitor is not None:
-                # Drain queued heartbeats before the manager goes away.
+                # Stops the drainer once it has read what is queued.
                 self.monitor.unwatch_heartbeats()
-            if manager is not None:
-                manager.shutdown()
-            pack.close()
-            pack.unlink()
 
     def _mark_failed(self, unit: CampaignUnit, table: Optional[RunTable],
                      exc: Exception) -> None:

@@ -207,7 +207,8 @@ class ClientPopulation:
             0x1000003
         )
         self.ring_positions = _splitmix64(identities)
-        self._ring_sorted: Optional[Tuple[np.ndarray, ...]] = None
+        self._ring_sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._client_counts: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_arrays(
@@ -219,19 +220,18 @@ class ClientPopulation:
         class_index: np.ndarray,
         region_index: np.ndarray,
         ring_positions: np.ndarray,
-        ring_sorted: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray]] = None,
+        ring_sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "ClientPopulation":
         """A population wrapping already-materialized arrays, no RNG draw.
 
-        The parallel campaign executor maps one population's arrays into
-        shared memory and every worker process reconstructs its view through
-        here — same clients, same ring positions, zero per-worker drawing or
-        copying.  ``ring_sorted`` optionally pre-seeds the sorted-order cache
-        so workers also skip the O(n log n) sort.  The arrays are adopted
-        as-is (typically read-only shared-memory views); callers must pass
-        the exact arrays a seeded :class:`ClientPopulation` build produced,
-        or downstream determinism guarantees are off.
+        Same clients, same ring positions, zero drawing or copying — how a
+        process that maps another's arrays (the shared-memory pack in
+        :mod:`repro.scale.parallel`) gets its view of them.  ``ring_sorted``
+        optionally pre-seeds the ``(positions, region_class)`` cache of
+        :meth:`ring_sorted`, skipping the O(n log n) sort.  The arrays are
+        adopted as-is (typically read-only views); callers must pass the
+        exact arrays a seeded :class:`ClientPopulation` build produced, or
+        downstream determinism guarantees are off.
         """
         if class_index.shape != region_index.shape or \
                 class_index.shape != ring_positions.shape:
@@ -245,6 +245,7 @@ class ClientPopulation:
         population.region_index = region_index
         population.ring_positions = ring_positions
         population._ring_sorted = ring_sorted
+        population._client_counts = None
         return population
 
     # -- aggregation -----------------------------------------------------------------
@@ -254,13 +255,31 @@ class ClientPopulation:
         """Number of demand classes in the mix."""
         return len(self.mix.classes)
 
+    def _counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Clients per (class, region), counted once and handed out read-only.
+
+        Deterministic from the constructor arguments, like the sorted view,
+        so the memo needs no invalidation.
+        """
+        if self._client_counts is None:
+            self._client_counts = (
+                np.bincount(self.class_index, minlength=self.n_classes),
+                np.bincount(self.region_index, minlength=self.regions))
+            for counts in self._client_counts:
+                counts.setflags(write=False)
+        return self._client_counts
+
     def class_counts(self) -> np.ndarray:
         """Subscribed clients per demand class."""
-        return np.bincount(self.class_index, minlength=self.n_classes)
+        return self._counts()[0]
 
     def region_counts(self) -> np.ndarray:
         """Subscribed clients per access region."""
-        return np.bincount(self.region_index, minlength=self.regions)
+        return self._counts()[1]
+
+    def _region_class(self) -> np.ndarray:
+        """Per client, the fused ``region * n_classes + class`` index (int64)."""
+        return self.region_index.astype(np.int64) * self.n_classes + self.class_index
 
     def group_counts(self, site_index: np.ndarray, n_sites: int) -> np.ndarray:
         """Client counts per (region, class, site) given a site assignment.
@@ -271,19 +290,15 @@ class ClientPopulation:
         """
         if site_index.shape != (self.n_clients,):
             raise WorkloadError("site assignment must cover every client")
-        fused = (
-            (self.region_index.astype(np.int64) * self.n_classes + self.class_index)
-            * n_sites
-            + site_index.astype(np.int64)
-        )
+        fused = self._region_class() * n_sites + site_index.astype(np.int64)
         counts = np.bincount(fused, minlength=self.regions * self.n_classes * n_sites)
         return counts.reshape(self.regions, self.n_classes, n_sites)
 
-    def ring_sorted(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def ring_sorted(self) -> Tuple[np.ndarray, np.ndarray]:
         """The population reordered by ring position, cached after first use.
 
-        Returns ``(positions, region_index, class_index, region_class)``, all
-        in ascending ring-position order; ``region_class`` is the fused
+        Returns ``(positions, region_class)``, both in ascending
+        ring-position order; ``region_class`` is the fused
         ``region * n_classes + class`` index used for group counting.  With
         clients sorted this way, a consistent-hash assignment is a *segment
         structure* — ``searchsorted`` of the ring's points into the client
@@ -294,18 +309,15 @@ class ClientPopulation:
         point universe; fleet membership changes then cost O(ring points ×
         bins) and never come back here.  The one O(n log n) sort is paid
         once and shared by every scenario, timeline, and Monte-Carlo replica
-        built on this population.
+        built on this population.  The same call fills the
+        :meth:`class_counts` / :meth:`region_counts` memos, so after it
+        nothing a campaign asks of the population reads a per-client array.
         """
         if self._ring_sorted is None:
             order = np.argsort(self.ring_positions, kind="stable")
-            region_sorted = self.region_index[order].astype(np.int64)
-            class_sorted = self.class_index[order].astype(np.int64)
-            self._ring_sorted = (
-                self.ring_positions[order],
-                region_sorted,
-                class_sorted,
-                region_sorted * self.n_classes + class_sorted,
-            )
+            self._ring_sorted = (self.ring_positions[order],
+                                 self._region_class()[order])
+            self._counts()
         return self._ring_sorted
 
     def demand_pps_per_client(self) -> np.ndarray:

@@ -4,7 +4,11 @@ Each runner owns one configured campaign and is one :class:`CampaignRunner`
 — data plus ``unit_specs`` / ``run_unit`` / ``merge_units`` — run by the one
 engine in :mod:`repro.scale.parallel`: ``run()`` is that engine at one
 worker and produces a frozen result object with a run id, timing, per-point
-records, and a rendered report.  For live progress, attach an event log
+records, and a rendered report.  ``prepare()`` builds what the units share
+— population, ring sort and, for E14–E16, the fleet and its first problem
+template, after which a replica reads no per-client array — once, in the
+parent; units (in this process or a pool worker's) take the prepared
+runner as it is.  For live progress, attach an event log
 (``Telemetry(events=True)``) and subscribe to its stream (:mod:`repro.scale.obs`) —
 the campaign emits ``campaign_started`` / ``unit_started`` /
 ``unit_complete`` / ``campaign_complete`` lifecycle events, so consumers
@@ -160,9 +164,6 @@ class CampaignRunner:
     #: "points" or "replicas": names the progress counter
     #: (``campaign.<noun>_completed``) and the campaign span's unit count.
     unit_noun = "replicas"
-    #: Caches that cannot (and must not) cross a process boundary; workers
-    #: rebuild them from shared-memory arrays in their initializer.
-    _worker_dropped = ("_population", "_scenario")
 
     def __init__(self, *, telemetry: Optional[Telemetry],
                  population: Optional[ClientPopulation] = None) -> None:
@@ -190,7 +191,13 @@ class CampaignRunner:
     # -- what the engine calls around the units ---------------------------------------
 
     def prepare(self) -> None:
-        """Build what every unit shares — the population, ring-sorted — off the clock."""
+        """Build, once, what every unit shares — here the ring-sorted population.
+
+        Where a campaign's shared O(n_clients) work lives: the engine calls
+        it in the parent, inside the ``campaign`` span, and hands the
+        prepared runner to pool workers as it is (they never call it);
+        calling it again is a memo hit.
+        """
         self.shared_population().ring_sorted()
 
     def begin_campaign(self) -> None:
@@ -240,7 +247,7 @@ class CampaignRunner:
         return self._population
 
     def adopt_population(self, population: ClientPopulation) -> None:
-        """Make a caller-built (or shared-memory) population the shared one.
+        """Make a caller-built population the shared one.
 
         It must be the population this campaign describes — same size, same
         region count, and the runner's mix when the runner states one (a
@@ -261,20 +268,14 @@ class CampaignRunner:
     # -- worker transport -------------------------------------------------------------
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        # Telemetry holds thread locks and the caches hold O(n_clients)
-        # arrays; workers get a fresh registry and the shared-memory
-        # population instead.
-        state["telemetry"] = None
-        for name in self._worker_dropped:
-            if name in state:
-                state[name] = None
-        return state
+        # Telemetry holds thread locks; workers get a fresh registry.  What
+        # prepare() built travels whole — a spawn-started worker pays one
+        # pickled population, and no O(n_clients) pass of its own.
+        return {**self.__dict__, "telemetry": None}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        if self.telemetry is None:
-            self.telemetry = _default_telemetry()
+        self.telemetry = _default_telemetry()
 
     # -- the two entry points, one engine ---------------------------------------------
 
@@ -354,7 +355,7 @@ class FleetScaleRunner(CampaignRunner):
     """Sweeps client counts against a neutralizer fleet and tabulates results.
 
     One unit per client count; each builds its own population, so the
-    sweep shares only the fleet and runs in-process (``run()``).
+    sweep shares only the fleet.
     """
 
     unit_noun = "points"
@@ -398,11 +399,6 @@ class FleetScaleRunner(CampaignRunner):
 
     def prepare(self) -> None:
         """Nothing to share up front: every point draws its own population."""
-
-    def shared_population(self) -> ClientPopulation:
-        raise WorkloadError(
-            "the E12 sweep builds one population per point and has none to "
-            "share with pool workers; run it with run() (n_workers=1)")
 
     def unit_state(self, unit: CampaignUnit) -> Tuple[int, Optional[str]]:
         return unit.point, None
@@ -842,15 +838,21 @@ class _ReplicaCampaign(CampaignRunner):
     def begin_campaign(self) -> None:
         self.telemetry.inc(f"campaign.variance_mode.{self.variance_reduction}")
 
-    def shared_scenario(self, population: ClientPopulation) -> ScaleScenario:
+    def prepare(self) -> None:
+        """Population → ring sort → fleet → scenario → template, once: the
+        only O(n_clients) code of an E14–E16 campaign."""
+        self.shared_scenario().build_template()
+
+    def shared_scenario(self) -> ScaleScenario:
         """One fleet + scenario shared by every replica of this campaign.
 
         Replicas only ever mutate the fleet through timeline runs, which
         restore its pre-run state, so the fleet's hashed ring points and the
-        scenario's O(n_clients) problem template are paid for once; each
-        subsequent replica refreshes the stale template incrementally over
-        zero moved arcs.
+        scenario's O(n_clients) problem template are paid for once, in
+        :meth:`prepare`; each replica refreshes the stale template
+        incrementally over zero moved arcs.
         """
+        population = self.shared_population()
         if self._scenario is None or self._scenario.population is not population:
             fleet = elastic_fleet(
                 population, self.max_sites, nominal_sites=self.nominal_sites,
@@ -859,15 +861,14 @@ class _ReplicaCampaign(CampaignRunner):
             self._scenario = ScaleScenario(population, fleet)
         return self._scenario
 
-    def run_replica(self, population: ClientPopulation, event_seed: int,
-                    rng_transform=None, *,
+    def run_replica(self, event_seed: int, rng_transform=None, *,
                     adversary: Optional[AdversaryGame] = None) -> TimelineResult:
         """One stochastic timeline: compiled events + controllers, solved.
 
         ``adversary`` is the game this replica plays (default: the
         campaign's own, if it has one).
         """
-        scenario = self.shared_scenario(population)
+        scenario = self.shared_scenario()
         fleet = scenario.fleet
         events = compile_events(
             self.processes, seed=event_seed, epochs=self.epochs,
@@ -875,7 +876,7 @@ class _ReplicaCampaign(CampaignRunner):
             rng_transform=rng_transform,
         )
         return FluidTimeline(
-            population, fleet,
+            scenario.population, fleet,
             epochs=self.epochs, epoch_seconds=self.epoch_seconds,
             load=self.load, events=events,
             autoscaler=self.autoscaler,
@@ -893,8 +894,8 @@ class _ReplicaCampaign(CampaignRunner):
         replica_span = self.telemetry.span("replica", replica=unit.replica,
                                            **span_attrs)
         with replica_span:
-            result = self.run_replica(self.shared_population(), unit.event_seed,
-                                      unit.rng_transform, adversary=adversary)
+            result = self.run_replica(unit.event_seed, unit.rng_transform,
+                                      adversary=adversary)
         return result, replica_span.seconds
 
 

@@ -176,10 +176,10 @@ class ProblemTemplate:
     def payload_nbytes(self) -> int:
         """Bytes held by the template's own arrays (population excluded).
 
-        This is the per-worker cache the parallel executor rebuilds in each
-        process on top of the shared population segment — the number to
-        check when sizing ``n_workers`` against available memory (see
-        docs/parallel.md).  Lazy labels are not counted.
+        Every ring change a replica plays allocates one successor of this
+        size (the arc table excepted: successors share it by reference), per
+        pool worker — the number to check when sizing ``n_workers`` against
+        available memory (see docs/parallel.md).  Lazy labels are not counted.
         """
         arrays = (
             self.arc_cuts, self.arc_hist, self.arc_owners,
@@ -204,7 +204,7 @@ class ProblemTemplate:
     def build(cls, population: ClientPopulation, fleet: NeutralizerFleet,
               *, region_uplink_bps: float) -> "ProblemTemplate":
         """The one O(n_clients) pass: histogram clients per universe arc."""
-        positions, _, _, region_class = population.ring_sorted()
+        positions, region_class = population.ring_sorted()
         universe, _, arc_owners = fleet.universe_arcs()
         bins = population.regions * population.n_classes
         arc_cuts = np.concatenate([

@@ -1,8 +1,9 @@
-"""The parallel campaign executor: equivalence, resume, crashes, shm."""
+"""The parallel campaign executor: equivalence, resume, crashes, worker inputs."""
 
 import json
-import os
+import multiprocessing
 import pickle
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.exceptions import WorkloadError
 from repro.scale import (
     AdversaryCampaignRunner,
     CampaignUnit,
+    FleetScaleRunner,
     LatencyCampaignRunner,
     ProcessPoolCampaignExecutor,
     RunTable,
@@ -22,6 +24,12 @@ from repro.scale import (
     run_churn_slo_frontier,
 )
 from repro.scale.population import ClientPopulation
+
+
+def make_e12(**kwargs):
+    kwargs.setdefault("client_counts", (500, 2000, 4000))
+    kwargs.setdefault("n_sites", 4)
+    return FleetScaleRunner(**kwargs)
 
 
 def make_e13(**kwargs):
@@ -173,6 +181,17 @@ class TestPooledEquivalence:
         pooled = canonical_result_bytes(make_e16().run_parallel(n_workers=2))
         assert pooled == serial
 
+    def test_e12_pools_and_closes_its_event_stream(self):
+        # E12 draws one population per point and pools all the same; a
+        # pooled run must close the event stream it opened.
+        serial = canonical_result_bytes(make_e12().run())
+        runner = make_e12(telemetry=Telemetry(trace=False, events=True))
+        pooled = canonical_result_bytes(runner.run_parallel(n_workers=2))
+        assert pooled == serial
+        kinds = [event.kind for event in runner.telemetry.events.events]
+        assert kinds[0] == "campaign_started"
+        assert kinds[-1] == "campaign_complete"
+
     def test_pool_merges_worker_telemetry_into_one_registry(self):
         serial_telemetry = Telemetry()
         make_e14(telemetry=serial_telemetry).run()
@@ -190,7 +209,6 @@ class TestPooledEquivalence:
                 serial_counters[key]), key
         gauges = pooled_telemetry.metrics.as_dict()["gauges"]
         assert gauges["parallel.n_workers"] == 2
-        assert gauges["parallel.shared_bytes"] > 0
         assert executor.phase_durations.get("replica")
         assert runner.get_current_state().completed_points == runner.replicas
 
@@ -298,15 +316,72 @@ class TestFailureHandling:
                 epochs=10, replicas=5, seed=7).run()
 
 
-def _shm_names():
-    try:
-        return {name for name in os.listdir("/dev/shm")
-                if name.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
-        return set()
+def _simulation(value):
+    """``value`` with the wall-clock fields dropped, arrays as lists."""
+    return json.loads(canonical_result_bytes(value))
+
+
+class TestWorkerInputs:
+    """A unit's inputs are the prepared runner, serial and pooled alike."""
+
+    @pytest.mark.parametrize("factory", [make_e14, make_e15, make_e16],
+                             ids=["E14", "E15", "E16"])
+    def test_replica_reads_nothing_per_client(self, factory, monkeypatch):
+        """Pins ``prepare()`` as the only O(n_clients) code of a campaign:
+        after it, the population's per-client arrays are off limits."""
+        runner, twin = factory(), factory()
+        runner.prepare()
+        population = runner.shared_population()
+
+        def off_limits():
+            raise AssertionError("a replica went back to the sorted population")
+
+        monkeypatch.setattr(population, "ring_sorted", off_limits)
+        for name in ("ring_positions", "class_index", "region_index", "_ring_sorted"):
+            monkeypatch.setattr(population, name, None)
+        unit = runner.unit_specs()[0]
+        assert _simulation(runner.run_unit(unit)) == _simulation(twin.run_unit(unit))
+
+    def test_pool_never_touches_shared_memory(self, monkeypatch):
+        """No exit path — success, unit failure, interrupt — creates a segment."""
+        def no_shm(*args, **kwargs):
+            raise AssertionError("the engine created a shared-memory segment")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_shm)
+        shape = dict(clients=1500, nominal_sites=4, max_sites=6,
+                     epochs=10, replicas=5, seed=7)
+        assert canonical_result_bytes(make_e14().run_parallel(n_workers=2)) == \
+            canonical_result_bytes(make_e14().run())
+        with pytest.raises(WorkloadError, match="synthetic unit failure"):
+            ProcessPoolCampaignExecutor(CrashingRunner(**shape), n_workers=2).run()
+        with pytest.raises(KeyboardInterrupt):
+            ProcessPoolCampaignExecutor(InterruptingRunner(**shape), n_workers=2).run()
+
+    def test_spawned_pool_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        pooled = canonical_result_bytes(make_e14().run_parallel(n_workers=2))
+        assert pooled == canonical_result_bytes(make_e14().run())
+
+    def test_prepared_runner_pickles_with_its_template(self, monkeypatch):
+        from repro.scale.scenario import ProblemTemplate
+
+        runner = make_e14()
+        runner.prepare()
+        clone = pickle.loads(pickle.dumps(runner))
+        expected = runner.run_unit(runner.unit_specs()[0])
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the template did not travel with the runner")
+
+        monkeypatch.setattr(ProblemTemplate, "build", no_build)
+        assert _simulation(clone.run_unit(clone.unit_specs()[0])) == \
+            _simulation(expected)
 
 
 class TestSharedMemoryLifecycle:
+    """The engine does not use the pack; the benchmark suite still probes it."""
+
     def test_pack_attach_roundtrips_population(self):
         population = ClientPopulation(4000, seed=13)
         pack = SharedPopulationPack.create(population)
@@ -326,26 +401,3 @@ class TestSharedMemoryLifecycle:
         finally:
             pack.close()
             pack.unlink()
-
-    def test_segments_unlinked_on_success(self):
-        before = _shm_names()
-        make_e14().run_parallel(n_workers=2)
-        assert _shm_names() <= before
-
-    def test_segments_unlinked_on_failure(self):
-        before = _shm_names()
-        runner = CrashingRunner(
-            clients=1500, nominal_sites=4, max_sites=6,
-            epochs=10, replicas=5, seed=7)
-        with pytest.raises(WorkloadError):
-            ProcessPoolCampaignExecutor(runner, n_workers=2).run()
-        assert _shm_names() <= before
-
-    def test_segments_unlinked_on_keyboard_interrupt(self):
-        before = _shm_names()
-        runner = InterruptingRunner(
-            clients=1500, nominal_sites=4, max_sites=6,
-            epochs=10, replicas=5, seed=7)
-        with pytest.raises(KeyboardInterrupt):
-            ProcessPoolCampaignExecutor(runner, n_workers=2).run()
-        assert _shm_names() <= before

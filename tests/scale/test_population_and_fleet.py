@@ -163,7 +163,7 @@ class TestSegmentAssignment:
     def test_segments_match_assign_sites(self):
         fleet = NeutralizerFleet.build(7, replicas=32)
         population = ClientPopulation(30_000, seed=17)
-        positions, _, _, _ = population.ring_sorted()
+        positions, _ = population.ring_sorted()
         cuts, owners = fleet.assignment_segments(positions)
         via_segments = np.repeat(owners, np.diff(cuts))
         order = np.argsort(population.ring_positions, kind="stable")
@@ -173,7 +173,7 @@ class TestSegmentAssignment:
     def test_segments_cover_every_client_once(self):
         fleet = NeutralizerFleet.build(5)
         population = ClientPopulation(8_000, seed=21)
-        positions, _, _, _ = population.ring_sorted()
+        positions, _ = population.ring_sorted()
         cuts, owners = fleet.assignment_segments(positions)
         assert cuts[0] == 0 and cuts[-1] == population.n_clients
         assert (np.diff(cuts) >= 0).all()
@@ -185,6 +185,24 @@ class TestSegmentAssignment:
         second = population.ring_sorted()
         assert first[0] is second[0]  # same arrays, not recomputed
         assert (np.diff(first[0].astype(object)) >= 0).all()
+
+    def test_ring_sorted_is_two_columns_and_fills_the_count_memos(self, monkeypatch):
+        population = ClientPopulation(5_000, seed=23)
+        positions, region_class = population.ring_sorted()
+        order = np.argsort(population.ring_positions, kind="stable")
+        assert np.array_equal(positions, population.ring_positions[order])
+        assert np.array_equal(
+            region_class,
+            population.region_index[order].astype(np.int64) * population.n_classes
+            + population.class_index[order])
+        classes = np.bincount(population.class_index, minlength=population.n_classes)
+        regions = np.bincount(population.region_index, minlength=population.regions)
+        # The sort pass was the last per-client read the counts needed.
+        monkeypatch.setattr(population, "class_index", None)
+        monkeypatch.setattr(population, "region_index", None)
+        assert np.array_equal(population.class_counts(), classes)
+        assert np.array_equal(population.region_counts(), regions)
+        assert population.class_counts() is population.class_counts()
 
 
 class TestIncrementalTemplate:

@@ -138,6 +138,8 @@ def main(argv=None) -> int:
     check(len(captured) == args.sse_events,
           f"captured {len(captured)}/{args.sse_events} live SSE events "
           f"(+{heartbeats} heartbeat frames)")
+    check(heartbeats >= 1,
+          "at least one worker heartbeat reached /stream")
     check([seq for seq, _ in captured] == list(range(args.sse_events)),
           "SSE ids are the canonical seqs, dense from 0")
     envelopes = [json.loads(data) for _, data in captured]

@@ -4,10 +4,12 @@
 Two modes, both exercised by the ``parallel-equivalence`` CI job:
 
 ``equivalence``
-    Runs a tiny E13, E14, E15 and E16 campaign with ``run()``, at
+    Runs a tiny E12, E13, E14, E15 and E16 campaign with ``run()``, at
     ``n_workers=1``, and at ``n_workers=4``, and fails on any byte
     difference between their canonical aggregate tables (wall-clock fields
-    excluded — everything else must match exactly).
+    excluded — everything else must match exactly).  One more arm runs E14
+    at ``n_workers=2`` with ``fork`` masked out of the start methods, so
+    the pickled-runner (``spawn``) path is executed too.
 
 ``resume``
     Launches a checkpointed frontier sweep in a child process, SIGINTs it
@@ -21,6 +23,8 @@ Run with:  PYTHONPATH=src python tools/parallel_check.py equivalence
 """
 
 import argparse
+import contextlib
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -28,11 +32,13 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.scale import (  # noqa: E402
     AdversaryCampaignRunner,
+    FleetScaleRunner,
     LatencyCampaignRunner,
     StochasticCampaignRunner,
     TimelineCampaignRunner,
@@ -47,6 +53,12 @@ FRONTIER_KWARGS = dict(
     clients=CLIENTS, epochs=24, replicas=8, seed=SEED,
     targets=(0.85, 0.95),
 )
+
+
+def make_e12():
+    return FleetScaleRunner(
+        client_counts=(CLIENTS // 20, CLIENTS // 4, CLIENTS), n_sites=8,
+        seed=SEED)
 
 
 def make_e13():
@@ -74,17 +86,26 @@ def make_e16():
 
 def check_equivalence() -> int:
     failures = 0
-    for label, factory in (("E13", make_e13), ("E14", make_e14),
-                           ("E15", make_e15), ("E16", make_e16)):
+    for label, factory in (("E12", make_e12), ("E13", make_e13),
+                           ("E14", make_e14), ("E15", make_e15),
+                           ("E16", make_e16)):
         serial = canonical_result_bytes(factory().run())
-        for n_workers in (1, 4):
-            candidate = canonical_result_bytes(
-                factory().run_parallel(n_workers=n_workers))
+        arms = [(f"n_workers={n_workers}", n_workers, contextlib.nullcontext())
+                for n_workers in (1, 4)]
+        if label == "E14":
+            arms.append(("n_workers=2 with fork masked (spawn, pickled runner)",
+                         2, mock.patch.object(
+                             multiprocessing, "get_all_start_methods",
+                             return_value=["spawn"])))
+        for arm, n_workers, start_methods in arms:
+            with start_methods:
+                candidate = canonical_result_bytes(
+                    factory().run_parallel(n_workers=n_workers))
             if candidate == serial:
-                print(f"ok: {label} n_workers={n_workers} is byte-identical "
+                print(f"ok: {label} {arm} is byte-identical "
                       f"to serial ({len(serial):,} canonical bytes)")
             else:
-                print(f"FAIL: {label} n_workers={n_workers} diverged from "
+                print(f"FAIL: {label} {arm} diverged from "
                       f"the serial result")
                 failures += 1
     return failures
