@@ -63,6 +63,37 @@ def arc_moved_fraction(positions_a: np.ndarray, owners_a: np.ndarray,
     return moved / space
 
 
+#: Leading key bits :func:`ring_locate` tables: 2^16 buckets against ~10^3
+#: ring points leave ~98 % of the buckets — and so of uniformly hashed keys —
+#: with no point inside, and the table (512 KB) still sits in cache.
+_LOCATE_TABLE_BITS = 16
+
+
+def ring_locate(points: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(points, keys, side="left")`` for hashed uint64 keys.
+
+    ``points`` is a sorted uint64 ring, ``keys`` any uint64 positions; the
+    result counts, per key, the ring points strictly below it.  The key
+    space is cut into ``2**_LOCATE_TABLE_BITS`` equal buckets by the
+    leading bits.  A key whose bucket holds no ring point has every point
+    of a lower bucket below it and every other point above it, so its
+    answer is one table read; only a key sharing its bucket with a point is
+    binary-searched.  Exact for any keys and any points (ties, duplicates,
+    the ends of the space, an empty ring) — the key distribution changes
+    only how many keys take the table read.
+    """
+    shift = np.uint64(ConsistentHashRing._SPACE_BITS - _LOCATE_TABLE_BITS)
+    # Bucket numbers fit 16 bits, so the uint64 → int64 view is a free cast.
+    per_bucket = np.bincount((points >> shift).view(np.int64),
+                             minlength=1 << _LOCATE_TABLE_BITS)
+    table = np.cumsum(per_bucket) - per_bucket      # points in lower buckets
+    table[per_bucket > 0] = -1
+    slots = table[(keys >> shift).view(np.int64)]
+    shared = np.flatnonzero(slots < 0)
+    slots[shared] = np.searchsorted(points, keys[shared], side="left")
+    return slots
+
+
 class ConsistentHashRing:
     """Consistent hashing of opaque keys onto named sites.
 

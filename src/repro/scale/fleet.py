@@ -8,12 +8,12 @@ border router; here, a CPU budget (cores × the calibrated per-packet cost)
 plus an uplink.  Clients are spread over healthy sites with the
 :class:`repro.core.anycast.ConsistentHashRing`, evaluated vectorized: the
 ring's position table is pulled into numpy arrays once and a million clients
-are assigned with a single ``searchsorted``.  Failing a site withdraws its
-ring points, so exactly the failed site's clients move — the fleet-level
-analogue of a router withdrawing its anycast route.  The sites are fixed at
-construction, so every point they can contribute is hashed and sorted once
-(the *universe*) and each in-service ring is a boolean mask of it: a
-membership change is O(ring points), with no re-hash and no re-sort.
+are assigned with a single :func:`repro.core.anycast.ring_locate`.  Failing a
+site withdraws its ring points, so exactly the failed site's clients move —
+the fleet-level analogue of a router withdrawing its anycast route.  The
+sites are fixed at construction, so every point they can contribute is hashed
+and sorted once (the *universe*) and each in-service ring is a boolean mask
+of it: a membership change is O(ring points), with no re-hash and no re-sort.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.anycast import ConsistentHashRing, NeutralizerDeployment
+from ..core.anycast import ConsistentHashRing, NeutralizerDeployment, ring_locate
 from ..exceptions import TopologyError
 from ..units import gbps
 from .costmodel import CryptoCostModel
@@ -322,10 +322,11 @@ class NeutralizerFleet:
         """Map client ring positions to site indices (into :attr:`sites`).
 
         The successor lookup of :meth:`ConsistentHashRing.site_for`, done for
-        the whole population at once with ``searchsorted`` (wrapping past the
-        last ring point back to the first).
+        the whole population at once with
+        :func:`repro.core.anycast.ring_locate` (wrapping past the last ring
+        point back to the first).
         """
-        slots = np.searchsorted(self._ring_positions, ring_positions, side="left")
+        slots = ring_locate(self._ring_positions, ring_positions)
         slots[slots == len(self._ring_positions)] = 0
         return self._ring_owner_index[slots]
 

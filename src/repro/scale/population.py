@@ -9,20 +9,23 @@ belonging to one *demand class*
 is simulated per client; the population is three numpy arrays — class index,
 region index, ring position — drawn deterministically from a seed, and every
 downstream consumer (fleet assignment, demand aggregation) is a vectorized
-reduction over them.  A million clients fit in a few megabytes and aggregate
-in milliseconds; the ring-sorted view (:meth:`ClientPopulation.ring_sorted`)
-is read once per (population, fleet) pair, after which ring changes are
-served from a per-arc histogram and touch no per-client array.
+reduction over them.  A million clients fit in 16 MB and aggregate in
+milliseconds; they are drawn, hashed and counted in fixed-size chunks, so
+nothing else of population size is ever allocated.  The one per-client
+pass a campaign needs (:meth:`ClientPopulation.arc_histogram`) runs once
+per (population, ring universe), after which ring changes are served from
+that per-arc histogram and touch no per-client array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..apps.voip import DEFAULT_PACKET_INTERVAL, DEFAULT_PAYLOAD_BYTES
+from ..core.anycast import ring_locate
 from ..core.shim import expected_data_overhead_bytes
 from ..exceptions import WorkloadError
 from ..packet.headers import IPV4_HEADER_LEN, UDP_HEADER_LEN
@@ -31,6 +34,11 @@ from ..units import BITS_PER_BYTE
 #: Bytes the neutralized data shim adds on the wire, straight from the shim
 #: layout so the fluid model can never drift from the packet-level one.
 SHIM_DATA_OVERHEAD_BYTES = expected_data_overhead_bytes()
+
+#: Clients per step of every per-client pass (draw, hash, count, histogram):
+#: the temporaries of one step are ~1 MB each and stay in cache, and no pass
+#: allocates anything that grows with the population.
+_CHUNK_CLIENTS = 1 << 17
 
 
 def neutralized_wire_bytes(payload_bytes: int) -> int:
@@ -164,12 +172,24 @@ def elastic_mix(*, web_alpha: float = 2.0, video_alpha: float = 2.0) -> Populati
     )
 
 
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """The splitmix64 mixer, vectorized: uniform uint64 ring positions."""
-    z = (values + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 mixer over a scratch uint64 array, in place: uniform
+    ring positions."""
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _choice_cdf(fractions: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(k, p=fractions)`` searches: ``choice``
+    *is* ``cdf.searchsorted(random(n), side="right")`` on this cdf."""
+    cdf = np.cumsum(np.asarray(fractions, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf
 
 
 class ClientPopulation:
@@ -187,28 +207,52 @@ class ClientPopulation:
             raise WorkloadError("population must have at least one client")
         if regions <= 0:
             raise WorkloadError("population needs at least one access region")
+        if not 0 <= int(seed) < 2**64:
+            raise WorkloadError("population seed must be in [0, 2**64)")
         self.n_clients = int(n_clients)
         self.mix = mix or default_mix()
         self.regions = int(regions)
         self.seed = int(seed)
 
-        rng = np.random.default_rng(self.seed)
-        self.class_index = rng.choice(
-            len(self.mix.classes), size=self.n_clients, p=np.asarray(self.mix.fractions)
-        ).astype(np.int32)
+        # The columns are ``rng.choice(classes, n, p=fractions)`` then
+        # ``rng.choice(regions, n, p=weights)`` on one ``default_rng(seed)``
+        # stream, drawn a chunk at a time: ``choice`` spends one uniform per
+        # client, so a second cursor on the same seed, advanced past the
+        # class column's n draws, yields the region column bit for bit.
+        class_rng = np.random.default_rng(self.seed)
+        region_rng = np.random.default_rng(self.seed)
+        region_rng.bit_generator.advance(self.n_clients)
+        class_cdf = _choice_cdf(self.mix.fractions)
         # Regions are deliberately uneven (metro vs rural): weights 1/(k+1).
         weights = 1.0 / (np.arange(self.regions, dtype=np.float64) + 1.0)
-        self.region_index = rng.choice(
-            self.regions, size=self.n_clients, p=weights / weights.sum()
-        ).astype(np.int32)
+        region_cdf = _choice_cdf(weights / weights.sum())
         # Ring positions come from client identity, not the rng stream, so a
-        # client keeps its site when the population is re-drawn larger.
-        identities = np.arange(self.n_clients, dtype=np.uint64) + np.uint64(self.seed) * np.uint64(
-            0x1000003
-        )
-        self.ring_positions = _splitmix64(identities)
+        # client keeps its site when the population is re-drawn larger.  The
+        # offset wraps modulo 2^64 like the identities it is added to.
+        offset = np.uint64((self.seed * 0x1000003) & (2**64 - 1))
+
+        self.class_index = np.empty(self.n_clients, dtype=np.int32)
+        self.region_index = np.empty(self.n_clients, dtype=np.int32)
+        self.ring_positions = np.empty(self.n_clients, dtype=np.uint64)
+        class_counts = np.zeros(len(self.mix.classes), dtype=np.int64)
+        region_counts = np.zeros(self.regions, dtype=np.int64)
+        for start in range(0, self.n_clients, _CHUNK_CLIENTS):
+            stop = min(start + _CHUNK_CLIENTS, self.n_clients)
+            for column, counts, cdf, rng in (
+                    (self.class_index, class_counts, class_cdf, class_rng),
+                    (self.region_index, region_counts, region_cdf, region_rng)):
+                drawn = cdf.searchsorted(rng.random(stop - start), side="right")
+                column[start:stop] = drawn
+                counts += np.bincount(drawn, minlength=counts.size)
+            identities = np.arange(start, stop, dtype=np.uint64)
+            identities += offset
+            self.ring_positions[start:stop] = _splitmix64(identities)
+        for counts in (class_counts, region_counts):
+            counts.setflags(write=False)
+        self._client_counts: Optional[Tuple[np.ndarray, np.ndarray]] = (
+            class_counts, region_counts)
         self._ring_sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._client_counts: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._arc_histograms: Dict[bytes, np.ndarray] = {}
 
     @classmethod
     def from_arrays(
@@ -246,6 +290,7 @@ class ClientPopulation:
         population.ring_positions = ring_positions
         population._ring_sorted = ring_sorted
         population._client_counts = None
+        population._arc_histograms = {}
         return population
 
     # -- aggregation -----------------------------------------------------------------
@@ -258,8 +303,9 @@ class ClientPopulation:
     def _counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """Clients per (class, region), counted once and handed out read-only.
 
-        Deterministic from the constructor arguments, like the sorted view,
-        so the memo needs no invalidation.
+        A drawn population counts while it draws; one adopted through
+        :meth:`from_arrays` counts here, on first use.  Deterministic from
+        the constructor arguments, so the memo needs no invalidation.
         """
         if self._client_counts is None:
             self._client_counts = (
@@ -294,6 +340,39 @@ class ClientPopulation:
         counts = np.bincount(fused, minlength=self.regions * self.n_classes * n_sites)
         return counts.reshape(self.regions, self.n_classes, n_sites)
 
+    def arc_histogram(self, universe: np.ndarray) -> np.ndarray:
+        """Clients per (arc of ``universe``, region×class bin): the one
+        per-client pass a campaign makes.
+
+        ``universe`` is a sorted uint64 array of ring points
+        (:meth:`repro.scale.fleet.NeutralizerFleet.universe_arcs`); a client
+        lies in arc ``i`` iff exactly ``i`` of them are below its position
+        (the last arc wraps), and a bin is the fused ``region * n_classes +
+        class`` index.  Returns a read-only ``(len(universe) + 1, regions *
+        n_classes)`` int64 table, counted in chunks — locate, fuse,
+        ``bincount`` — so the pass is O(n_clients) time and O(chunk) extra
+        memory, with no sort.  Memoised per distinct universe: every
+        scenario, timeline and Monte-Carlo replica whose fleet hashes to
+        the same points shares one table, and fleet membership changes cost
+        O(ring points × bins) and never come back here.
+        """
+        key = universe.tobytes()
+        histogram = self._arc_histograms.get(key)
+        if histogram is None:
+            bins = self.regions * self.n_classes
+            flat = np.zeros((universe.size + 1) * bins, dtype=np.int64)
+            for start in range(0, self.n_clients, _CHUNK_CLIENTS):
+                chunk = slice(start, start + _CHUNK_CLIENTS)
+                fused = ring_locate(universe, self.ring_positions[chunk])
+                fused *= bins
+                fused += self.region_index[chunk] * self.n_classes
+                fused += self.class_index[chunk]
+                flat += np.bincount(fused, minlength=flat.size)
+            histogram = flat.reshape(universe.size + 1, bins)
+            histogram.setflags(write=False)
+            self._arc_histograms[key] = histogram
+        return histogram
+
     def ring_sorted(self) -> Tuple[np.ndarray, np.ndarray]:
         """The population reordered by ring position, cached after first use.
 
@@ -303,21 +382,16 @@ class ClientPopulation:
         clients sorted this way, a consistent-hash assignment is a *segment
         structure* — ``searchsorted`` of the ring's points into the client
         positions
-        (:meth:`repro.scale.fleet.NeutralizerFleet.assignment_segments`) —
-        and :meth:`repro.scale.scenario.ProblemTemplate.build` reads this
-        view exactly once, to histogram the clients per arc of the fleet's
-        point universe; fleet membership changes then cost O(ring points ×
-        bins) and never come back here.  The one O(n log n) sort is paid
-        once and shared by every scenario, timeline, and Monte-Carlo replica
-        built on this population.  The same call fills the
-        :meth:`class_counts` / :meth:`region_counts` memos, so after it
-        nothing a campaign asks of the population reads a per-client array.
+        (:meth:`repro.scale.fleet.NeutralizerFleet.assignment_segments`).
+        A lazy view for diagnostics and tests, on no campaign path: it costs
+        an O(n log n) sort and two population-sized columns, where
+        :meth:`arc_histogram` gives a campaign the same counts without
+        either.
         """
         if self._ring_sorted is None:
             order = np.argsort(self.ring_positions, kind="stable")
             self._ring_sorted = (self.ring_positions[order],
                                  self._region_class()[order])
-            self._counts()
         return self._ring_sorted
 
     def demand_pps_per_client(self) -> np.ndarray:

@@ -5,10 +5,10 @@ Each runner owns one configured campaign and is one :class:`CampaignRunner`
 engine in :mod:`repro.scale.parallel`: ``run()`` is that engine at one
 worker and produces a frozen result object with a run id, timing, per-point
 records, and a rendered report.  ``prepare()`` builds what the units share
-— population, ring sort and, for E14–E16, the fleet and its first problem
-template, after which a replica reads no per-client array — once, in the
-parent; units (in this process or a pool worker's) take the prepared
-runner as it is.  For live progress, attach an event log
+— the population and, for E14–E16, the fleet, the arc histogram and the
+first problem template, after which a replica reads no per-client array —
+once, in the parent; units (in this process or a pool worker's) take the
+prepared runner as it is.  For live progress, attach an event log
 (``Telemetry(events=True)``) and subscribe to its stream (:mod:`repro.scale.obs`) —
 the campaign emits ``campaign_started`` / ``unit_started`` /
 ``unit_complete`` / ``campaign_complete`` lifecycle events, so consumers
@@ -191,14 +191,14 @@ class CampaignRunner:
     # -- what the engine calls around the units ---------------------------------------
 
     def prepare(self) -> None:
-        """Build, once, what every unit shares — here the ring-sorted population.
+        """Build, once, what every unit shares — here the drawn population.
 
         Where a campaign's shared O(n_clients) work lives: the engine calls
         it in the parent, inside the ``campaign`` span, and hands the
         prepared runner to pool workers as it is (they never call it);
         calling it again is a memo hit.
         """
-        self.shared_population().ring_sorted()
+        self.shared_population()
 
     def begin_campaign(self) -> None:
         """Campaign-scoped accounting that runs inside the campaign span."""
@@ -839,8 +839,8 @@ class _ReplicaCampaign(CampaignRunner):
         self.telemetry.inc(f"campaign.variance_mode.{self.variance_reduction}")
 
     def prepare(self) -> None:
-        """Population → ring sort → fleet → scenario → template, once: the
-        only O(n_clients) code of an E14–E16 campaign."""
+        """Population → fleet → scenario → arc histogram → template, once:
+        the only O(n_clients) code of an E14–E16 campaign."""
         self.shared_scenario().build_template()
 
     def shared_scenario(self) -> ScaleScenario:

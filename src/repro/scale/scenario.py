@@ -111,20 +111,21 @@ class ProblemTemplate:
     per-flow and per-site vectors.  The template is valid until the fleet's
     ring changes (``fleet.generation`` moves), after which
     :meth:`rebuilt` derives a successor template in O(ring points × bins):
-    the one per-client pass histograms the ring-sorted population
-    (:meth:`ClientPopulation.ring_sorted`) per arc of the fleet's fixed
-    point universe (:meth:`NeutralizerFleet.universe_arcs`), every ring
-    state is an owner per arc, and the group counts of a new ring move
-    only the histogram rows of the arcs that changed owner.
+    the one per-client pass (:meth:`ClientPopulation.arc_histogram`) counts
+    the population per arc of the fleet's fixed point universe
+    (:meth:`NeutralizerFleet.universe_arcs`), every ring state is an owner
+    per arc, and the group counts of a new ring move only the histogram
+    rows of the arcs that changed owner.
     """
 
     population: ClientPopulation
     fleet: NeutralizerFleet
     fleet_generation: int
     region_uplink_bps: float
-    #: The arc table, shared by reference down the :meth:`rebuilt` chain:
-    #: sorted clients ``arc_cuts[i]:arc_cuts[i+1]`` fall in universe arc
-    #: ``i``, and ``arc_hist[i]`` counts them per fused region×class bin.
+    #: The arc table, shared by reference down the :meth:`rebuilt` chain and
+    #: with the population's memo (read-only): ring-sorted clients
+    #: ``arc_cuts[i]:arc_cuts[i+1]`` fall in universe arc ``i``, and
+    #: ``arc_hist[i]`` counts them per fused region×class bin.
     arc_cuts: np.ndarray
     arc_hist: np.ndarray
     #: Site index owning each universe arc under this ring state.
@@ -203,18 +204,15 @@ class ProblemTemplate:
     @classmethod
     def build(cls, population: ClientPopulation, fleet: NeutralizerFleet,
               *, region_uplink_bps: float) -> "ProblemTemplate":
-        """The one O(n_clients) pass: histogram clients per universe arc."""
-        positions, region_class = population.ring_sorted()
+        """From the one O(n_clients) pass — or its memo — to group counts.
+
+        :meth:`ClientPopulation.arc_histogram` counts the clients per
+        universe arc; ``arc_cuts`` are its running row totals, the offsets
+        the arcs would have in a ring-sorted population that is never built.
+        """
         universe, _, arc_owners = fleet.universe_arcs()
-        bins = population.regions * population.n_classes
-        arc_cuts = np.concatenate([
-            [0], np.searchsorted(positions, universe, side="right"), [positions.size],
-        ]).astype(np.int64)
-        arcs = arc_cuts.size - 1
-        arc_sorted = np.repeat(np.arange(arcs), np.diff(arc_cuts))
-        arc_hist = np.bincount(
-            arc_sorted * bins + region_class, minlength=arcs * bins
-        ).reshape(arcs, bins)
+        arc_hist = population.arc_histogram(universe)
+        arc_cuts = np.concatenate([[0], np.cumsum(arc_hist.sum(axis=1))])
         counts3d = np.zeros(
             (population.regions, population.n_classes, fleet.n_sites), dtype=np.int64
         )

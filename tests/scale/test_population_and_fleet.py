@@ -1,11 +1,14 @@
 """Population vectors, demand classes, and consistent-hash fleet assignment."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.anycast import ConsistentHashRing
+from repro.core.anycast import ConsistentHashRing, ring_locate
 from repro.exceptions import TopologyError, WorkloadError
 from repro.scale import (
     ClientPopulation,
@@ -15,9 +18,10 @@ from repro.scale import (
     NeutralizerFleet,
     PopulationMix,
     default_mix,
+    elastic_mix,
     voip_class,
 )
-from repro.scale.population import neutralized_wire_bytes
+from repro.scale.population import _CHUNK_CLIENTS, neutralized_wire_bytes
 
 
 class TestDemandClasses:
@@ -40,6 +44,15 @@ class TestDemandClasses:
     def test_mix_fractions_must_sum_to_one(self):
         with pytest.raises(WorkloadError):
             PopulationMix(classes=(voip_class(),), fractions=(0.5,))
+
+
+def reference_splitmix64(value):
+    """splitmix64 of one identity, in Python ints."""
+    mask = 2**64 - 1
+    z = (value + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 class TestPopulation:
@@ -69,6 +82,41 @@ class TestPopulation:
     def test_empty_population_rejected(self):
         with pytest.raises(WorkloadError):
             ClientPopulation(0)
+
+    def test_large_seed_is_silent_and_a_bad_seed_is_named(self):
+        """The identity offset wraps modulo 2^64 by design: no overflow
+        warning on the way, and the same bits as ever."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            population = ClientPopulation(10, seed=2**63)
+            ClientPopulation(10, seed=2**64 - 1)
+        assert population.ring_positions[:2].tolist() == [
+            5196802822362493915, 15864479691206154794]
+        for seed in (-1, 2**64):
+            with pytest.raises(WorkloadError, match=r"seed must be in \[0, 2\*\*64\)"):
+                ClientPopulation(10, seed=seed)
+
+    @pytest.mark.parametrize("mix", [default_mix, elastic_mix])
+    @pytest.mark.parametrize("n_clients", [
+        1, 1000, _CHUNK_CLIENTS - 1, _CHUNK_CLIENTS, _CHUNK_CLIENTS + 1,
+        3 * _CHUNK_CLIENTS + 5])
+    def test_chunked_draw_is_the_two_choice_calls_it_replaced(self, n_clients, mix):
+        """Two cursors on one stream, a chunk at a time ≡ ``rng.choice`` ×2."""
+        population = ClientPopulation(n_clients, mix=mix(), regions=8, seed=29)
+        rng = np.random.default_rng(29)
+        classes = rng.choice(3, size=n_clients, p=np.asarray(mix().fractions))
+        weights = 1.0 / (np.arange(8, dtype=np.float64) + 1.0)
+        regions = rng.choice(8, size=n_clients, p=weights / weights.sum())
+        for ours, reference in ((population.class_index, classes),
+                                (population.region_index, regions)):
+            assert ours.dtype == np.int32 and np.array_equal(ours, reference)
+        assert np.array_equal(population.class_counts(), np.bincount(classes, minlength=3))
+        assert np.array_equal(population.region_counts(), np.bincount(regions, minlength=8))
+        # The last chunk hashes identities start..n-1, not 0..: scalar check.
+        assert population.ring_positions.dtype == np.uint64
+        assert population.ring_positions[-2:].tolist() == [
+            reference_splitmix64(identity + 29 * 0x1000003)
+            for identity in range(n_clients)[-2:]]
 
 
 class TestFleet:
@@ -197,7 +245,7 @@ class TestSegmentAssignment:
             + population.class_index[order])
         classes = np.bincount(population.class_index, minlength=population.n_classes)
         regions = np.bincount(population.region_index, minlength=population.regions)
-        # The sort pass was the last per-client read the counts needed.
+        # The draw counted as it went: the memo needs no per-client read.
         monkeypatch.setattr(population, "class_index", None)
         monkeypatch.setattr(population, "region_index", None)
         assert np.array_equal(population.class_counts(), classes)
@@ -379,6 +427,34 @@ def reference_moved_fraction(before, after):
     return moved / space
 
 
+def reference_arc_table(population, fleet):
+    """``(arc_cuts, arc_hist)`` as ``ProblemTemplate.build()`` computed them
+    before the counting pass: cut the ring-sorted population at the universe
+    points, label every sorted client with its arc, one ``bincount``."""
+    positions, region_class = population.ring_sorted()
+    universe = fleet.universe_arcs()[0]
+    bins = population.regions * population.n_classes
+    arc_cuts = np.concatenate([
+        [0], np.searchsorted(positions, universe, side="right"), [positions.size],
+    ]).astype(np.int64)
+    arcs = arc_cuts.size - 1
+    arc_sorted = np.repeat(np.arange(arcs), np.diff(arc_cuts))
+    arc_hist = np.bincount(
+        arc_sorted * bins + region_class, minlength=arcs * bins
+    ).reshape(arcs, bins)
+    return arc_cuts, arc_hist
+
+
+def reference_counts3d(population, fleet):
+    """Clients per (region, class, site) read off the sorted segments."""
+    positions, region_class = population.ring_sorted()
+    cuts, owners = fleet.assignment_segments(positions)
+    site_sorted = np.repeat(owners, np.diff(cuts))
+    shape = (population.regions, population.n_classes, fleet.n_sites)
+    return np.bincount(region_class * fleet.n_sites + site_sorted,
+                       minlength=int(np.prod(shape))).reshape(shape)
+
+
 def check_ring_walk(population, fleet, actions):
     """Drive ``actions`` through ``fleet``; after each, the masked ring, the
     incremental template and the churn figures must equal their from-scratch
@@ -388,6 +464,10 @@ def check_ring_walk(population, fleet, actions):
     scenario = ScaleScenario(population, fleet)
     template = scenario.build_template()
     sorted_positions = population.ring_sorted()[0]
+    for ours, reference in zip((template.arc_cuts, template.arc_hist),
+                               reference_arc_table(population, fleet)):
+        assert ours.dtype == reference.dtype and np.array_equal(ours, reference)
+    assert np.array_equal(template.counts3d, reference_counts3d(population, fleet))
     for action, site in actions:
         ring_before = fleet.ring_state()
         assigned_before = fleet.assign_sites(population.ring_positions)
@@ -414,6 +494,7 @@ def check_ring_walk(population, fleet, actions):
         assert np.array_equal(
             template.counts3d, population.group_counts(assigned, fleet.n_sites)
         )
+        assert np.array_equal(template.counts3d, reference_counts3d(population, fleet))
         # (c) the churn figure counts exactly the clients whose site changed.
         if template is not parent:
             assert template.remapped_from_parent == np.count_nonzero(
@@ -470,6 +551,140 @@ class TestRingUniverse:
         ])
         fleet.fail_site("site00")
         assert fleet.assign_sites(ring_positions)[on_shared].tolist() == [1]
+
+    @pytest.mark.parametrize("shape", ["E13-16x64", "E14-24x64"])
+    def test_acceptance_fleets_match_the_sorted_formula(self, shape):
+        """The sort-free build against the sorted one it replaced, on the
+        acceptance runs' fleet shapes (E14's has drained spares: universe ≠
+        ring) and through a fail / restore / drain chain."""
+        from repro.scale.autoscale import elastic_fleet
+        from repro.scale.catalogue import provisioned_fleet
+
+        population = ClientPopulation(20_000, seed=37)
+        fleet = (provisioned_fleet(population, 16, headroom=1.1) if shape.startswith("E13")
+                 else elastic_fleet(population, 24, nominal_sites=16))
+        assert fleet.universe_arcs()[0].size == fleet.n_sites * 64
+        check_ring_walk(population, fleet, [
+            ("fail_site", 3), ("fail_site", 9), ("restore_site", 3),
+            ("drain_site", 5), ("activate_site", 20), ("restore_site", 9),
+            ("activate_site", 5),
+        ])
+
+    def test_one_histogram_per_distinct_universe(self):
+        """A second scenario on the same population and ring points shares
+        the first one's read-only table; another universe gets its own."""
+        from repro.scale.scenario import ScaleScenario
+
+        population = ClientPopulation(3_000, seed=41)
+        fleet, same, other = (NeutralizerFleet.build(n) for n in (5, 5, 6))
+        same.fail_site("site02")    # ring state differs, universe does not
+        first = ScaleScenario(population, fleet).build_template()
+        second = ScaleScenario(population, same).build_template()
+        third = ScaleScenario(population, other).build_template()
+        assert second.arc_hist is first.arc_hist
+        assert third.arc_hist is not first.arc_hist
+        assert not first.arc_hist.flags.writeable
+
+
+def locate_cases():
+    """Pinned rings × keys for :func:`ring_locate`: sizes from 0 to 4,096
+    points, uniform / clustered / duplicated points, and keys on, just below
+    and just above every point and at both ends of the space."""
+    top = np.uint64(2**64 - 1)
+    rng = np.random.default_rng(2006)
+    rings = [
+        np.empty(0, dtype=np.uint64),
+        np.array([0], dtype=np.uint64),
+        np.array([top], dtype=np.uint64),
+        np.array([0, 0, top, top], dtype=np.uint64),
+        # 50 consecutive points, one bucket (and one straddling a bucket edge).
+        np.uint64(0xABCD << 48) + np.arange(50, dtype=np.uint64),
+        np.uint64(0xABCD << 48) - np.uint64(25) + np.arange(50, dtype=np.uint64),
+    ]
+    for case in range(50):
+        size = int(rng.choice([1, 2, 7, 64, 1024, 1536, 4096]))
+        points = rng.integers(0, 2**64, size, dtype=np.uint64)
+        if case % 3 == 1:       # a third of the rings repeat points
+            points[size // 2:] = points[:size - size // 2]
+        if case % 5 == 2:       # some crowd into one or two buckets
+            points = (points >> np.uint64(50)) + np.uint64(int(rng.integers(0, 2**62)))
+        rings.append(np.sort(points))
+    for points in rings:
+        near = np.concatenate([points, points - np.uint64(1), points + np.uint64(1)])
+        keys = np.concatenate([
+            near, np.array([0, 1, top - np.uint64(1), top], dtype=np.uint64),
+            rng.integers(0, 2**64, 2_000, dtype=np.uint64),
+            # Non-uniform keys: everything in the buckets the points occupy.
+            (near >> np.uint64(48) << np.uint64(48)) + np.uint64(12345),
+        ])
+        yield points, keys
+
+
+class TestRingLocate:
+    def test_equals_searchsorted_left(self):
+        cases = 0
+        for points, keys in locate_cases():
+            located = ring_locate(points, keys)
+            reference = np.searchsorted(points, keys, side="left")
+            assert located.dtype == reference.dtype
+            assert np.array_equal(located, reference)
+            cases += 1
+        assert cases >= 50
+
+    def test_assign_sites_wraps_past_the_last_point(self):
+        fleet = NeutralizerFleet.build(3, replicas=8)
+        positions, owners = fleet.ring_state()
+        keys = np.array([0, positions[0], positions[-1],
+                         positions[-1] + np.uint64(1), 2**64 - 1], dtype=np.uint64)
+        assert fleet.assign_sites(keys).tolist() == [
+            owners[0], owners[0], owners[-1], owners[0], owners[0]]
+
+
+class TestPrepareFootprint:
+    """prepare() is one bounded-memory pass: nothing population-sized is
+    allocated beyond the three client columns, and no path sorts them."""
+
+    def test_million_client_build_stays_within_its_columns(self):
+        from repro.scale.scenario import ScaleScenario
+
+        clients = 10**6
+        tracemalloc.start()
+        try:
+            population = ClientPopulation(clients, seed=81)
+            template = ScaleScenario(population, NeutralizerFleet.build(16)).build_template()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert template.counts3d.sum() == clients
+        # 16 B/client of columns (int32 + int32 + uint64) and O(chunk) beside.
+        assert retained <= 17 * clients + (1 << 20)
+        assert peak <= 24 * clients + (4 << 20)
+
+    def test_campaign_paths_never_sort_the_population(self, monkeypatch):
+        from repro.scale import FluidTimeline, StochasticCampaignRunner
+        from repro.scale.catalogue import provisioned_fleet
+        from repro.scale.parallel import canonical_result_bytes
+
+        def campaign_unit():
+            runner = StochasticCampaignRunner(
+                clients=1500, nominal_sites=4, max_sites=6, epochs=10,
+                replicas=2, seed=7)
+            runner.prepare()
+            return canonical_result_bytes(runner.run_unit(runner.unit_specs()[0]))
+
+        def bare_timeline():
+            population = ClientPopulation(2_000, seed=7)
+            fleet = provisioned_fleet(population, 6)
+            return canonical_result_bytes(
+                FluidTimeline(population, fleet, epochs=12).run())
+
+        untouched = campaign_unit(), bare_timeline()
+
+        def off_limits(self):
+            raise AssertionError("a campaign path sorted the population")
+
+        monkeypatch.setattr(ClientPopulation, "ring_sorted", off_limits)
+        assert (campaign_unit(), bare_timeline()) == untouched
 
 
 class TestDrainLifecycle:

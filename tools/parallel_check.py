@@ -9,7 +9,10 @@ Two modes, both exercised by the ``parallel-equivalence`` CI job:
     difference between their canonical aggregate tables (wall-clock fields
     excluded — everything else must match exactly).  One more arm runs E14
     at ``n_workers=2`` with ``fork`` masked out of the start methods, so
-    the pickled-runner (``spawn``) path is executed too.
+    the pickled-runner (``spawn``) path is executed too, and gates what
+    that path ships: the prepared runner's pickle must stay within
+    17 B/client + 2 MB (the three client columns and the template; no
+    sorted copy of the population).
 
 ``resume``
     Launches a checkpointed frontier sweep in a child process, SIGINTs it
@@ -26,6 +29,7 @@ import argparse
 import contextlib
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -108,7 +112,19 @@ def check_equivalence() -> int:
                 print(f"FAIL: {label} {arm} diverged from "
                       f"the serial result")
                 failures += 1
-    return failures
+    return failures + check_spawn_payload()
+
+
+def check_spawn_payload() -> int:
+    """What a spawned (or remote) worker is sent: the prepared runner, pickled."""
+    runner = make_e14()
+    runner.prepare()
+    payload = len(pickle.dumps(runner))
+    budget = 17 * CLIENTS + (2 << 20)
+    verdict = "ok" if payload <= budget else "FAIL"
+    print(f"{verdict}: E14 prepared runner pickles to {payload:,} bytes for "
+          f"{CLIENTS:,} clients (budget 17 B/client + 2 MB = {budget:,})")
+    return int(payload > budget)
 
 
 def _run_frontier_child(checkpoint: str) -> None:
