@@ -10,7 +10,6 @@ full million.
 
 import os
 
-from repro.analysis.experiments import run_stochastic_campaign
 from repro.scale import StochasticCampaignRunner, run_churn_slo_frontier
 
 from conftest import emit
@@ -26,10 +25,14 @@ def test_e14_campaign_end_to_end(once):
     result = once(runner.run)
     assert result.duration_seconds < 5.0
     assert len(result.records) == 32
-    availability = result.availability
-    assert availability.samples == 32 * 200
-    # Low-tail semantics: the P99 is the availability 99% of epochs exceed.
-    assert availability.p50 >= availability.p95 >= availability.p99
+    assert result.availability.samples == 32 * 200
+    # Low-tail semantics: the P99 is the availability 99% of epochs exceed;
+    # cost-like (high-tail) rows order the other way.
+    for dist in result.distributions.values():
+        if dist.tail == "low":
+            assert dist.p50 >= dist.p95 >= dist.p99 >= dist.worst, dist
+        else:
+            assert dist.p50 <= dist.p95 <= dist.p99 <= dist.worst, dist
     assert len(result.churn_slo_points()) == 32
     emit(result.report)
 
@@ -55,14 +58,3 @@ def test_e14_frontier(once):
     # Hotter operating points spend fewer dollars.
     assert result.points[-1].mean_cost_usd < result.points[0].mean_cost_usd
     emit(result.report)
-
-
-def test_e14_report(once):
-    """Regenerate the E14 wrapper report (the rows EXPERIMENTS.md quotes)."""
-    result = once(
-        run_stochastic_campaign,
-        clients=min(_CLIENTS, 100_000), epochs=100, replicas=16, seed=_SEED,
-    )
-    assert result.distributions_ordered
-    rendered = result.report.render()
-    assert "E14" in rendered and "availability" in rendered

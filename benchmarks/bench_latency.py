@@ -10,7 +10,6 @@ runs (e.g. ``SCALE_BENCH_CLIENTS=2000``); the default is the full million.
 
 import os
 
-from repro.analysis.experiments import run_latency_campaign
 from repro.scale import LatencyCampaignRunner, run_latency_cost_frontier
 from repro.scale.validate import cross_validate_latency
 
@@ -69,14 +68,3 @@ def test_e15_proxy_validates_against_netsim(once):
     result = once(cross_validate_latency, seed=_SEED)
     assert result.within_tolerance, result.failures
     emit(result.report)
-
-
-def test_e15_report(once):
-    """Regenerate the E15 wrapper report (the rows EXPERIMENTS.md quotes)."""
-    result = once(
-        run_latency_campaign,
-        clients=min(_CLIENTS, 100_000), epochs=100, replicas=16, seed=_SEED,
-        validate=False,
-    )
-    rendered = result.report.render()
-    assert "E15" in rendered and "latency" in rendered

@@ -6,11 +6,11 @@ runs (e.g. ``SCALE_BENCH_CLIENTS=2000``); the default is the full million.
 
 import os
 
-from repro.analysis.experiments import run_fleet_scale
 from repro.scale import (
     ClientPopulation,
     FleetScaleRunner,
     NeutralizerFleet,
+    cross_validate,
 )
 
 from conftest import emit
@@ -40,10 +40,16 @@ def test_e12_million_client_solve(once):
 
 
 def test_e12_report(once):
-    """Regenerate the E12 sweep + cross-validation tables."""
+    """Regenerate the E12 sweep tables."""
     counts = tuple(sorted({max(100, _CLIENTS // 100), max(100, _CLIENTS // 10), _CLIENTS}))
-    result = once(run_fleet_scale, counts, seed=_SEED, validate=True)
+    result = once(FleetScaleRunner(client_counts=counts, seed=_SEED).run)
     emit(result.report)
-    assert result.validated
-    assert result.sweep.largest_point.clients == _CLIENTS
-    assert result.sweep.largest_point.wall_seconds < 30.0
+    assert result.largest_point.clients == _CLIENTS
+    assert result.largest_point.wall_seconds < 30.0
+
+
+def test_e12_fluid_validates_against_netsim(once):
+    """The fluid model agrees with the packet-level simulator within 10%."""
+    result = once(cross_validate, seed=_SEED)
+    assert result.within_tolerance, result.failures
+    emit(result.report)

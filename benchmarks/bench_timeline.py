@@ -10,13 +10,13 @@ import os
 
 import pytest
 
-from repro.analysis.experiments import run_timeline_catalogue
 from repro.scale import (
     ClientPopulation,
     ConstantLoad,
     DiurnalLoad,
     FluidTimeline,
     Telemetry,
+    TimelineCampaignRunner,
     provisioned_fleet,
 )
 from repro.scale.catalogue import run_scenario, scenario_names
@@ -164,7 +164,9 @@ def test_e13_catalogue_scenario(once, scenario):
 
 def test_e13_report(once):
     """Regenerate the E13 campaign tables (the rows EXPERIMENTS.md quotes)."""
-    result = once(run_timeline_catalogue, clients=min(_CLIENTS, 100_000), seed=_SEED)
+    runner = TimelineCampaignRunner(clients=min(_CLIENTS, 100_000), seed=_SEED)
+    result = once(runner.run)
     emit(result.report)
-    assert result.all_conserved
-    assert len(result.campaign.records) >= 6
+    for timeline in result.timelines.values():
+        assert (timeline.goodput_bps <= timeline.demand_bps * (1 + 1e-9)).all()
+    assert len(result.records) >= 6

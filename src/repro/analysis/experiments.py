@@ -1,26 +1,17 @@
-"""Experiment runners: one function per reproduced result (E1–E11, plus the
-fleet-scale campaigns E12–E15).
+"""Experiment runners: one function per packet-level result (E1–E11).
 
 Each runner builds the workload, runs it, and returns a small result object
 plus an :class:`repro.analysis.report.ExperimentReport`.  The benchmark
 targets under ``benchmarks/`` and the example scripts call these functions, so
-the numbers quoted in EXPERIMENTS.md always come from exactly this code.
+the numbers quoted for E1–E11 always come from exactly this code.  The
+fleet-scale campaigns E12–E16 are the runners of :mod:`repro.scale.runner`,
+whose results carry their own reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:
-    from ..scale.runner import (
-        FleetScaleResult,
-        FrontierResult,
-        LatencyFrontierResult,
-        StochasticCampaignResult,
-        TimelineCampaignResult,
-    )
-    from ..scale.validate import CrossValidationResult, LatencyValidationResult
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..apps.voip import VoipCall, VoipQualityReport, VoipReceiver
 from ..apps.workloads import ConstantRateSource, KeySetupFlood
@@ -925,413 +916,3 @@ def run_pushback_experiment(*, call_seconds: float = 3.0, flood_pps: float = 300
     report.add_note("pushback rate-limits the key-setup aggregate upstream, protecting both "
                     "the shared links (victim call quality) and the neutralizer's CPU budget")
     return PushbackResult(arms=arms, report=report)
-
-
-# ---------------------------------------------------------------------------
-# E12: fleet scale (flow-level fluid simulator)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FleetScaleExperimentResult:
-    """E12 outputs: the sweep campaign plus its cross-validation."""
-
-    sweep: "FleetScaleResult"
-    validation: Optional["CrossValidationResult"]
-    report: ExperimentReport
-
-    @property
-    def validated(self) -> bool:
-        """Whether fluid and packet-level goodput agreed within 10 %."""
-        return self.validation is not None and self.validation.within_tolerance
-
-
-def run_fleet_scale(
-    client_counts: Optional[Tuple[int, ...]] = None,
-    *,
-    n_sites: int = 16,
-    seed: int = 81,
-    validate: bool = True,
-    failed_sites: Tuple[str, ...] = (),
-) -> FleetScaleExperimentResult:
-    """E12: fluid goodput vs population size, cross-checked against netsim.
-
-    The packet-level experiments stop at thousands of packets; this one uses
-    the :mod:`repro.scale` fluid model to push the same deployment shape to a
-    million clients against a ``n_sites``-site fleet, after validating the
-    model against the event engine on a small shared scenario.
-    """
-    from ..scale import FleetScaleRunner
-    from ..scale.runner import DEFAULT_CLIENT_COUNTS
-
-    runner = FleetScaleRunner(
-        client_counts=client_counts if client_counts is not None else DEFAULT_CLIENT_COUNTS,
-        n_sites=n_sites, seed=seed, failed_sites=failed_sites,
-    )
-    sweep = runner.run()
-
-    validation = None
-    if validate:
-        from ..scale import cross_validate
-
-        validation = cross_validate(seed=seed)
-
-    report = ExperimentReport(
-        "E12", "Fleet scale: million-client fluid sweep (+ packet-level cross-check)"
-    )
-    report.tables.extend(sweep.report.tables)
-    report.notes.extend(sweep.report.notes)
-    if validation is not None:
-        report.tables.extend(validation.report.tables)
-        report.notes.extend(validation.report.notes)
-        report.add_note(
-            f"fluid vs packet-level max relative error: "
-            f"{validation.max_relative_error:.4f} (acceptance bound 0.10)"
-        )
-    report.add_note("the paper's scaling argument is per-box cost times anycast spread; "
-                    "the fluid sweep shows where CPU and uplink knees sit for a whole fleet")
-    return FleetScaleExperimentResult(sweep=sweep, validation=validation, report=report)
-
-
-# ---------------------------------------------------------------------------
-# E13: timeline scenario catalogue (time-stepped fluid simulator)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TimelineCatalogueExperimentResult:
-    """E13 outputs: the catalogue campaign with its per-scenario timelines."""
-
-    campaign: "TimelineCampaignResult"
-    report: ExperimentReport
-
-    @property
-    def all_conserved(self) -> bool:
-        """Whether every epoch of every scenario delivered at most its demand."""
-        return all(
-            record.goodput_bps <= record.demand_bps * (1 + 1e-9) or record.demand_bps == 0
-            for result in self.campaign.timelines.values()
-            for record in result.records
-        )
-
-
-def run_timeline_catalogue(
-    *,
-    clients: int = 100_000,
-    seed: int = 2006,
-    scenarios: Optional[Tuple[str, ...]] = None,
-    calibrate_cost_model: bool = False,
-) -> TimelineCatalogueExperimentResult:
-    """E13: the scale scenario catalogue through the time-stepped fluid model.
-
-    E12 answers "where does the steady-state knee sit"; E13 answers "what
-    happens on the way" — flash crowds, outages with hash-ring failover,
-    diurnal weeks, cascading overload, discrimination rollouts.
-    ``calibrate_cost_model=True`` re-measures the crypto primitive rates on
-    the current machine (:meth:`repro.scale.CryptoCostModel.calibrated`) so
-    the reported per-site CPU capacities are pinned to real hardware.
-    """
-    from ..scale import CryptoCostModel
-    from ..scale.runner import TimelineCampaignRunner
-
-    cost_model = CryptoCostModel.calibrated() if calibrate_cost_model else None
-    runner = TimelineCampaignRunner(
-        scenarios=scenarios, clients=clients, seed=seed, cost_model=cost_model
-    )
-    campaign = runner.run()
-
-    report = ExperimentReport(
-        "E13", "Timeline catalogue: fleet transients under the fluid model"
-    )
-    report.tables.extend(campaign.report.tables)
-    report.notes.extend(campaign.report.notes)
-    if cost_model is not None:
-        report.add_note(
-            f"cost model calibrated in-process: "
-            f"{cost_model.aes_blocks_per_second:,.0f} AES blocks/s, "
-            f"{cost_model.kdf_ops_per_second:,.0f} Ks derivations/s, "
-            f"{cost_model.rsa512_encryptions_per_second:,.0f} RSA-512 encryptions/s"
-        )
-    report.add_note("steady-state sweeps hide transients; the catalogue is the "
-                    "regression net for how the fleet rides out events over time")
-    return TimelineCatalogueExperimentResult(campaign=campaign, report=report)
-
-
-# ---------------------------------------------------------------------------
-# E14: Monte-Carlo stochastic availability campaign (autoscaled fleet)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StochasticCampaignExperimentResult:
-    """E14 outputs: the Monte-Carlo campaign, optionally with its frontier."""
-
-    campaign: "StochasticCampaignResult"
-    frontier: Optional["FrontierResult"]
-    report: ExperimentReport
-
-    @property
-    def distributions_ordered(self) -> bool:
-        """Percentile sanity: every distribution's tail is ordered correctly.
-
-        For low-tail (availability-like) metrics P50 >= P95 >= P99 >= worst;
-        for high-tail (cost-like) metrics the reverse.
-        """
-        for dist in self.campaign.distributions.values():
-            if dist.tail == "low":
-                if not dist.p50 >= dist.p95 >= dist.p99 >= dist.worst:
-                    return False
-            else:
-                if not dist.p50 <= dist.p95 <= dist.p99 <= dist.worst:
-                    return False
-        return True
-
-
-def run_stochastic_campaign(
-    *,
-    clients: int = 1_000_000,
-    epochs: int = 200,
-    replicas: int = 32,
-    seed: int = 2006,
-    slo: float = 0.95,
-    frontier: bool = False,
-    frontier_targets: Tuple[float, ...] = (0.45, 0.6, 0.75, 0.9),
-) -> StochasticCampaignExperimentResult:
-    """E14: availability as a *distribution* under seeded stochastic churn.
-
-    E13 replays hand-written transients; E14 draws them from seeded random
-    processes (Poisson site failures, correlated regional outages, DoS
-    attack onsets) and runs ``replicas`` independent timelines against an
-    autoscaled elastic fleet, reporting P50/P95/P99 availability, churn, and
-    dollar-cost distributions plus per-replica churn-vs-SLO numbers.
-    ``frontier=True`` additionally sweeps the autoscaler's utilization
-    target over ``frontier_targets`` (a smaller campaign per target) to
-    chart the churn-vs-SLO frontier.
-    """
-    from ..scale.runner import StochasticCampaignRunner, run_churn_slo_frontier
-
-    runner = StochasticCampaignRunner(
-        clients=clients, epochs=epochs, replicas=replicas, seed=seed, slo=slo,
-    )
-    campaign = runner.run()
-
-    frontier_result = None
-    if frontier:
-        frontier_result = run_churn_slo_frontier(
-            targets=frontier_targets,
-            clients=min(clients, 200_000),
-            replicas=max(replicas // 4, 2),
-            seed=seed, slo=slo,
-        )
-
-    report = ExperimentReport(
-        "E14", "Stochastic availability: Monte-Carlo campaigns on an autoscaled fleet"
-    )
-    report.tables.extend(campaign.report.tables)
-    report.notes.extend(campaign.report.notes)
-    if frontier_result is not None:
-        report.tables.extend(frontier_result.report.tables)
-        report.notes.extend(frontier_result.report.notes)
-    report.add_note(
-        "availability here is delivered fraction per epoch; quoting its P99 "
-        "as tail risk (the value 99% of epochs exceed) is what distinguishes "
-        "a fleet that merely averages well from one that rides out churn"
-    )
-    return StochasticCampaignExperimentResult(
-        campaign=campaign, frontier=frontier_result, report=report,
-    )
-
-
-# ---------------------------------------------------------------------------
-# E15: Monte-Carlo queueing-latency campaign (elastic mix, latency SLO)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LatencyCampaignExperimentResult:
-    """E15 outputs: the latency campaign, its frontier, and the validation."""
-
-    campaign: "StochasticCampaignResult"
-    frontier: Optional["LatencyFrontierResult"]
-    validation: Optional["LatencyValidationResult"]
-    report: ExperimentReport
-
-    @property
-    def validated(self) -> bool:
-        """Whether the latency proxy agreed with the packet-level arm (≤15%)."""
-        return self.validation is not None and self.validation.within_tolerance
-
-    @property
-    def latency_distributions(self) -> Dict[str, "object"]:
-        """The campaign's latency-flavored distributions only."""
-        return {name: dist for name, dist in self.campaign.distributions.items()
-                if "latency" in name or "p95" in name}
-
-
-def run_latency_campaign(
-    *,
-    clients: int = 1_000_000,
-    epochs: int = 200,
-    replicas: int = 32,
-    seed: int = 2006,
-    target_p95_seconds: float = 0.06,
-    frontier: bool = False,
-    frontier_targets_seconds: Tuple[float, ...] = (0.045, 0.055, 0.07, 0.1),
-    validate: bool = True,
-) -> LatencyCampaignExperimentResult:
-    """E15: queueing latency as a *distribution* on an elastic-demand fleet.
-
-    E14 asks how much of the offered load is served; E15 asks how long the
-    served traffic waits.  The population mixes TCP-like elastic web/video
-    (alpha-fair congestion response in the solver) with inelastic VoIP, each
-    epoch maps utilization to client-weighted path-delay percentiles through
-    the M/G/1-PS proxy of :mod:`repro.scale.latency`, and a latency-aware
-    autoscaler holds the P95 on ``target_p95_seconds``.  ``frontier=True``
-    additionally sweeps the delay target to chart latency against dollars;
-    ``validate=True`` cross-checks the proxy against the packet-level
-    simulator on a short shared transient (acceptance: within 15%).
-    """
-    from ..scale.runner import LatencyCampaignRunner, run_latency_cost_frontier
-
-    runner = LatencyCampaignRunner(
-        clients=clients, epochs=epochs, replicas=replicas, seed=seed,
-        target_p95_seconds=target_p95_seconds,
-    )
-    campaign = runner.run()
-
-    frontier_result = None
-    if frontier:
-        frontier_result = run_latency_cost_frontier(
-            targets_p95_seconds=frontier_targets_seconds,
-            clients=min(clients, 200_000),
-            replicas=max(replicas // 4, 2),
-            seed=seed,
-        )
-
-    validation = None
-    if validate:
-        from ..scale.validate import cross_validate_latency
-
-        validation = cross_validate_latency(seed=seed)
-
-    report = ExperimentReport(
-        "E15", "Queueing latency: Monte-Carlo campaigns on an elastic-demand fleet"
-    )
-    report.tables.extend(campaign.report.tables)
-    report.notes.extend(campaign.report.notes)
-    if frontier_result is not None:
-        report.tables.extend(frontier_result.report.tables)
-        report.notes.extend(frontier_result.report.notes)
-    if validation is not None:
-        report.tables.extend(validation.report.tables)
-        report.notes.extend(validation.report.notes)
-        report.add_note(
-            f"latency proxy vs packet-level max relative error: "
-            f"{validation.max_relative_error:.4f} (acceptance bound 0.15)"
-        )
-    report.add_note(
-        "the neutrality argument in delay terms: a neutral domain must give "
-        "every class a comparable latency distribution, so E15 quotes "
-        "client-weighted P50/P95/P99 path delay and the SLO-violating client "
-        "fraction, not just delivered throughput"
-    )
-    return LatencyCampaignExperimentResult(
-        campaign=campaign, frontier=frontier_result, validation=validation,
-        report=report,
-    )
-
-
-# ---------------------------------------------------------------------------
-# E16: adaptive ISP discrimination vs. neutralizer adoption (the arms race)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AdversaryCampaignExperimentResult:
-    """E16 outputs: the arms-race grid, plus validation and variance study."""
-
-    campaign: "object"
-    validation: Optional["object"]
-    variance: Optional["object"]
-    report: ExperimentReport
-
-    @property
-    def validated(self) -> bool:
-        """Whether the fluid adversary agreed with the packet arm (≤10%)."""
-        return self.validation is not None and self.validation.within_tolerance
-
-    @property
-    def self_defeating(self) -> bool:
-        """Whether the frontier exhibits the self-defeating regime at all."""
-        return bool(self.campaign.self_defeating_points())
-
-
-def run_adversary_campaign(
-    *,
-    clients: int = 1_000_000,
-    epochs: int = 200,
-    replicas_per_point: int = 4,
-    seed: int = 2006,
-    aggressiveness: Tuple[float, ...] = (0.0, 0.35, 0.7, 1.0),
-    sensitivities: Tuple[float, ...] = (2.0, 12.0),
-    validate: bool = True,
-    variance_study: bool = False,
-) -> AdversaryCampaignExperimentResult:
-    """E16: the discrimination arms race as a calibrated frontier.
-
-    The campaign sweeps ISP aggressiveness × client adoption sensitivity
-    through the closed-loop game of :mod:`repro.scale.adversary` — an
-    adaptive, budget-constrained, classifier-driven throttler against
-    per-region logistic neutralizer adoption — and maps where escalation
-    stops paying: once neutralization is cheap, throttling harder buys
-    adoption instead of suppression and the discriminated share collapses
-    to the classifier's leakage floor.  ``validate=True`` cross-checks one
-    fluid adversary epoch against the packet-level
-    :mod:`repro.discrimination` + :mod:`repro.netsim` path (within 10%);
-    ``variance_study=True`` appends the measured iid/stratified/antithetic
-    estimator-spread comparison.
-    """
-    from ..scale.runner import AdversaryCampaignRunner, compare_variance_reduction
-
-    runner = AdversaryCampaignRunner(
-        clients=clients, epochs=epochs, replicas_per_point=replicas_per_point,
-        seed=seed, aggressiveness=aggressiveness, sensitivities=sensitivities,
-    )
-    campaign = runner.run()
-
-    validation = None
-    if validate:
-        from ..scale.validate import cross_validate_adversary
-
-        validation = cross_validate_adversary(seed=seed)
-
-    variance = None
-    if variance_study:
-        variance = compare_variance_reduction(
-            clients=min(clients, 20_000), seed=seed,
-        )
-
-    report = ExperimentReport(
-        "E16", "Adaptive discrimination vs. neutralizer adoption at fleet scale"
-    )
-    report.tables.extend(campaign.report.tables)
-    report.notes.extend(campaign.report.notes)
-    if validation is not None:
-        report.tables.extend(validation.report.tables)
-        report.notes.extend(validation.report.notes)
-        report.add_note(
-            f"fluid adversary vs packet-level max relative error: "
-            f"{validation.max_relative_error:.4f} (acceptance bound 0.10)"
-        )
-    if variance is not None:
-        report.tables.extend(variance.report.tables)
-        report.notes.extend(variance.report.notes)
-    report.add_note(
-        "the paper's core tension, closed-loop: discrimination only pays "
-        "while its victims cannot afford to disappear from the classifier — "
-        "E16 prices exactly when they can"
-    )
-    return AdversaryCampaignExperimentResult(
-        campaign=campaign, validation=validation, variance=variance,
-        report=report,
-    )

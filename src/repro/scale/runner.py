@@ -138,6 +138,24 @@ def _mean_of(records: Sequence[object], name: str) -> float:
     return float(np.mean([getattr(record, name) for record in records]))
 
 
+def _reject_repeats(what: str, values: Sequence[object], key=None) -> None:
+    """Refuse a sweep that lists one value twice, before any unit runs.
+
+    Results are keyed by sweep value (and frontier checkpoints by point
+    name, ``key``), so a repeat would silently collapse two points into one
+    entry, or let the second resume the first's outcomes.
+    """
+    first: Dict[object, object] = {}
+    for value in values:
+        name = value if key is None else key(value)
+        if name in first:
+            if first[name] == value:
+                raise WorkloadError(f"{what} lists {value!r} twice")
+            raise WorkloadError(f"{what} lists {first[name]!r} and {value!r}, "
+                                f"which share the point name {name!r}")
+        first[name] = value
+
+
 #: The default campaign sweep: three decades up to a million clients.
 DEFAULT_CLIENT_COUNTS: Tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
 
@@ -226,7 +244,7 @@ class CampaignRunner:
 
     def _result_header(self, started_at: float,
                        duration_seconds: float) -> Dict[str, object]:
-        """The identity and timing fields every campaign result starts with."""
+        """This campaign's :class:`CampaignResult` fields, as keywords."""
         completed_at = started_at + duration_seconds
         return dict(run_id=self.run_id, experiment_name=self.experiment_name,
                     started_at=started_at, completed_at=completed_at,
@@ -334,14 +352,25 @@ class ScaleExperimentState:
 
 
 @dataclass(frozen=True)
-class FleetScaleResult:
-    """Final result of one campaign run."""
+class CampaignResult:
+    """The identity and timing fields every campaign result starts with.
+
+    Filled by :meth:`CampaignRunner._result_header`; the timing fields are
+    wall clock, so :func:`repro.scale.parallel.canonical_result_bytes`
+    drops them.
+    """
 
     run_id: str
     experiment_name: str
     started_at: float
     completed_at: float
     duration_seconds: float
+
+
+@dataclass(frozen=True)
+class FleetScaleResult(CampaignResult):
+    """Final result of one E12 sweep."""
+
     records: Tuple[SweepRecord, ...]
     report: ExperimentReport
 
@@ -531,14 +560,9 @@ class TimelineCampaignRecord:
 
 
 @dataclass(frozen=True)
-class TimelineCampaignResult:
+class TimelineCampaignResult(CampaignResult):
     """Final result of one E13 catalogue run."""
 
-    run_id: str
-    experiment_name: str
-    started_at: float
-    completed_at: float
-    duration_seconds: float
     records: Tuple[TimelineCampaignRecord, ...]
     #: Full per-epoch results, keyed by scenario name.
     timelines: Dict[str, TimelineResult]
@@ -591,6 +615,7 @@ class TimelineCampaignRunner(CampaignRunner):
                 f"unknown scenario(s) {', '.join(unknown)}; "
                 f"catalogue has {', '.join(CATALOGUE)}"
             )
+        _reject_repeats("scenarios", self.scenario_names)
         if flagship not in CATALOGUE:
             raise WorkloadError(
                 f"unknown flagship scenario {flagship!r}; "
@@ -775,14 +800,9 @@ class StochasticReplicaRecord:
 
 
 @dataclass(frozen=True)
-class StochasticCampaignResult:
-    """Final result of one E14 Monte-Carlo campaign."""
+class StochasticCampaignResult(CampaignResult):
+    """Final result of one E14 (or E15) Monte-Carlo campaign."""
 
-    run_id: str
-    experiment_name: str
-    started_at: float
-    completed_at: float
-    duration_seconds: float
     slo: float
     records: Tuple[StochasticReplicaRecord, ...]
     #: Named P50/P95/P99 summaries; see the runner for the metric set.
@@ -1143,10 +1163,16 @@ def _sweep_frontier(runner_class, knob: str, values: Sequence[float],
     The first point's runner builds the population and every later point
     adopts it; with the campaign seed reused too, the sweep isolates the
     knob from the noise.  Each point is one engine run with its own
-    checkpoint subdirectory (one run-table per campaign).  ``columns`` maps
-    each ``point_class`` field after the knob to a replica-record field
-    (its mean over the point's replicas) or a function of the campaign result.
+    checkpoint subdirectory ``{slug}-{value:g}`` (one run-table per
+    campaign), so values whose names coincide are refused up front.
+    ``columns`` maps each ``point_class`` field after the knob to a
+    replica-record field (its mean over the point's replicas) or a function
+    of the campaign result.
     """
+    def point_name(value: float) -> str:
+        return f"{slug}-{value:g}"
+
+    _reject_repeats(f"the {knob} sweep", values, key=point_name)
     population = None
     points = []
     for value in values:
@@ -1154,7 +1180,7 @@ def _sweep_frontier(runner_class, knob: str, values: Sequence[float],
                               **campaign_kwargs)
         population = runner.shared_population()
         point_dir = (None if checkpoint_dir is None
-                     else Path(checkpoint_dir) / f"{slug}-{value:g}")
+                     else Path(checkpoint_dir) / point_name(value))
         campaign = runner.run_parallel(n_workers=n_workers,
                                        checkpoint_dir=point_dir)
         points.append(point_class(value, **{
@@ -1469,6 +1495,7 @@ def compare_variance_reduction(
     unknown = set(schemes) - set(VARIANCE_SCHEMES)
     if unknown:
         raise WorkloadError(f"unknown variance-reduction scheme(s) {sorted(unknown)}")
+    _reject_repeats("schemes", schemes)
     # Built by the first runner (batch 0 runs on ``seed``), adopted by the rest.
     population = None
     mean_estimates: Dict[str, List[float]] = {scheme: [] for scheme in schemes}
@@ -1577,14 +1604,9 @@ def self_defeating_points(
 
 
 @dataclass(frozen=True)
-class AdversaryCampaignResult:
+class AdversaryCampaignResult(CampaignResult):
     """Final result of one E16 arms-race campaign."""
 
-    run_id: str
-    experiment_name: str
-    started_at: float
-    completed_at: float
-    duration_seconds: float
     points: Tuple[AdversaryPointRecord, ...]
     #: Per-point replica records, keyed by (aggressiveness, sensitivity).
     records: Dict[Tuple[float, float], Tuple[AdversaryReplicaRecord, ...]]
@@ -1652,6 +1674,8 @@ class AdversaryCampaignRunner(_ReplicaCampaign):
             raise WorkloadError("campaign needs positive clients, epochs and replicas")
         if not aggressiveness or not sensitivities:
             raise WorkloadError("the sweep needs aggressiveness and sensitivity values")
+        _reject_repeats("aggressiveness", aggressiveness)
+        _reject_repeats("sensitivities", sensitivities)
         self.clients = int(clients)
         self.epochs = int(epochs)
         self.aggressiveness = tuple(aggressiveness)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import run_timeline_catalogue
 from repro.exceptions import WorkloadError
 from repro.scale import (
     CATALOGUE,
@@ -136,11 +135,12 @@ class TestCampaignRunner:
         without = run_scenario("flash_crowd", clients=SMOKE_CLIENTS, seed=7)
         assert np.array_equal(with_shared.goodput_bps, without.goodput_bps)
 
-    def test_e13_wrapper(self):
-        result = run_timeline_catalogue(
+    def test_e13_result_conserves_and_reports(self):
+        result = TimelineCampaignRunner(
             clients=SMOKE_CLIENTS, seed=7,
             scenarios=("discrimination_rollout",),
-        )
-        assert result.all_conserved
+        ).run()
+        for timeline in result.timelines.values():
+            assert (timeline.goodput_bps <= timeline.demand_bps * (1 + 1e-9)).all()
         rendered = result.report.render()
         assert "E13" in rendered and "discrimination_rollout" in rendered

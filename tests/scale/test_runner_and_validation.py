@@ -1,18 +1,24 @@
 """Scenario solving, the campaign runner, and fluid-vs-packet cross-validation."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import run_fleet_scale
 from repro.analysis.report import ExperimentReport
+from repro.exceptions import WorkloadError
 from repro.scale import (
+    AdversaryCampaignRunner,
     ClientPopulation,
     CryptoCostModel,
     FleetScaleRunner,
     NeutralizerFleet,
     ScaleScenario,
+    TimelineCampaignRunner,
+    compare_variance_reduction,
     cross_validate,
     cross_validate_latency,
+    run_churn_slo_frontier,
 )
 from repro.units import mbps
 
@@ -91,7 +97,7 @@ class TestRunner:
         assert result.largest_point.clients == 2_000
         assert result.run_id.startswith("fleet-scale-")
         assert "E12" == result.report.experiment_id
-        assert result.report.render()
+        assert "E12" in result.report.render()
 
     def test_goodput_grows_with_population_until_saturation(self):
         runner = FleetScaleRunner(client_counts=(1_000, 8_000, 64_000),
@@ -121,6 +127,30 @@ class TestRunner:
         runner = FleetScaleRunner(client_counts=(1_000,), n_sites=2,
                                   cost_model=model, seed=3)
         assert runner.run().records[0].goodput_bps
+
+    @pytest.mark.parametrize("sweep, repeated", [
+        (lambda checkpoint_dir: TimelineCampaignRunner(
+            scenarios=("flash_crowd", "flash_crowd"), clients=1_000),
+         "'flash_crowd' twice"),
+        (lambda checkpoint_dir: AdversaryCampaignRunner(
+            aggressiveness=(0.3, 0.3), sensitivities=(2.0,), clients=1_000),
+         "0.3 twice"),
+        (lambda checkpoint_dir: compare_variance_reduction(
+            schemes=("iid", "iid"), clients=1_000, epochs=4, replicas=2,
+            batches=2),
+         "'iid' twice"),
+        (lambda checkpoint_dir: run_churn_slo_frontier(
+            targets=(0.6, 0.6000001), clients=1_000, epochs=4, replicas=2,
+            checkpoint_dir=checkpoint_dir),
+         "0.6 and 0.6000001, which share the point name 'target-0.6'"),
+    ], ids=["e13-scenarios", "e16-grid", "variance-schemes", "frontier-points"])
+    def test_repeated_sweep_value_is_refused_before_any_unit_runs(
+            self, tmp_path, sweep, repeated):
+        # A repeat would collapse two points into one result entry, or
+        # resume one frontier point from the other's checkpoint.
+        with pytest.raises(WorkloadError, match=re.escape(repeated)):
+            sweep(tmp_path / "ck")
+        assert not (tmp_path / "ck").exists()
 
 
 class TestCrossValidation:
@@ -218,10 +248,3 @@ class TestCrossValidation:
         with pytest.raises(WorkloadError, match="fluid arm.*dumbbell"):
             _solve_fluid_arm(clients=4, rate_pps=0.0, wire_bits=2000.0,
                              bottleneck_rate_bps=600_000.0)
-
-    def test_e12_wrapper_combines_sweep_and_validation(self):
-        result = run_fleet_scale(client_counts=(500, 2_000), n_sites=2,
-                                 seed=3, validate=False)
-        assert result.validation is None and not result.validated
-        assert result.sweep.largest_point.clients == 2_000
-        assert "E12" in result.report.render()

@@ -1,6 +1,7 @@
-"""``tools/check_docs.py``: the docs name only files and CI jobs that exist.
+"""``tools/check_docs.py``: the docs name only files, CI jobs and ``repro``
+names that exist.
 
-The repository's own docs must pass; the three existence checks are then
+The repository's own docs must pass; the four existence checks are then
 driven on a tiny tree where exactly one thing is wrong at a time.
 """
 
@@ -91,6 +92,19 @@ def test_workflow_running_a_missing_file_is_reported(tree, tmp_path, capsys):
         "--out OUT.json", "--out OUT.json && python tools/retired.py OUT.json"))
     assert _problems(tree, capsys) == [
         ".github/workflows/ci.yml: names a missing file -> tools/retired.py"]
+
+
+def test_snippet_importing_a_missing_repro_name_is_reported(tree, tmp_path,
+                                                            capsys):
+    (tmp_path / "docs/guide.md").write_text(
+        "```python\nfrom repro.scale import FleetScaleRunner\n```\n\n"
+        "```python\nimport os\n"
+        "from repro.analysis.experiments import run_qos_experiment, run_retired\n"
+        "```\n")
+    # Only the deleted name is reported, at its own line of the doc.
+    assert _problems(tree, capsys) == [
+        "docs/guide.md:7: snippet imports a missing name -> "
+        "repro.analysis.experiments.run_retired"]
 
 
 def test_readme_must_name_every_job_in_its_ci_section(tree, tmp_path, capsys):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Docs gate: links resolve, snippets compile, named files and CI jobs exist.
+"""Docs gate: links resolve, snippets compile and import only what exists,
+named files and CI jobs exist.
 
 Checks every markdown file under docs/ plus the top-level README.md,
 EXPERIMENTS.md, ROADMAP.md and CHANGES.md:
@@ -13,10 +14,14 @@ EXPERIMENTS.md, ROADMAP.md and CHANGES.md:
 
 ROADMAP.md and CHANGES.md are history and stop there.  The docs that
 describe the tree as it is (docs/, README.md, EXPERIMENTS.md) must also
-name only files that exist: every backticked repo path (``tools/…``,
-``benchmarks/…``, ``src/…``, ``docs/…``, ``tests/…``, ``examples/…``;
-globs and placeholders are skipped) is checked, as is every such path the
-CI workflow runs, and README's CI section must name every workflow job.
+name only files and names that exist: every backticked repo path
+(``tools/…``, ``benchmarks/…``, ``src/…``, ``docs/…``, ``tests/…``,
+``examples/…``; globs and placeholders are skipped) is checked, as is
+every such path the CI workflow runs, and README's CI section must name
+every workflow job.  Their python snippets are parsed too, and every
+``from repro… import name`` in them must resolve (``importlib`` plus
+``hasattr``, against this checkout's ``src/``), so a deleted or renamed
+API cannot linger in an example.
 
 Exits non-zero with one line per problem, so the CI docs job fails loudly
 and locally ``python tools/check_docs.py`` tells you what to fix.
@@ -24,6 +29,8 @@ and locally ``python tools/check_docs.py`` tells you what to fix.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -87,29 +94,63 @@ def check_links(path: Path, problems: list) -> None:
                 )
 
 
-def check_snippets(path: Path, problems: list) -> None:
-    lines = path.read_text().splitlines()
+def python_snippets(path: Path):
+    """(fence line number, source) of every fenced ```python block."""
     block: list = []
     language = None
     start = 0
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
         fence = FENCE.match(line)
         if fence and language is None:
             language = fence.group(1).lower()
             block, start = [], number
         elif line.strip() == "```" and language is not None:
             if language == "python":
-                source = "\n".join(block)
-                try:
-                    compile(source, f"{path.name}:{start}", "exec")
-                except SyntaxError as error:
-                    problems.append(
-                        f"{path.relative_to(REPO)}:{start}: snippet does not "
-                        f"compile ({error.msg}, line {error.lineno})"
-                    )
+                yield start, "\n".join(block)
             language = None
         elif language is not None:
             block.append(line)
+
+
+def check_snippets(path: Path, problems: list) -> None:
+    for start, source in python_snippets(path):
+        try:
+            compile(source, f"{path.name}:{start}", "exec")
+        except SyntaxError as error:
+            problems.append(
+                f"{path.relative_to(REPO)}:{start}: snippet does not "
+                f"compile ({error.msg}, line {error.lineno})"
+            )
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether ``from module import name`` would succeed."""
+    try:
+        if hasattr(importlib.import_module(module), name):
+            return True
+        importlib.import_module(f"{module}.{name}")  # a submodule
+        return True
+    except ImportError:
+        return False
+
+
+def check_imports(path: Path, problems: list) -> None:
+    """Every ``from repro… import name`` in a snippet must resolve."""
+    for start, source in python_snippets(path):
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue  # check_snippets reports it
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "repro"):
+                continue
+            for alias in node.names:
+                if alias.name != "*" and not _resolves(node.module, alias.name):
+                    problems.append(
+                        f"{path.relative_to(REPO)}:{start + node.lineno}: "
+                        f"snippet imports a missing name -> "
+                        f"{node.module}.{alias.name}")
 
 
 def check_paths(source: Path, paths, problems: list) -> None:
@@ -147,6 +188,7 @@ def main() -> int:
             if path.name not in HISTORY:
                 check_paths(path, BACKTICKED_PATH.findall(path.read_text()),
                             problems)
+                check_imports(path, problems)
     check_workflow(problems)
     if problems:
         print(f"docs check: {len(problems)} problem(s)")
@@ -155,9 +197,10 @@ def main() -> int:
         return 1
     checked = len([path for path in DOC_FILES if path.exists()])
     print(f"docs check: {checked} files OK (links resolve, snippets compile, "
-          f"named paths and CI jobs exist)")
+          f"snippet imports resolve, named paths and CI jobs exist)")
     return 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(REPO / "src"))  # resolve imports against this checkout
     sys.exit(main())
