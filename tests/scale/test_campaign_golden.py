@@ -10,7 +10,8 @@ number, any event payload or the order of any lifecycle event fails here.
 The five campaign rows hash summaries; the 13 timeline rows (captured at
 a790758, before ``FluidTimeline._run_epochs`` became a per-run object) pin
 every ``EpochRecord`` field, the per-site matrices, the span nesting and
-every counter/histogram of each catalogue scenario.
+every counter/histogram of each catalogue scenario; the three sweep rows
+pin the two frontiers and the variance-reduction comparison.
 
 A digest that moves because the *model* changed on purpose is re-captured
 with ``python tests/scale/test_campaign_golden.py``; one that moves under a
@@ -32,6 +33,9 @@ from repro.scale import (
     attach_detectors,
     build_scenario,
     canonical_result_bytes,
+    compare_variance_reduction,
+    run_churn_slo_frontier,
+    run_latency_cost_frontier,
     scenario_names,
 )
 
@@ -103,6 +107,49 @@ def digests(factory):
 def test_result_and_event_stream_match_the_committed_digests(experiment):
     factory, result_sha, events_sha = GOLDEN[experiment]
     assert digests(factory) == (result_sha, events_sha)
+
+
+def sweep_churn_slo():
+    return run_churn_slo_frontier(
+        targets=(0.5, 0.8), clients=CLIENTS, nominal_sites=4, max_sites=6,
+        epochs=12, replicas=3, seed=14)
+
+
+def sweep_latency_cost():
+    return run_latency_cost_frontier(
+        targets_p95_seconds=(0.02, 0.05), clients=CLIENTS, nominal_sites=4,
+        max_sites=6, epochs=10, replicas=2, seed=15)
+
+
+def sweep_variance():
+    return compare_variance_reduction(
+        clients=CLIENTS, nominal_sites=4, max_sites=6, epochs=10, replicas=4,
+        batches=2, seed=14)
+
+
+#: sweep -> (factory, result sha256); captured at 47beb44, before the
+#: runners' uncalled parameters became constants.
+SWEEP_GOLDEN = {
+    "churn_slo_frontier": (
+        sweep_churn_slo,
+        "d4e620206076edf4c80aa67417f3787257ad3831a1fe447e2000d111ff3726f6"),
+    "latency_cost_frontier": (
+        sweep_latency_cost,
+        "ed23d85c28631039a06079665650f660189ced9eef8301d7675be1c02cd4a73a"),
+    "variance_reduction": (
+        sweep_variance,
+        "6ab3c8b5b1decc9b4b779931ce5332d1f3c199f1d12bf837cd18b2fdab147667"),
+}
+
+
+def sweep_digest(factory):
+    return hashlib.sha256(canonical_result_bytes(factory())).hexdigest()
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEP_GOLDEN))
+def test_sweep_result_matches_the_committed_digest(sweep):
+    factory, result_sha = SWEEP_GOLDEN[sweep]
+    assert sweep_digest(factory) == result_sha
 
 
 #: catalogue scenario -> (result, NDJSON, span tree, metrics, re-run result)
@@ -241,6 +288,8 @@ def test_catalogue_timeline_matches_the_committed_digests(name):
 if __name__ == "__main__":
     for name in sorted(GOLDEN):
         print(name, *digests(GOLDEN[name][0]))
+    for name in sorted(SWEEP_GOLDEN):
+        print(name, sweep_digest(SWEEP_GOLDEN[name][0]))
     for name in scenario_names():
         print(f'    "{name}": (')
         for digest in timeline_digests(name):
