@@ -48,7 +48,7 @@ from .autoscale import (
     TargetUtilizationPolicy,
     elastic_fleet,
 )
-from .costmodel import CryptoCostModel, ProvisioningCostModel
+from .costmodel import CryptoCostModel
 from .fleet import NeutralizerFleet
 from .latency import LatencyModel
 from .parallel import (
@@ -66,7 +66,7 @@ from .stochastic import (
     rotated_uniforms,
 )
 from .telemetry import Telemetry
-from .timeline import FluidTimeline, LoadCurve, TimelineResult
+from .timeline import FluidTimeline, TimelineResult
 
 #: Monte-Carlo seed-allocation schemes for the campaign runners.
 VARIANCE_SCHEMES = ("iid", "stratified", "antithetic")
@@ -397,8 +397,6 @@ class FleetScaleRunner(CampaignRunner):
         cores_per_site: float = 8.0,
         uplink_bps: float = gbps(10),
         regions: int = 8,
-        region_uplink_bps: Optional[float] = None,
-        mix: Optional[PopulationMix] = None,
         cost_model: Optional[CryptoCostModel] = None,
         failed_sites: Sequence[str] = (),
         seed: int = 2006,
@@ -406,13 +404,13 @@ class FleetScaleRunner(CampaignRunner):
     ) -> None:
         if not client_counts or min(client_counts) <= 0:
             raise WorkloadError("the sweep needs at least one positive client count")
+        _reject_repeats("client counts", client_counts)
         self.client_counts = tuple(sorted(client_counts))
         self.n_sites = n_sites
         self.cores_per_site = cores_per_site
         self.uplink_bps = uplink_bps
         self.regions = regions
-        self.region_uplink_bps = region_uplink_bps
-        self.mix = mix or default_mix()
+        self.mix = default_mix()
         self.cost_model = cost_model or CryptoCostModel.default()
         self.failed_sites = tuple(failed_sites)
         self.seed = seed
@@ -473,10 +471,7 @@ class FleetScaleRunner(CampaignRunner):
                 population = ClientPopulation(
                     clients, mix=self.mix, regions=self.regions, seed=self.seed
                 )
-                scenario = ScaleScenario(
-                    population, self.fleet,
-                    region_uplink_bps=self.region_uplink_bps
-                )
+                scenario = ScaleScenario(population, self.fleet)
             with telemetry.span("solve"):
                 result = scenario.solve(telemetry=telemetry)
         return result, point_span.seconds
@@ -598,8 +593,6 @@ class TimelineCampaignRunner(CampaignRunner):
         clients: int = 100_000,
         seed: int = 2006,
         cost_model: Optional[CryptoCostModel] = None,
-        flagship: str = "flash_crowd",
-        series_rows: int = 16,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         from .catalogue import CATALOGUE, scenario_names
@@ -616,11 +609,6 @@ class TimelineCampaignRunner(CampaignRunner):
                 f"catalogue has {', '.join(CATALOGUE)}"
             )
         _reject_repeats("scenarios", self.scenario_names)
-        if flagship not in CATALOGUE:
-            raise WorkloadError(
-                f"unknown flagship scenario {flagship!r}; "
-                f"catalogue has {', '.join(CATALOGUE)}"
-            )
         if clients <= 0:
             raise WorkloadError("the campaign needs a positive population size")
         self.clients = int(clients)
@@ -630,8 +618,6 @@ class TimelineCampaignRunner(CampaignRunner):
         self.mix: Optional[PopulationMix] = None
         self.regions = 8
         self.cost_model = cost_model
-        self.flagship = flagship
-        self.series_rows = series_rows
         self.run_id = f"timeline-{seed:08x}-{self.clients}x{len(self.scenario_names)}"
         self.experiment_name = "timeline_catalogue"
         self.experiment_id = "E13"
@@ -705,14 +691,13 @@ class TimelineCampaignRunner(CampaignRunner):
               record.wall_seconds] for record in records],
             title="scenario summaries",
         )
-        flagship = timelines.get(self.flagship)
-        if flagship is not None:
-            report.tables.append(format_series(
-                "epoch", [record.epoch for record in flagship.records],
-                flagship.series(),
-                title=f"flagship timeline: {self.flagship}",
-                max_rows=self.series_rows,
-            ))
+        # The flagship is the first scenario the campaign ran.
+        name = self.scenario_names[0]
+        flagship = timelines[name]
+        report.tables.append(format_series(
+            "epoch", [record.epoch for record in flagship.records],
+            flagship.series(), title=f"flagship timeline: {name}", max_rows=16,
+        ))
         report.add_note(
             "each scenario provisions its fleet relative to the population's "
             "nominal demand, so the shapes are population-size invariant"
@@ -838,10 +823,9 @@ class _ReplicaCampaign(CampaignRunner):
     """What E14–E16 share: seeded event replicas over one elastic fleet.
 
     A subclass sets the fleet shape (``max_sites``, ``nominal_sites``,
-    ``at_utilization``, ``cost_model``), the horizon (``epochs``,
-    ``epoch_seconds``), the event ``processes`` and the timeline's
-    controllers (``load``, ``autoscaler``, ``provisioning_cost``,
-    ``latency_model``, ``latency_slo_seconds``, ``adversary``).
+    ``at_utilization``), the horizon (``epochs``), the event ``processes``
+    and the timeline's controllers (``autoscaler``, ``latency_model``,
+    ``latency_slo_seconds``).
     """
 
     def __init__(self, *, variance_reduction: str, **kwargs) -> None:
@@ -876,7 +860,7 @@ class _ReplicaCampaign(CampaignRunner):
         if self._scenario is None or self._scenario.population is not population:
             fleet = elastic_fleet(
                 population, self.max_sites, nominal_sites=self.nominal_sites,
-                at_utilization=self.at_utilization, cost_model=self.cost_model,
+                at_utilization=self.at_utilization,
             )
             self._scenario = ScaleScenario(population, fleet)
         return self._scenario
@@ -885,8 +869,7 @@ class _ReplicaCampaign(CampaignRunner):
                     adversary: Optional[AdversaryGame] = None) -> TimelineResult:
         """One stochastic timeline: compiled events + controllers, solved.
 
-        ``adversary`` is the game this replica plays (default: the
-        campaign's own, if it has one).
+        ``adversary`` is the game this replica plays, if any.
         """
         scenario = self.shared_scenario()
         fleet = scenario.fleet
@@ -897,13 +880,11 @@ class _ReplicaCampaign(CampaignRunner):
         )
         return FluidTimeline(
             scenario.population, fleet,
-            epochs=self.epochs, epoch_seconds=self.epoch_seconds,
-            load=self.load, events=events,
+            epochs=self.epochs, epoch_seconds=900.0, events=events,
             autoscaler=self.autoscaler,
-            provisioning_cost=self.provisioning_cost,
             latency=self.latency_model,
             latency_slo_seconds=self.latency_slo_seconds,
-            adversary=adversary or self.adversary,
+            adversary=adversary,
             scenario=scenario,
             telemetry=self.telemetry,
         ).run()
@@ -943,19 +924,10 @@ class StochasticCampaignRunner(_ReplicaCampaign):
         max_sites: int = 40,
         nominal_sites: int = 32,
         at_utilization: float = 0.65,
-        epoch_seconds: float = 900.0,
         slo: float = 0.95,
-        load: Optional[LoadCurve] = None,
         processes: Optional[Sequence[EventProcess]] = None,
-        autoscaler: Optional[Autoscaler] = None,
         mix: Optional[PopulationMix] = None,
-        cost_model: Optional[CryptoCostModel] = None,
-        provisioning_cost: Optional[ProvisioningCostModel] = None,
         population: Optional[ClientPopulation] = None,
-        latency_model: Optional[LatencyModel] = None,
-        latency_slo_seconds: float = 0.1,
-        latency_violation_budget: float = 0.05,
-        adversary: Optional[AdversaryGame] = None,
         variance_reduction: str = "iid",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -963,10 +935,6 @@ class StochasticCampaignRunner(_ReplicaCampaign):
             raise WorkloadError("campaign needs positive clients, epochs and replicas")
         if not 0 < slo <= 1:
             raise WorkloadError("SLO threshold must be in (0, 1]")
-        if latency_slo_seconds <= 0:
-            raise WorkloadError("the latency SLO must be positive")
-        if not 0 <= latency_violation_budget < 1:
-            raise WorkloadError("the violation budget must be a fraction in [0, 1)")
         self.clients = int(clients)
         self.epochs = int(epochs)
         self.replicas = int(replicas)
@@ -975,23 +943,19 @@ class StochasticCampaignRunner(_ReplicaCampaign):
         self.max_sites = max_sites
         self.nominal_sites = nominal_sites
         self.at_utilization = at_utilization
-        self.epoch_seconds = epoch_seconds
         self.slo = slo
-        self.load = load
         self.processes = tuple(processes) if processes is not None else default_processes()
-        self.autoscaler = autoscaler if autoscaler is not None else Autoscaler(
+        self.autoscaler = Autoscaler(
             TargetUtilizationPolicy(target=at_utilization, deadband=0.08),
             min_sites=max(nominal_sites // 2, 1),
             warmup_epochs=1,
             cooldown_epochs=1,
         )
         self.mix = mix
-        self.cost_model = cost_model
-        self.provisioning_cost = provisioning_cost
-        self.latency_model = latency_model
-        self.latency_slo_seconds = latency_slo_seconds
-        self.latency_violation_budget = latency_violation_budget
-        self.adversary = adversary
+        #: E14 charts availability only; E15 attaches a latency model.
+        self.latency_model: Optional[LatencyModel] = None
+        self.latency_slo_seconds = 0.1
+        self.latency_violation_budget = 0.05
         self.run_id = f"stochastic-{seed:08x}-{self.clients}x{self.replicas}"
         self.experiment_name = "stochastic_availability"
         self.experiment_id = "E14"
@@ -1291,51 +1255,41 @@ class LatencyCampaignRunner(StochasticCampaignRunner):
     web/video with inelastic VoIP (:func:`repro.scale.population.elastic_mix`),
     every epoch maps utilization to client-weighted path-delay percentiles
     through the :class:`repro.scale.latency.LatencyModel` proxy, and the
-    default controller is the latency-aware
+    controller is the latency-aware
     :class:`repro.scale.autoscale.TargetLatencyPolicy` holding the P95 on
-    target.  Results add pooled P50/P95/P99 latency distributions and
-    per-replica latency-SLO attainment next to the availability numbers.
+    target, against an SLO of 1.5× that target.  Results add pooled
+    P50/P95/P99 latency distributions and per-replica latency-SLO attainment
+    next to the availability numbers.  Every other keyword is E14's; the
+    ``mix`` is elastic unless one is stated.
     """
 
     def __init__(
         self,
         *,
         target_p95_seconds: float = 0.06,
-        latency_model: Optional[LatencyModel] = None,
-        latency_slo_seconds: Optional[float] = None,
-        mix: Optional[PopulationMix] = None,
-        autoscaler: Optional[Autoscaler] = None,
         nominal_sites: int = 32,
         max_sites: int = 40,
         **kwargs,
     ) -> None:
         if target_p95_seconds <= 0:
             raise WorkloadError("the latency target must be positive")
-        model = latency_model if latency_model is not None else LatencyModel()
-        slo_seconds = (latency_slo_seconds if latency_slo_seconds is not None
-                       else target_p95_seconds * 1.5)
-        if autoscaler is None:
-            # Latency control wants a calm loop: queueing delay reacts
-            # nonlinearly to every site added or drained, so the default
-            # controller holds two epochs between actions.
-            autoscaler = Autoscaler(
-                TargetLatencyPolicy.for_model(
-                    model, target_p95_seconds=target_p95_seconds,
-                ),
-                min_sites=max(nominal_sites // 2, 1),
-                warmup_epochs=1,
-                cooldown_epochs=2,
-            )
-        super().__init__(
-            latency_model=model,
-            latency_slo_seconds=slo_seconds,
-            mix=mix if mix is not None else elastic_mix(),
-            autoscaler=autoscaler,
-            nominal_sites=nominal_sites,
-            max_sites=max_sites,
-            **kwargs,
-        )
+        kwargs.setdefault("mix", elastic_mix())
+        super().__init__(nominal_sites=nominal_sites, max_sites=max_sites,
+                         **kwargs)
         self.target_p95_seconds = target_p95_seconds
+        self.latency_model = LatencyModel()
+        self.latency_slo_seconds = target_p95_seconds * 1.5
+        # Latency control wants a calm loop: queueing delay reacts
+        # nonlinearly to every site added or drained, so the controller
+        # holds two epochs between actions.
+        self.autoscaler = Autoscaler(
+            TargetLatencyPolicy.for_model(
+                self.latency_model, target_p95_seconds=target_p95_seconds,
+            ),
+            min_sites=max(nominal_sites // 2, 1),
+            warmup_epochs=1,
+            cooldown_epochs=2,
+        )
         self.run_id = f"latency-{self.seed:08x}-{self.clients}x{self.replicas}"
         self.experiment_name = "latency_slo"
         self.experiment_id = "E15"
@@ -1653,19 +1607,8 @@ class AdversaryCampaignRunner(_ReplicaCampaign):
         sensitivities: Sequence[float] = (2.0, 12.0),
         replicas_per_point: int = 4,
         seed: int = 2006,
-        regions: int = 8,
         n_sites: int = 24,
-        headroom: float = 1.3,
-        epoch_seconds: float = 900.0,
-        target_classes: Tuple[str, ...] = ("video", "web"),
-        adoption_cost: float = 0.05,
         isp: Optional[IspStrategy] = None,
-        adoption: Optional[AdoptionModel] = None,
-        latency_model: Optional[LatencyModel] = None,
-        latency_slo_seconds: float = 0.08,
-        processes: Optional[Sequence[EventProcess]] = None,
-        mix: Optional[PopulationMix] = None,
-        cost_model: Optional[CryptoCostModel] = None,
         population: Optional[ClientPopulation] = None,
         variance_reduction: str = "iid",
         telemetry: Optional[Telemetry] = None,
@@ -1682,46 +1625,31 @@ class AdversaryCampaignRunner(_ReplicaCampaign):
         self.sensitivities = tuple(sensitivities)
         self.replicas_per_point = int(replicas_per_point)
         self.seed = seed
-        self.regions = regions
+        self.regions = 8
         self.n_sites = n_sites
-        self.headroom = headroom
-        self.epoch_seconds = epoch_seconds
         # The arms race plays on a statically provisioned fleet: an
         # autoscaler would otherwise hide throttling harm behind capacity
         # moves.  min==max pins the controller.
         self.max_sites = self.nominal_sites = n_sites
-        self.at_utilization = 1.0 / headroom
+        self.at_utilization = 1.0 / 1.3
         self.autoscaler = Autoscaler(
             TargetUtilizationPolicy(target=0.99, deadband=0.98),
             min_sites=n_sites, max_sites=n_sites,
         )
-        self.load = self.provisioning_cost = None
-        #: Each grid point plays its own game (:meth:`_game`).
-        self.adversary = None
         #: Per-point strategies/models are derived from these bases with the
         #: swept knob replaced, so every other disposition stays fixed
-        #: across the grid.  The frontier isolates classifier-targeted
-        #: discrimination: the blanket endgame is a catalogue scenario, not
-        #: a sweep axis.
+        #: across the grid (:meth:`_game`).  The frontier isolates
+        #: classifier-targeted discrimination: the blanket endgame is a
+        #: catalogue scenario, not a sweep axis.
         self.base_isp = isp if isp is not None else IspStrategy(
-            target_classes=tuple(target_classes), allow_blanket=False,
+            target_classes=("video", "web"), allow_blanket=False,
         )
-        self.base_adoption = adoption if adoption is not None else AdoptionModel(
-            adoption_cost=adoption_cost,
-        )
-        #: The harm ledger and the report must describe the strategy that
-        #: actually runs, so an explicit ``isp``/``adoption`` overrides the
-        #: scalar convenience arguments rather than silently coexisting
-        #: with them.
+        self.base_adoption = AdoptionModel(adoption_cost=0.05)
         self.target_classes = self.base_isp.target_classes
-        self.adoption_cost = self.base_adoption.adoption_cost
-        self.latency_model = (latency_model if latency_model is not None
-                              else LatencyModel())
-        self.latency_slo_seconds = latency_slo_seconds
-        self.processes = (tuple(processes) if processes is not None
-                          else default_processes())
-        self.mix = mix
-        self.cost_model = cost_model
+        self.latency_model = LatencyModel()
+        self.latency_slo_seconds = 0.08
+        self.processes = default_processes()
+        self.mix = None
         self.total_replicas = (len(self.aggressiveness) * len(self.sensitivities)
                                * self.replicas_per_point)
         self.total_units = self.total_replicas

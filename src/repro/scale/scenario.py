@@ -123,17 +123,11 @@ class ProblemTemplate:
     fleet_generation: int
     region_uplink_bps: float
     #: The arc table, shared by reference down the :meth:`rebuilt` chain and
-    #: with the population's memo (read-only): ring-sorted clients
-    #: ``arc_cuts[i]:arc_cuts[i+1]`` fall in universe arc ``i``, and
-    #: ``arc_hist[i]`` counts them per fused region×class bin.
-    arc_cuts: np.ndarray
+    #: with the population's memo (read-only): ``arc_hist[i]`` counts the
+    #: clients in universe arc ``i`` per fused region×class bin.
     arc_hist: np.ndarray
     #: Site index owning each universe arc under this ring state.
     arc_owners: np.ndarray
-    #: Segment assignment over the ring-sorted population: sorted clients
-    #: ``cuts[i]:cuts[i+1]`` belong to site index ``seg_owners[i]``.
-    cuts: np.ndarray
-    seg_owners: np.ndarray
     #: Exact client counts per (region, class, site) under this ring state.
     counts3d: np.ndarray
     #: Clients per site (``counts3d`` summed over regions and classes).
@@ -183,8 +177,7 @@ class ProblemTemplate:
         available memory (see docs/parallel.md).  Lazy labels are not counted.
         """
         arrays = (
-            self.arc_cuts, self.arc_hist, self.arc_owners,
-            self.cuts, self.seg_owners, self.counts3d, self.clients_per_site,
+            self.arc_hist, self.arc_owners, self.counts3d, self.clients_per_site,
             self.region_of, self.class_of, self.site_of, self.group_clients,
             self.base_demands, self.bits_per_packet,
             self.base_setups_per_flow, self.usage,
@@ -207,19 +200,17 @@ class ProblemTemplate:
         """From the one O(n_clients) pass — or its memo — to group counts.
 
         :meth:`ClientPopulation.arc_histogram` counts the clients per
-        universe arc; ``arc_cuts`` are its running row totals, the offsets
-        the arcs would have in a ring-sorted population that is never built.
+        universe arc, and each arc's row is credited to the site owning it.
         """
         universe, _, arc_owners = fleet.universe_arcs()
         arc_hist = population.arc_histogram(universe)
-        arc_cuts = np.concatenate([[0], np.cumsum(arc_hist.sum(axis=1))])
         counts3d = np.zeros(
             (population.regions, population.n_classes, fleet.n_sites), dtype=np.int64
         )
         _credit_arcs(np.add, counts3d, arc_owners, arc_hist)
         return cls._assemble(
             population, fleet, region_uplink_bps=region_uplink_bps,
-            arc_cuts=arc_cuts, arc_hist=arc_hist, counts3d=counts3d,
+            arc_hist=arc_hist, arc_owners=arc_owners, counts3d=counts3d,
             remapped_from_parent=0,
         )
 
@@ -242,18 +233,16 @@ class ProblemTemplate:
         _credit_arcs(np.add, counts3d, arc_owners[moved], rows)
         return type(self)._assemble(
             self.population, self.fleet, region_uplink_bps=self.region_uplink_bps,
-            arc_cuts=self.arc_cuts, arc_hist=self.arc_hist, counts3d=counts3d,
+            arc_hist=self.arc_hist, arc_owners=arc_owners, counts3d=counts3d,
             remapped_from_parent=int(rows.sum()),
         )
 
     @classmethod
     def _assemble(cls, population: ClientPopulation, fleet: NeutralizerFleet,
-                  *, region_uplink_bps: float, arc_cuts: np.ndarray,
-                  arc_hist: np.ndarray, counts3d: np.ndarray,
+                  *, region_uplink_bps: float, arc_hist: np.ndarray,
+                  arc_owners: np.ndarray, counts3d: np.ndarray,
                   remapped_from_parent: int) -> "ProblemTemplate":
         """Lay out flows, usage matrix, and labels from the group counts."""
-        _, in_ring, arc_owners = fleet.universe_arcs()
-        ring_owners = fleet.ring_state()[1]
         counts = counts3d.astype(np.float64)
         pps_per_client = population.demand_pps_per_client()
         bits_per_packet = population.packet_bits()
@@ -290,11 +279,8 @@ class ProblemTemplate:
             fleet=fleet,
             fleet_generation=fleet.generation,
             region_uplink_bps=region_uplink_bps,
-            arc_cuts=arc_cuts,
             arc_hist=arc_hist,
             arc_owners=arc_owners,
-            cuts=arc_cuts[np.concatenate([[True], in_ring, [True]])],
-            seg_owners=np.concatenate([ring_owners, ring_owners[:1]]),
             counts3d=counts3d,
             clients_per_site=counts3d.sum(axis=(0, 1)).astype(np.int64),
             remapped_from_parent=remapped_from_parent,

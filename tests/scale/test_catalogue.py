@@ -125,8 +125,13 @@ class TestCampaignRunner:
     def test_typoed_names_fail_fast_at_construction(self):
         with pytest.raises(WorkloadError, match="unknown scenario"):
             TimelineCampaignRunner(scenarios=("flash_crowd", "diurnal_weak"))
-        with pytest.raises(WorkloadError, match="flagship"):
-            TimelineCampaignRunner(flagship="flashcrowd")
+
+    def test_flagship_is_the_first_scenario_run(self):
+        # Whichever scenario runs first is charted, so a campaign without
+        # flash_crowd still gets its flagship timeline table.
+        result = TimelineCampaignRunner(
+            scenarios=("regional_outage",), clients=500, seed=1).run()
+        assert "flagship timeline: regional_outage" in result.report.render()
 
     def test_shared_population_matches_per_scenario_build(self):
         shared = ClientPopulation(SMOKE_CLIENTS, seed=7)

@@ -265,8 +265,6 @@ class TestIncrementalTemplate:
         assert np.array_equal(incremental.class_of, fresh.class_of)
         assert np.array_equal(incremental.site_of, fresh.site_of)
         assert np.array_equal(incremental.usage, fresh.usage)
-        assert np.array_equal(incremental.cuts, fresh.cuts)
-        assert np.array_equal(incremental.seg_owners, fresh.seg_owners)
         for ours, reference in zip(incremental.class_members, fresh.class_members):
             assert np.array_equal(ours, reference)
 
@@ -301,8 +299,7 @@ class TestIncrementalTemplate:
         expected = sum(
             a.nbytes
             for a in (
-                template.arc_cuts, template.arc_hist, template.arc_owners,
-                template.cuts, template.seg_owners, template.counts3d,
+                template.arc_hist, template.arc_owners, template.counts3d,
                 template.clients_per_site, template.region_of,
                 template.class_of, template.site_of, template.group_clients,
                 template.base_demands, template.bits_per_packet,
@@ -322,7 +319,6 @@ class TestIncrementalTemplate:
         # int64 whatever the population, so 4× the clients adds no byte.
         points = 6 * 64
         assert template.arc_hist.nbytes == (points + 1) * 8 * 3 * 8 < 1 << 20
-        assert template.arc_cuts.nbytes == (points + 2) * 8
         larger = ScaleScenario(
             ClientPopulation(40_000, seed=23), NeutralizerFleet.build(6)
         ).build_template()
@@ -427,10 +423,10 @@ def reference_moved_fraction(before, after):
     return moved / space
 
 
-def reference_arc_table(population, fleet):
-    """``(arc_cuts, arc_hist)`` as ``ProblemTemplate.build()`` computed them
-    before the counting pass: cut the ring-sorted population at the universe
-    points, label every sorted client with its arc, one ``bincount``."""
+def reference_arc_hist(population, fleet):
+    """``arc_hist`` as ``ProblemTemplate.build()`` computed it before the
+    counting pass: cut the ring-sorted population at the universe points,
+    label every sorted client with its arc, one ``bincount``."""
     positions, region_class = population.ring_sorted()
     universe = fleet.universe_arcs()[0]
     bins = population.regions * population.n_classes
@@ -439,10 +435,9 @@ def reference_arc_table(population, fleet):
     ]).astype(np.int64)
     arcs = arc_cuts.size - 1
     arc_sorted = np.repeat(np.arange(arcs), np.diff(arc_cuts))
-    arc_hist = np.bincount(
+    return np.bincount(
         arc_sorted * bins + region_class, minlength=arcs * bins
     ).reshape(arcs, bins)
-    return arc_cuts, arc_hist
 
 
 def reference_counts3d(population, fleet):
@@ -463,10 +458,9 @@ def check_ring_walk(population, fleet, actions):
 
     scenario = ScaleScenario(population, fleet)
     template = scenario.build_template()
-    sorted_positions = population.ring_sorted()[0]
-    for ours, reference in zip((template.arc_cuts, template.arc_hist),
-                               reference_arc_table(population, fleet)):
-        assert ours.dtype == reference.dtype and np.array_equal(ours, reference)
+    reference = reference_arc_hist(population, fleet)
+    assert template.arc_hist.dtype == reference.dtype
+    assert np.array_equal(template.arc_hist, reference)
     assert np.array_equal(template.counts3d, reference_counts3d(population, fleet))
     for action, site in actions:
         ring_before = fleet.ring_state()
@@ -487,9 +481,6 @@ def check_ring_walk(population, fleet, actions):
             population, fleet, region_uplink_bps=scenario.region_uplink_bps
         )
         TestIncrementalTemplate.assert_equivalent(template, fresh)
-        for ours, reference in zip((template.cuts, template.seg_owners),
-                                   fleet.assignment_segments(sorted_positions)):
-            assert ours.dtype == reference.dtype and np.array_equal(ours, reference)
         assigned = fleet.assign_sites(population.ring_positions)
         assert np.array_equal(
             template.counts3d, population.group_counts(assigned, fleet.n_sites)

@@ -129,6 +129,9 @@ class TestRunner:
         assert runner.run().records[0].goodput_bps
 
     @pytest.mark.parametrize("sweep, repeated", [
+        (lambda checkpoint_dir: FleetScaleRunner(
+            client_counts=(500, 500), n_sites=4, regions=4, seed=1),
+         "500 twice"),
         (lambda checkpoint_dir: TimelineCampaignRunner(
             scenarios=("flash_crowd", "flash_crowd"), clients=1_000),
          "'flash_crowd' twice"),
@@ -143,7 +146,8 @@ class TestRunner:
             targets=(0.6, 0.6000001), clients=1_000, epochs=4, replicas=2,
             checkpoint_dir=checkpoint_dir),
          "0.6 and 0.6000001, which share the point name 'target-0.6'"),
-    ], ids=["e13-scenarios", "e16-grid", "variance-schemes", "frontier-points"])
+    ], ids=["e12-client-counts", "e13-scenarios", "e16-grid", "variance-schemes",
+            "frontier-points"])
     def test_repeated_sweep_value_is_refused_before_any_unit_runs(
             self, tmp_path, sweep, repeated):
         # A repeat would collapse two points into one result entry, or

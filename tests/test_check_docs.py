@@ -1,7 +1,7 @@
 """``tools/check_docs.py``: the docs name only files, CI jobs and ``repro``
-names that exist.
+names and keywords that exist.
 
-The repository's own docs must pass; the four existence checks are then
+The repository's own docs must pass; the five existence checks are then
 driven on a tiny tree where exactly one thing is wrong at a time.
 """
 
@@ -105,6 +105,21 @@ def test_snippet_importing_a_missing_repro_name_is_reported(tree, tmp_path,
     assert _problems(tree, capsys) == [
         "docs/guide.md:7: snippet imports a missing name -> "
         "repro.analysis.experiments.run_retired"]
+
+
+def test_snippet_passing_an_unknown_keyword_is_reported(tree, tmp_path,
+                                                        capsys):
+    (tmp_path / "docs/guide.md").write_text(
+        "```python\nfrom repro.scale import (\n"
+        "    LatencyCampaignRunner, StochasticCampaignRunner)\n"
+        "StochasticCampaignRunner(epochs=4)\n"
+        "StochasticCampaignRunner(epochs=4, load=None)\n"
+        "LatencyCampaignRunner(target_p95_seconds=0.05, replicas=2)\n"
+        "```\n")
+    # E15 forwards ``**kwargs`` to E14, so E14's ``replicas`` is accepted.
+    assert _problems(tree, capsys) == [
+        "docs/guide.md:5: snippet passes an unknown keyword -> "
+        "StochasticCampaignRunner(load=...)"]
 
 
 def test_readme_must_name_every_job_in_its_ci_section(tree, tmp_path, capsys):

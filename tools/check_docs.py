@@ -20,8 +20,11 @@ name only files and names that exist: every backticked repo path
 every such path the CI workflow runs, and README's CI section must name
 every workflow job.  Their python snippets are parsed too, and every
 ``from repro… import name`` in them must resolve (``importlib`` plus
-``hasattr``, against this checkout's ``src/``), so a deleted or renamed
-API cannot linger in an example.
+``hasattr``, against this checkout's ``src/``), and every keyword a snippet
+passes to a name so imported must be a parameter of it
+(``inspect.signature``; a class taking ``**kwargs`` accepts any
+``__init__`` parameter along its MRO), so a deleted or renamed API or
+option cannot linger in an example.
 
 Exits non-zero with one line per problem, so the CI docs job fails loudly
 and locally ``python tools/check_docs.py`` tells you what to fix.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -123,34 +127,76 @@ def check_snippets(path: Path, problems: list) -> None:
             )
 
 
-def _resolves(module: str, name: str) -> bool:
-    """Whether ``from module import name`` would succeed."""
+_MISSING = object()
+
+
+def _resolve(module: str, name: str):
+    """What ``from module import name`` binds, or ``_MISSING``."""
     try:
-        if hasattr(importlib.import_module(module), name):
-            return True
-        importlib.import_module(f"{module}.{name}")  # a submodule
-        return True
+        imported = importlib.import_module(module)
+        if hasattr(imported, name):
+            return getattr(imported, name)
+        return importlib.import_module(f"{module}.{name}")  # a submodule
     except ImportError:
+        return _MISSING
+
+
+def _accepts(callee, keyword: str) -> bool:
+    """Whether ``callee(keyword=...)`` names a parameter ``callee`` takes.
+
+    A class taking ``**kwargs`` accepts any ``__init__`` parameter along
+    its MRO (a subclass forwarding to its base); any other ``**kwargs``
+    callee, or one without a signature, is not checked.
+    """
+    try:
+        parameters = inspect.signature(callee).parameters
+    except (TypeError, ValueError):
+        return True
+    if keyword in parameters:
+        return True
+    if not any(parameter.kind is inspect.Parameter.VAR_KEYWORD
+               for parameter in parameters.values()):
         return False
+    if not inspect.isclass(callee):
+        return True
+    return any(keyword in inspect.signature(klass.__init__).parameters
+               for klass in callee.__mro__ if "__init__" in vars(klass))
 
 
 def check_imports(path: Path, problems: list) -> None:
-    """Every ``from repro… import name`` in a snippet must resolve."""
+    """Every ``from repro… import name`` in a snippet must resolve, and
+    every keyword a call passes to such a name must be one it takes."""
+    where = path.relative_to(REPO)
     for start, source in python_snippets(path):
         try:
             tree = ast.parse(source)
         except SyntaxError:
             continue  # check_snippets reports it
+        imported = {}
         for node in ast.walk(tree):
             if not (isinstance(node, ast.ImportFrom) and node.level == 0
                     and node.module.split(".")[0] == "repro"):
                 continue
             for alias in node.names:
-                if alias.name != "*" and not _resolves(node.module, alias.name):
+                if alias.name == "*":
+                    continue
+                value = _resolve(node.module, alias.name)
+                if value is _MISSING:
                     problems.append(
-                        f"{path.relative_to(REPO)}:{start + node.lineno}: "
-                        f"snippet imports a missing name -> "
-                        f"{node.module}.{alias.name}")
+                        f"{where}:{start + node.lineno}: snippet imports a "
+                        f"missing name -> {node.module}.{alias.name}")
+                else:
+                    imported[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in imported):
+                continue
+            for keyword in node.keywords:
+                if keyword.arg and not _accepts(imported[node.func.id],
+                                                keyword.arg):
+                    problems.append(
+                        f"{where}:{start + node.lineno}: snippet passes an "
+                        f"unknown keyword -> {node.func.id}({keyword.arg}=...)")
 
 
 def check_paths(source: Path, paths, problems: list) -> None:
@@ -197,7 +243,8 @@ def main() -> int:
         return 1
     checked = len([path for path in DOC_FILES if path.exists()])
     print(f"docs check: {checked} files OK (links resolve, snippets compile, "
-          f"snippet imports resolve, named paths and CI jobs exist)")
+          f"snippet imports and keywords resolve, named paths and CI jobs "
+          f"exist)")
     return 0
 
 
