@@ -7,7 +7,9 @@ commit accb6b6 — before the campaign engine was collapsed into one
 lifecycle — and are committed as literals: a change to any simulated
 number, any event payload or the order of any lifecycle event fails here.
 
-The five campaign rows hash summaries; the 13 timeline rows (captured at
+The campaign rows hash summaries (``E15_congested``, captured at 26851ee,
+is the one row whose fleet runs full enough to reach the alpha-fair dual);
+the 13 timeline rows (captured at
 a790758, before ``FluidTimeline._run_epochs`` became a per-run object) pin
 every ``EpochRecord`` field, the per-site matrices, the span nesting and
 every counter/histogram of each catalogue scenario; the three sweep rows
@@ -65,6 +67,13 @@ def make_e15(telemetry):
         seed=15, telemetry=telemetry)
 
 
+def make_e15_congested(telemetry):
+    """E15 with the fleet sized to run full, so the alpha-fair dual runs."""
+    return LatencyCampaignRunner(
+        clients=CLIENTS, nominal_sites=4, max_sites=6, epochs=20, replicas=3,
+        at_utilization=1.0, seed=15, telemetry=telemetry)
+
+
 def make_e16(telemetry):
     return AdversaryCampaignRunner(
         clients=CLIENTS, n_sites=4, epochs=10, replicas_per_point=2,
@@ -86,6 +95,10 @@ GOLDEN = {
     "E15": (make_e15,
             "351a0c81c52a815d6421db566e6127cd86c279bfd3a9b38d6663317050dc3031",
             "acfd4764e221f19c9a0643e32c7381859f829b0f565dd75171d7f6f998dcd6eb"),
+    "E15_congested": (
+        make_e15_congested,
+        "08d534ed54082fb6d09cccbd854e5134111689f7646193bf5b8b9346360fd7ef",
+        "980af01f5fc16bca9dc127b64f8aefde9168304e72dee48ccef2dc86f54a5326"),
     "E16": (make_e16,
             "41b01a4a54363df6a1ff2a414f6038557ce848ce3e988c7721f78a471e019e52",
             "a8bb913345b8ff9a7dacb9e1dbe59726158c1e3ac2c6b30f115c80bf6b491d22"),
@@ -107,6 +120,12 @@ def digests(factory):
 def test_result_and_event_stream_match_the_committed_digests(experiment):
     factory, result_sha, events_sha = GOLDEN[experiment]
     assert digests(factory) == (result_sha, events_sha)
+
+
+def test_the_congested_e15_row_reaches_the_elastic_dual():
+    telemetry = Telemetry(trace=False, events=False)
+    make_e15_congested(telemetry).run()
+    assert telemetry.metrics.counter_value("solver.alpha_fair_iterations") > 0
 
 
 def sweep_churn_slo():
