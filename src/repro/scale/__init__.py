@@ -23,8 +23,8 @@ clients as aggregate fluid demand instead:
 ``solver``
     Fair capacity allocation over shared links and site CPUs: max-min for
     inelastic (CBR) flows by a numpy-vectorized progressive-filling fixed
-    point, capped alpha-fair (TCP-like) rates for elastic flows by a
-    sign-adaptive dual-price fixed point, composed for mixed populations —
+    point, capped alpha-fair (TCP-like) rates for elastic flows by projected
+    Newton on the dual prices, composed for mixed populations —
     each with a verified (certificate-checked) warm-start fast path for
     sequences of nearby problems.
 ``latency``

@@ -26,11 +26,16 @@ number of flows — a few hundred groups even for a million-client population.
 *Elastic* flows (TCP-like transfers) adapt their rate to congestion:
 :func:`alpha_fair_allocation` computes the weighted alpha-fair operating
 point (Mo & Walrand's family — alpha 1 is proportional fairness, alpha ~2 is
-TCP-like, and the alpha → ∞ limit *is* max-min) by a damped dual-price fixed
-point: each resource carries a congestion price, each flow's rate is the
-closed-form utility inverse of its path price capped at its peak demand, and
-prices adapt multiplicatively until loads meet capacities.  Every pass is
-the same O(R×F) matrix-vector work as a fill pass.  Mixed populations are
+TCP-like, and the alpha → ∞ limit *is* max-min) on the dual: each resource
+carries a congestion price, each flow's rate is the closed-form utility
+inverse of its path price capped at its peak demand, and the prices solve a
+convex minimisation.  A presolve keeps one row per group of exactly parallel
+resource rows (a site's uplink and CPU), then a safeguarded projected Newton
+method — Hessian ``A diag(r / (alpha q)) A^T`` over the uncapped flows,
+backtracking on the dual objective — converges in a handful of passes, each
+O(R×F) work plus one small R×R solve.  A solve that does not converge
+within its pass budget raises rather than return an unconverged point.
+Mixed populations are
 composed by :func:`solve_allocation`: inelastic flows are served first
 (CBR sources do not yield), elastic flows share the residual alpha-fairly —
 the same priority a FIFO bottleneck gives non-responsive traffic over
@@ -44,7 +49,7 @@ relevant optimality certificate — the Bertsekas & Gallager bottleneck
 condition for max-min (:func:`verify_max_min`), the KKT conditions
 (stationarity + complementary slackness) for alpha fairness
 (:func:`verify_alpha_fair`).  Each check is a constant number of O(R×F)
-passes versus tens for a cold solve, and it either certifies exactly the
+passes versus several for a solve, and it either certifies exactly the
 fair point or falls back to the cold solve, so warm starts can never change
 the answer, only the time to reach it.
 """
@@ -64,22 +69,26 @@ from .telemetry import NULL, Telemetry
 #: Membership tests (does a flow use a resource at all) are exact-zero
 #: comparisons instead: usage coefficients can be legitimately tiny.
 _TOL = 1e-9
-#: Congestion prices below this floor count as zero (resource unpriced).
-#: The dual iteration keeps prices strictly positive so the multiplicative
-#: update can always move them; the floor is where "positive" ends and
-#: complementary slackness starts being enforced.
+#: Congestion prices below this floor count as zero (resource unpriced)
+#: when the problem offers no scale of its own (see ``_kkt_price_floor``):
+#: the floor is where "positive" ends and complementary slackness starts
+#: being enforced.
 _PRICE_FLOOR = 1e-12
-#: Relative tolerance the alpha-fair fixed point aims for while young.
+#: Relative tolerance of the alpha-fair dual's exit: overshoot within it,
+#: priced undershoot within ten times it.
 _ALPHA_TOL = 1e-6
-#: Relaxed exit tolerance past ``_TIGHT_ITERATIONS``: near-critical problems
-#: converge geometrically but slowly, and a 10^-4 relative operating point
-#: is far below the fluid model's own resolution.
-_ALPHA_EXIT_TOL = 3e-4
-_TIGHT_ITERATIONS = 80
-#: Relative stationarity slack of the KKT warm-start certificate; matches
-#: the relaxed exit (plus the feasibility projection) so a solve's own
-#: output always re-certifies.
+#: Pass budget of one alpha-fair dual solve; running out raises.
+_DUAL_PASSES = 500
+#: Step halvings one pass's line search may try.
+_BACKTRACKS = 30
+#: Iteration budget of a row's balance-price search (safeguarded Newton).
+_BALANCE_ITERATIONS = 60
+#: Relative stationarity slack of the KKT warm-start certificate: a
+#: neighbouring epoch's answer is accepted within it.
 _KKT_RTOL = 1e-2
+#: Relative load deficit a priced resource may show in the KKT certificate
+#: and still count as saturated.
+_KKT_SLACK = 6e-3
 
 
 @dataclass
@@ -181,6 +190,10 @@ class Allocation:
     #: purely inelastic problems).  Offered back to :func:`solve_allocation`
     #: as the warm start of the next nearby problem.
     prices: Optional[np.ndarray] = None
+    #: Exit residual of the elastic dual, ``max(overshoot, undershoot)`` of
+    #: the relative resource loads (0.0 when no dual ran).  A dual that
+    #: does not converge raises instead of returning.
+    residual: float = 0.0
 
     def utilization(self, problem: CapacityProblem) -> np.ndarray:
         """Per-resource load fraction under this allocation."""
@@ -342,15 +355,15 @@ def max_min_allocation(problem: CapacityProblem,
 # ---------------------------------------------------------------------------
 
 
-def _alpha_rates(demands: np.ndarray, usage: np.ndarray, weights: np.ndarray,
-                 inv_alpha: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """The KKT-stationary rates for given congestion prices.
+def _alpha_rates(demands: np.ndarray, weights: np.ndarray,
+                 inv_alpha: np.ndarray, path_prices: np.ndarray) -> np.ndarray:
+    """The KKT-stationary rates for given path prices.
 
     Each flow solves ``max w U_alpha(r) - q r`` over ``0 <= r <= d`` where
     ``q`` is its path price (``usage.T @ prices``): the closed form is
     ``min(d, (w / q) ** (1 / alpha))``, and an unpriced path takes the peak.
     """
-    q = usage.T @ prices
+    q = path_prices
     with np.errstate(divide="ignore", over="ignore"):
         unconstrained = np.where(q > 0.0, (weights / np.maximum(q, 1e-300)) ** inv_alpha,
                                  np.inf)
@@ -379,121 +392,384 @@ def _kkt_price_floor(demands: np.ndarray, usage: np.ndarray,
     return max(float(q_cap.min()) * 1e-9 / max(float(usage.max()), 1.0), 1e-290)
 
 
+def _unusable_resources(demands: np.ndarray, usage: np.ndarray,
+                        capacities: np.ndarray) -> np.ndarray:
+    """Resources whose capacity the elastic flows cannot use at all.
+
+    Zero capacities, and capacities within rounding of zero next to the
+    load their crossing flows offer at peak: the residual a saturated
+    inelastic fill leaves in a mixed problem (``capacities - usage @
+    rates``, ~1e-16 relative).  Such a price would have to climb dozens of
+    decades to hold its flows at a rounding-sized rate; zero is the answer
+    to within that rounding.
+    """
+    return capacities <= 1e-12 * (usage @ demands)
+
+
+def _collapse_parallel_rows(usage: np.ndarray, capacities: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group exactly parallel resource rows and pick each group's binding row.
+
+    A site's uplink and CPU rows are crossed by the same flows in a constant
+    ratio, so their constraints are parallel: only the one with the least
+    capacity per unit of the (max-normalised) row can bind, and keeping both
+    splits one price arbitrarily between them and makes the dual's Hessian
+    singular.  Rows normalised to a maximum of 1 are projected onto one
+    fixed direction and sorted by that projection; neighbours whose
+    projections tie are merged once their whole normalised rows agree —
+    O(R×F) work in a handful of numpy calls.  Returns ``(binding, scale,
+    group)``: the binding row of each group, every row's normalising
+    maximum, and every row's group index.
+    """
+    resources, flows = usage.shape
+    scale = usage.max(axis=1)
+    # A fixed, non-repeating direction: distinct rows project apart.
+    direction = 0.5 + np.modf(np.arange(1, flows + 1) * 0.6180339887498949)[0]
+    projection = (usage @ direction) / scale
+    order = np.argsort(projection, kind="stable")
+    tie = np.flatnonzero(np.diff(projection[order]) <= 1e-12 * flows)
+    upper, lower = order[tie], order[tie + 1]
+    same = np.zeros(max(resources - 1, 0), dtype=bool)
+    same[tie] = (np.abs(usage[upper] / scale[upper, np.newaxis]
+                        - usage[lower] / scale[lower, np.newaxis]).max(axis=1, initial=0.0)
+                 <= 1e-12)
+    group = np.empty(resources, dtype=np.int64)
+    group[order] = np.concatenate(([0], np.cumsum(~same)))
+    # Within a group, the least capacity per unit of normalised row binds.
+    by_capacity = np.lexsort((capacities / scale, group))
+    first = np.concatenate(([True], np.diff(group[by_capacity]) != 0))
+    return by_capacity[first], scale, group
+
+
+def _dual_change(q: np.ndarray, dq: np.ndarray, q_cap: np.ndarray,
+                 demands: np.ndarray, inv_alpha: np.ndarray) -> np.ndarray:
+    """``phi_f(q + dq) - phi_f(q)`` per flow, accurate to the size of the change.
+
+    ``phi_f(q) = max_{0 <= r <= d} w U_alpha(r) - q r`` is linear with slope
+    ``-d`` below the cap price ``q_cap = w d^-alpha`` and curved above it,
+    where ``phi(c) - phi(a) = alpha a r_a (e^x - 1) / (1 - alpha)`` with
+    ``x = (1 - alpha) log(r_c / r_a)`` (``a r_a log(r_c / r_a)`` at alpha
+    1).  Both parts are computed from the price *step* (``log1p`` and
+    ``expm1``), never as a difference of two large values, so backtracking
+    resolves decreases far below the size of the terms.
+    """
+    moved = q + dq
+    below = (q <= q_cap) & (moved <= q_cap)
+    above = (q >= q_cap) & (moved >= q_cap)
+    step_below = np.where(below, dq, np.minimum(moved, q_cap) - np.minimum(q, q_cap))
+    step_above = np.where(above, dq, np.maximum(moved, q_cap) - np.maximum(q, q_cap))
+    start = np.maximum(np.maximum(q, q_cap), 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rate = demands * (q_cap / start) ** inv_alpha
+        log_rate = -inv_alpha * np.log1p(step_above / start)
+        exponent = 1.0 - 1.0 / inv_alpha
+        scaled = np.where(exponent == 0.0, log_rate,
+                          np.expm1(exponent * log_rate)
+                          / np.where(exponent == 0.0, 1.0, exponent))
+    return -demands * step_below + start * rate / inv_alpha * scaled
+
+
+class _ReducedDual:
+    """The presolved dual of one alpha-fair problem and its sparsity pattern.
+
+    ``usage`` here has one row per group of parallel rows, each scaled to a
+    maximum coefficient of 1 (without that scaling the problem-scaled price
+    floor misreads a CPU row's price), over the live flows only.  The
+    nonzeros are listed once per solve, row-major, so the Hessian, the
+    balance search and the row shares below are sums over them.
+    """
+
+    def __init__(self, usage: np.ndarray, capacities: np.ndarray,
+                 demands: np.ndarray, weights: np.ndarray,
+                 inv_alpha: np.ndarray) -> None:
+        self.usage = usage
+        self.capacities = capacities
+        self.d = demands
+        self.w = weights
+        self.ia = inv_alpha
+        with np.errstate(over="ignore", under="ignore"):
+            #: The path price at which each flow leaves its cap.
+            self.q_cap = weights * demands ** (-1.0 / inv_alpha)
+        # Problem-scaled floor: at large alpha or bps-sized demands the
+        # equilibrium prices are far below any fixed constant.
+        self.floor = _kkt_price_floor(demands, usage, weights, inv_alpha)
+        self.priced_floor = self.floor * 1e3
+        self.row, self.flow = np.nonzero(usage > 0)
+        self.coef = usage[self.row, self.flow]
+        self.row_starts = np.flatnonzero(np.concatenate(([True], np.diff(self.row) != 0)))
+        # Every pair of nonzeros sharing a flow, so that
+        # H[i, j] = sum_f usage[i, f] usage[j, f] h_f is one bincount.
+        resources, flows = usage.shape
+        by_flow = np.argsort(self.flow, kind="stable")
+        row, flow, coef = self.row[by_flow], self.flow[by_flow], self.coef[by_flow]
+        counts = np.bincount(flow, minlength=flows)
+        first = np.cumsum(counts) - counts
+        repeat = counts[flow]
+        left = np.repeat(np.arange(flow.size), repeat)
+        right = first[flow[left]] + (np.arange(left.size)
+                                     - np.repeat(np.cumsum(repeat) - repeat, repeat))
+        self.pair_index = row[left] * resources + row[right]
+        self.pair_flow = flow[left]
+        self.pair_value = coef[left] * coef[right]
+
+    def rates(self, q: np.ndarray) -> np.ndarray:
+        """The stationary rates at path prices ``q``."""
+        return _alpha_rates(self.d, self.w, self.ia, q)
+
+    def direction(self, q: np.ndarray, r: np.ndarray, prices: np.ndarray,
+                  gradient: np.ndarray) -> Optional[np.ndarray]:
+        """The projected-Newton move of one pass, or ``None`` if it is unusable.
+
+        A slack row whose price is a negligible share of every crossing
+        path price goes to zero.  An overloaded row whose crossing flows
+        are all capped sees a flat dual, and an unpriced one may uncap
+        flows at any tiny price: either moves to its balance price
+        (:meth:`balance`), past its first cap-release breakpoint.  The
+        remaining rows take the Newton step of their Hessian block,
+        assembled from the pattern with one ``np.bincount`` and solved with
+        one small ``np.linalg.solve``.
+        """
+        size = prices.size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curvature = np.where((q > 0.0) & (q >= self.q_cap), self.ia * r / q, 0.0)
+            hessian = np.bincount(self.pair_index,
+                                  weights=self.pair_value * curvature[self.pair_flow],
+                                  minlength=size * size).reshape(size, size)
+            # A row whose price is a negligible share of every crossing
+            # path price is unpriced, however far above zero it sits.
+            path = q[self.flow]
+            share = prices * np.maximum.reduceat(
+                np.where(path > 0.0, self.coef / path, 0.0), self.row_starts)
+        curved = hessian.diagonal() > 0.0
+        unpriced = share <= 1e-9
+        balance = (gradient < 0.0) & (~curved | unpriced)
+        newton = curved & ~balance & ~(unpriced & (gradient > 0.0))
+
+        delta = -prices  # every row not moved below heads for zero
+        # A row the Newton step would drive below zero leaves the system —
+        # an overloaded one holds its price, a slack one seeks its balance
+        # price — and the step is re-solved, so every row left moves freely
+        # at t = 1 and the step is a descent direction.
+        while newton.any():
+            free = np.flatnonzero(newton)
+            block = hessian[np.ix_(free, free)]
+            try:
+                delta[free] = np.linalg.solve(block, -gradient[free])
+            except np.linalg.LinAlgError:
+                # Rows sharing one set of uncapped flows: the minimum-norm
+                # step of the singular system is still a descent direction.
+                delta[free] = np.linalg.lstsq(block, -gradient[free], rcond=None)[0]
+            blocked = newton & (prices + delta <= 0.0)
+            if not blocked.any():
+                break
+            newton &= ~blocked
+            delta[blocked] = 0.0
+            balance |= blocked & (gradient > 0.0)
+        if balance.any():
+            delta[balance] = self.balance(balance, prices, q, gradient) - prices[balance]
+        # A step that moves no price (the gradient lies in the Hessian's
+        # null space, where the dual is flat) is as unusable as a
+        # non-finite one.
+        if not np.isfinite(delta).all() or (np.abs(delta) <= 1e-12 * prices.max()).all():
+            return None
+        return delta
+
+    def balance(self, chosen: np.ndarray, prices: np.ndarray, q: np.ndarray,
+                gradient: np.ndarray) -> np.ndarray:
+        """Per chosen row, the price that alone brings its load to capacity.
+
+        Other prices held, a row's load falls monotonically as its own
+        price rises.  An overloaded row's balance price lies above its
+        current price (and above its first cap-release breakpoint when
+        every crossing flow is capped) and below the price at which every
+        crossing flow's rate is at most ``capacity / sum(row)``; a slack
+        row's lies below its current price, and is zero when the row stays
+        slack even unpriced.  A safeguarded Newton iteration on ``log
+        load`` against ``log price`` — bisection whenever Newton leaves the
+        bracket — crosses any number of price decades in a few passes over
+        the rows' nonzeros.
+        """
+        entries = chosen[self.row]
+        row = (np.cumsum(chosen) - 1)[self.row[entries]]
+        flow = self.flow[entries]
+        coef = self.coef[entries]
+        count = int(chosen.sum())
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(row) != 0)))
+        d, w, ia, q_cap = self.d[flow], self.w[flow], self.ia[flow], self.q_cap[flow]
+        own = prices[chosen]
+        capacity = self.capacities[chosen]
+        over = gradient[chosen] < 0.0
+        other = np.maximum(q[flow] - coef * own[row], 0.0)
+        log_capacity = np.log(capacity)
+
+        def log_load(log_price):
+            price = np.exp(log_price)[row]
+            path = other + coef * price
+            rate = _alpha_rates(d, w, ia, path)
+            load = np.bincount(row, weights=coef * rate, minlength=count)
+            # d log(load) / d log(price), from the uncapped crossing flows.
+            slope = -np.bincount(row, weights=np.where(path >= q_cap, coef * coef * ia * rate
+                                                        * price / path, 0.0),
+                                 minlength=count) / load
+            return np.log(load), slope
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bound = np.log(np.maximum.reduceat(
+                w * (np.bincount(row, weights=coef, minlength=count)
+                     / capacity)[row] ** (1.0 / ia) / coef, starts))
+            # Nothing moves below the first breakpoint of an all-capped row.
+            capped = other + coef * own[row] < q_cap
+            release = np.where(np.minimum.reduceat(capped, starts),
+                               np.minimum.reduceat((q_cap - other) / coef, starts), own)
+            floor = np.where(over, np.log(np.maximum(own, release)), np.log(own) - 92.0)
+            low = np.where(np.isfinite(floor), floor, bound - 92.0)
+            high = np.where(over, bound, np.log(own))
+            # A slack row still slack near zero price balances at zero.
+            zero = ~over
+            if zero.any():
+                zero &= log_load(low)[0] <= log_capacity
+            guess = np.where(over, low, high)
+            for _ in range(_BALANCE_ITERATIONS):
+                value, slope = log_load(guess)
+                error = value - log_capacity
+                if (zero | (np.abs(error) <= _ALPHA_TOL) | (high - low <= 1e-12)).all():
+                    break
+                above = error > 0.0
+                low = np.where(above, guess, low)
+                high = np.where(above, high, guess)
+                step = guess - error / slope
+                inside = np.isfinite(step) & (step > low) & (step < high)
+                guess = np.where(inside, step, 0.5 * (low + high))
+        return np.where(zero, 0.0, np.exp(guess))
+
+    def backtrack(self, q: np.ndarray, prices: np.ndarray, gradient: np.ndarray,
+                  delta: np.ndarray) -> Optional[np.ndarray]:
+        """Armijo backtracking on the dual objective along ``max(prices + t delta, 0)``.
+
+        Returns the first halving's prices that decrease the dual by at
+        least ``1e-4`` of the linear prediction (within rounding of the
+        terms), or ``None`` when none of ``_BACKTRACKS`` halvings does.
+        """
+        t = 1.0
+        for _ in range(_BACKTRACKS):
+            moved = np.maximum(t * delta, -prices)
+            change = _dual_change(q, self.usage.T @ moved, self.q_cap, self.d, self.ia)
+            decrease = change.sum() + self.capacities @ moved
+            slope = gradient @ moved
+            noise = 1e-12 * (np.abs(change).sum() + np.abs(self.capacities * moved).sum())
+            if slope < 0.0 and decrease <= 1e-4 * slope + noise:
+                return prices + moved
+            t *= 0.5
+        return None
+
+
 def _alpha_fair_dual(demands: np.ndarray, usage: np.ndarray,
                      capacities: np.ndarray, weights: np.ndarray,
                      inv_alpha: np.ndarray, *,
                      prices0: Optional[np.ndarray] = None,
-                     max_iterations: int = 4000,
-                     ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Damped dual-price fixed point for the capped alpha-fair allocation.
+                     max_iterations: int = _DUAL_PASSES,
+                     ) -> Tuple[np.ndarray, np.ndarray, int, float]:
+    """Safeguarded projected Newton on the dual of the capped alpha-fair problem.
 
-    Resources carry multiplicative congestion prices; every pass recomputes
-    the stationary rates from the prices (one O(R×F) pass), measures each
-    resource's load/capacity ratio, and moves prices by ``ratio ** kappa``
-    (one more O(R×F) pass).  The gain ``kappa`` starts near the scalar
-    optimum (price error contracts by ``1 - kappa/alpha`` per pass) and is
-    annealed down whenever convergence stalls, so coupled problems that ring
-    at the aggressive gain always settle at a smaller one.  Converged means
-    feasible and complementary-slack within ``_ALPHA_TOL``; a final per-flow
-    projection removes the residual tolerance-level overshoot so the
-    returned rates are exactly feasible.
+    The dual minimises ``D(p) = sum_f phi_f(A^T p) + c . p`` over prices
+    ``p >= 0``; its gradient is ``c - A r(p)`` and its Hessian
+    ``A diag(r / (alpha q)) A^T`` over the flows below their caps.  A
+    presolve keeps one binding row per group of parallel rows and scales
+    rows to a maximum of 1.  Each pass then recomputes the stationary rates
+    (one O(R×F) pass) and takes :meth:`_ReducedDual.direction` — the free
+    rows' Newton step, slack unpriced rows to zero, overloaded rows the
+    Newton model cannot see to their balance price — backtracked on the
+    dual objective.  A pass whose Newton step is unusable takes a
+    sign-adaptive multiplicative step instead.
+    Converged means overshoot within ``_ALPHA_TOL`` and priced undershoot
+    within ``10 * _ALPHA_TOL``; an exhausted pass budget raises.  A final
+    per-flow projection makes the returned rates exactly feasible.  Returns
+    ``(rates, prices, passes, residual)``.
     """
     resources, flows = usage.shape
     rates = np.zeros(flows)
     prices_full = np.zeros(resources)
 
-    # Flows crossing a zero-capacity resource can never move: pin at zero.
-    alive_r = capacities > 0
-    if (~alive_r).any():
-        dead = (usage[~alive_r] > 0).any(axis=0)
-    else:
-        dead = np.zeros(flows, dtype=bool)
-    live = ~dead & (demands > 0)
+    # Flows crossing a resource without capacity can never move: pin at zero.
+    # (Usage is non-negative, so "crosses any of these" is a mat-vec.)
+    dead_r = _unusable_resources(demands, usage, capacities)
+    live = (dead_r @ usage == 0) & (demands > 0)
     if not live.any():
-        return rates, prices_full, 0
+        return rates, prices_full, 0, 0.0
 
     live_idx = np.flatnonzero(live)
-    alive_idx = np.flatnonzero(alive_r)
-    A = usage[np.ix_(alive_idx, live_idx)]
-    c = capacities[alive_idx]
+    rows = np.flatnonzero(~dead_r & (usage @ live > 0))
+    if not rows.size:
+        rates[live_idx] = demands[live_idx]
+        return rates, prices_full, 1, 0.0
+    A = usage[rows][:, live_idx]
     d = demands[live_idx]
     w = weights[live_idx]
     ia = inv_alpha[live_idx]
 
-    # Problem-scaled floor: at large alpha or bps-sized demands the
-    # equilibrium prices are far below any fixed constant.
-    floor = _kkt_price_floor(d, A, w, ia)
+    binding, scale, group = _collapse_parallel_rows(A, capacities[rows])
+    dual = _ReducedDual(A[binding] / scale[binding, np.newaxis],
+                        capacities[rows[binding]] / scale[binding], d, w, ia)
+    B, b, floor = dual.usage, dual.capacities, dual.floor
 
-    prices = np.full(alive_idx.size, floor)
-    warm = prices0 is not None and prices0.shape == (resources,)
-    if warm:
-        prices = np.maximum(prices0[alive_idx], floor)
+    prices = np.zeros(binding.size)
+    if prices0 is not None and prices0.shape == (resources,):
+        # A group's price acts through its shared normalised row.
+        prices = np.bincount(group, weights=prices0[rows] * scale,
+                             minlength=binding.size)[group[binding]]
 
-    # Sign-driven adaptive steps in log-price space (the Rprop idea).  A
-    # gradient-sized step stalls on this dual: an overloaded resource whose
-    # load is mostly *capped* flows has a near-zero local gradient — the
-    # price must travel a long way before the caps release — while a slack
-    # resource's price must decay hundreds of log-decades to ~zero.  Using
-    # only the *sign* of the load error with a per-resource step size that
-    # accelerates while the sign holds and halves when it flips crosses
-    # both plateaus exponentially fast, and the halving-on-flip damps
-    # coupled resources' ringing without any global damping schedule.  Each
-    # pass is two O(R×F) matrix-vector products.  The exit is tiered: tight
-    # (``_ALPHA_TOL``) while the iteration is young, relaxed to
-    # ``_ALPHA_EXIT_TOL`` once past ``_TIGHT_ITERATIONS`` — near-critical
-    # problems creep geometrically, and a 10^-4 operating point is far
-    # below anything the fluid model's own accuracy can resolve.  A final
-    # projection makes the rates exactly feasible either way.
-    iterations = 0
-    # A warm start is presumed near the answer: open with gentle steps so
-    # the hint is refined, not trampled (they re-accelerate 1.6x per pass
-    # if the problem really did move far).
-    step = np.full(c.size, 0.05 if warm else 0.5)
-    last_sign = np.zeros(c.size)
-    r = d.copy()
-    priced_floor = floor * 1e3
-    with np.errstate(divide="ignore", over="ignore"):
+    # Sign-adaptive fallback state (per-row log-price step, last direction).
+    step = np.full(binding.size, 0.5)
+    last_sign = np.zeros(binding.size)
+    residual = math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for iterations in range(1, max_iterations + 1):
-            # The same closed form the KKT certificate checks against —
-            # one source of truth, so warm starts can never be rejected by
-            # a drifted copy of the stationarity formula.
-            r = _alpha_rates(d, A, w, ia, prices)
-            load = A @ r
-            ratio = load / c
-            priced = prices > priced_floor
+            q = B.T @ prices
+            r = dual.rates(q)
+            load = B @ r
+            ratio = load / b
+            priced = prices > dual.priced_floor
             overshoot = ratio.max(initial=0.0) - 1.0
             undershoot = 1.0 - np.where(priced, ratio, np.inf).min(initial=np.inf)
-            # Cold solves chase the tight tolerance while young; warm
-            # re-solves (mid-timeline transients, already inside a certified
-            # neighborhood) take the relaxed exit immediately — grinding a
-            # transient epoch from 3e-4 to 1e-6 buys nothing the fluid
-            # model can resolve.
-            tol = (_ALPHA_TOL if not warm and iterations <= _TIGHT_ITERATIONS
-                   else _ALPHA_EXIT_TOL)
-            if overshoot <= tol and undershoot <= 10 * tol:
+            residual = max(overshoot, undershoot, 0.0)
+            if overshoot <= _ALPHA_TOL and undershoot <= 10 * _ALPHA_TOL:
                 break
-            sign = np.where(ratio > 1.0, 1.0, -1.0)
-            # An unpriced resource sitting slack is already where it
-            # belongs: freeze its sign history so it re-enters gently if
-            # load returns.
-            sign[~priced & (ratio <= 1.0)] = 0.0
-            step = np.where(sign == last_sign, step * 1.6, step * 0.5)
-            # Deeply slack resources may decay faster than anything rises.
-            ceiling = np.where((sign < 0) & (ratio < 0.5), 16.0, 2.0)
-            step = np.minimum(np.maximum(step, 1e-7), ceiling)
-            prices = np.maximum(prices * np.exp(sign * step), floor)
-            last_sign = sign
-    # Exact feasibility: shave each flow by its worst crossing overshoot.
-    load = A @ r
-    ratio = load / c
-    if ratio.max(initial=0.0) > 1.0:
-        over = np.maximum(ratio, 1.0)
-        per_flow = np.where(A > 0, over[:, np.newaxis], 1.0).max(axis=0)
-        r = r / per_flow
+            gradient = b - load
+            delta = dual.direction(q, r, prices, gradient)
+            trial = None if delta is None else dual.backtrack(q, prices, gradient, delta)
+            if trial is None:
+                # The Newton step is unusable here: a sign-adaptive step in
+                # log-price space, still backtracked on the dual objective.
+                sign = np.where(ratio > 1.0, 1.0, -1.0)
+                # An unpriced resource sitting slack is already where it belongs.
+                sign[~priced & (ratio <= 1.0)] = 0.0
+                step = np.where(sign == last_sign, step * 1.6, step * 0.5)
+                # Deeply slack resources may decay faster than anything rises.
+                ceiling = np.where((sign < 0) & (ratio < 0.5), 16.0, 2.0)
+                step = np.minimum(np.maximum(step, 1e-7), ceiling)
+                move = np.where(sign == 0.0, 0.0,
+                                np.maximum(prices, floor) * np.exp(sign * step) - prices)
+                trial = dual.backtrack(q, prices, gradient, move)
+                if trial is None:
+                    trial = prices + move
+                last_sign = sign
+            prices = trial
+        else:
+            raise WorkloadError(
+                f"alpha-fair dual did not converge in {max_iterations} passes "
+                f"(residual {residual:.3g})"
+            )
+    # Exact feasibility on every original row: shave each flow by its worst
+    # crossing overshoot.
+    ratio = (A @ r) / capacities[rows]
+    over = ratio > 1.0
+    if over.any():
+        r = r / np.where(A[over] > 0, ratio[over, np.newaxis], 1.0).max(axis=0)
 
     rates[live_idx] = r
-    prices_full[alive_idx] = np.where(prices > floor * 1e3, prices, 0.0)
-    return rates, prices_full, iterations
+    prices_full[rows[binding]] = np.where(prices > dual.priced_floor,
+                                          prices / scale[binding], 0.0)
+    return rates, prices_full, iterations, residual
 
 
 def _verify_kkt(demands: np.ndarray, usage: np.ndarray, capacities: np.ndarray,
@@ -516,7 +792,7 @@ def _verify_kkt(demands: np.ndarray, usage: np.ndarray, capacities: np.ndarray,
     if (load > capacities + np.maximum(capacities, 1.0) * _ALPHA_TOL).any():
         return False
 
-    dead_r = capacities <= 0
+    dead_r = _unusable_resources(demands, usage, capacities)
     if dead_r.any():
         dead = (usage[dead_r] > 0).any(axis=0)
         if (rates[dead] > np.maximum(demands[dead], 1.0) * _ALPHA_TOL).any():
@@ -525,8 +801,8 @@ def _verify_kkt(demands: np.ndarray, usage: np.ndarray, capacities: np.ndarray,
         dead = np.zeros(rates.shape, dtype=bool)
 
     live = ~dead
-    target = _alpha_rates(demands[live], usage[:, live][~dead_r],
-                          weights[live], inv_alpha[live], prices[~dead_r])
+    target = _alpha_rates(demands[live], weights[live], inv_alpha[live],
+                          usage[:, live][~dead_r].T @ prices[~dead_r])
     scale = np.maximum(np.maximum(target, rates[live]), 1e-12)
     if (np.abs(rates[live] - target) > scale * _KKT_RTOL).any():
         return False
@@ -538,7 +814,7 @@ def _verify_kkt(demands: np.ndarray, usage: np.ndarray, capacities: np.ndarray,
     floor = _kkt_price_floor(demands, usage, weights, inv_alpha)
     priced = (prices > floor * 1e3) & ~dead_r
     if priced.any():
-        slack = load[priced] < capacities[priced] * (1.0 - 20 * _ALPHA_EXIT_TOL)
+        slack = load[priced] < capacities[priced] * (1.0 - _KKT_SLACK)
         if slack.any():
             return False
     return True
@@ -647,10 +923,10 @@ def alpha_fair_allocation(problem: CapacityProblem,
         prices_hint = np.asarray(warm_prices, dtype=np.float64)
         if prices_hint.shape == (problem.n_resources,):
             prices0 = prices_hint
-    rates, prices, iterations = _alpha_fair_dual(
+    rates, prices, iterations, residual = _alpha_fair_dual(
         demands, problem.usage, problem.capacities, weights, inv_alpha,
         prices0=prices0,
-        max_iterations=max_iterations if max_iterations is not None else 4000,
+        max_iterations=max_iterations if max_iterations is not None else _DUAL_PASSES,
     )
     telemetry.inc("solver.alpha_fair_iterations", iterations)
     return Allocation(
@@ -658,6 +934,7 @@ def alpha_fair_allocation(problem: CapacityProblem,
         bottleneck=_elastic_bottlenecks(demands, problem.usage, rates, prices),
         iterations=iterations,
         prices=prices,
+        residual=residual,
     )
 
 

@@ -313,6 +313,36 @@ class TestElastic:
                 alpha=np.array([2.0, math.inf]),
             )
 
+    def test_an_exhausted_pass_budget_raises_instead_of_answering(self):
+        # One pass cannot settle the congested chain.  The dual used to
+        # project its unconverged iterate and return [3, 5, 3] with no
+        # signal; it must name the budget and the residual instead.
+        with pytest.raises(WorkloadError, match=r"did not converge in 1 passes \(residual"):
+            alpha_fair_allocation(chain_problem(2.0), max_iterations=1)
+
+    def test_residual_reports_the_converged_load_error(self):
+        allocation = alpha_fair_allocation(chain_problem(2.0))
+        assert allocation.rates == pytest.approx([2.87, 7.13, 3.13], abs=5e-3)
+        assert 0.0 <= allocation.residual <= 1e-5
+        certified = alpha_fair_allocation(chain_problem(2.0, demands=2.0))
+        assert certified.iterations == 0 and certified.residual == 0.0
+
+    def test_parallel_rows_price_only_the_binding_one(self):
+        # Rows 0 and 1 are one constraint in two units (row 1 is row 0
+        # times 1e9, capacity too): one price, not two arbitrary shares,
+        # and the bottleneck attribution names the row that carries it.
+        problem = CapacityProblem(
+            demands=np.array([100.0, 100.0, 100.0]),
+            usage=np.array([[1.0, 2.0, 0.0], [1e9, 2e9, 0.0], [0.0, 1.0, 1.0]]),
+            capacities=np.array([10.0, 1e10, 8.0]),
+            elastic=np.ones(3, dtype=bool),
+            alpha=2.0,
+        )
+        allocation = alpha_fair_allocation(problem)
+        assert allocation.prices[0] > 0 and allocation.prices[1] == 0.0
+        assert allocation.bottleneck[0] == 0
+        assert verify_alpha_fair(problem, allocation.rates, allocation.prices) is not None
+
     def test_invalid_elastic_inputs_rejected(self):
         with pytest.raises(WorkloadError):
             CapacityProblem(demands=np.array([1.0]), usage=np.ones((1, 1)),
