@@ -16,7 +16,11 @@ the 13 timeline rows (captured at
 a790758, before ``FluidTimeline._run_epochs`` became a per-run object) pin
 every ``EpochRecord`` field, the per-site matrices, the span nesting and
 every counter/histogram of each catalogue scenario; the three sweep rows
-pin the two frontiers and the variance-reduction comparison.
+pin the two frontiers and the variance-reduction comparison.  The
+rest-breaker row (captured at a650bf2) pins an adversary timeline whose game
+rests between disturbances — a throttle window, a degradation window, a site
+failure and recovery, a load step and an adoption retune — so every cache a
+resting epoch leans on is seen to break when its inputs move.
 
 A digest that moves because the *model* changed on purpose is re-captured
 with ``python tests/scale/test_campaign_golden.py``; one that moves under a
@@ -29,9 +33,21 @@ import json
 import pytest
 
 from repro.scale import (
+    AdoptionModel,
     AdversaryCampaignRunner,
+    AdversaryGame,
+    CapacityDegradation,
+    ClientPopulation,
+    DiscriminationToggle,
+    FlashCrowdLoad,
     FleetScaleRunner,
+    FluidTimeline,
+    IspStrategy,
     LatencyCampaignRunner,
+    LatencyModel,
+    ReconfigEvent,
+    SiteFailure,
+    SiteRecovery,
     StochasticCampaignRunner,
     Telemetry,
     TimelineCampaignRunner,
@@ -39,6 +55,7 @@ from repro.scale import (
     build_scenario,
     canonical_result_bytes,
     compare_variance_reduction,
+    provisioned_fleet,
     run_churn_slo_frontier,
     run_latency_cost_frontier,
     scenario_names,
@@ -307,7 +324,104 @@ def test_catalogue_timeline_matches_the_committed_digests(name):
     assert timeline_digests(name) == TIMELINE_GOLDEN[name]
 
 
+#: The epochs at which the rest-breaker timeline disturbs its resting game.
+RETUNE_EPOCH = 68
+BREAKER_EPOCHS = {
+    "throttle": 12,
+    "degradation": 26,
+    "failure": 40,
+    "load step": 55,
+    "retune": RETUNE_EPOCH,
+}
+
+
+def rest_breaker_timeline(telemetry):
+    """A 2,000-client adversary game that rests, disturbed once per breaker.
+
+    Adoption relaxes at full rate, so the game settles into an exact fixed
+    point within a few epochs of each disturbance; every disturbance then
+    lands inside a resting stretch of reused epochs: a windowed throttle, a
+    windowed degradation, a site failure and its recovery (a ring change),
+    a two-epoch load step and an adoption retune.
+    """
+    population = ClientPopulation(CLIENTS, seed=32)
+    fleet = provisioned_fleet(population, 6, headroom=1.4)
+    sites = [site.name for site in fleet.sites]
+    adoption = AdoptionModel(sensitivity=4.0, adopt_rate=1.0, churn_rate=1.0)
+    events = [
+        DiscriminationToggle(at_epoch=BREAKER_EPOCHS["throttle"], region=1,
+                             factor=0.5, class_names=("video",),
+                             until_epoch=BREAKER_EPOCHS["throttle"] + 2),
+        CapacityDegradation(at_epoch=BREAKER_EPOCHS["degradation"],
+                            site=sites[0], factor=0.5,
+                            until_epoch=BREAKER_EPOCHS["degradation"] + 2),
+        SiteFailure(at_epoch=BREAKER_EPOCHS["failure"], site=sites[1]),
+        SiteRecovery(at_epoch=BREAKER_EPOCHS["failure"] + 2, site=sites[1]),
+        ReconfigEvent(at_epoch=RETUNE_EPOCH,
+                      adoption=AdoptionModel(sensitivity=12.0, adopt_rate=1.0,
+                                             churn_rate=1.0)),
+    ]
+    return FluidTimeline(
+        population, fleet, epochs=76, epoch_seconds=900.0,
+        load=FlashCrowdLoad(base=1.0, spike=1.3, ramp_seconds=0.0,
+                            start_seconds=BREAKER_EPOCHS["load step"] * 900.0,
+                            hold_seconds=1350.0),
+        events=events, latency=LatencyModel(), latency_slo_seconds=0.08,
+        adversary=AdversaryGame(
+            isp=IspStrategy(aggressiveness=0.6, allow_blanket=False,
+                            escalate_evasion=0.6),
+            adoption=adoption),
+        telemetry=telemetry,
+    )
+
+
+def run_rest_breakers():
+    """(result, telemetry) of one traced, observed rest-breaker run."""
+    telemetry = Telemetry(trace=True, events=True)
+    attach_detectors(telemetry.events)
+    return rest_breaker_timeline(telemetry).run(), telemetry
+
+
+def rest_breaker_digests(result, telemetry):
+    """(result, NDJSON, metrics) sha256 of one rest-breaker run."""
+    return (
+        hashlib.sha256(canonical_result_bytes(result)).hexdigest(),
+        _sha(telemetry.events.to_ndjson()),
+        _sha(json.dumps(telemetry.metrics.as_dict(), sort_keys=True)),
+    )
+
+
+#: (result, NDJSON, metrics) of the rest-breaker timeline, captured at
+#: a650bf2 — before a resting game's stages learned to skip their work.
+REST_BREAKER_GOLDEN = (
+    "bfca026bbb76c5545362f77378045481bc4615e282e7e258a24c07d86c875e0d",
+    "1c52b3b519cff8808b9408afb794ae31bd0a2a67d11389539534c088f8219fa0",
+    "8028f9634479a23836c5083243197659d87e865db848cfd3dfe5f06ac6dbcf67",
+)
+
+
+def reused_epochs(telemetry):
+    """The epochs whose solve reused the previous epoch's answer."""
+    spans = telemetry.tracer.spans
+    epoch_of = {span.id: span.attrs["epoch"] for span in spans
+                if span.name == "epoch"}
+    return {epoch_of[span.parent] for span in spans
+            if span.name == "solve" and (span.attrs or {}).get("reused")}
+
+
+def test_rest_breaker_timeline_matches_the_committed_digests():
+    result, telemetry = run_rest_breakers()
+    reused = reused_epochs(telemetry)
+    for breaker, epoch in BREAKER_EPOCHS.items():
+        assert {epoch - 3, epoch - 2, epoch - 1} <= reused, breaker
+    adoption = result.adoption_fraction
+    assert any(adoption[epoch] != adoption[RETUNE_EPOCH - 1]
+               for epoch in range(RETUNE_EPOCH, RETUNE_EPOCH + 6))
+    assert rest_breaker_digests(result, telemetry) == REST_BREAKER_GOLDEN
+
+
 if __name__ == "__main__":
+    print("rest_breakers", *rest_breaker_digests(*run_rest_breakers()))
     for name in sorted(GOLDEN):
         print(name, *digests(GOLDEN[name][0]))
     for name in sorted(SWEEP_GOLDEN):
