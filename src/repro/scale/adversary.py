@@ -350,7 +350,16 @@ class AdversaryRun:
             dtype=np.int64,
         )
         self._observation: Optional[AdversaryObservation] = None
+        #: The observation whose adoption step came out all zero.  While it
+        #: stays in force — no newer observation, no retune — the step would
+        #: come out zero again, so the game rests without recomputing it.
+        self._resting: Optional[AdversaryObservation] = None
+        #: The (AdversaryEpoch, template, allocation, problem, latency result)
+        #: digested into ``_observation``; the same objects digest the same.
+        self._digested: Optional[tuple] = None
         self._epoch: Optional[AdversaryEpoch] = None
+        #: The (template, offered scale) objects ``_epoch`` was computed for.
+        self._epoch_inputs: Optional[Tuple[ProblemTemplate, np.ndarray]] = None
         #: First epoch at which the strategy may move again (cooldown).
         self._hold_until = 0
         #: (template, mask) pair — the target mask only changes when the
@@ -368,6 +377,10 @@ class AdversaryRun:
         as a population reset.
         """
         self.game = replace(self.game, adoption=adoption)
+        # The new model moves the adoption target and the latency weight the
+        # harm ledger reads: neither the rest nor the digest carries over.
+        self._resting = None
+        self._digested = None
 
     def _count_moves(self, events: List[str], rekeyed: int) -> None:
         """Record this tick's game moves as counters, by event label."""
@@ -400,11 +413,25 @@ class AdversaryRun:
         Applies the strategy and adoption updates earned by the previous
         epoch's observation, then computes this epoch's flagging, budget
         coverage, served multipliers, rekey load, and telemetry.
+
+        A tick in which nothing moves, on the template and offered-scale
+        objects the previous epoch was computed for, after a previous epoch
+        that moved nothing either, returns that same :class:`AdversaryEpoch`:
+        every input of the flagging pass is unchanged, so is its output.
         """
         events: List[str] = []
         self._update_strategy(epoch, events)
         rekeyed, joiners = self._update_adoption(events)
         self._count_moves(events, rekeyed)
+
+        previous = self._epoch
+        # Rekeys always come with an adoption event, so an epoch without
+        # events also has no rekey load to carry.
+        if (not events and previous is not None and not previous.events
+                and self._epoch_inputs[0] is template
+                and self._epoch_inputs[1] is offered_scale):
+            return previous
+        self._epoch_inputs = (template, offered_scale)
 
         isp = self.game.isp
         region_of = template.region_of
@@ -534,11 +561,17 @@ class AdversaryRun:
 
         ``problem`` is the epoch's :class:`CapacityProblem` (its demands are
         the *served* demands after the access multiplier, which is what the
-        fleet's satisfaction ratio is relative to).
+        fleet's satisfaction ratio is relative to).  The same objects as
+        the last digest leave that digest's observation in force.
         """
         adv = self._epoch
         if adv is None:
             return
+        digested = (adv, template, allocation, problem, latency_result)
+        if self._digested is not None and all(
+                new is old for new, old in zip(digested, self._digested)):
+            return
+        self._digested = digested
         region_of = template.region_of
         satisfaction = allocation.satisfaction(problem)
 
@@ -615,12 +648,13 @@ class AdversaryRun:
             return
         self._hold_until = epoch + 1 + isp.cooldown_epochs
 
-    def _update_adoption(self, events: List[str]) -> Tuple[int, np.ndarray]:
-        """Relax adoption toward the harm-gain target; returns rekey churn."""
-        joiners = np.zeros_like(self.adoption)
+    def _update_adoption(self, events: List[str]
+                         ) -> Tuple[int, Optional[np.ndarray]]:
+        """Relax adoption toward the harm-gain target; returns rekey churn
+        and the per-region joiners (``None`` when adoption did not move)."""
         observation = self._observation
-        if observation is None:
-            return 0, joiners
+        if observation is None or observation is self._resting:
+            return 0, None
         model = self.game.adoption
         target = model.target(observation.harm_gain)
         delta = target - self.adoption
@@ -629,7 +663,8 @@ class AdversaryRun:
         # (the timeline's bit-identical-epoch reuse depends on it).
         step[np.abs(step) < _ADOPTION_QUANTUM] = 0.0
         if not step.any():
-            return 0, joiners
+            self._resting = observation
+            return 0, None
         updated = np.clip(self.adoption + step, 0.0, 1.0)
         joiners = np.maximum(updated - self.adoption, 0.0)
         rekeyed = int(round(float((joiners * self.region_clients).sum())))

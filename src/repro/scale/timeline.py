@@ -69,8 +69,10 @@ from .telemetry import NULL, Telemetry
 def _optional_arrays_equal(left: Optional[np.ndarray],
                            right: Optional[np.ndarray]) -> bool:
     """Whether two maybe-absent per-flow/per-site vectors are identical."""
+    if left is right:
+        return True
     if left is None or right is None:
-        return left is None and right is None
+        return False
     return np.array_equal(left, right)
 
 DAY_SECONDS = 86_400.0
@@ -869,9 +871,11 @@ class SolvedEpoch:
     The timeline's only solve memo.  An epoch with the same template, demand
     scaling and capacity scaling (steady load, no events) is the *same
     problem*, so the instantiated problem, the allocation, the interpreted
-    fluid result and the latency metrics are all reused outright — the
-    steady-state epoch costs two small array comparisons, independent of
-    anything else.  A changed problem still takes its warm start from here.
+    fluid result and the latency metrics are all reused outright.  A resting
+    epoch's demand stages hand back the previous epoch's scale arrays
+    themselves, so the check is a handful of pointer compares; only scales
+    rebuilt by a stage that had work to do are compared element by element.
+    A changed problem still takes its warm start from here.
     """
 
     template: ProblemTemplate
@@ -891,9 +895,29 @@ class SolvedEpoch:
                 extra_setups: Optional[np.ndarray]) -> bool:
         """Whether these inputs pose the bit-identical problem solved here."""
         return (template is self.template
-                and np.array_equal(served_scale, self.served_scale)
+                and _optional_arrays_equal(served_scale, self.served_scale)
                 and _optional_arrays_equal(capacity_scale, self.capacity_scale)
                 and _optional_arrays_equal(extra_setups, self.extra_setups))
+
+
+@dataclass(frozen=True)
+class _SolvedHalf:
+    """The part of an :class:`EpochRecord` fixed by its solve and its demand.
+
+    Computed once per (:class:`SolvedEpoch`, offered scale) pair and reused
+    while both objects stay the same — every resting epoch of a run.  The
+    per-class dicts are copied into each record, never shared.
+    """
+
+    solved: SolvedEpoch
+    offered_scale: np.ndarray
+    demand_bps: float
+    demand_bps_by_class: Dict[str, float]
+    demand_multiplier: float
+    delivered_fraction: float
+    goodput_bps_by_class: Dict[str, float]
+    peak_cpu_utilization: float
+    peak_uplink_utilization: float
 
 
 class _TimelineRun:
@@ -933,6 +957,12 @@ class _TimelineRun:
         self.region_demand: Optional[np.ndarray] = None
         self.last_metrics: Optional[EpochMetrics] = None
         self.solved: Optional[SolvedEpoch] = None
+        #: The (template, regional multipliers, live throttles) the last
+        #: (offered, served) scales were computed from, and those scales.
+        self.demand: Optional[tuple] = None
+        #: (served scale, adversary multiplier, their product).
+        self.throttled: Optional[tuple] = None
+        self.solved_half: Optional[_SolvedHalf] = None
         #: The adversary epochs' recorded latency and neutralized/exposed
         #: per-class P95 split, kept while neither solve nor game moves.
         self.experienced = ((0.0, 0.0, 0.0, 0.0), {}, {})
@@ -958,7 +988,7 @@ class _TimelineRun:
         move = self.adversary_step(epoch, offered_scale)
         extra_setups = None
         if move is not None:
-            served_scale = served_scale * move.served_multiplier
+            served_scale = self.access_served(served_scale, move)
             extra_setups = move.extra_setups_per_flow
         solved, reused, solve_seconds = self.solve(
             served_scale, capacity_scale, extra_setups)
@@ -1139,10 +1169,22 @@ class _TimelineRun:
         further cap what the access ISP lets through.  Delivered fraction is
         judged against the offered demand, so a rollout shows up as harm
         rather than as demand conveniently disappearing.
+
+        The same template, equal regional multipliers and the same live
+        throttles give back the previous epoch's arrays themselves, so
+        every identity check downstream is a pointer compare.
         """
         template = self.template
         population = self.population
         regional = self.timeline.load.multipliers(t, population.regions)
+        throttles = tuple(self.throttles)
+        if self.demand is not None:
+            # Multipliers equal to the last validated ones need no checks.
+            (last_template, last_regional, last_throttles,
+             offered, served) = self.demand
+            if (last_template is template and last_throttles == throttles
+                    and np.array_equal(last_regional, regional)):
+                return offered, served
         if regional.shape != (population.regions,):
             raise WorkloadError("load curve returned the wrong number of regions")
         if np.any(regional < 0):
@@ -1156,6 +1198,7 @@ class _TimelineRun:
                              for name in toggle.class_names]
                 hit &= np.isin(template.class_of, class_ids)
             served[hit] *= toggle.factor
+        self.demand = (template, regional, throttles, offered, served)
         return offered, served
 
     def capacity_scale(self) -> Optional[np.ndarray]:
@@ -1181,6 +1224,20 @@ class _TimelineRun:
             self.telemetry.events.emit("adversary", epoch=epoch,
                                        events=list(move.events))
         return move
+
+    def access_served(self, served_scale: np.ndarray, move) -> np.ndarray:
+        """The served scale after the adversary's access-ISP multiplier.
+
+        The same two arrays as last epoch give back the same product.
+        """
+        if self.throttled is not None:
+            last_served, last_multiplier, product = self.throttled
+            if (last_served is served_scale
+                    and last_multiplier is move.served_multiplier):
+                return product
+        product = served_scale * move.served_multiplier
+        self.throttled = (served_scale, move.served_multiplier, product)
+        return product
 
     def solve(self, served_scale: np.ndarray,
               capacity_scale: Optional[np.ndarray],
@@ -1298,6 +1355,40 @@ class _TimelineRun:
             clients_remapped=remapped, **self.committed,
         )
 
+    def solved_half_of(self, solved: SolvedEpoch,
+                       offered_scale: np.ndarray) -> _SolvedHalf:
+        """The record fields ``solved`` and ``offered_scale`` fix, memoized."""
+        half = self.solved_half
+        if (half is not None and half.solved is solved
+                and half.offered_scale is offered_scale):
+            return half
+        template = solved.template
+        fluid = solved.fluid
+        offered_flow_bps = (template.base_demands * offered_scale
+                            * template.group_clients)
+        offered_bps = float(offered_flow_bps.sum())
+        offered_by_class = np.bincount(
+            template.class_of, weights=offered_flow_bps,
+            minlength=self.population.n_classes,
+        )
+        self.solved_half = _SolvedHalf(
+            solved=solved,
+            offered_scale=offered_scale,
+            demand_bps=offered_bps,
+            demand_bps_by_class={
+                name: float(offered_by_class[index])
+                for index, name in enumerate(self.population.mix.names)
+            },
+            demand_multiplier=(offered_bps / self.base_demand_bps
+                               if self.base_demand_bps else 0.0),
+            delivered_fraction=(fluid.total_goodput_bps / offered_bps
+                                if offered_bps > 0 else 1.0),
+            goodput_bps_by_class=dict(fluid.goodput_bps),
+            peak_cpu_utilization=float(fluid.cpu_utilization.max()),
+            peak_uplink_utilization=float(fluid.uplink_utilization.max()),
+        )
+        return self.solved_half
+
     def record(self, epoch: int, t: float, fired: List[str],
                actions: Tuple[str, ...], remapped: int, ring_moved: float,
                offered_scale: np.ndarray, capacity_scale: Optional[np.ndarray],
@@ -1305,23 +1396,12 @@ class _TimelineRun:
                quoted, provision_cost: float) -> None:
         """Append the :class:`EpochRecord`, fill the matrices, feed the
         controller its metrics, and emit the ``epoch`` event."""
-        template = solved.template
         fluid = solved.fluid
-        population = self.population
+        half = self.solved_half_of(solved, offered_scale)
+        demand_multiplier = half.demand_multiplier
+        delivered = half.delivered_fraction
         recorded_latency, neutralized_p95, exposed_p95 = quoted
         self.telemetry.inc("timeline.epochs")
-
-        offered_flow_bps = (template.base_demands * offered_scale
-                            * template.group_clients)
-        offered_bps = float(offered_flow_bps.sum())
-        offered_by_class = np.bincount(
-            template.class_of, weights=offered_flow_bps,
-            minlength=population.n_classes,
-        )
-        demand_multiplier = (offered_bps / self.base_demand_bps
-                             if self.base_demand_bps else 0.0)
-        delivered = (fluid.total_goodput_bps / offered_bps
-                     if offered_bps > 0 else 1.0)
 
         self.cpu_util[epoch] = fluid.cpu_utilization
         self.uplink_util[epoch] = fluid.uplink_utilization
@@ -1351,12 +1431,12 @@ class _TimelineRun:
             t_seconds=t,
             events=tuple(fired),
             demand_multiplier=demand_multiplier,
-            demand_bps=offered_bps,
+            demand_bps=half.demand_bps,
             goodput_bps=fluid.total_goodput_bps,
-            goodput_bps_by_class=dict(fluid.goodput_bps),
+            goodput_bps_by_class=dict(half.goodput_bps_by_class),
             delivered_fraction=delivered,
-            peak_cpu_utilization=float(fluid.cpu_utilization.max()),
-            peak_uplink_utilization=float(fluid.uplink_utilization.max()),
+            peak_cpu_utilization=half.peak_cpu_utilization,
+            peak_uplink_utilization=half.peak_uplink_utilization,
             key_setup_pps=fluid.key_setup_pps,
             clients_remapped=remapped,
             ring_moved_fraction=ring_moved,
@@ -1371,17 +1451,16 @@ class _TimelineRun:
             latency_p95_seconds=recorded_latency[1],
             latency_p99_seconds=recorded_latency[2],
             latency_slo_violations=recorded_latency[3],
-            demand_bps_by_class={
-                name: float(offered_by_class[index])
-                for index, name in enumerate(population.mix.names)
-            },
+            demand_bps_by_class=dict(half.demand_bps_by_class),
             discriminated_share=(move.discriminated_share
                                  if move is not None else 0.0),
             adoption_fraction=adoption,
             clients_rekeyed=move.clients_rekeyed if move is not None else 0,
             adversary_events=move.events if move is not None else (),
-            neutralized_latency_p95=neutralized_p95,
-            exposed_latency_p95=exposed_p95,
+            # Resting epochs quote one cached split: copy it, so no two
+            # records share a dict.
+            neutralized_latency_p95=dict(neutralized_p95),
+            exposed_latency_p95=dict(exposed_p95),
         ))
 
         if self.telemetry.events is not None:

@@ -1,6 +1,6 @@
 """The adversary game layer: confusion model, budget, adoption, E16."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -368,6 +368,36 @@ class TestE16Campaign:
     def test_bad_variance_scheme_fails_at_construction(self):
         with pytest.raises(WorkloadError, match="variance-reduction"):
             self.small_runner(variance_reduction="qmc")
+
+
+class TestEpochRecordsOwnTheirDicts:
+    def test_no_two_records_of_a_run_share_a_dict(self):
+        # A resting E16 game reuses its solve epoch after epoch; each record
+        # must still own its per-class dicts, or a caller editing one epoch's
+        # split would silently rewrite its neighbours'.
+        runner = AdversaryCampaignRunner(
+            clients=2_000, epochs=60, aggressiveness=(1.0,),
+            sensitivities=(12.0,), replicas_per_point=1, seed=16)
+        unit = runner.unit_specs()[0]
+        game = AdversaryGame(
+            isp=replace(runner.base_isp, aggressiveness=1.0),
+            adoption=replace(runner.base_adoption, sensitivity=12.0))
+        records = runner.run_replica(unit.event_seed, unit.rng_transform,
+                                     adversary=game).records
+        names = [field.name for field in fields(records[0])
+                 if isinstance(getattr(records[0], field.name), dict)]
+        dicts = [getattr(record, name) for record in records for name in names]
+        assert len({id(value) for value in dicts}) == len(dicts)
+
+        resting = [index for index in range(1, len(records))
+                   if records[index].neutralized_latency_p95
+                   == records[index - 1].neutralized_latency_p95]
+        assert resting, "the run must rest for the test to mean anything"
+        last = resting[-1]
+        kept = {name: dict(getattr(records[last], name)) for name in names}
+        for name in names:
+            getattr(records[last - 1], name).clear()
+        assert {name: getattr(records[last], name) for name in names} == kept
 
 
 class TestAdversaryCrossValidation:
