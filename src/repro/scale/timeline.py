@@ -900,7 +900,7 @@ class SolvedEpoch:
                 and _optional_arrays_equal(extra_setups, self.extra_setups))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SolvedHalf:
     """The part of an :class:`EpochRecord` fixed by its solve and its demand.
 
@@ -1198,7 +1198,8 @@ class _TimelineRun:
                              for name in toggle.class_names]
                 hit &= np.isin(template.class_of, class_ids)
             served[hit] *= toggle.factor
-        self.demand = (template, regional, throttles, offered, served)
+        # A copy: a load curve may hand out one buffer it refills.
+        self.demand = (template, regional.copy(), throttles, offered, served)
         return offered, served
 
     def capacity_scale(self) -> Optional[np.ndarray]:

@@ -22,6 +22,7 @@ from repro.scale import (
     cross_validate_adversary,
     provisioned_fleet,
 )
+from repro.scale.adversary import AdversaryObservation
 from repro.scale.scenario import ScaleScenario
 
 
@@ -368,6 +369,56 @@ class TestE16Campaign:
     def test_bad_variance_scheme_fails_at_construction(self):
         with pytest.raises(WorkloadError, match="variance-reduction"):
             self.small_runner(variance_reduction="qmc")
+
+
+class TestRestingGame:
+    def resting_game(self):
+        # Full-rate adoption settles into an exact fixed point within a few
+        # epochs; the high escalation threshold keeps the ISP still.
+        return AdversaryGame(
+            isp=IspStrategy(aggressiveness=0.6, allow_blanket=False,
+                            escalate_evasion=0.6),
+            adoption=AdoptionModel(sensitivity=4.0, adopt_rate=1.0,
+                                   churn_rate=1.0))
+
+    def test_a_resting_game_hands_back_its_epoch(self, monkeypatch):
+        moves = []
+        step = AdversaryRun.step
+
+        def recording(run, *args):
+            moves.append(step(run, *args))
+            return moves[-1]
+
+        monkeypatch.setattr(AdversaryRun, "step", recording)
+        result = small_timeline(game=self.resting_game(), epochs=24).run()
+        same = [index for index in range(1, len(moves))
+                if moves[index] is moves[index - 1]]
+        assert len(same) >= 10, "the game never rested"
+        for index in same:
+            assert not moves[index].events
+            assert result.records[index].adversary_events == ()
+            assert (result.records[index].adoption_fraction
+                    == result.records[index - 1].adoption_fraction)
+
+    def test_a_retune_ends_the_rest(self):
+        population = small_population()
+        fleet = provisioned_fleet(population, 8, headroom=1.4)
+        template = ScaleScenario(population, fleet).build_template()
+        run = AdversaryRun(self.resting_game(), population)
+        scale = np.full(template.base_demands.shape, 1.0)
+        run._observation = AdversaryObservation(
+            evasion=0.0, collateral=0.0,
+            harm_gain=np.full(population.regions, 0.3))
+        first = run.step(0, template, scale, 900.0)
+        assert first.events  # adoption jumps to the logistic target
+        rested = run.step(1, template, scale, 900.0)
+        assert rested.events == ()
+        assert run.step(2, template, scale, 900.0) is rested
+        run.retune(AdoptionModel(sensitivity=12.0, adopt_rate=1.0,
+                                 churn_rate=1.0))
+        moved = run.step(3, template, scale, 900.0)
+        assert moved is not rested and moved.events
+        assert moved.adoption_fraction > rested.adoption_fraction
 
 
 class TestEpochRecordsOwnTheirDicts:
