@@ -354,12 +354,10 @@ class AdversaryRun:
         #: stays in force — no newer observation, no retune — the step would
         #: come out zero again, so the game rests without recomputing it.
         self._resting: Optional[AdversaryObservation] = None
-        #: The (AdversaryEpoch, template, allocation, problem, latency result)
-        #: digested into ``_observation``; the same objects digest the same.
-        self._digested: Optional[tuple] = None
+        #: The last tick's (events, clients rekeyed, per-region joiners).
+        self._moves: Tuple[Tuple[str, ...], int, Optional[np.ndarray]] = (
+            (), 0, None)
         self._epoch: Optional[AdversaryEpoch] = None
-        #: The (template, offered scale) objects ``_epoch`` was computed for.
-        self._epoch_inputs: Optional[Tuple[ProblemTemplate, np.ndarray]] = None
         #: First epoch at which the strategy may move again (cooldown).
         self._hold_until = 0
         #: (template, mask) pair — the target mask only changes when the
@@ -377,10 +375,8 @@ class AdversaryRun:
         as a population reset.
         """
         self.game = replace(self.game, adoption=adoption)
-        # The new model moves the adoption target and the latency weight the
-        # harm ledger reads: neither the rest nor the digest carries over.
+        # The new model moves the adoption target: the rest does not carry over.
         self._resting = None
-        self._digested = None
 
     def _count_moves(self, events: List[str], rekeyed: int) -> None:
         """Record this tick's game moves as counters, by event label."""
@@ -406,33 +402,24 @@ class AdversaryRun:
 
     # -- the per-epoch control step ---------------------------------------------------
 
-    def step(self, epoch: int, template: ProblemTemplate,
-             offered_scale: np.ndarray, epoch_seconds: float) -> AdversaryEpoch:
-        """One game tick at the top of ``epoch``, before the solve.
+    def tick(self, epoch: int) -> bool:
+        """The game's moves at the top of ``epoch``, before the solve.
 
         Applies the strategy and adoption updates earned by the previous
-        epoch's observation, then computes this epoch's flagging, budget
-        coverage, served multipliers, rekey load, and telemetry.
-
-        A tick in which nothing moves, on the template and offered-scale
-        objects the previous epoch was computed for, after a previous epoch
-        that moved nothing either, returns that same :class:`AdversaryEpoch`:
-        every input of the flagging pass is unchanged, so is its output.
+        epoch's observation and counts them; returns whether anything moved.
         """
         events: List[str] = []
         self._update_strategy(epoch, events)
         rekeyed, joiners = self._update_adoption(events)
         self._count_moves(events, rekeyed)
+        self._moves = (tuple(events), rekeyed, joiners)
+        return bool(events)
 
-        previous = self._epoch
-        # Rekeys always come with an adoption event, so an epoch without
-        # events also has no rekey load to carry.
-        if (not events and previous is not None and not previous.events
-                and self._epoch_inputs[0] is template
-                and self._epoch_inputs[1] is offered_scale):
-            return previous
-        self._epoch_inputs = (template, offered_scale)
-
+    def flag(self, template: ProblemTemplate, offered_scale: np.ndarray,
+             epoch_seconds: float) -> AdversaryEpoch:
+        """This epoch's flagging, budget coverage, served multipliers, rekey
+        load and telemetry, after the moves of the last :meth:`tick`."""
+        events, rekeyed, joiners = self._moves
         isp = self.game.isp
         region_of = template.region_of
         regions = template.regions
@@ -464,7 +451,7 @@ class AdversaryRun:
                 discriminated_share=0.0,
                 adoption_fraction=adoption_fraction,
                 clients_rekeyed=rekeyed,
-                events=tuple(events),
+                events=events,
                 flagged_bps_by_region=np.zeros(regions),
                 offered_bps_by_region=offered_region,
                 throttle_factor=1.0,
@@ -544,7 +531,7 @@ class AdversaryRun:
             discriminated_share=discriminated_share,
             adoption_fraction=adoption_fraction,
             clients_rekeyed=rekeyed,
-            events=tuple(events),
+            events=events,
             flagged_bps_by_region=flagged_region * coverage,
             offered_bps_by_region=offered_region,
             throttle_factor=self.factor,
@@ -561,17 +548,11 @@ class AdversaryRun:
 
         ``problem`` is the epoch's :class:`CapacityProblem` (its demands are
         the *served* demands after the access multiplier, which is what the
-        fleet's satisfaction ratio is relative to).  The same objects as
-        the last digest leave that digest's observation in force.
+        fleet's satisfaction ratio is relative to).
         """
         adv = self._epoch
         if adv is None:
             return
-        digested = (adv, template, allocation, problem, latency_result)
-        if self._digested is not None and all(
-                new is old for new, old in zip(digested, self._digested)):
-            return
-        self._digested = digested
         region_of = template.region_of
         satisfaction = allocation.satisfaction(problem)
 

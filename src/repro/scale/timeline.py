@@ -42,7 +42,7 @@ diff says changed owner).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,6 +51,7 @@ import numpy as np
 from ..exceptions import WorkloadError
 from .adversary import (
     AdoptionModel,
+    AdversaryEpoch,
     AdversaryGame,
     AdversaryRun,
     experienced_latency,
@@ -69,10 +70,8 @@ from .telemetry import NULL, Telemetry
 def _optional_arrays_equal(left: Optional[np.ndarray],
                            right: Optional[np.ndarray]) -> bool:
     """Whether two maybe-absent per-flow/per-site vectors are identical."""
-    if left is right:
-        return True
     if left is None or right is None:
-        return False
+        return left is None and right is None
     return np.array_equal(left, right)
 
 DAY_SECONDS = 86_400.0
@@ -97,6 +96,14 @@ class LoadCurve:
     def __mul__(self, other: "LoadCurve") -> "CompositeLoad":
         return CompositeLoad((self, other))
 
+    def _require_finite(self) -> None:
+        """Refuse a NaN or infinite number among the curve's parameters."""
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise WorkloadError(f"{type(self).__name__}.{item.name} must "
+                                    f"be finite, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ConstantLoad(LoadCurve):
@@ -105,6 +112,7 @@ class ConstantLoad(LoadCurve):
     level: float = 1.0
 
     def __post_init__(self) -> None:
+        self._require_finite()
         if self.level < 0:
             raise WorkloadError("load level must be non-negative")
 
@@ -128,6 +136,7 @@ class DiurnalLoad(LoadCurve):
     timezone_spread: float = 0.25
 
     def __post_init__(self) -> None:
+        self._require_finite()
         if not 0 <= self.trough <= self.peak:
             raise WorkloadError("diurnal load needs 0 <= trough <= peak")
         if self.period_seconds <= 0:
@@ -161,6 +170,7 @@ class FlashCrowdLoad(LoadCurve):
     regions_hit: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        self._require_finite()
         if self.base < 0 or self.spike < 1.0:
             raise WorkloadError("flash crowd needs base >= 0 and spike >= 1")
         if self.ramp_seconds < 0 or self.hold_seconds < 0:
@@ -206,6 +216,7 @@ class LinearRampLoad(LoadCurve):
     t1_seconds: float = DAY_SECONDS
 
     def __post_init__(self) -> None:
+        self._require_finite()
         if self.start_level < 0 or self.end_level < 0:
             raise WorkloadError("ramp levels must be non-negative")
         if self.t1_seconds <= self.t0_seconds:
@@ -871,11 +882,8 @@ class SolvedEpoch:
     The timeline's only solve memo.  An epoch with the same template, demand
     scaling and capacity scaling (steady load, no events) is the *same
     problem*, so the instantiated problem, the allocation, the interpreted
-    fluid result and the latency metrics are all reused outright.  A resting
-    epoch's demand stages hand back the previous epoch's scale arrays
-    themselves, so the check is a handful of pointer compares; only scales
-    rebuilt by a stage that had work to do are compared element by element.
-    A changed problem still takes its warm start from here.
+    fluid result and the latency metrics are all reused outright.  A changed
+    problem still takes its warm start from here.
     """
 
     template: ProblemTemplate
@@ -895,27 +903,38 @@ class SolvedEpoch:
                 extra_setups: Optional[np.ndarray]) -> bool:
         """Whether these inputs pose the bit-identical problem solved here."""
         return (template is self.template
-                and _optional_arrays_equal(served_scale, self.served_scale)
+                and np.array_equal(served_scale, self.served_scale)
                 and _optional_arrays_equal(capacity_scale, self.capacity_scale)
                 and _optional_arrays_equal(extra_setups, self.extra_setups))
 
 
 @dataclass(frozen=True, eq=False)
-class _SolvedHalf:
-    """The part of an :class:`EpochRecord` fixed by its solve and its demand.
+class _DerivedEpoch:
+    """Everything one epoch derived from its inputs, kept for the next one.
 
-    Computed once per (:class:`SolvedEpoch`, offered scale) pair and reused
-    while both objects stay the same — every resting epoch of a run.  The
-    per-class dicts are copied into each record, never shared.
+    A resting epoch (see :meth:`_TimelineRun.step`) takes it back whole.
+    Every record copies its dicts, so no two records share one.
     """
 
-    solved: SolvedEpoch
+    #: The rest key: the template, the live windows and a copy of the
+    #: regional load multipliers (a load curve may refill one buffer).
+    template: ProblemTemplate
+    throttles: Tuple[DiscriminationToggle, ...]
+    degradations: Tuple[CapacityDegradation, ...]
+    regional: np.ndarray
     offered_scale: np.ndarray
+    #: The served scale before the adversary's access multiplier.
+    served_scale: np.ndarray
+    capacity_scale: Optional[np.ndarray]
+    move: Optional[AdversaryEpoch]
+    solved: SolvedEpoch
+    #: (latency, neutralized P95, exposed P95) as the record quotes them.
+    quoted: tuple
+    #: The record fields fixed by the solve and the offered demand.
     demand_bps: float
     demand_bps_by_class: Dict[str, float]
     demand_multiplier: float
     delivered_fraction: float
-    goodput_bps_by_class: Dict[str, float]
     peak_cpu_utilization: float
     peak_uplink_utilization: float
 
@@ -957,15 +976,8 @@ class _TimelineRun:
         self.region_demand: Optional[np.ndarray] = None
         self.last_metrics: Optional[EpochMetrics] = None
         self.solved: Optional[SolvedEpoch] = None
-        #: The (template, regional multipliers, live throttles) the last
-        #: (offered, served) scales were computed from, and those scales.
-        self.demand: Optional[tuple] = None
-        #: (served scale, adversary multiplier, their product).
-        self.throttled: Optional[tuple] = None
-        self.solved_half: Optional[_SolvedHalf] = None
-        #: The adversary epochs' recorded latency and neutralized/exposed
-        #: per-class P95 split, kept while neither solve nor game moves.
-        self.experienced = ((0.0, 0.0, 0.0, 0.0), {}, {})
+        #: The last epoch's derivation, taken back by a resting epoch.
+        self.derived: Optional[_DerivedEpoch] = None
         #: Committed-capacity sums (``epoch_cost`` keywords), cached while
         #: the fleet state they were summed under, ``committed_key``, holds.
         self.committed_key = None
@@ -977,26 +989,64 @@ class _TimelineRun:
                                        dtype=np.int64)
 
     def step(self, epoch: int) -> None:
-        """Solve one epoch: the pipeline, one stage per call."""
-        t = epoch * self.timeline.epoch_seconds
+        """Solve one epoch: the pipeline, one stage per call.
+
+        The epoch *rests* when warm start is on, no event fired, the
+        template, the live windows and the load multipliers are last
+        epoch's, and the game's tick moved nothing after a move that moved
+        nothing.  Everything an epoch derives is a deterministic function
+        of those inputs, so a resting epoch takes back last epoch's
+        :class:`_DerivedEpoch`; any other epoch derives it afresh (still
+        inputs with a moving game keep only the demand and capacity scales).
+        """
+        timeline = self.timeline
+        t = epoch * timeline.epoch_seconds
         self.ring_before = None
         fired = self.fire_events(epoch)
         actions = self.autoscale_step(epoch, t)
         remapped, ring_moved = self.remap_ring()
-        offered_scale, served_scale = self.demand_scale(t)
-        capacity_scale = self.capacity_scale()
-        move = self.adversary_step(epoch, offered_scale)
-        extra_setups = None
-        if move is not None:
-            served_scale = self.access_served(served_scale, move)
-            extra_setups = move.extra_setups_per_flow
-        solved, reused, solve_seconds = self.solve(
-            served_scale, capacity_scale, extra_setups)
-        quoted = self.quoted_latency(solved, reused, move)
+        regional = timeline.load.multipliers(t, self.population.regions)
+        throttles, degradations = tuple(self.throttles), tuple(self.degradations)
+        last = self.derived
+        still = (timeline.warm_start and not fired and last is not None
+                 and last.template is self.template
+                 and last.throttles == throttles
+                 and last.degradations == degradations
+                 and np.array_equal(last.regional, regional))
+        if still:
+            offered, served, capacity = (last.offered_scale, last.served_scale,
+                                         last.capacity_scale)
+        else:
+            offered, served = self.demand_scale(t, regional)
+            capacity = self.capacity_scale()
+        rests = still and (last.move is None or not last.move.events)
+        move = None
+        if self.adversary is not None:
+            with self.telemetry.span("adversary_step"):
+                moved = self.adversary.tick(epoch)
+                rests = rests and not moved
+                move = last.move if rests else self.adversary.flag(
+                    self.template, offered, timeline.epoch_seconds)
+            if self.telemetry.events is not None and move.events:
+                self.telemetry.events.emit("adversary", epoch=epoch,
+                                           events=list(move.events))
+        if rests:
+            reused, solve_seconds = True, self.reuse_solve()
+        else:
+            access, extra_setups = served, None
+            if move is not None:
+                access = served * move.served_multiplier
+                extra_setups = move.extra_setups_per_flow
+            solved, reused, solve_seconds = self.solve(access, capacity,
+                                                       extra_setups)
+            self.derived = _DerivedEpoch(
+                self.template, throttles, degradations, regional.copy(),
+                offered, served, capacity, move, solved,
+                self.quoted_latency(solved, move),
+                *self.demand_fields(solved, offered))
         provision_cost = self.bill(remapped)
         self.record(epoch, t, fired, actions, remapped, ring_moved,
-                    offered_scale, capacity_scale, move, solved, reused,
-                    solve_seconds, quoted, provision_cost)
+                    self.derived, reused, solve_seconds, provision_cost)
 
     # -- the stages, in step() order -----------------------------------------------
 
@@ -1162,31 +1212,26 @@ class _TimelineRun:
             )
         return remapped, ring_moved
 
-    def demand_scale(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    def demand_scale(self, t: float, regional: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-flow (offered, served) demand multipliers for this epoch.
 
-        The load curve scales what clients *offer*; discrimination throttles
-        further cap what the access ISP lets through.  Delivered fraction is
-        judged against the offered demand, so a rollout shows up as harm
-        rather than as demand conveniently disappearing.
-
-        The same template, equal regional multipliers and the same live
-        throttles give back the previous epoch's arrays themselves, so
-        every identity check downstream is a pointer compare.
+        The load curve's ``regional`` multipliers scale what clients
+        *offer*; discrimination throttles further cap what the access ISP
+        lets through.  Delivered fraction is judged against the offered
+        demand, so a rollout shows up as harm rather than as demand
+        conveniently disappearing.
         """
         template = self.template
         population = self.population
-        regional = self.timeline.load.multipliers(t, population.regions)
-        throttles = tuple(self.throttles)
-        if self.demand is not None:
-            # Multipliers equal to the last validated ones need no checks.
-            (last_template, last_regional, last_throttles,
-             offered, served) = self.demand
-            if (last_template is template and last_throttles == throttles
-                    and np.array_equal(last_regional, regional)):
-                return offered, served
         if regional.shape != (population.regions,):
             raise WorkloadError("load curve returned the wrong number of regions")
+        bad = np.flatnonzero(~np.isfinite(regional))
+        if bad.size:
+            raise WorkloadError(
+                f"load curve returned non-finite multiplier(s) "
+                f"{regional[bad].tolist()} for region(s) {bad.tolist()} "
+                f"at t={t:g} s")
         if np.any(regional < 0):
             raise WorkloadError("load curve returned a negative multiplier")
         offered = regional[template.region_of].astype(np.float64)
@@ -1198,8 +1243,6 @@ class _TimelineRun:
                              for name in toggle.class_names]
                 hit &= np.isin(template.class_of, class_ids)
             served[hit] *= toggle.factor
-        # A copy: a load curve may hand out one buffer it refills.
-        self.demand = (template, regional.copy(), throttles, offered, served)
         return offered, served
 
     def capacity_scale(self) -> Optional[np.ndarray]:
@@ -1214,32 +1257,6 @@ class _TimelineRun:
             return None
         return scale
 
-    def adversary_step(self, epoch: int, offered_scale: np.ndarray):
-        """One round of the ISP-vs-adoption game (``None`` without one)."""
-        if self.adversary is None:
-            return None
-        with self.telemetry.span("adversary_step"):
-            move = self.adversary.step(epoch, self.template, offered_scale,
-                                       self.timeline.epoch_seconds)
-        if self.telemetry.events is not None and move.events:
-            self.telemetry.events.emit("adversary", epoch=epoch,
-                                       events=list(move.events))
-        return move
-
-    def access_served(self, served_scale: np.ndarray, move) -> np.ndarray:
-        """The served scale after the adversary's access-ISP multiplier.
-
-        The same two arrays as last epoch give back the same product.
-        """
-        if self.throttled is not None:
-            last_served, last_multiplier, product = self.throttled
-            if (last_served is served_scale
-                    and last_multiplier is move.served_multiplier):
-                return product
-        product = served_scale * move.served_multiplier
-        self.throttled = (served_scale, move.served_multiplier, product)
-        return product
-
     def solve(self, served_scale: np.ndarray,
               capacity_scale: Optional[np.ndarray],
               extra_setups: Optional[np.ndarray],
@@ -1253,10 +1270,7 @@ class _TimelineRun:
                                              capacity_scale, extra_setups):
             # Bit-identical problem (steady load, same fleet state): the
             # previous answer IS the answer.
-            reuse_span = telemetry.span("solve", reused=True)
-            with reuse_span:
-                telemetry.inc("timeline.epochs_reused")
-            return last, True, reuse_span.seconds
+            return last, True, self.reuse_solve()
         instantiate_span = telemetry.span("template_instantiate")
         with instantiate_span:
             problem = template.instantiate(served_scale, capacity_scale,
@@ -1300,7 +1314,15 @@ class _TimelineRun:
         return self.solved, False, (instantiate_span.seconds
                                     + solve_span.seconds + latency_seconds)
 
-    def quoted_latency(self, solved: SolvedEpoch, reused: bool, move):
+    def reuse_solve(self) -> float:
+        """The ``solve`` span of an epoch whose answer is the last one."""
+        reuse_span = self.telemetry.span("solve", reused=True)
+        with reuse_span:
+            self.telemetry.inc("timeline.epochs_reused")
+        return reuse_span.seconds
+
+    def quoted_latency(self, solved: SolvedEpoch,
+                       move: Optional[AdversaryEpoch]):
         """(latency, neutralized P95, exposed P95) as the record quotes them.
 
         Without an adversary this is the fleet-path proxy; with one it is
@@ -1315,16 +1337,10 @@ class _TimelineRun:
                                solved.problem.problem, solved.latency_result)
         if solved.latency_result is None:
             return solved.latency, {}, {}
-        # A bit-identical epoch with no game moves has the same split; only
-        # a fresh solve or an adoption/strategy move can change it.
-        if not reused or move.events:
-            self.experienced = (
-                experienced_latency(solved.template, solved.latency_result,
+        return (experienced_latency(solved.template, solved.latency_result,
                                     move, self.timeline.latency_slo_seconds),
                 *split_latency_by_class(solved.template,
-                                        solved.latency_result, move),
-            )
-        return self.experienced
+                                        solved.latency_result, move))
 
     def bill(self, remapped: int) -> float:
         """Dollars this epoch cost: committed capacity plus remap churn."""
@@ -1356,13 +1372,9 @@ class _TimelineRun:
             clients_remapped=remapped, **self.committed,
         )
 
-    def solved_half_of(self, solved: SolvedEpoch,
-                       offered_scale: np.ndarray) -> _SolvedHalf:
-        """The record fields ``solved`` and ``offered_scale`` fix, memoized."""
-        half = self.solved_half
-        if (half is not None and half.solved is solved
-                and half.offered_scale is offered_scale):
-            return half
+    def demand_fields(self, solved: SolvedEpoch, offered_scale: np.ndarray):
+        """The record fields ``solved`` and ``offered_scale`` fix, in
+        :class:`_DerivedEpoch` order from ``demand_bps`` on."""
         template = solved.template
         fluid = solved.fluid
         offered_flow_bps = (template.base_demands * offered_scale
@@ -1372,36 +1384,30 @@ class _TimelineRun:
             template.class_of, weights=offered_flow_bps,
             minlength=self.population.n_classes,
         )
-        self.solved_half = _SolvedHalf(
-            solved=solved,
-            offered_scale=offered_scale,
-            demand_bps=offered_bps,
-            demand_bps_by_class={
-                name: float(offered_by_class[index])
-                for index, name in enumerate(self.population.mix.names)
-            },
-            demand_multiplier=(offered_bps / self.base_demand_bps
-                               if self.base_demand_bps else 0.0),
-            delivered_fraction=(fluid.total_goodput_bps / offered_bps
-                                if offered_bps > 0 else 1.0),
-            goodput_bps_by_class=dict(fluid.goodput_bps),
-            peak_cpu_utilization=float(fluid.cpu_utilization.max()),
-            peak_uplink_utilization=float(fluid.uplink_utilization.max()),
+        return (
+            offered_bps,
+            {name: float(offered_by_class[index])
+             for index, name in enumerate(self.population.mix.names)},
+            offered_bps / self.base_demand_bps if self.base_demand_bps else 0.0,
+            (fluid.total_goodput_bps / offered_bps
+             if offered_bps > 0 else 1.0),
+            float(fluid.cpu_utilization.max()),
+            float(fluid.uplink_utilization.max()),
         )
-        return self.solved_half
 
     def record(self, epoch: int, t: float, fired: List[str],
                actions: Tuple[str, ...], remapped: int, ring_moved: float,
-               offered_scale: np.ndarray, capacity_scale: Optional[np.ndarray],
-               move, solved: SolvedEpoch, reused: bool, solve_seconds: float,
-               quoted, provision_cost: float) -> None:
+               derived: _DerivedEpoch, reused: bool, solve_seconds: float,
+               provision_cost: float) -> None:
         """Append the :class:`EpochRecord`, fill the matrices, feed the
         controller its metrics, and emit the ``epoch`` event."""
+        solved = derived.solved
         fluid = solved.fluid
-        half = self.solved_half_of(solved, offered_scale)
-        demand_multiplier = half.demand_multiplier
-        delivered = half.delivered_fraction
-        recorded_latency, neutralized_p95, exposed_p95 = quoted
+        move = derived.move
+        capacity_scale = derived.capacity_scale
+        demand_multiplier = derived.demand_multiplier
+        delivered = derived.delivered_fraction
+        recorded_latency, neutralized_p95, exposed_p95 = derived.quoted
         self.telemetry.inc("timeline.epochs")
 
         self.cpu_util[epoch] = fluid.cpu_utilization
@@ -1432,12 +1438,12 @@ class _TimelineRun:
             t_seconds=t,
             events=tuple(fired),
             demand_multiplier=demand_multiplier,
-            demand_bps=half.demand_bps,
+            demand_bps=derived.demand_bps,
             goodput_bps=fluid.total_goodput_bps,
-            goodput_bps_by_class=dict(half.goodput_bps_by_class),
+            goodput_bps_by_class=dict(fluid.goodput_bps),
             delivered_fraction=delivered,
-            peak_cpu_utilization=half.peak_cpu_utilization,
-            peak_uplink_utilization=half.peak_uplink_utilization,
+            peak_cpu_utilization=derived.peak_cpu_utilization,
+            peak_uplink_utilization=derived.peak_uplink_utilization,
             key_setup_pps=fluid.key_setup_pps,
             clients_remapped=remapped,
             ring_moved_fraction=ring_moved,
@@ -1452,7 +1458,7 @@ class _TimelineRun:
             latency_p95_seconds=recorded_latency[1],
             latency_p99_seconds=recorded_latency[2],
             latency_slo_violations=recorded_latency[3],
-            demand_bps_by_class=dict(half.demand_bps_by_class),
+            demand_bps_by_class=dict(derived.demand_bps_by_class),
             discriminated_share=(move.discriminated_share
                                  if move is not None else 0.0),
             adoption_fraction=adoption,

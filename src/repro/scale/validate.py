@@ -690,7 +690,8 @@ def _solve_adversary_fluid_arm(*, clients: int, adoption: float,
     )
     run = AdversaryRun(game, population)
     run.factor = throttle_factor  # pin the severity the packet arm enforces
-    adv = run.step(0, template, np.ones(template.base_demands.shape), 3600.0)
+    run.tick(0)
+    adv = run.flag(template, np.ones(template.base_demands.shape), 3600.0)
     epoch = template.instantiate(adv.served_multiplier)
     allocation = solve_allocation(epoch.problem)
     delivered_pps = float(

@@ -19,11 +19,12 @@ from repro.scale import (
     FluidTimeline,
     IspStrategy,
     LatencyModel,
+    ReconfigEvent,
     cross_validate_adversary,
     provisioned_fleet,
 )
-from repro.scale.adversary import AdversaryObservation
 from repro.scale.scenario import ScaleScenario
+from repro.scale.timeline import _TimelineRun
 
 
 def small_population(clients=6_000, seed=9):
@@ -46,13 +47,14 @@ def small_timeline(population=None, *, game, epochs=40, latency=True,
 
 
 def stepped(game, population=None, *, offered=1.0):
-    """One raw game step against a fresh template (unit-level access)."""
+    """One raw game tick and flag against a fresh template (unit-level access)."""
     population = population or small_population()
     fleet = provisioned_fleet(population, 8, headroom=1.4)
     template = ScaleScenario(population, fleet).build_template()
     run = AdversaryRun(game, population)
     scale = np.full(template.base_demands.shape, offered)
-    return run, template, run.step(0, template, scale, 900.0)
+    run.tick(0)
+    return run, template, run.flag(template, scale, 900.0)
 
 
 class TestConfigurationValidation:
@@ -381,44 +383,49 @@ class TestRestingGame:
             adoption=AdoptionModel(sensitivity=4.0, adopt_rate=1.0,
                                    churn_rate=1.0))
 
-    def test_a_resting_game_hands_back_its_epoch(self, monkeypatch):
-        moves = []
-        step = AdversaryRun.step
+    def run_watched(self, monkeypatch, timeline):
+        """(result, resting epochs, flagged epochs) of one run.
 
-        def recording(run, *args):
-            moves.append(step(run, *args))
-            return moves[-1]
+        An epoch rests when it takes back last epoch's derived object.
+        """
+        step, flag = _TimelineRun.step, AdversaryRun.flag
+        rested, flagged, current = [], set(), []
 
-        monkeypatch.setattr(AdversaryRun, "step", recording)
-        result = small_timeline(game=self.resting_game(), epochs=24).run()
-        same = [index for index in range(1, len(moves))
-                if moves[index] is moves[index - 1]]
-        assert len(same) >= 10, "the game never rested"
-        for index in same:
-            assert not moves[index].events
-            assert result.records[index].adversary_events == ()
-            assert (result.records[index].adoption_fraction
-                    == result.records[index - 1].adoption_fraction)
+        def watched_step(run, epoch):
+            current.append(epoch)
+            before = run.derived
+            step(run, epoch)
+            if run.derived is before:
+                rested.append(epoch)
 
-    def test_a_retune_ends_the_rest(self):
-        population = small_population()
-        fleet = provisioned_fleet(population, 8, headroom=1.4)
-        template = ScaleScenario(population, fleet).build_template()
-        run = AdversaryRun(self.resting_game(), population)
-        scale = np.full(template.base_demands.shape, 1.0)
-        run._observation = AdversaryObservation(
-            evasion=0.0, collateral=0.0,
-            harm_gain=np.full(population.regions, 0.3))
-        first = run.step(0, template, scale, 900.0)
-        assert first.events  # adoption jumps to the logistic target
-        rested = run.step(1, template, scale, 900.0)
-        assert rested.events == ()
-        assert run.step(2, template, scale, 900.0) is rested
-        run.retune(AdoptionModel(sensitivity=12.0, adopt_rate=1.0,
-                                 churn_rate=1.0))
-        moved = run.step(3, template, scale, 900.0)
-        assert moved is not rested and moved.events
-        assert moved.adoption_fraction > rested.adoption_fraction
+        def watched_flag(game, *args):
+            flagged.add(current[-1])
+            return flag(game, *args)
+
+        monkeypatch.setattr(_TimelineRun, "step", watched_step)
+        monkeypatch.setattr(AdversaryRun, "flag", watched_flag)
+        return timeline.run(), rested, flagged
+
+    def test_a_resting_game_passes_no_flag_and_holds_adoption(self, monkeypatch):
+        result, rested, flagged = self.run_watched(
+            monkeypatch, small_timeline(game=self.resting_game(), epochs=24))
+        assert len(rested) >= 10, "the game never rested"
+        assert flagged == set(range(24)) - set(rested)
+        for epoch in rested:
+            assert result.records[epoch].adversary_events == ()
+            assert (result.records[epoch].adoption_fraction
+                    == result.records[epoch - 1].adoption_fraction)
+
+    def test_a_retune_ends_the_rest(self, monkeypatch):
+        retune = ReconfigEvent(at_epoch=16, adoption=AdoptionModel(
+            sensitivity=12.0, adopt_rate=1.0, churn_rate=1.0))
+        result, rested, flagged = self.run_watched(
+            monkeypatch, small_timeline(game=self.resting_game(), epochs=24,
+                                        events=[retune]))
+        assert {13, 14, 15} <= set(rested)
+        assert 16 not in rested and 16 in flagged
+        assert result.records[16].adversary_events
+        assert result.adoption_fraction[16] > result.adoption_fraction[15]
 
 
 class TestEpochRecordsOwnTheirDicts:

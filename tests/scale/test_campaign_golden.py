@@ -20,7 +20,10 @@ pin the two frontiers and the variance-reduction comparison.  The
 rest-breaker row (captured at a650bf2) pins an adversary timeline whose game
 rests between disturbances — a throttle window, a degradation window, a site
 failure and recovery, a load step and an adoption retune — so every cache a
-resting epoch leans on is seen to break when its inputs move.
+resting epoch leans on is seen to break when its inputs move.  The legacy
+builder rows pin each catalogue document's build against the python builder
+it replaced, and the rest-path test runs the timelines again with resting
+epochs made impossible: resting is a shortcut, never a different answer.
 
 A digest that moves because the *model* changed on purpose is re-captured
 with ``python tests/scale/test_campaign_golden.py``; one that moves under a
@@ -29,6 +32,7 @@ refactor is a bug in the refactor.
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
@@ -60,6 +64,8 @@ from repro.scale import (
     run_latency_cost_frontier,
     scenario_names,
 )
+from repro.scale.catalogue import CATALOGUE
+from repro.scale.timeline import _TimelineRun
 
 CLIENTS = 2000
 
@@ -291,19 +297,20 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def timeline_digests(name):
-    """One traced, observed run of a catalogue timeline, then a second run().
-
-    The span tree is hashed as ``(id, parent, name, sorted attrs)`` — nesting
-    and attributes, never durations; the re-run digest proves the per-run
-    state really is per run.
-    """
+def observed_telemetry():
+    """Tracing and events on, detectors attached."""
     telemetry = Telemetry(trace=True, events=True)
     attach_detectors(telemetry.events)
-    timeline = build_scenario(name, clients=CLIENTS, seed=7,
-                              telemetry=telemetry)
-    result = timeline.run()
-    first = (
+    return telemetry
+
+
+def observed_digests(result, telemetry):
+    """(result, NDJSON, span tree, metrics) sha256 of one observed run.
+
+    The span tree is hashed as ``(id, parent, name, sorted attrs)`` — nesting
+    and attributes, never durations.
+    """
+    return (
         hashlib.sha256(canonical_result_bytes(result)).hexdigest(),
         _sha(telemetry.events.to_ndjson()),
         _sha(json.dumps([(span.id, span.parent, span.name,
@@ -311,6 +318,17 @@ def timeline_digests(name):
                          for span in telemetry.tracer.spans])),
         _sha(json.dumps(telemetry.metrics.as_dict(), sort_keys=True)),
     )
+
+
+def timeline_digests(name):
+    """One traced, observed run of a catalogue timeline, then a second run().
+
+    The re-run digest proves the per-run state really is per run.
+    """
+    telemetry = observed_telemetry()
+    timeline = build_scenario(name, clients=CLIENTS, seed=7,
+                              telemetry=telemetry)
+    first = observed_digests(timeline.run(), telemetry)
     rerun = hashlib.sha256(canonical_result_bytes(timeline.run())).hexdigest()
     return first + (rerun,)
 
@@ -322,6 +340,54 @@ def test_timeline_rows_cover_the_whole_catalogue():
 @pytest.mark.parametrize("name", sorted(TIMELINE_GOLDEN))
 def test_catalogue_timeline_matches_the_committed_digests(name):
     assert timeline_digests(name) == TIMELINE_GOLDEN[name]
+
+
+#: catalogue scenario -> sha256 of ``canonical_result_bytes`` at 2,000
+#: clients, seed 2006.  Captured at df20a12 from the frozen python builders
+#: the catalogue documents replaced, after checking there that every one
+#: equals its document build byte for byte; the builders are gone since.
+LEGACY_BUILDER_GOLDEN = {
+    "flash_crowd":
+        "7b88d4a89ad672284158d0b33e2f5413a448e5f56fe3faa82e89968d96704d8b",
+    "regional_outage":
+        "17c4da69d7aa9556a2dcc198e22344c5f2de122cf0ab952b0e1b58df3c9c0b96",
+    "diurnal_week":
+        "022ac9d6ddad62d72ac6b094fe574f56f5ca3261a5550b7148891bd4e2a6a039",
+    "heterogeneous_fleet":
+        "1e2d20c2c59c06e906f091ac4024e0f4a4144ff3bdb2aaed4570d6066fbccdf3",
+    "cascading_overload":
+        "6968cb8337da23c158eb6ad4d58ed38104759eec19960749539d8e777ad90a7f",
+    "discrimination_rollout":
+        "128c686e2722ff18d841e3d2fff4aed49e5c5689016567536881e7366136b200",
+    "autoscaled_diurnal":
+        "c22aa1eab26b66159cf49f357c3e8a193f95c393517a97706f836df72347f581",
+    "stochastic_unreliable":
+        "7c5d38e0361e13fc939c353cd4e14258ced189e4694c9954de580e407d6ae907",
+    "elastic_web_mix":
+        "9e2869b08e7c72002e65ac8caf5874d9938489701a99f2a481304c71e1f46a31",
+    "latency_slo_autoscaled":
+        "d0a7a2bad9675ba6f2e43b7825991b2aa23b807669f593dc820bf83058b23c04",
+    "adaptive_throttler":
+        "3e3dd21180e2c35a6989fc755b01dfe1c92b2bbf52c2ad23e1e83cc0b12c2bce",
+    "neutralizer_arms_race":
+        "064f77960a58be426891d3ec0344bb6d394364ac0d011bc1651804aa1530d0df",
+    "targeted_class_slo":
+        "18cc586d9035f2a309731a3983ce82277b17390e4a74c3607ce6dcd9dfe2f59f",
+}
+
+
+def test_legacy_builder_rows_cover_the_whole_catalogue():
+    assert sorted(LEGACY_BUILDER_GOLDEN) == sorted(scenario_names())
+
+
+def legacy_builder_digest(name):
+    result = CATALOGUE[name].config.build(clients=CLIENTS, seed=2006).run()
+    return hashlib.sha256(canonical_result_bytes(result)).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LEGACY_BUILDER_GOLDEN))
+def test_document_build_matches_the_legacy_builder_digest(name):
+    assert legacy_builder_digest(name) == LEGACY_BUILDER_GOLDEN[name]
 
 
 #: The epochs at which the rest-breaker timeline disturbs its resting game.
@@ -377,8 +443,7 @@ def rest_breaker_timeline(telemetry):
 
 def run_rest_breakers():
     """(result, telemetry) of one traced, observed rest-breaker run."""
-    telemetry = Telemetry(trace=True, events=True)
-    attach_detectors(telemetry.events)
+    telemetry = observed_telemetry()
     return rest_breaker_timeline(telemetry).run(), telemetry
 
 
@@ -420,12 +485,53 @@ def test_rest_breaker_timeline_matches_the_committed_digests():
     assert rest_breaker_digests(result, telemetry) == REST_BREAKER_GOLDEN
 
 
+#: Runs whose every digest must not depend on whether epochs may rest:
+#: name -> factory of the timeline or campaign runner, given its telemetry.
+REST_PATH_RUNS = {
+    **{name: partial(build_scenario, name, clients=CLIENTS, seed=7)
+       for name in scenario_names()},
+    "rest_breakers": rest_breaker_timeline,
+    "E16": make_e16,
+}
+
+
+def rest_path_digests(name):
+    telemetry = observed_telemetry()
+    return observed_digests(REST_PATH_RUNS[name](telemetry=telemetry).run(),
+                            telemetry)
+
+
+@pytest.mark.parametrize("name", sorted(REST_PATH_RUNS))
+def test_the_rest_path_changes_nothing(name, monkeypatch):
+    step = _TimelineRun.step
+    rested = []
+
+    def watched(run, epoch):
+        before = run.derived
+        step(run, epoch)
+        rested.append(run.derived is before)
+
+    def never_resting(run, epoch):
+        # Nothing to take back: the epoch derives everything afresh.
+        run.derived = None
+        step(run, epoch)
+
+    monkeypatch.setattr(_TimelineRun, "step", watched)
+    resting = rest_path_digests(name)
+    monkeypatch.setattr(_TimelineRun, "step", never_resting)
+    assert rest_path_digests(name) == resting
+    if name in ("rest_breakers", "E16"):
+        assert any(rested), "the run never rested"
+
+
 if __name__ == "__main__":
     print("rest_breakers", *rest_breaker_digests(*run_rest_breakers()))
     for name in sorted(GOLDEN):
         print(name, *digests(GOLDEN[name][0]))
     for name in sorted(SWEEP_GOLDEN):
         print(name, sweep_digest(SWEEP_GOLDEN[name][0]))
+    for name in scenario_names():
+        print(f'    "{name}":\n        "{legacy_builder_digest(name)}",')
     for name in scenario_names():
         print(f'    "{name}": (')
         for digest in timeline_digests(name):

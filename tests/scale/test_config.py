@@ -90,6 +90,16 @@ class TestValidation:
             FleetSpec(mode="provisioned", n_sites=2, heterogeneous=True,
                       site_weights=(1.0, 2.0))
 
+    def test_infinite_load_parameter_fails_at_decode(self):
+        # JSON's Infinity decodes to a float; the curve must refuse it here,
+        # not leave the solver to fail on it epochs later.
+        text = build_scenario("diurnal_week", clients=CLIENTS).config.to_json()
+        assert '"peak": 1.05' in text
+        with pytest.raises(ConfigError, match="peak must be finite") as excinfo:
+            ScenarioConfig.from_json(text.replace('"peak": 1.05',
+                                                  '"peak": Infinity'))
+        assert excinfo.value.field_path == "load"
+
     def test_active_sites_must_be_known(self):
         with pytest.raises(ConfigError, match="unknown site") as excinfo:
             FleetSpec(mode="provisioned", n_sites=2,

@@ -14,9 +14,11 @@ from repro.scale import (
     FlashCrowdLoad,
     FluidTimeline,
     LinearRampLoad,
+    LoadCurve,
     NeutralizerFleet,
     SiteFailure,
     SiteRecovery,
+    canonical_result_bytes,
 )
 from repro.units import mbps
 
@@ -79,6 +81,23 @@ class TestLoadCurves:
             FlashCrowdLoad(spike=0.5)
         with pytest.raises(WorkloadError):
             LinearRampLoad(t0_seconds=10.0, t1_seconds=10.0)
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantLoad(float("inf")),
+        lambda: ConstantLoad(float("nan")),
+        lambda: DiurnalLoad(peak=float("inf")),
+        lambda: DiurnalLoad(period_seconds=float("nan")),
+        lambda: FlashCrowdLoad(spike=float("inf")),
+        lambda: FlashCrowdLoad(hold_seconds=float("nan")),
+        lambda: LinearRampLoad(end_level=float("inf")),
+        lambda: LinearRampLoad(t1_seconds=float("inf")),
+    ], ids=["constant-inf", "constant-nan", "diurnal-peak-inf",
+            "diurnal-period-nan", "flash-spike-inf", "flash-hold-nan",
+            "ramp-end-inf", "ramp-t1-inf"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(WorkloadError, match="must be finite"):
+            make()
 
 
 class TestConservation:
@@ -255,6 +274,29 @@ class TestWarmStart:
             else:
                 assert result.warm_fraction == 0.0  # demands cert only
 
+    def test_a_curve_refilling_one_buffer_gives_the_same_bytes(self):
+        # A resting epoch is keyed on the regional multipliers, so the key
+        # must hold a copy: a curve handing out one refilled buffer would
+        # otherwise compare equal to itself and freeze its demand.
+        class RefillingLoad(LoadCurve):
+            def __init__(self, curve):
+                self.curve = curve
+                self.buffer = None
+
+            def multipliers(self, t_seconds, regions):
+                if self.buffer is None:
+                    self.buffer = np.empty(regions)
+                self.buffer[:] = self.curve.multipliers(t_seconds, regions)
+                return self.buffer
+
+        curve = FlashCrowdLoad(spike=3.0, start_seconds=7_200.0,
+                               ramp_seconds=3_600.0, hold_seconds=3_600.0)
+        fresh = small_timeline(load=curve).run()
+        refilled = small_timeline(load=RefillingLoad(curve)).run()
+        assert len(set(fresh.demand_bps)) > 1
+        assert (canonical_result_bytes(refilled)
+                == canonical_result_bytes(fresh))
+
     def test_event_epoch_falls_back_to_cold(self):
         result = self.congested_timeline(
             events=[SiteFailure(4, "site01")]
@@ -342,6 +384,20 @@ class TestValidation:
         second = timeline.run()
         assert np.array_equal(first.goodput_bps, second.goodput_bps)
         assert np.array_equal(first.clients_per_site, second.clients_per_site)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_multiplier_fails_naming_region_and_time(self, value):
+        class BrokenLoad(LoadCurve):
+            def multipliers(self, t_seconds, regions):
+                out = np.ones(regions)
+                if t_seconds >= 7_200.0:
+                    out[1] = value
+                return out
+
+        timeline = small_timeline(load=BrokenLoad(), epoch_seconds=3_600.0)
+        with pytest.raises(WorkloadError,
+                           match=r"region\(s\) \[1\] at t=7200 s"):
+            timeline.run()
 
     def test_flash_crowd_hitting_missing_region_fails_loudly(self):
         timeline = small_timeline(

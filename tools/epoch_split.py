@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Per-stage cost of a timeline epoch, reused epochs against solved ones.
+"""Per-stage cost of a timeline epoch, resting epochs against derived ones.
 
 Runs one E14, E15 or E16 campaign serially with every stage method of the
-timeline's per-run object (``repro.scale.timeline._TimelineRun``) wrapped in
-a timer from outside — plus the adversary game's ``step`` and ``observe``,
-shown under the stages that call them — and prints the mean microseconds
-each stage costs per epoch, split by whether the epoch's solve was reused
-(the bit-identical steady state) or solved afresh.  Nothing in ``src/`` is
-touched and no span is added, so the numbers are the untraced code's, plus
-one timer call per stage.
+timeline's per-run object (``repro.scale.timeline._TimelineRun``) and the
+adversary game's ``tick``, ``flag`` and ``observe`` wrapped in a timer from
+outside, and prints the mean microseconds each costs per epoch, split by
+whether the epoch rested (took back the previous epoch's derived object
+whole) or derived everything afresh.  Nothing in ``src/`` is touched and no
+span is added, so the numbers are the untraced code's, plus one timer call
+per method.
 
 Run from the repo root::
 
@@ -38,13 +38,33 @@ from repro.scale import (  # noqa: E402  (path bootstrap above)
 from repro.scale.adversary import AdversaryRun  # noqa: E402
 from repro.scale.timeline import _TimelineRun  # noqa: E402
 
-#: The epoch pipeline's stages, in ``_TimelineRun.step`` order.
-STAGES = ("fire_events", "autoscale_step", "remap_ring", "demand_scale",
-          "capacity_scale", "adversary_step", "solve", "quoted_latency",
-          "bill", "record")
-#: Methods timed inside a stage: (class, method, the stage that calls it).
-NESTED = ((AdversaryRun, "step", "adversary_step"),
-          (AdversaryRun, "observe", "quoted_latency"))
+#: Timed methods in ``_TimelineRun.step`` order: (class, method, indent).
+#: A row times its method wherever it is called; an indented row runs
+#: inside the row above it (``reuse_solve`` runs inside ``solve`` on a
+#: derived epoch and on its own on a resting one).
+ROWS = ((_TimelineRun, "fire_events", 0),
+        (_TimelineRun, "autoscale_step", 0),
+        (_TimelineRun, "remap_ring", 0),
+        (_TimelineRun, "demand_scale", 0),
+        (_TimelineRun, "capacity_scale", 0),
+        (AdversaryRun, "tick", 0),
+        (AdversaryRun, "flag", 0),
+        (_TimelineRun, "solve", 0),
+        (_TimelineRun, "reuse_solve", 1),
+        (_TimelineRun, "quoted_latency", 0),
+        (AdversaryRun, "observe", 1),
+        (_TimelineRun, "demand_fields", 0),
+        (_TimelineRun, "bill", 0),
+        (_TimelineRun, "record", 0))
+#: The accumulator of outermost timed calls only, so rows nest without
+#: counting twice in the remainder.
+OUTERMOST = "outermost"
+KINDS = ("rest", "derived")
+
+
+def label(cls, method: str) -> str:
+    """A row's name: the method, qualified when it is the game's."""
+    return method if cls is _TimelineRun else f"{cls.__name__}.{method}"
 
 
 def make_runner(experiment: str, clients: int, epochs: int,
@@ -63,85 +83,68 @@ def make_runner(experiment: str, clients: int, epochs: int,
 
 
 class EpochSplit:
-    """Accumulates per-stage seconds, per epoch kind (reused or solved)."""
+    """Accumulates per-row seconds, per epoch kind (rest or derived)."""
 
     def __init__(self) -> None:
         self.current = defaultdict(float)
-        self.reused = False
-        self.seconds = {"reused": defaultdict(float),
-                        "solved": defaultdict(float)}
-        self.epochs = {"reused": 0, "solved": 0}
+        self.depth = 0
+        self.seconds = {kind: defaultdict(float) for kind in KINDS}
+        self.epochs = {kind: 0 for kind in KINDS}
 
     def timed(self, name: str, method):
         """``method`` with its wall added to this epoch's ``name`` row."""
         @functools.wraps(method)
         def wrapper(*args, **kwargs):
+            self.depth += 1
             start = time.perf_counter()
             try:
                 return method(*args, **kwargs)
             finally:
-                self.current[name] += time.perf_counter() - start
-        return wrapper
-
-    def wrap_solve(self, method):
-        """Time ``solve`` and note whether it reused the previous epoch."""
-        timed = self.timed("solve", method)
-
-        @functools.wraps(method)
-        def wrapper(*args, **kwargs):
-            outcome = timed(*args, **kwargs)
-            self.reused = outcome[1]
-            return outcome
+                elapsed = time.perf_counter() - start
+                self.depth -= 1
+                self.current[name] += elapsed
+                if not self.depth:
+                    self.current[OUTERMOST] += elapsed
         return wrapper
 
     def wrap_step(self, method):
-        """Time one whole epoch and file its stage rows under its kind."""
+        """Time one whole epoch and file its rows under its kind: it rested
+        when the run kept the previous epoch's derived object."""
         @functools.wraps(method)
-        def wrapper(*args, **kwargs):
+        def wrapper(run, epoch):
             self.current = defaultdict(float)
-            self.reused = False
+            before = run.derived
             start = time.perf_counter()
-            method(*args, **kwargs)
+            method(run, epoch)
             self.current["step"] = time.perf_counter() - start
-            kind = "reused" if self.reused else "solved"
+            kind = "rest" if run.derived is before else "derived"
             self.epochs[kind] += 1
             for name, seconds in self.current.items():
                 self.seconds[kind][name] += seconds
         return wrapper
 
     def install(self) -> None:
-        """Wrap the stage methods on their classes (for this process)."""
-        for name in STAGES:
-            method = getattr(_TimelineRun, name)
-            wrapped = (self.wrap_solve(method) if name == "solve"
-                       else self.timed(name, method))
-            setattr(_TimelineRun, name, wrapped)
-        for cls, name, _stage in NESTED:
-            setattr(cls, name, self.timed(f"{cls.__name__}.{name}",
-                                          getattr(cls, name)))
+        """Wrap the timed methods on their classes (for this process)."""
+        for cls, method, _indent in ROWS:
+            setattr(cls, method, self.timed(label(cls, method),
+                                            getattr(cls, method)))
         _TimelineRun.step = self.wrap_step(_TimelineRun.step)
 
     def rows(self):
-        """(label, reused µs/epoch, solved µs/epoch) in pipeline order."""
+        """(label, rest µs/epoch, derived µs/epoch) in pipeline order."""
         def mean_us(kind: str, name: str) -> float:
             count = self.epochs[kind]
             return 1e6 * self.seconds[kind][name] / count if count else 0.0
 
-        out = []
-        for name in STAGES:
-            out.append((name, mean_us("reused", name), mean_us("solved", name)))
-            for cls, method, stage in NESTED:
-                if stage == name:
-                    label = f"{cls.__name__}.{method}"
-                    out.append(("  " + label, mean_us("reused", label),
-                                mean_us("solved", label)))
-        unwrapped = {kind: mean_us(kind, "step")
-                     - sum(mean_us(kind, name) for name in STAGES)
-                     for kind in ("reused", "solved")}
-        out.append(("step, outside the stages", unwrapped["reused"],
-                    unwrapped["solved"]))
-        out.append(("epoch total", mean_us("reused", "step"),
-                    mean_us("solved", "step")))
+        def row(name: str, shown: str):
+            return (shown, *(mean_us(kind, name) for kind in KINDS))
+
+        out = [row(label(cls, method), "  " * indent + label(cls, method))
+               for cls, method, indent in ROWS]
+        out.append(("step, outside the timed rows",
+                    *(mean_us(kind, "step") - mean_us(kind, OUTERMOST)
+                      for kind in KINDS)))
+        out.append(row("step", "epoch total"))
         return out
 
 
@@ -165,15 +168,15 @@ def main(argv=None) -> int:
     runner.run()
     wall = time.perf_counter() - start
 
-    reused, solved = split.epochs["reused"], split.epochs["solved"]
-    print(f"{args.experiment}: {args.clients:,} clients, {reused + solved:,} "
-          f"epochs ({reused:,} reused, {solved:,} solved), "
+    rest, derived = split.epochs["rest"], split.epochs["derived"]
+    print(f"{args.experiment}: {args.clients:,} clients, {rest + derived:,} "
+          f"epochs ({rest:,} rested, {derived:,} derived), "
           f"campaign {wall:.2f} s")
-    width = max(len(label) for label, _, _ in split.rows())
-    print(f"{'stage':<{width}}  {'reused µs':>10}  {'solved µs':>10}")
-    for label, reused_us, solved_us in split.rows():
-        print(f"{label:<{width}}  {reused_us:>10.1f}  {solved_us:>10.1f}")
-    if not reused + solved:
+    width = max(len(shown) for shown, _, _ in split.rows())
+    print(f"{'stage':<{width}}  {'rest µs':>10}  {'derived µs':>10}")
+    for shown, rest_us, derived_us in split.rows():
+        print(f"{shown:<{width}}  {rest_us:>10.1f}  {derived_us:>10.1f}")
+    if not rest + derived:
         print("the campaign ran no epochs", file=sys.stderr)
         return 1
     return 0
