@@ -428,14 +428,12 @@ class AutoscaleRun:
     # -- the control step ------------------------------------------------------------
 
     def step(self, epoch: int, metrics: Optional[EpochMetrics],
-             forecast: Forecast, ring_guard: Callable[[], None]) -> List[str]:
+             forecast: Forecast) -> List[str]:
         """One controller tick at the top of ``epoch``.
 
         Completes due warm-ups, then (outside cooldown, once a previous
         epoch's :class:`EpochMetrics` exists) asks the policy for a
-        committed-site target and commissions or drains toward it.
-        ``ring_guard`` is called before the first ring-changing action so the
-        timeline can lazily snapshot the ring for churn accounting.  Returns
+        committed-site target and commissions or drains toward it.  Returns
         human-readable action labels for the epoch record.
         """
         actions: List[str] = []
@@ -443,11 +441,9 @@ class AutoscaleRun:
             del self.warming[name]
             # A spare that failed while warming is still commissioned (it is
             # paid for and counts toward committed once repaired), but it
-            # does not enter the ring, so no snapshot is needed and the
-            # action log must not claim it went live.
+            # does not enter the ring, so the action log must not claim it
+            # went live.
             healthy = self.fleet.site(name).healthy
-            if healthy:
-                ring_guard()
             self.fleet.activate_site(name)
             self.active_order.append(name)
             actions.append(f"up {name} live" if healthy else f"up {name} failed")
@@ -474,7 +470,7 @@ class AutoscaleRun:
         if desired > committed:
             self._scale_up(epoch, desired - committed, actions)
         elif desired < committed:
-            self._scale_down(committed - desired, actions, ring_guard)
+            self._scale_down(committed - desired, actions)
         if len(actions) > decided:
             self.cooldown_until = epoch + 1 + self.spec.cooldown_epochs
         self._count_actions(actions)
@@ -501,8 +497,7 @@ class AutoscaleRun:
                 self.warming[name] = epoch + self.spec.warmup_epochs
                 actions.append(f"up {name} warming")
 
-    def _scale_down(self, count: int, actions: List[str],
-                    ring_guard: Callable[[], None]) -> None:
+    def _scale_down(self, count: int, actions: List[str]) -> None:
         # Cancelling a warm-up is free (the site never joined the ring), so
         # newest warm-ups go first; then drain serving sites LIFO, failed
         # ones first — they contribute nothing, so dropping them costs no
@@ -521,7 +516,6 @@ class AutoscaleRun:
         for name in victims:
             if self._in_service_count() <= 1 and self.fleet.site(name).in_service:
                 break  # never drain the last serving site
-            ring_guard()
             self.fleet.drain_site(name)
             self.active_order.remove(name)
             actions.append(f"drain {name}")

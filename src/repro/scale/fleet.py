@@ -212,9 +212,10 @@ class NeutralizerFleet:
         """The ring's (positions, owner indices) arrays, cheap to snapshot.
 
         Rebuilds allocate fresh arrays, so holding the returned references
-        across a membership change is a valid zero-copy snapshot — the fast
-        path timelines use for per-epoch churn accounting (the tuple-based
-        :meth:`ring_snapshot` stays for API/diagnostic use).
+        across a membership change is a valid zero-copy snapshot.  With
+        :meth:`ring_moved_fraction` it is the reference the universe-arc
+        churn (:meth:`universe_arc_fraction`) is checked against; the
+        tuple-based :meth:`ring_snapshot` stays for API/diagnostic use.
         """
         return self._ring_positions, self._ring_owner_index
 
@@ -363,6 +364,24 @@ class NeutralizerFleet:
         once, so a ring change is a diff of two ``arc_owners`` arrays.
         """
         return self._universe_positions, self._in_ring, self._arc_owners
+
+    def universe_arc_fraction(self, arcs: np.ndarray) -> float:
+        """Key-space fraction covered by the sorted universe arcs ``arcs``.
+
+        Arc ``i`` holds the keys above point ``i - 1`` up to point ``i``;
+        arc 0 starts at key 0 and the last arc ends at the top key.  The
+        lengths are summed in exact Python ints, as in
+        :func:`repro.core.anycast.arc_moved_fraction`, so the moved arcs of
+        two ring states give that function's fraction bit for bit.
+        """
+        points = self._universe_positions
+        ends = arcs[arcs < points.size]
+        starts = arcs[arcs > 0] - 1
+        space = 1 << ConsistentHashRing._SPACE_BITS
+        keys = (sum(points[ends].tolist()) - sum(points[starts].tolist())
+                + (arcs.size - ends.size) * (space - 1)
+                + (arcs.size - starts.size))
+        return keys / space
 
     # -- capacity --------------------------------------------------------------------
 

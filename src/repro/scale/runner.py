@@ -1627,15 +1627,12 @@ class AdversaryCampaignRunner(_ReplicaCampaign):
         self.seed = seed
         self.regions = 8
         self.n_sites = n_sites
-        # The arms race plays on a statically provisioned fleet: an
-        # autoscaler would otherwise hide throttling harm behind capacity
-        # moves.  min==max pins the controller.
+        # The arms race plays on a statically provisioned fleet with no
+        # spares and no controller: an autoscaler would otherwise hide
+        # throttling harm behind capacity moves.
         self.max_sites = self.nominal_sites = n_sites
         self.at_utilization = 1.0 / 1.3
-        self.autoscaler = Autoscaler(
-            TargetUtilizationPolicy(target=0.99, deadband=0.98),
-            min_sites=n_sites, max_sites=n_sites,
-        )
+        self.autoscaler = None
         #: Per-point strategies/models are derived from these bases with the
         #: swept knob replaced, so every other disposition stays fixed
         #: across the grid (:meth:`_game`).  The frontier isolates

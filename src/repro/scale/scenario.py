@@ -34,7 +34,7 @@ of population size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -133,7 +133,7 @@ class ProblemTemplate:
     #: Clients per site (``counts3d`` summed over regions and classes).
     clients_per_site: np.ndarray
     #: Clients whose site changed relative to the parent template (0 for a
-    #: from-scratch build) — the timeline's remap-churn figure.
+    #: from-scratch build); :meth:`churn_since` counts against any ring.
     remapped_from_parent: int
     #: Per-flow (region, class, site) structure.
     region_of: np.ndarray
@@ -236,6 +236,19 @@ class ProblemTemplate:
             arc_hist=self.arc_hist, arc_owners=arc_owners, counts3d=counts3d,
             remapped_from_parent=int(rows.sum()),
         )
+
+    def churn_since(self, arc_owners: np.ndarray) -> Tuple[int, float]:
+        """What moved from an earlier ring state's ``arc_owners`` to this one.
+
+        Returns the clients in the arcs that changed owner (a successor's
+        :attr:`remapped_from_parent`, against its parent's owners) and the
+        exact key-space fraction of those arcs (what
+        :meth:`NeutralizerFleet.ring_moved_fraction` reads off the two
+        rings' points).
+        """
+        moved = np.flatnonzero(self.arc_owners != arc_owners)
+        return (int(self.arc_hist[moved].sum()),
+                self.fleet.universe_arc_fraction(moved))
 
     @classmethod
     def _assemble(cls, population: ClientPopulation, fleet: NeutralizerFleet,

@@ -968,8 +968,10 @@ class _TimelineRun:
                          latency_slo_seconds=timeline.latency_slo_seconds,
                          telemetry=telemetry)
             if timeline.adversary is not None else None)
-        #: This epoch's pre-change ring; see :meth:`snapshot_ring`.
-        self.ring_before: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: The universe-arc owners of the ring last accounted for churn.
+        #: The fleet replaces (never mutates) the array on every rebuild,
+        #: so holding the reference is the snapshot.
+        self.arc_owners = fleet.universe_arcs()[2]
         self.template: Optional[ProblemTemplate] = None
         self.base_demand_bps = 0.0
         #: Demand-weighted per-region weights for the autoscaler's forecast.
@@ -1001,7 +1003,6 @@ class _TimelineRun:
         """
         timeline = self.timeline
         t = epoch * timeline.epoch_seconds
-        self.ring_before = None
         fired = self.fire_events(epoch)
         actions = self.autoscale_step(epoch, t)
         remapped, ring_moved = self.remap_ring()
@@ -1050,22 +1051,6 @@ class _TimelineRun:
 
     # -- the stages, in step() order -----------------------------------------------
 
-    def snapshot_ring(self) -> None:
-        """Keep the pre-change ring, before this epoch's first ring change.
-
-        Snapshotted lazily: only epochs where an event or autoscale action
-        actually touches the ring pay for it (and the array form is
-        zero-copy — rebuilds allocate anew).  At epoch 0 no template exists
-        yet, so the pre-change one is built first — the O(n_clients) build
-        the epoch would pay anyway — and the clients epoch 0 moves are
-        counted against it like any later epoch's.
-        """
-        if self.ring_before is None:
-            if self.template is None:
-                with self.telemetry.span("ring_remap"):
-                    self.template = self.scenario.build_template()
-            self.ring_before = self.fleet.ring_state()
-
     def fire_events(self, epoch: int) -> List[str]:
         """Apply every event scheduled at ``epoch``; returns their labels."""
         # Expired windows can never re-activate; pruning them keeps the
@@ -1086,10 +1071,8 @@ class _TimelineRun:
             event = pending.pop(0)
             kind = "fleet_event"
             if isinstance(event, SiteFailure):
-                self.snapshot_ring()
                 self.fleet.fail_site(event.site)
             elif isinstance(event, SiteRecovery):
-                self.snapshot_ring()
                 self.fleet.restore_site(event.site)
             elif isinstance(event, CapacityDegradation):
                 self.degradations.append(event)
@@ -1132,21 +1115,13 @@ class _TimelineRun:
                                 f"leave no site in service")
         # Activations before drains, so the ring never empties transiently.
         for name in event.activate_sites:
-            site = fleet.site(name)
-            if not site.active:
-                if site.healthy:
-                    self.snapshot_ring()
-                fleet.activate_site(name)
+            fleet.activate_site(name)
             if autoscale is not None:
                 autoscale.note_external_activation(name)
         for name in event.drain_sites:
-            site = fleet.site(name)
             if autoscale is not None:
                 autoscale.note_external_drain(name)
-            if site.active:
-                if site.in_service:
-                    self.snapshot_ring()
-                fleet.drain_site(name)
+            fleet.drain_site(name)
         if autoscale is not None:
             autoscale.reconfigure(policy=event.policy,
                                   min_sites=event.min_sites,
@@ -1163,12 +1138,26 @@ class _TimelineRun:
         discrimination throttles (a forecaster sees load, not policy).
         """
         region_demand = self.region_demand
-        future = self.timeline.load.multipliers(
-            t_now + lead * self.timeline.epoch_seconds, self.population.regions
-        )
+        t = t_now + lead * self.timeline.epoch_seconds
+        future = self.timeline.load.multipliers(t, self.population.regions)
+        self.check_load(future, t)
         if region_demand is None or region_demand.sum() <= 0:
             return float(future.mean())
         return float((future * region_demand).sum() / region_demand.sum())
+
+    def check_load(self, regional: np.ndarray, t: float) -> None:
+        """Fail loudly, naming the regions and ``t``, on a load curve's
+        wrong-shaped, non-finite or negative ``regional`` multipliers."""
+        if regional.shape != (self.population.regions,):
+            raise WorkloadError("load curve returned the wrong number of regions")
+        bad = np.flatnonzero(~np.isfinite(regional))
+        if bad.size:
+            raise WorkloadError(
+                f"load curve returned non-finite multiplier(s) "
+                f"{regional[bad].tolist()} for region(s) {bad.tolist()} "
+                f"at t={t:g} s")
+        if np.any(regional < 0):
+            raise WorkloadError("load curve returned a negative multiplier")
 
     def autoscale_step(self, epoch: int, t: float) -> Tuple[str, ...]:
         """One controller tick; returns its action labels."""
@@ -1176,9 +1165,7 @@ class _TimelineRun:
             return ()
         with self.telemetry.span("autoscale_step"):
             actions = tuple(self.autoscale.step(
-                epoch, self.last_metrics, partial(self.forecast, t),
-                self.snapshot_ring,
-            ))
+                epoch, self.last_metrics, partial(self.forecast, t)))
         if self.telemetry.events is not None and actions:
             self.telemetry.events.emit("autoscale", epoch=epoch,
                                        actions=list(actions))
@@ -1187,21 +1174,16 @@ class _TimelineRun:
     def remap_ring(self) -> Tuple[int, float]:
         """Bring the template up to the current ring.
 
-        Returns the remap churn entering this epoch: clients whose site
-        changed, and the hash-space fraction the ring diff says moved.
+        Returns the remap churn entering this epoch: the clients and the
+        key-space fraction of the universe arcs whose owner differs from
+        the ring last accounted (:meth:`ProblemTemplate.churn_since`).
         """
-        ring_moved = 0.0
-        if self.ring_before is not None:
-            ring_moved = NeutralizerFleet.ring_moved_fraction(
-                self.ring_before, self.fleet.ring_state()
-            )
         with self.telemetry.span("ring_remap"):
-            template = self.scenario.build_template()
-        remapped = 0
-        if template is not self.template:
-            if self.template is not None:
-                remapped = template.remapped_from_parent
-            self.template = template
+            self.template = template = self.scenario.build_template()
+        remapped, ring_moved = 0, 0.0
+        if template.arc_owners is not self.arc_owners:
+            remapped, ring_moved = template.churn_since(self.arc_owners)
+            self.arc_owners = template.arc_owners
         self.telemetry.inc("timeline.clients_remapped", remapped)
         if self.region_demand is None:
             per_flow_bps = template.base_demands * template.group_clients
@@ -1224,16 +1206,7 @@ class _TimelineRun:
         """
         template = self.template
         population = self.population
-        if regional.shape != (population.regions,):
-            raise WorkloadError("load curve returned the wrong number of regions")
-        bad = np.flatnonzero(~np.isfinite(regional))
-        if bad.size:
-            raise WorkloadError(
-                f"load curve returned non-finite multiplier(s) "
-                f"{regional[bad].tolist()} for region(s) {bad.tolist()} "
-                f"at t={t:g} s")
-        if np.any(regional < 0):
-            raise WorkloadError("load curve returned a negative multiplier")
+        self.check_load(regional, t)
         offered = regional[template.region_of].astype(np.float64)
         served = offered.copy()
         for toggle in self.throttles:

@@ -14,6 +14,8 @@ from repro.scale import (
     DiurnalLoad,
     FlashCrowdLoad,
     FluidTimeline,
+    LinearRampLoad,
+    LoadCurve,
     PredictiveLoadPolicy,
     ProvisioningCostModel,
     SiteFailure,
@@ -286,6 +288,46 @@ class TestClosedLoop:
         assert all(label.endswith("live")
                    for record in ordered for label in record.autoscale_actions
                    if label.startswith("up"))
+
+    def test_instant_scale_up_records_its_key_space_churn(self):
+        def ramp(warmup):
+            population = ClientPopulation(2_000, seed=3)
+            fleet = elastic_fleet(population, 12, nominal_sites=4,
+                                  at_utilization=0.9)
+            return FluidTimeline(
+                population, fleet, epochs=12,
+                load=LinearRampLoad(0.8, 2.0, 0.0, 12 * 3600.0),
+                autoscaler=Autoscaler(
+                    TargetUtilizationPolicy(0.6, deadband=0.05),
+                    min_sites=2, warmup_epochs=warmup),
+            ).run()
+
+        instant, warmed = ramp(0).records, ramp(1).records
+        assert instant[1].autoscale_actions == ("up site04 live",)
+        assert warmed[2].autoscale_actions[0] == "up site04 live"
+        # The same site joining the same ring moves the same clients and
+        # the same key space, whether or not it warmed up first.
+        assert instant[1].clients_remapped == warmed[2].clients_remapped == 405
+        assert instant[1].ring_moved_fraction == warmed[2].ring_moved_fraction \
+            == 0.20044883519213172
+        for record in instant:
+            assert (record.clients_remapped > 0) == \
+                (record.ring_moved_fraction > 0), record.epoch
+
+    def test_forecast_of_a_non_finite_load_fails_naming_regions_and_time(self):
+        class BrokenLoad(LoadCurve):
+            def multipliers(self, t_seconds, regions):
+                return np.full(regions, 1.0 if t_seconds < 6 * 3600.0
+                               else float("nan"))
+
+        # The policy reads the curve two epochs ahead, so the first bad
+        # value reaches it through the forecast, before any epoch's demand.
+        timeline = autoscaled_timeline(
+            epochs=8, load=BrokenLoad(),
+            policy=PredictiveLoadPolicy(target=0.6, lead_epochs=2))
+        with pytest.raises(WorkloadError,
+                           match=r"region\(s\) \[0, 1, .*7\] at t=21600 s"):
+            timeline.run()
 
     def test_cooldown_spaces_actions(self):
         result = autoscaled_timeline(

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -458,6 +459,9 @@ def check_ring_walk(population, fleet, actions):
 
     scenario = ScaleScenario(population, fleet)
     template = scenario.build_template()
+    ring_initial = fleet.ring_state()
+    assigned_initial = fleet.assign_sites(population.ring_positions)
+    owners_initial = template.arc_owners
     reference = reference_arc_hist(population, fleet)
     assert template.arc_hist.dtype == reference.dtype
     assert np.array_equal(template.arc_hist, reference)
@@ -486,11 +490,20 @@ def check_ring_walk(population, fleet, actions):
             template.counts3d, population.group_counts(assigned, fleet.n_sites)
         )
         assert np.array_equal(template.counts3d, reference_counts3d(population, fleet))
-        # (c) the churn figure counts exactly the clients whose site changed.
+        # (c) churn has one definition: the arc-owner diff counts exactly
+        # the clients whose site changed and the key space the two rings'
+        # points say moved — against the parent, which a successor's
+        # remapped_from_parent agrees with, and against the walk's first
+        # ring several changes back.
+        churn = template.churn_since(parent.arc_owners)
+        assert churn == (
+            np.count_nonzero(assigned != assigned_before),
+            NeutralizerFleet.ring_moved_fraction(ring_before, fleet.ring_state()))
         if template is not parent:
-            assert template.remapped_from_parent == np.count_nonzero(
-                assigned != assigned_before
-            )
+            assert template.remapped_from_parent == churn[0]
+        assert template.churn_since(owners_initial) == (
+            np.count_nonzero(assigned != assigned_initial),
+            NeutralizerFleet.ring_moved_fraction(ring_initial, fleet.ring_state()))
 
 
 class TestRingUniverse:
@@ -542,6 +555,36 @@ class TestRingUniverse:
         ])
         fleet.fail_site("site00")
         assert fleet.assign_sites(ring_positions)[on_shared].tolist() == [1]
+
+    @settings(**RING_FUZZ)
+    @given(n_sites=st.integers(1, 8), replicas=st.integers(1, 16),
+           ties=st.lists(st.tuples(
+               st.integers(0, 7), st.integers(0, 15),
+               st.sampled_from([0, 1, 1 << 63, 2**64 - 1])), max_size=12),
+           seed=st.integers(0, 2**16), actions=ring_actions)
+    def test_churn_has_one_definition_on_tied_points(
+            self, n_sites, replicas, ties, seed, actions):
+        """Forced ties between sites' points, some on the first and last
+        keys of the space where the head arc ends and the wrap arc starts,
+        with clients on, just below and just above every point, through
+        random fail / restore / drain / activate walks."""
+        tied = {f"site{site % n_sites:02d}#{replica % replicas}".encode(): key
+                for site, replica, key in ties}
+        hashed = ConsistentHashRing._position
+        with mock.patch.object(ConsistentHashRing, "_position",
+                               lambda self, data: tied.get(data, hashed(self, data))):
+            fleet = NeutralizerFleet.build(n_sites, replicas=replicas)
+            points = fleet.universe_arcs()[0]
+            rng = np.random.default_rng(seed)
+            ring_positions = np.concatenate([
+                points, points - np.uint64(1), points + np.uint64(1),
+                rng.integers(0, 2**64, 200, dtype=np.uint64)])
+            population = ClientPopulation.from_arrays(
+                mix=None, regions=2, seed=seed, ring_positions=ring_positions,
+                class_index=rng.integers(0, 3, ring_positions.size).astype(np.int32),
+                region_index=rng.integers(0, 2, ring_positions.size).astype(np.int32),
+            )
+            check_ring_walk(population, fleet, actions)
 
     @pytest.mark.parametrize("shape", ["E13-16x64", "E14-24x64"])
     def test_acceptance_fleets_match_the_sorted_formula(self, shape):

@@ -216,6 +216,39 @@ class TestFailover:
         assert at_zero == churn(1)
         assert at_zero[0] > 0
 
+    def test_epoch_zero_churn_is_counted_against_the_runs_initial_ring(self):
+        from repro.scale import ScaleScenario
+
+        population = ClientPopulation(6_000, seed=9)
+        fleet = NeutralizerFleet.build(6, cores=0.5, uplink_bps=mbps(700))
+        scenario = ScaleScenario(population, fleet)
+        initial = fleet.ring_state()
+        assigned = fleet.assign_sites(population.ring_positions)
+        fleet.fail_site("site04")
+        failed = fleet.ring_state()
+        moved = int((fleet.assign_sites(population.ring_positions)
+                     != assigned).sum())
+        fleet.restore_site("site04")
+
+        def epoch_zero(events):
+            return FluidTimeline(population, fleet, epochs=2, events=events,
+                                 scenario=scenario).run().records[0]
+
+        # A failure at epoch 0 moves what it moved from the ring the run
+        # started on, although no template existed before it.
+        record = epoch_zero([SiteFailure(0, "site04")])
+        assert record.clients_remapped == moved > 0
+        assert record.ring_moved_fraction == \
+            NeutralizerFleet.ring_moved_fraction(initial, failed) > 0
+        # That run left the shared scenario's template on the failed ring.
+        # The next replica refreshes it to the restored ring at epoch 0: the
+        # template moves clients from its parent, but nothing moved against
+        # the ring that replica started on.
+        assert scenario._template.stale
+        record = epoch_zero([])
+        assert (record.clients_remapped, record.ring_moved_fraction) == (0, 0.0)
+        assert scenario.build_template().remapped_from_parent == moved
+
 
 class TestWarmStart:
     @staticmethod

@@ -1,7 +1,7 @@
-"""``tools/check_docs.py``: the docs name only files, CI jobs and ``repro``
-names and keywords that exist.
+"""``tools/check_docs.py``: the docs name only files, CI jobs, ``repro``
+names and keywords, and epoch-pipeline stage-table members that exist.
 
-The repository's own docs must pass; the five existence checks are then
+The repository's own docs must pass; the six existence checks are then
 driven on a tiny tree where exactly one thing is wrong at a time.
 """
 
@@ -128,3 +128,30 @@ def test_readme_must_name_every_job_in_its_ci_section(tree, tmp_path, capsys):
     # `retired` appears in README, but under a later heading.
     assert _problems(tree, capsys) == [
         "README.md: CI section does not name job `retired`"]
+
+
+def test_stage_table_naming_what_the_run_lacks_is_reported(tree, tmp_path,
+                                                           capsys, monkeypatch):
+    doc = tmp_path / "docs/architecture.md"
+    doc.write_text(
+        f"{tree.STAGE_TABLE_HEADER}\n| --- | --- | --- | --- | --- | --- |\n"
+        "| 1 | fire → `fire_events` (`snapshot_ring`) | — | "
+        "`timeline.epoch_self_s` | `pending`, `rebuilt()` | "
+        "`ring_before`, `template` |\n"
+        "| 2 | game → `AdversaryRun.tick`, `AdversaryRun.retired` | "
+        "`adversary_step` | `adversary.step_s` | `NoSuchClass.step` | — |\n"
+        "\nBelow the table, `snapshot_ring` is prose.\n")
+    monkeypatch.setattr(tree, "DOC_FILES", tree.DOC_FILES + [doc])
+    # The span and layer-row columns name no run member and are not read;
+    # `rebuilt()` is on the allow-list.
+    message = "stage table names what the run does not have ->"
+    assert _problems(tree, capsys) == [
+        f"docs/architecture.md:3: {message} snapshot_ring",
+        f"docs/architecture.md:3: {message} ring_before",
+        f"docs/architecture.md:4: {message} AdversaryRun.retired",
+        f"docs/architecture.md:4: {message} NoSuchClass.step",
+    ]
+    doc.write_text("The stage table moved elsewhere.\n")
+    assert _problems(tree, capsys) == [
+        "docs/architecture.md: stage table header not found -> "
+        f"{tree.STAGE_TABLE_HEADER}"]

@@ -24,7 +24,12 @@ every workflow job.  Their python snippets are parsed too, and every
 passes to a name so imported must be a parameter of it
 (``inspect.signature``; a class taking ``**kwargs`` accepts any
 ``__init__`` parameter along its MRO), so a deleted or renamed API or
-option cannot linger in an example.
+option cannot linger in an example.  The epoch-pipeline stage table of
+docs/architecture.md must name only what the run object has: every
+backticked identifier in its stage, reads and writes columns is a
+``_TimelineRun`` method, an attribute its ``__init__`` assigns to ``self``,
+a ``Class.name`` that resolves on that ``repro.scale`` class, or an entry
+of ``STAGE_TABLE_ALLOWED``.
 
 Exits non-zero with one line per problem, so the CI docs job fails loudly
 and locally ``python tools/check_docs.py`` tells you what to fix.
@@ -37,6 +42,7 @@ import importlib
 import inspect
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -55,6 +61,14 @@ _PATH = r"(?:tools|benchmarks|src|docs|tests|examples)/[^\s`:]*"
 BACKTICKED_PATH = re.compile(r"`(" + _PATH + r")[^`\n]*`")
 BARE_PATH = re.compile(r"(?<![\w./-])" + _PATH)
 JOB_ID = re.compile(r"^  ([\w-]+):\s*$", re.MULTILINE)
+
+STAGE_TABLE_DOC = "architecture.md"
+STAGE_TABLE_HEADER = "| # | stage → method | span | layer row | reads | writes |"
+STAGE_TABLE_COLUMNS = ("stage → method", "reads", "writes")
+#: Backticked stage-table text that is no run member: the template's
+#: ``rebuilt()`` quoted as a call, and the shape of the result matrices.
+STAGE_TABLE_ALLOWED = {"rebuilt()", "[epoch, site]"}
+BACKTICKED = re.compile(r"`([^`\n]+)`")
 
 
 def slugify(heading: str) -> str:
@@ -199,6 +213,50 @@ def check_imports(path: Path, problems: list) -> None:
                         f"unknown keyword -> {node.func.id}({keyword.arg}=...)")
 
 
+def _init_attributes(klass) -> set:
+    """Names ``klass.__init__`` assigns on ``self``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(klass.__init__)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def _has_member(klass, name: str) -> bool:
+    return hasattr(klass, name) or name in _init_attributes(klass)
+
+
+def check_stage_table(path: Path, problems: list) -> None:
+    """The stage table names only methods/attributes the run object has."""
+    from repro.scale.timeline import _TimelineRun
+
+    where = path.relative_to(REPO)
+    lines = path.read_text().splitlines()
+    if STAGE_TABLE_HEADER not in lines:
+        problems.append(f"{where}: stage table header not found -> "
+                        f"{STAGE_TABLE_HEADER}")
+        return
+    start = lines.index(STAGE_TABLE_HEADER)
+    header = [cell.strip() for cell in STAGE_TABLE_HEADER.strip("|").split("|")]
+    columns = [header.index(name) for name in STAGE_TABLE_COLUMNS]
+    for number, line in enumerate(lines[start + 2:], start=start + 3):
+        if not line.startswith("|"):
+            break
+        cells = line.strip().strip("|").split("|")
+        for column in columns:
+            for name in BACKTICKED.findall(cells[column]):
+                if name in STAGE_TABLE_ALLOWED:
+                    continue
+                owner, dot, member = name.rpartition(".")
+                if dot and owner.isidentifier() and member.isidentifier():
+                    klass = _resolve("repro.scale", owner)
+                    if klass is not _MISSING and _has_member(klass, member):
+                        continue
+                elif name.isidentifier() and _has_member(_TimelineRun, name):
+                    continue
+                problems.append(f"{where}:{number}: stage table names what "
+                                f"the run does not have -> {name}")
+
+
 def check_paths(source: Path, paths, problems: list) -> None:
     """Every repo path ``source`` names must exist; globs/placeholders skip."""
     for name in sorted(set(paths)):
@@ -235,6 +293,8 @@ def main() -> int:
                 check_paths(path, BACKTICKED_PATH.findall(path.read_text()),
                             problems)
                 check_imports(path, problems)
+            if path.name == STAGE_TABLE_DOC:
+                check_stage_table(path, problems)
     check_workflow(problems)
     if problems:
         print(f"docs check: {len(problems)} problem(s)")
@@ -243,8 +303,8 @@ def main() -> int:
         return 1
     checked = len([path for path in DOC_FILES if path.exists()])
     print(f"docs check: {checked} files OK (links resolve, snippets compile, "
-          f"snippet imports and keywords resolve, named paths and CI jobs "
-          f"exist)")
+          f"snippet imports and keywords resolve, named paths, CI jobs and "
+          f"stage-table names exist)")
     return 0
 
 
