@@ -405,7 +405,7 @@ class EpochRecord:
     key_setup_pps: float
     #: Clients whose site changed entering this epoch (ring remap churn).
     clients_remapped: int
-    #: Hash-space fraction the ring diff says changed owner (0 if no change).
+    #: Key-space fraction whose owner changed entering this epoch (0 if none).
     ring_moved_fraction: float
     warm_started: bool
     solver_iterations: int
