@@ -34,13 +34,13 @@ def arc_moved_fraction(positions_a: np.ndarray, owners_a: np.ndarray,
                        space: int) -> float:
     """Key-space fraction whose owner differs between two ring states.
 
-    The single implementation behind both :meth:`RingSnapshot.diff` and the
-    fleet simulator's array fast path: every arc between consecutive
-    boundary points (the union of both rings' points) has one owner per
-    ring — probe each arc's upper end (inclusive successor semantics,
-    wrapping the final arc past the last point to the first) and sum the
-    lengths of arcs whose owners disagree.  Owner arrays are integer ids
-    shared between the two rings; arc lengths are summed in exact Python
+    What :meth:`repro.scale.fleet.NeutralizerFleet.ring_moved_fraction`
+    computes over two of the fleet's point lists: every arc between
+    consecutive boundary points (the union of both rings' points) has one
+    owner per ring — probe each arc's upper end (inclusive successor
+    semantics, wrapping the final arc past the last point to the first) and
+    sum the lengths of arcs whose owners disagree.  Owner arrays are integer
+    ids shared between the two rings; arc lengths are summed in exact Python
     ints, so an identity diff is exactly 0.0.
     """
     boundaries = np.concatenate([positions_a, positions_b])
@@ -103,8 +103,9 @@ class ConsistentHashRing:
     ``replicas`` points of the 2^64 circle (blake2b keyed with ``salt``) and
     assigns a key to the first site point at or after the key's position.
     Removing a site moves only that site's keys — the property fleet failover
-    relies on.  The position table is exposed so vectorized callers
-    (:mod:`repro.scale.fleet`) can do the same lookup with ``searchsorted``.
+    relies on.  :mod:`repro.scale.fleet` hashes its points through this
+    class and does the same lookup vectorized, so a ring built from the
+    fleet's in-service site names is the scalar reference for it.
     """
 
     _SPACE_BITS = 64
@@ -158,101 +159,10 @@ class ConsistentHashRing:
         return self._points[index][1]
 
     def table(self) -> Tuple[List[int], List[str]]:
-        """Sorted ring positions and their owning sites, for vectorized lookup."""
+        """Sorted ring positions and their owning sites."""
         positions = [position for position, _ in self._points]
         owners = [owner for _, owner in self._points]
         return positions, owners
-
-    def snapshot(self) -> "RingSnapshot":
-        """An immutable copy of the current ring, for later diffing."""
-        positions, owners = self.table()
-        return RingSnapshot(positions=tuple(positions), owners=tuple(owners))
-
-
-@dataclass(frozen=True)
-class RingSnapshot:
-    """A frozen consistent-hash ring state: sorted positions and their owners.
-
-    Fleet simulations take a snapshot before and after a membership change and
-    :meth:`diff` the two to account for *remap churn* — the fraction of the
-    key space whose owning site changed.  Consistent hashing's contract is
-    that removing one site moves only that site's arcs, so the diff of a
-    single failure equals the failed site's owned fraction.
-    """
-
-    positions: Tuple[int, ...]
-    owners: Tuple[str, ...]
-
-    _SPACE = 1 << ConsistentHashRing._SPACE_BITS
-
-    @property
-    def site_names(self) -> Tuple[str, ...]:
-        """Distinct member sites, sorted."""
-        return tuple(sorted(set(self.owners)))
-
-    def owner_at(self, position: int) -> str:
-        """The site owning ``position``: first ring point clockwise from it."""
-        if not self.positions:
-            raise TopologyError("snapshot of an empty ring has no owners")
-        index = bisect_left(self.positions, position)
-        if index == len(self.positions):
-            index = 0
-        return self.owners[index]
-
-    def owned_fraction(self, site: str) -> float:
-        """Fraction of the key space currently owned by ``site``."""
-        if not self.positions:
-            raise TopologyError("snapshot of an empty ring has no owners")
-        total = 0
-        previous = 0
-        for position, owner in zip(self.positions, self.owners):
-            if owner == site:
-                total += position - previous
-            previous = position
-        # The wrap-around arc past the last point belongs to the first point.
-        if self.owners[0] == site:
-            total += self._SPACE - previous
-        return total / self._SPACE
-
-    def diff(self, other: "RingSnapshot") -> "RingDiff":
-        """Churn between two snapshots: moved key-space fraction, site delta.
-
-        The arc walk itself is :func:`arc_moved_fraction` — a handful of
-        vectorized passes over ~10^3 points, cheap enough for fleet
-        simulations that diff the ring on every membership change.
-        """
-        if not self.positions or not other.positions:
-            raise TopologyError("cannot diff an empty ring snapshot")
-        # Shared integer ids so owner arrays compare without string work.
-        names = {name: i for i, name in enumerate(dict.fromkeys(self.owners + other.owners))}
-        moved = arc_moved_fraction(
-            np.asarray(self.positions, dtype=np.uint64),
-            np.asarray([names[o] for o in self.owners], dtype=np.int64),
-            np.asarray(other.positions, dtype=np.uint64),
-            np.asarray([names[o] for o in other.owners], dtype=np.int64),
-            self._SPACE,
-        )
-        before, after = set(self.owners), set(other.owners)
-        return RingDiff(
-            moved_fraction=moved,
-            sites_added=tuple(sorted(after - before)),
-            sites_removed=tuple(sorted(before - after)),
-        )
-
-
-@dataclass(frozen=True)
-class RingDiff:
-    """The churn one ring membership change caused."""
-
-    #: Fraction of the 2^64 key space whose owning site changed.
-    moved_fraction: float
-    sites_added: Tuple[str, ...]
-    sites_removed: Tuple[str, ...]
-
-    @property
-    def changed(self) -> bool:
-        """Whether anything moved at all."""
-        return self.moved_fraction > 0 or bool(self.sites_added) or bool(self.sites_removed)
 
 
 @dataclass

@@ -125,7 +125,6 @@ from .latency import (
 )
 from .catalogue import (
     CATALOGUE,
-    ScenarioSpec,
     build_scenario,
     nominal_demand,
     provisioned_fleet,
@@ -352,7 +351,6 @@ __all__ = [
     "ScaleExperimentState",
     "ScaleScenario",
     "ScenarioConfig",
-    "ScenarioSpec",
     "SharedPopulationPack",
     "SiteFailure",
     "SiteRecovery",

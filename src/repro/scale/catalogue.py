@@ -1,11 +1,12 @@
 """A catalogue of named fleet-scale timeline scenarios.
 
-Each entry is a :class:`ScenarioSpec` that builds a ready-to-run
-:class:`repro.scale.timeline.FluidTimeline` for any population size: fleet
-capacity is *provisioned relative to the population's nominal demand* (via
-:func:`provisioned_fleet`), so "flash crowd saturates the fleet" stays true
-whether the catalogue runs with 2,000 clients in a CI smoke job or a million
-in the full E13 campaign.
+Each entry is the :class:`~repro.scale.config.ScenarioConfig` document it
+was loaded from (``src/repro/scale/catalogue_data/``), whose ``build``
+makes a ready-to-run :class:`repro.scale.timeline.FluidTimeline` for any
+population size: fleet capacity is *provisioned relative to the
+population's nominal demand* (via :func:`provisioned_fleet`), so "flash
+crowd saturates the fleet" stays true whether the catalogue runs with 2,000
+clients in a CI smoke job or a million in the full E13 campaign.
 
 The thirteen stock scenarios cover the transients the steady-state sweep
 (E12) hides:
@@ -67,9 +68,8 @@ The thirteen stock scenarios cover the transients the steady-state sweep
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import WorkloadError
 from .config import ConfigError, ScenarioConfig, load_config
@@ -149,55 +149,25 @@ def provisioned_fleet(
     return NeutralizerFleet(sites, cost_model=model)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One catalogue entry: a named, self-describing timeline builder.
-
-    ``config`` is the declarative :class:`~repro.scale.config.ScenarioConfig`
-    document the entry was loaded from (``src/repro/scale/catalogue_data/``);
-    ``build`` is its bound build method, so every catalogue timeline carries
-    the document as ``timeline.config`` and is live-reconfigurable through
-    :class:`~repro.scale.config.ConfigTransaction`.
-    """
-
-    name: str
-    title: str
-    description: str
-    config: ScenarioConfig
-    build: Callable[..., FluidTimeline]
-
-    def __call__(self, *, clients: int = 100_000, seed: int = 2006,
-                 cost_model: Optional[CryptoCostModel] = None,
-                 population: Optional[ClientPopulation] = None) -> FluidTimeline:
-        return self.build(clients=clients, seed=seed, cost_model=cost_model,
-                          population=population)
-
-
 #: Where the scenario documents live; the numeric filename prefix pins the
 #: catalogue's definition order (sorted glob == catalogue order).
 CATALOGUE_DATA_DIR = Path(__file__).with_name("catalogue_data")
 
 
-def _load_catalogue() -> Dict[str, ScenarioSpec]:
-    specs: Dict[str, ScenarioSpec] = {}
+def _load_catalogue() -> Dict[str, ScenarioConfig]:
+    configs: Dict[str, ScenarioConfig] = {}
     for path in sorted(CATALOGUE_DATA_DIR.glob("*.json")):
         config = load_config(path)
-        if config.name in specs:
+        if config.name in configs:
             raise ConfigError(
                 f"{path.name}: duplicate scenario {config.name!r}")
-        specs[config.name] = ScenarioSpec(
-            name=config.name,
-            title=config.title,
-            description=config.description,
-            config=config,
-            build=config.build,
-        )
-    if not specs:
+        configs[config.name] = config
+    if not configs:
         raise ConfigError(f"no scenario documents under {CATALOGUE_DATA_DIR}")
-    return specs
+    return configs
 
 
-CATALOGUE: Dict[str, ScenarioSpec] = _load_catalogue()
+CATALOGUE: Dict[str, ScenarioConfig] = _load_catalogue()
 
 
 def scenario_names() -> List[str]:
@@ -219,14 +189,14 @@ def build_scenario(name: str, *, clients: int = 100_000, seed: int = 2006,
     built timeline — spans and counters only, never simulation input.
     """
     try:
-        spec = CATALOGUE[name]
+        config = CATALOGUE[name]
     except KeyError:
         raise ConfigError(
             f"unknown scenario {name!r}; catalogue has {', '.join(CATALOGUE)}",
             field_path="name",
         ) from None
-    timeline = spec(clients=clients, seed=seed, cost_model=cost_model,
-                    population=population)
+    timeline = config.build(clients=clients, seed=seed, cost_model=cost_model,
+                            population=population)
     if telemetry is not None:
         timeline.telemetry = telemetry
     return timeline

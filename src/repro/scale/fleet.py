@@ -7,8 +7,8 @@ packet-level simulator, one :class:`repro.core.neutralizer.Neutralizer` on a
 border router; here, a CPU budget (cores × the calibrated per-packet cost)
 plus an uplink.  Clients are spread over healthy sites with the
 :class:`repro.core.anycast.ConsistentHashRing`, evaluated vectorized: the
-ring's position table is pulled into numpy arrays once and a million clients
-are assigned with a single :func:`repro.core.anycast.ring_locate`.  Failing a
+ring's points are hashed into numpy arrays once and a million clients are
+assigned with a single :func:`repro.core.anycast.ring_locate`.  Failing a
 site withdraws its ring points, so exactly the failed site's clients move —
 the fleet-level analogue of a router withdrawing its anycast route.  The
 sites are fixed at construction, so every point they can contribute is hashed
@@ -100,7 +100,6 @@ class NeutralizerFleet:
         order = np.argsort(points, kind="stable")
         self._universe_positions = points[order]
         self._universe_owner = order // replicas
-        self._ring_object: Optional[ConsistentHashRing] = None
         self._cpu_capacity: Optional[np.ndarray] = None
         self._uplink_capacity: Optional[np.ndarray] = None
         #: Bumped whenever any site's ``active`` flag flips — unlike
@@ -152,24 +151,9 @@ class NeutralizerFleet:
         self._arc_owners = self._ring_owner_index[slots % self._ring_positions.size]
         self._in_ring = in_ring
         self._service_mask = serving
-        self._ring_object = None
         self._cpu_capacity = None
         self._uplink_capacity = None
         self.generation += 1
-
-    @property
-    def ring(self) -> ConsistentHashRing:
-        """The in-service consistent-hash ring as a full ring object.
-
-        The vectorized paths use the cached position table directly; this
-        object form (built lazily, for ``site_for``-style point lookups)
-        always agrees with it because both hash the same site names.
-        """
-        if self._ring_object is None:
-            self._ring_object = ConsistentHashRing(
-                self.in_service_names, replicas=self.replicas
-            )
-        return self._ring_object
 
     def _set_site_state(self, name: str, *, healthy: Optional[bool] = None,
                         active: Optional[bool] = None) -> None:
@@ -199,23 +183,13 @@ class NeutralizerFleet:
         if will_serve != was_serving:
             self._rebuild_ring()
 
-    def ring_snapshot(self):
-        """Freeze the current ring state (see :meth:`ConsistentHashRing.snapshot`)."""
-        from ..core.anycast import RingSnapshot
-
-        return RingSnapshot(
-            positions=tuple(int(p) for p in self._ring_positions),
-            owners=tuple(self.sites[i].name for i in self._ring_owner_index),
-        )
-
     def ring_state(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ring's (positions, owner indices) arrays, cheap to snapshot.
 
         Rebuilds allocate fresh arrays, so holding the returned references
         across a membership change is a valid zero-copy snapshot.  With
         :meth:`ring_moved_fraction` it is the reference the universe-arc
-        churn (:meth:`universe_arc_fraction`) is checked against; the
-        tuple-based :meth:`ring_snapshot` stays for API/diagnostic use.
+        churn (:meth:`universe_arc_fraction`) is checked against.
         """
         return self._ring_positions, self._ring_owner_index
 
@@ -224,12 +198,12 @@ class NeutralizerFleet:
                             after: Tuple[np.ndarray, np.ndarray]) -> float:
         """Hash-space fraction whose owner differs between two ring states.
 
-        Same arc semantics as :meth:`repro.core.anycast.RingSnapshot.diff` —
-        both delegate to :func:`repro.core.anycast.arc_moved_fraction` —
-        but operating directly on the position/owner-index arrays from
-        :meth:`ring_state`, with no tuple conversion.
+        :func:`repro.core.anycast.arc_moved_fraction` over the
+        position/owner-index arrays of two :meth:`ring_state` results: the
+        key space whose owner moved, read off the two rings' points rather
+        than the universe arcs.
         """
-        from ..core.anycast import ConsistentHashRing, arc_moved_fraction
+        from ..core.anycast import arc_moved_fraction
 
         if before[0] is after[0] and before[1] is after[1]:
             return 0.0  # the same snapshot: no membership change in between
@@ -288,6 +262,8 @@ class NeutralizerFleet:
             raise TopologyError(
                 "refusing a health snapshot that leaves no site in service"
             )
+        if any(site.active != active for site, (_, active) in zip(self.sites, snapshot)):
+            self.active_version += 1
         before = [site.in_service for site in self.sites]
         for site, (healthy, active) in zip(self.sites, snapshot):
             site.healthy = healthy

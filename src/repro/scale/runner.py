@@ -418,8 +418,15 @@ class FleetScaleRunner(CampaignRunner):
         self.experiment_name = "fleet_scale_sweep"
         self.experiment_id = "E12"
         self.total_units = len(self.client_counts)
-        self._fleet: Optional[NeutralizerFleet] = None
-        self._fleet_config: Optional[tuple] = None
+        # One fleet for every sweep point: its ring and capacity arrays do
+        # not depend on the population.  A bad ``failed_sites`` entry (an
+        # unknown site, or one that would fail them all) is refused here.
+        self.fleet = NeutralizerFleet.build(
+            n_sites, cores=cores_per_site, uplink_bps=uplink_bps,
+            cost_model=self.cost_model,
+        )
+        for name in self.failed_sites:
+            self.fleet.fail_site(name)
         super().__init__(telemetry=telemetry)
 
     # -- campaign decomposition -------------------------------------------------------
@@ -435,32 +442,6 @@ class FleetScaleRunner(CampaignRunner):
             CampaignUnit(index=index, point=clients, replica=0, label=str(clients))
             for index, clients in enumerate(self.client_counts)
         ]
-
-    @property
-    def fleet(self) -> NeutralizerFleet:
-        """The campaign's fleet, built once and shared by every sweep point.
-
-        The fleet's consistent-hash ring (an O(sites × replicas) sorted
-        insert) and its capacity arrays do not depend on the population, so
-        they are constructed a single time instead of once per point; only
-        the population and its group counts are per-point work.  The cache
-        is keyed on the fleet-shaping attributes, so mutating e.g.
-        ``failed_sites`` between runs still takes effect.
-        """
-        config = (self.n_sites, self.cores_per_site, self.uplink_bps,
-                  self.cost_model, tuple(self.failed_sites))
-        if self._fleet is None or self._fleet_config != config:
-            fleet = NeutralizerFleet.build(
-                self.n_sites,
-                cores=self.cores_per_site,
-                uplink_bps=self.uplink_bps,
-                cost_model=self.cost_model,
-            )
-            for name in self.failed_sites:
-                fleet.fail_site(name)
-            self._fleet = fleet
-            self._fleet_config = config
-        return self._fleet
 
     def solve_point(self, clients: int) -> Tuple[FluidResult, float]:
         """Solve one sweep point; returns the fluid result and its wall time."""

@@ -119,55 +119,3 @@ class TestConsistentHashRing:
         assert len(positions) == len(owners) == 3 * ring.replicas
         assert set(owners) == {"x", "y", "z"}
 
-
-class TestRingSnapshot:
-    def test_snapshot_is_frozen_against_later_changes(self):
-        ring = ConsistentHashRing(["a", "b"])
-        snapshot = ring.snapshot()
-        ring.remove_site("b")
-        assert snapshot.site_names == ("a", "b")
-        assert ring.snapshot().site_names == ("a",)
-
-    def test_owned_fractions_partition_the_space(self):
-        ring = ConsistentHashRing(["a", "b", "c"], replicas=64)
-        snapshot = ring.snapshot()
-        total = sum(snapshot.owned_fraction(name) for name in "abc")
-        assert total == pytest.approx(1.0)
-        for name in "abc":
-            assert 0.1 < snapshot.owned_fraction(name) < 0.6
-
-    def test_removal_diff_equals_owned_fraction(self):
-        # Consistent hashing's contract, stated on snapshots: removing one
-        # site moves exactly the key space that site owned, nothing else.
-        ring = ConsistentHashRing(["a", "b", "c", "d"])
-        before = ring.snapshot()
-        owned = before.owned_fraction("c")
-        ring.remove_site("c")
-        diff = before.diff(ring.snapshot())
-        assert diff.moved_fraction == pytest.approx(owned)
-        assert diff.sites_removed == ("c",)
-        assert diff.sites_added == ()
-        assert diff.changed
-
-    def test_readdition_diff_restores_and_identity_diff_is_empty(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        before = ring.snapshot()
-        ring.remove_site("a")
-        ring.add_site("a")
-        restored = ring.snapshot()
-        assert restored == before
-        assert not before.diff(restored).changed
-
-    def test_owner_at_matches_ring_lookup(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        snapshot = ring.snapshot()
-        for i in range(100):
-            position = ring.key_position(f"key{i}")
-            assert snapshot.owner_at(position) == ring.site_for(f"key{i}")
-
-    def test_empty_snapshot_rejected(self):
-        empty = ConsistentHashRing().snapshot()
-        with pytest.raises(TopologyError):
-            empty.owner_at(0)
-        with pytest.raises(TopologyError):
-            empty.diff(empty)

@@ -381,7 +381,7 @@ def test_legacy_builder_rows_cover_the_whole_catalogue():
 
 
 def legacy_builder_digest(name):
-    result = CATALOGUE[name].config.build(clients=CLIENTS, seed=2006).run()
+    result = CATALOGUE[name].build(clients=CLIENTS, seed=2006).run()
     return hashlib.sha256(canonical_result_bytes(result)).hexdigest()
 
 

@@ -26,12 +26,12 @@ def test_data_files_cover_the_catalogue_in_order():
 
 @pytest.mark.parametrize("name", sorted(scenario_names()))
 def test_document_round_trips_through_json(name):
-    config = CATALOGUE[name].config
+    config = CATALOGUE[name]
     assert ScenarioConfig.from_json(config.to_json()) == config
 
 
 def test_file_round_trip(tmp_path):
-    config = CATALOGUE["flash_crowd"].config
+    config = CATALOGUE["flash_crowd"]
     path = tmp_path / "flash_crowd.json"
     dump_config(config, path)
     assert load_config(path) == config
@@ -39,7 +39,7 @@ def test_file_round_trip(tmp_path):
 
 
 def test_unknown_top_level_field_fails_with_path():
-    data = CATALOGUE["flash_crowd"].config.to_dict()
+    data = CATALOGUE["flash_crowd"].to_dict()
     data["surprise_knob"] = 3
     with pytest.raises(ConfigError, match="surprise_knob") as excinfo:
         ScenarioConfig.from_dict(data)
@@ -47,7 +47,7 @@ def test_unknown_top_level_field_fails_with_path():
 
 
 def test_unknown_nested_field_fails_with_path():
-    data = CATALOGUE["flash_crowd"].config.to_dict()
+    data = CATALOGUE["flash_crowd"].to_dict()
     data["fleet"]["coolness"] = "max"
     with pytest.raises(ConfigError, match="unknown field") as excinfo:
         ScenarioConfig.from_dict(data)
@@ -55,7 +55,7 @@ def test_unknown_nested_field_fails_with_path():
 
 
 def test_unknown_kind_fails_with_path():
-    data = CATALOGUE["flash_crowd"].config.to_dict()
+    data = CATALOGUE["flash_crowd"].to_dict()
     data["load"]["kind"] = "warp_drive"
     with pytest.raises(ConfigError, match="warp_drive") as excinfo:
         ScenarioConfig.from_dict(data)
@@ -63,7 +63,7 @@ def test_unknown_kind_fails_with_path():
 
 
 def test_future_schema_version_is_rejected():
-    data = CATALOGUE["flash_crowd"].config.to_dict()
+    data = CATALOGUE["flash_crowd"].to_dict()
     data["schema_version"] = 99
     with pytest.raises(ConfigError, match="schema version") as excinfo:
         ScenarioConfig.from_dict(data)

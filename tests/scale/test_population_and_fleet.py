@@ -123,17 +123,21 @@ class TestPopulation:
 class TestFleet:
     def test_assignment_matches_scalar_ring_lookup(self):
         fleet = NeutralizerFleet.build(4)
-        population = ClientPopulation(300, seed=3)
-        assigned = fleet.assign_sites(population.ring_positions)
-        for position, site_index in zip(population.ring_positions[:50], assigned[:50]):
-            expected = fleet.ring.site_for(int(position).to_bytes(8, "big"))
-            # site_for hashes its key; compare via the ring table instead.
-            positions, owners = fleet.ring.table()
-            slot = np.searchsorted(np.asarray(positions, dtype=np.uint64), position)
-            if slot == len(positions):
-                slot = 0
-            assert fleet.sites[site_index].name == owners[slot]
-            assert expected in [site.name for site in fleet.sites]
+        for failed in (None, "site02"):
+            if failed:
+                fleet.fail_site(failed)
+            ring = ConsistentHashRing(fleet.in_service_names, replicas=fleet.replicas)
+            keys = [f"client-{i}" for i in range(200)]
+            positions = np.array([ring.key_position(key) for key in keys],
+                                 dtype=np.uint64)
+            assigned = fleet.assign_sites(positions)
+            assert [fleet.sites[i].name for i in assigned] == [
+                ring.site_for(key) for key in keys]
+            # The fleet's point list is the scalar ring's position table.
+            table_positions, table_owners = ring.table()
+            ring_positions, ring_owners = fleet.ring_state()
+            assert ring_positions.tolist() == table_positions
+            assert [fleet.sites[i].name for i in ring_owners] == table_owners
 
     def test_assignment_is_roughly_balanced(self):
         fleet = NeutralizerFleet.build(8, replicas=128)
@@ -586,6 +590,55 @@ class TestRingUniverse:
             )
             check_ring_walk(population, fleet, actions)
 
+    @settings(**RING_FUZZ)
+    @given(n_sites=st.integers(2, 24), replicas=st.integers(1, 64),
+           drained=st.sets(st.integers(0, 23), max_size=22),
+           victim=st.integers(0, 23), seed=st.integers(0, 2**16))
+    def test_consistent_hashing_contract(self, n_sites, replicas, drained,
+                                         victim, seed):
+        """Consistent hashing's contract on the fleet's two ring models:
+        the in-service sites' universe arcs partition the key space, and
+        failing one moves exactly its arcs — by the arc owners and by the
+        point lists alike — until restoring it moves them all back."""
+        from repro.scale.scenario import ScaleScenario
+
+        fleet = NeutralizerFleet.build(n_sites, replicas=replicas)
+        for index in sorted(drained):
+            if index < n_sites and fleet.n_in_service > 2:
+                fleet.drain_site(fleet.sites[index].name)
+        serving = np.flatnonzero(fleet.in_service_mask())
+        owners = fleet.universe_arcs()[2]
+        owned = {int(i): fleet.universe_arc_fraction(np.flatnonzero(owners == i))
+                 for i in serving}
+        assert all(fraction > 0 for fraction in owned.values())
+        assert abs(sum(owned.values()) - 1.0) <= 1e-12
+        assert set(np.unique(owners).tolist()) == set(owned)
+
+        population = ClientPopulation(300, regions=2, seed=seed)
+        scenario = ScaleScenario(population, fleet)
+        template = scenario.build_template()
+        assigned = fleet.assign_sites(population.ring_positions)
+        victim = int(serving[victim % serving.size])
+        ring_before = fleet.ring_state()
+        frozen = tuple(array.copy() for array in ring_before)
+        fleet.fail_site(fleet.sites[victim].name)
+        failed = scenario.build_template()
+        assert np.array_equal(np.flatnonzero(failed.arc_owners != owners),
+                              np.flatnonzero(owners == victim))
+        moved = NeutralizerFleet.ring_moved_fraction(ring_before, fleet.ring_state())
+        assert failed.churn_since(owners) == (
+            np.count_nonzero(assigned == victim), owned[victim])
+        assert moved == owned[victim]
+        # A held ring_state() is a snapshot: the failure rebuilt new arrays.
+        assert all(np.array_equal(held, copy)
+                   for held, copy in zip(ring_before, frozen))
+
+        fleet.restore_site(fleet.sites[victim].name)
+        restored = scenario.build_template()
+        assert np.array_equal(fleet.universe_arcs()[2], owners)
+        assert np.array_equal(restored.arc_owners, template.arc_owners)
+        assert restored.churn_since(owners) == (0, 0.0)
+
     @pytest.mark.parametrize("shape", ["E13-16x64", "E14-24x64"])
     def test_acceptance_fleets_match_the_sorted_formula(self, shape):
         """The sort-free build against the sorted one it replaced, on the
@@ -782,6 +835,23 @@ class TestDrainLifecycle:
         assert fleet.n_in_service == 2
         assert np.array_equal(fleet.cpu_capacity_cores(), capacity)
 
+    def test_restore_health_bumps_active_version_once_when_an_active_flag_flips(self):
+        from repro.scale.autoscale import elastic_fleet
+
+        fleet = elastic_fleet(ClientPopulation(2000, seed=3), 8, nominal_sites=4)
+        snapshot = fleet.health_snapshot()
+        fleet.activate_site("site05")
+        fleet.fail_site("site01")
+        assert fleet.active_version == 1
+        fleet.restore_health(snapshot)
+        assert not fleet.site("site05").active
+        assert fleet.active_version == 2
+        # Only ``healthy`` flags differ: no active flag flips, no bump.
+        fleet.fail_site("site02")
+        fleet.restore_health(snapshot)
+        assert fleet.health_snapshot() == snapshot
+        assert fleet.active_version == 2
+
     def test_moved_fraction_of_one_snapshot_is_exactly_zero(self, monkeypatch):
         from repro.core import anycast
 
@@ -790,13 +860,3 @@ class TestDrainLifecycle:
                             lambda *args: pytest.fail("diffed a ring with itself"))
         moved = NeutralizerFleet.ring_moved_fraction(fleet.ring_state(), fleet.ring_state())
         assert moved == 0.0 and isinstance(moved, float)
-
-    def test_moved_fraction_matches_snapshot_diff(self):
-        fleet = NeutralizerFleet.build(6)
-        before_state = fleet.ring_state()
-        before_snapshot = fleet.ring_snapshot()
-        fleet.fail_site("site04")
-        fast = NeutralizerFleet.ring_moved_fraction(before_state, fleet.ring_state())
-        slow = before_snapshot.diff(fleet.ring_snapshot()).moved_fraction
-        assert fast == pytest.approx(slow, abs=1e-12)
-        assert fast > 0

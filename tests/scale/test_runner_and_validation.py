@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import ExperimentReport
-from repro.exceptions import WorkloadError
+from repro.exceptions import TopologyError, WorkloadError
 from repro.scale import (
     AdversaryCampaignRunner,
     ClientPopulation,
@@ -121,6 +121,16 @@ class TestRunner:
                                   failed_sites=("site00",), seed=3)
         record = runner.run().records[0]
         assert record.delivered_fraction <= 1.0
+
+    @pytest.mark.parametrize("failed_sites, message", [
+        (("site07",), "unknown site 'site07'"),
+        (("site00", "site01", "site02"), "last serving site"),
+    ])
+    def test_bad_failed_sites_are_refused_at_construction(self, failed_sites,
+                                                          message):
+        with pytest.raises(TopologyError, match=message):
+            FleetScaleRunner(client_counts=(500,), n_sites=3,
+                             failed_sites=failed_sites, seed=3)
 
     def test_calibrated_cost_model_plugs_in(self):
         model = CryptoCostModel.calibrated(iterations=10)

@@ -1,7 +1,8 @@
 """``tools/check_docs.py``: the docs name only files, CI jobs, ``repro``
-names and keywords, and epoch-pipeline stage-table members that exist.
+names, classes and keywords, and epoch-pipeline stage-table members that
+exist.
 
-The repository's own docs must pass; the six existence checks are then
+The repository's own docs must pass; the seven existence checks are then
 driven on a tiny tree where exactly one thing is wrong at a time.
 """
 
@@ -122,6 +123,22 @@ def test_snippet_passing_an_unknown_keyword_is_reported(tree, tmp_path,
         "StochasticCampaignRunner(load=...)"]
 
 
+def test_doc_naming_a_missing_class_is_reported(tree, tmp_path, capsys):
+    (tmp_path / "docs/guide.md").write_text(
+        "`NeutralizerFleet.ring_state()` and `ConsistentHashRing` stay;\n"
+        "`RingSnapshot.diff` and `ConsistentHashRing.snapshot()` went.\n"
+        "`AdversaryRun._resting`, `KeyboardInterrupt`, `SeedSequence`, "
+        "`SUITE_vs_baseline.txt`, `E12` and `README.md` pass.\n"
+        "```python\nRingDiff  # `RingDiff` in a fence is code, not prose\n```\n")
+    # An attribute assigned in __init__ counts; builtins and the allow-list
+    # resolve; tokens with no lowercase letter are no class names.
+    assert _problems(tree, capsys) == [
+        "docs/guide.md:2: names a missing class -> RingSnapshot.diff",
+        "docs/guide.md:2: names a missing class -> "
+        "ConsistentHashRing.snapshot()",
+    ]
+
+
 def test_readme_must_name_every_job_in_its_ci_section(tree, tmp_path, capsys):
     workflow = tmp_path / ".github/workflows/ci.yml"
     workflow.write_text(workflow.read_text() + "  retired:\n    steps: []\n")
@@ -143,9 +160,12 @@ def test_stage_table_naming_what_the_run_lacks_is_reported(tree, tmp_path,
         "\nBelow the table, `snapshot_ring` is prose.\n")
     monkeypatch.setattr(tree, "DOC_FILES", tree.DOC_FILES + [doc])
     # The span and layer-row columns name no run member and are not read;
-    # `rebuilt()` is on the allow-list.
+    # `rebuilt()` is on the allow-list.  The two missing classes are also
+    # missing classes anywhere in the docs.
     message = "stage table names what the run does not have ->"
     assert _problems(tree, capsys) == [
+        "docs/architecture.md:4: names a missing class -> AdversaryRun.retired",
+        "docs/architecture.md:4: names a missing class -> NoSuchClass.step",
         f"docs/architecture.md:3: {message} snapshot_ring",
         f"docs/architecture.md:3: {message} ring_before",
         f"docs/architecture.md:4: {message} AdversaryRun.retired",

@@ -29,7 +29,11 @@ docs/architecture.md must name only what the run object has: every
 backticked identifier in its stage, reads and writes columns is a
 ``_TimelineRun`` method, an attribute its ``__init__`` assigns to ``self``,
 a ``Class.name`` that resolves on that ``repro.scale`` class, or an entry
-of ``STAGE_TABLE_ALLOWED``.
+of ``STAGE_TABLE_ALLOWED``.  Outside code fences, every backticked
+``CamelCase`` or ``CamelCase.member`` (optionally ``()``) must be a name
+some importable ``repro`` module binds, or a builtin, that has that member
+(an attribute its ``__init__`` assigns to ``self`` counts), unless it is in
+``CLASS_NAMES_ALLOWED``.
 
 Exits non-zero with one line per problem, so the CI docs job fails loudly
 and locally ``python tools/check_docs.py`` tells you what to fix.
@@ -38,8 +42,10 @@ and locally ``python tools/check_docs.py`` tells you what to fix.
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import inspect
+import pkgutil
 import re
 import sys
 import textwrap
@@ -69,6 +75,12 @@ STAGE_TABLE_COLUMNS = ("stage → method", "reads", "writes")
 #: ``rebuilt()`` quoted as a call, and the shape of the result matrices.
 STAGE_TABLE_ALLOWED = {"rebuilt()", "[epoch, site]"}
 BACKTICKED = re.compile(r"`([^`\n]+)`")
+#: A whole backticked token naming a class: ``CamelCase`` or
+#: ``CamelCase.member``, optionally quoted as a call with no arguments.
+CLASS_NAME = re.compile(r"([A-Z]\w*[a-z]\w*)(?:\.([A-Za-z_]\w*))?(?:\(\))?")
+#: Backticked CamelCase that is no ``repro`` or builtin name: numpy's seed
+#: type and the benchmark suite's comparison file.
+CLASS_NAMES_ALLOWED = {"SeedSequence", "SUITE_vs_baseline"}
 
 
 def slugify(heading: str) -> str:
@@ -222,7 +234,52 @@ def _init_attributes(klass) -> set:
 
 
 def _has_member(klass, name: str) -> bool:
-    return hasattr(klass, name) or name in _init_attributes(klass)
+    if hasattr(klass, name):
+        return True
+    try:
+        return name in _init_attributes(klass)
+    except (OSError, TypeError):
+        return False  # no python source for its __init__ (builtin, generated)
+
+
+@functools.lru_cache(maxsize=None)
+def _repro_modules() -> tuple:
+    """Every importable ``repro`` module's name, then ``builtins``."""
+    import repro
+
+    return ("repro",) + tuple(
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ) + ("builtins",)
+
+
+@functools.lru_cache(maxsize=None)
+def _names_a_class(owner: str, member) -> bool:
+    """Whether some ``repro`` module or builtin binds ``owner`` with
+    ``member`` (when one is named)."""
+    for module in _repro_modules():
+        value = _resolve(module, owner)
+        if value is not _MISSING and (member is None
+                                      or _has_member(value, member)):
+            return True
+    return False
+
+
+def check_class_names(path: Path, problems: list) -> None:
+    """Every backticked ``CamelCase[.member]`` outside code fences resolves."""
+    where = path.relative_to(REPO)
+    in_fence = False
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        for text in BACKTICKED.findall(line):
+            name = CLASS_NAME.fullmatch(text)
+            if (name and name.group(1) not in CLASS_NAMES_ALLOWED
+                    and not _names_a_class(*name.groups())):
+                problems.append(f"{where}:{number}: names a missing class "
+                                f"-> {text}")
 
 
 def check_stage_table(path: Path, problems: list) -> None:
@@ -293,6 +350,7 @@ def main() -> int:
                 check_paths(path, BACKTICKED_PATH.findall(path.read_text()),
                             problems)
                 check_imports(path, problems)
+                check_class_names(path, problems)
             if path.name == STAGE_TABLE_DOC:
                 check_stage_table(path, problems)
     check_workflow(problems)
@@ -303,8 +361,8 @@ def main() -> int:
         return 1
     checked = len([path for path in DOC_FILES if path.exists()])
     print(f"docs check: {checked} files OK (links resolve, snippets compile, "
-          f"snippet imports and keywords resolve, named paths, CI jobs and "
-          f"stage-table names exist)")
+          f"snippet imports and keywords resolve, named paths, classes, CI "
+          f"jobs and stage-table names exist)")
     return 0
 
 
