@@ -408,7 +408,6 @@ class FleetScaleRunner(CampaignRunner):
         self.client_counts = tuple(sorted(client_counts))
         self.n_sites = n_sites
         self.cores_per_site = cores_per_site
-        self.uplink_bps = uplink_bps
         self.regions = regions
         self.mix = default_mix()
         self.cost_model = cost_model or CryptoCostModel.default()

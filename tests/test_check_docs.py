@@ -127,11 +127,12 @@ def test_doc_naming_a_missing_class_is_reported(tree, tmp_path, capsys):
     (tmp_path / "docs/guide.md").write_text(
         "`NeutralizerFleet.ring_state()` and `ConsistentHashRing` stay;\n"
         "`RingSnapshot.diff` and `ConsistentHashRing.snapshot()` went.\n"
-        "`AdversaryRun._resting`, `KeyboardInterrupt`, `SeedSequence`, "
-        "`SUITE_vs_baseline.txt`, `E12` and `README.md` pass.\n"
+        "`AdversaryRun._resting`, `FleetSite.name`, `KeyboardInterrupt`, "
+        "`SeedSequence`, `SUITE_vs_baseline.txt`, `E12` and `README.md` pass.\n"
         "```python\nRingDiff  # `RingDiff` in a fence is code, not prose\n```\n")
-    # An attribute assigned in __init__ counts; builtins and the allow-list
-    # resolve; tokens with no lowercase letter are no class names.
+    # An attribute assigned in __init__ and a dataclass field count;
+    # builtins and the allow-list resolve; tokens with no lowercase letter
+    # are no class names.
     assert _problems(tree, capsys) == [
         "docs/guide.md:2: names a missing class -> RingSnapshot.diff",
         "docs/guide.md:2: names a missing class -> "

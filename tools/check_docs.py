@@ -32,8 +32,8 @@ a ``Class.name`` that resolves on that ``repro.scale`` class, or an entry
 of ``STAGE_TABLE_ALLOWED``.  Outside code fences, every backticked
 ``CamelCase`` or ``CamelCase.member`` (optionally ``()``) must be a name
 some importable ``repro`` module binds, or a builtin, that has that member
-(an attribute its ``__init__`` assigns to ``self`` counts), unless it is in
-``CLASS_NAMES_ALLOWED``.
+(a dataclass field, or an attribute its ``__init__`` assigns to ``self``,
+counts), unless it is in ``CLASS_NAMES_ALLOWED``.
 
 Exits non-zero with one line per problem, so the CI docs job fails loudly
 and locally ``python tools/check_docs.py`` tells you what to fix.
@@ -234,7 +234,7 @@ def _init_attributes(klass) -> set:
 
 
 def _has_member(klass, name: str) -> bool:
-    if hasattr(klass, name):
+    if hasattr(klass, name) or name in getattr(klass, "__dataclass_fields__", ()):
         return True
     try:
         return name in _init_attributes(klass)
