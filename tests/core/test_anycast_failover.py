@@ -1,9 +1,12 @@
 """Anycast deployment failover and the consistent-hash ring."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from repro.analysis.scenarios import build_figure1
-from repro.core.anycast import ConsistentHashRing
+from repro.core.anycast import ConsistentHashRing, arc_moved_fraction, ring_locate
 from repro.exceptions import TopologyError
 from repro.packet import ip, udp_packet
 
@@ -119,3 +122,84 @@ class TestConsistentHashRing:
         assert len(positions) == len(owners) == 3 * ring.replicas
         assert set(owners) == {"x", "y", "z"}
 
+
+def owned_fraction(table, name):
+    """Key space ``name`` owns in a ``ConsistentHashRing.table()`` result,
+    exactly: each point owns the arc back to its predecessor, the first
+    point also the arc that wraps past the last one."""
+    positions, owners = table
+    space = 1 << ConsistentHashRing._SPACE_BITS
+    owned = sum((position - positions[index - 1]) % space
+                for index, (position, owner) in enumerate(zip(positions, owners))
+                if owner == name)
+    return Fraction(owned, space)
+
+
+def table_moved_fraction(before, after):
+    """``arc_moved_fraction`` over two ``table()`` results, owners mapped to
+    integer ids shared by both rings."""
+    ids = {name: index for index, name in enumerate(sorted(set(before[1]) | set(after[1])))}
+
+    def arrays(table):
+        positions, owners = table
+        return (np.array(positions, dtype=np.uint64),
+                np.array([ids[owner] for owner in owners], dtype=np.int64))
+
+    return arc_moved_fraction(*arrays(before), *arrays(after),
+                              1 << ConsistentHashRing._SPACE_BITS)
+
+
+class TestRingSnapshot:
+    """``ConsistentHashRing.table()`` as a snapshot of the ring, and
+    ``arc_moved_fraction`` as the diff of two snapshots."""
+
+    def test_snapshot_is_frozen_against_later_changes(self):
+        ring = ConsistentHashRing(["a", "b"])
+        snapshot = ring.table()
+        held = (list(snapshot[0]), list(snapshot[1]))
+        ring.remove_site("b")
+        assert snapshot == held
+        assert set(snapshot[1]) == {"a", "b"}
+        assert set(ring.table()[1]) == {"a"}
+        assert ring.site_names == ["a"]
+
+    def test_owned_fractions_partition_the_space(self):
+        ring = ConsistentHashRing(["a", "b", "c"], replicas=64)
+        snapshot = ring.table()
+        assert sum(owned_fraction(snapshot, name) for name in "abc") == 1
+        for name in "abc":
+            assert 0.1 < owned_fraction(snapshot, name) < 0.6
+
+    def test_removal_diff_equals_owned_fraction(self):
+        # Consistent hashing's contract, stated on snapshots: removing one
+        # site moves exactly the key space that site owned, nothing else.
+        ring = ConsistentHashRing(["a", "b", "c", "d"])
+        before = ring.table()
+        owned = owned_fraction(before, "c")
+        ring.remove_site("c")
+        after = ring.table()
+        assert table_moved_fraction(before, after) == float(owned) > 0
+        assert ring.site_names == ["a", "b", "d"]
+        for name in "abd":
+            assert owned_fraction(after, name) >= owned_fraction(before, name)
+
+    def test_readdition_diff_restores_and_identity_diff_is_empty(self):
+        ring = ConsistentHashRing(["a", "b", "c"])
+        before = ring.table()
+        ring.remove_site("a")
+        ring.add_site("a")
+        restored = ring.table()
+        assert restored == before
+        assert table_moved_fraction(before, restored) == 0.0
+        assert table_moved_fraction(before, before) == 0.0
+
+    def test_owner_at_matches_ring_lookup(self):
+        # The vectorized lookup the fleet does over a table: the first point
+        # at or after each key's position, wrapping past the last point.
+        ring = ConsistentHashRing(["a", "b", "c"])
+        positions, owners = ring.table()
+        keys = [f"key{i}" for i in range(100)]
+        slots = ring_locate(np.array(positions, dtype=np.uint64),
+                            np.array([ring.key_position(k) for k in keys], dtype=np.uint64))
+        slots[slots == len(positions)] = 0
+        assert [owners[slot] for slot in slots] == [ring.site_for(k) for k in keys]

@@ -852,6 +852,25 @@ class TestDrainLifecycle:
         assert fleet.health_snapshot() == snapshot
         assert fleet.active_version == 2
 
+    def test_moved_fraction_matches_snapshot_diff(self):
+        # The fleet's churn over two held ring states equals the per-arc
+        # reference diff of the scalar rings built from its in-service names.
+        fleet = NeutralizerFleet.build(6)
+        ids = {site.name: index for index, site in enumerate(fleet.sites)}
+
+        def scalar_state():
+            positions, owners = ConsistentHashRing(
+                fleet.in_service_names, replicas=fleet.replicas).table()
+            return (np.array(positions, dtype=np.uint64),
+                    np.array([ids[owner] for owner in owners], dtype=np.int64))
+
+        before_state, before_scalar = fleet.ring_state(), scalar_state()
+        fleet.fail_site("site04")
+        fast = NeutralizerFleet.ring_moved_fraction(before_state, fleet.ring_state())
+        slow = reference_moved_fraction(before_scalar, scalar_state())
+        assert fast == slow
+        assert fast > 0
+
     def test_moved_fraction_of_one_snapshot_is_exactly_zero(self, monkeypatch):
         from repro.core import anycast
 
