@@ -25,7 +25,8 @@ Endpoints (see ``docs/observability.md`` for the full reference):
     canonical sequence is replayed exactly once, in order.  Heartbeat
     frames carry no ``id`` and never advance the cursor.
 ``GET /progress``
-    Units complete/in-flight, phase breakdown, elapsed and ETA.
+    The runner's progress record (units done/in flight, completion),
+    elapsed and ETA, event counts and the phase breakdown.
 ``GET /verdicts``
     Detector verdict events only (``kind == "detector"``), as NDJSON.
 
@@ -44,25 +45,28 @@ Determinism contract — the monitor is an *observer*:
   moves under the condition that wakes SSE waiters.  The one call that
   shrinks a log, ``drain_raw()``, runs only in pool workers, which carry
   no monitor.
+* ``/progress`` reads the runner's
+  :class:`~repro.scale.parallel.CampaignProgress`, the one progress
+  ledger, which the engine writes; without a runner its unit fields read
+  null, zero, empty or false.
 * Pool workers ship canonical events home only with finished units, so
   liveness between completions comes from an out-of-band
-  ``multiprocessing`` heartbeat queue (see
-  :meth:`MonitorServer.watch_heartbeats`).  Heartbeat records carry
+  ``multiprocessing`` heartbeat queue, which the engine drains and hands
+  on to :meth:`MonitorServer.observe_heartbeat`.  Heartbeat records carry
   wall-clock and PIDs and are therefore *quarantined*: they feed
-  ``/progress`` and ``/stream`` but are never merged into the canonical
-  log or the NDJSON export.
-* Wall-clock appears only in monitor-local state (uptime, ETA) and in
-  quarantined heartbeats — never in anything canonical.
+  ``/stream`` but are never merged into the canonical log or the NDJSON
+  export.
+* Wall-clock appears only in uptime, elapsed/ETA and quarantined
+  heartbeats — never in anything canonical.
 """
 
 from __future__ import annotations
 
 import json
-import queue as queue_module
 import threading
 import time
 from collections import Counter
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -269,23 +273,13 @@ class MonitorServer:
         #: into the canonical log or any export.
         self._live: List[Dict[str, object]] = []
         self._telemetry: Optional[Telemetry] = None
+        #: The runner whose progress record ``/progress`` reads.
         self._runner = None
         self._subscription = None
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
         self._closing = False
         self._started_wall = time.time()
-        # progress state (under self._cond)
-        self._units_total: Optional[int] = None
-        self._units_done_logged = 0
-        self._units_done_live = 0
-        self._experiment: Optional[str] = None
-        self._complete = False
-        self._campaign_started_wall: Optional[float] = None
-        self._in_flight: Dict[int, Dict[str, object]] = {}
-        # heartbeat drain (worker pools)
-        self._hb_thread: Optional[threading.Thread] = None
-        self._hb_stop: Optional[threading.Event] = None
 
     # -- mounting ------------------------------------------------------
 
@@ -304,25 +298,21 @@ class MonitorServer:
         Subscribes to the telemetry's event log with full replay, so a
         monitor attached mid-campaign still serves the stream from seq 0.
         A telemetry without an event log still gets ``/metrics``,
-        ``/progress`` (heartbeat-driven), and ``/healthz``.  Every mount
-        starts from nothing: whatever an earlier mount served is dropped.
+        ``/progress`` and ``/healthz``.  Every mount starts from nothing:
+        whatever an earlier mount served is dropped, the live feed is
+        empty, and there is no runner unless this call passes one.
         """
         if self._telemetry is telemetry and self._subscription is not None:
             if runner is not None:
                 self._runner = runner
             return self
         self.detach()
-        self._telemetry = telemetry
-        if runner is not None:
-            self._runner = runner
         with self._cond:
+            self._telemetry = telemetry
+            self._runner = runner
             self._log = telemetry.events
             self._seen = 0
-            self._units_total = None
-            self._units_done_logged = 0
-            self._experiment = None
-            self._complete = False
-            self._in_flight.clear()
+            self._live.clear()
         if telemetry.events is not None:
             self._subscription = telemetry.events.subscribe(
                 self._observe, replay=True)
@@ -343,91 +333,12 @@ class MonitorServer:
     def _observe(self, event: Event) -> None:
         with self._cond:
             self._seen = max(self._seen, event.seq + 1)
-            self._ingest_locked(event)
             self._cond.notify_all()
 
-    def _ingest_locked(self, event: Event) -> None:
-        payload = event.payload
-        if event.kind == "campaign_started":
-            self._units_total = int(payload.get("units", 0))
-            self._units_done_logged = 0
-            self._units_done_live = 0
-            self._experiment = payload.get("experiment")
-            self._complete = False
-            self._in_flight.clear()
-            self._campaign_started_wall = time.time()
-        elif event.kind == "unit_started":
-            self._in_flight[int(payload["unit"])] = {
-                "unit": int(payload["unit"]),
-                "label": payload.get("label"),
-            }
-        elif event.kind == "unit_complete":
-            self._in_flight.pop(int(payload["unit"]), None)
-            self._units_done_logged += 1
-        elif event.kind == "campaign_complete":
-            self._complete = True
-            self._in_flight.clear()
-
-    # -- the heartbeat channel (worker pools) --------------------------
-
-    def watch_heartbeats(self, heartbeat_queue) -> None:
-        """Drain an out-of-band worker heartbeat queue into the live feed.
-
-        ``heartbeat_queue`` is a multiprocessing queue the pool initializer
-        hands to every worker; records land in the quarantined live feed
-        (they carry PIDs and wall-clock) and update ``/progress`` between
-        unit completions.  Called by the executor — one channel per pooled
-        run.
-        """
-        self.unwatch_heartbeats()
-        self._hb_stop = threading.Event()
-
-        def drain(stop: threading.Event) -> None:
-            while True:
-                try:
-                    record = heartbeat_queue.get(timeout=0.2)
-                except queue_module.Empty:
-                    if stop.is_set():
-                        return
-                    continue
-                except (EOFError, OSError, ValueError):
-                    # Queue closed (pool torn down mid-drain): nothing
-                    # left to read.
-                    return
-                if isinstance(record, dict):
-                    self.observe_heartbeat(record)
-
-        self._hb_thread = threading.Thread(
-            target=drain, args=(self._hb_stop,),
-            name="monitor-heartbeats", daemon=True)
-        self._hb_thread.start()
-
-    def unwatch_heartbeats(self) -> None:
-        """Stop the heartbeat drainer (after draining what is queued)."""
-        if self._hb_stop is not None:
-            self._hb_stop.set()
-        if self._hb_thread is not None:
-            self._hb_thread.join(timeout=5.0)
-        self._hb_thread = None
-        self._hb_stop = None
-
     def observe_heartbeat(self, record: Dict[str, object]) -> None:
-        """Feed one quarantined liveness record into the live feed."""
-        record = dict(record)
-        record.setdefault("kind", HEARTBEAT_KIND)
+        """Append one quarantined worker heartbeat to the ``/stream`` feed."""
         with self._cond:
             self._live.append(record)
-            unit = record.get("unit")
-            if unit is not None:
-                if record.get("phase") == "started":
-                    self._in_flight[int(unit)] = {
-                        "unit": int(unit),
-                        "label": record.get("label"),
-                        "pid": record.get("pid"),
-                    }
-                elif record.get("phase") == "complete":
-                    self._in_flight.pop(int(unit), None)
-                    self._units_done_live += 1
             self._cond.notify_all()
 
     # -- server lifecycle ----------------------------------------------
@@ -454,14 +365,13 @@ class MonitorServer:
         return f"http://{self.host}:{self.port}"
 
     def close(self) -> None:
-        """Hard shutdown: detach, stop heartbeats, close the server.
+        """Hard shutdown: detach and close the server.
 
         Safe at any point in a campaign — connected SSE clients are cut,
         the simulation thread is never blocked, and no canonical state is
         touched.  Idempotent.
         """
         self.detach()
-        self.unwatch_heartbeats()
         with self._cond:
             self._closing = True
             self._cond.notify_all()
@@ -573,62 +483,56 @@ class MonitorServer:
         return chunk, new_cursor, live, live_cursor + len(live), closing
 
     def progress(self) -> Dict[str, object]:
-        """The ``/progress`` view: completion, in-flight units, ETA, phases."""
+        """The ``/progress`` view: the runner's progress record, elapsed and
+        ETA, the served events' counts and the phases.
+
+        A runner-less mount has no unit fields (null, zero, empty or
+        false).  The ETA counts only the units run in this run: a restored
+        unit cost nothing.
+        """
         with self._cond:
             served, _ = self._served_locked(-1)
-            total = self._units_total
-            done = max(self._units_done_logged, self._units_done_live)
-            if total is not None:
-                done = min(done, total)
-            in_flight = sorted(self._in_flight.values(),
-                               key=lambda rec: rec["unit"])
-            out: Dict[str, object] = {
-                "experiment": self._experiment,
-                "units_total": total,
-                "units_done": done,
-                "units_in_flight": in_flight,
-                "complete": self._complete,
-                "heartbeats": len(self._live),
-            }
-            started = self._campaign_started_wall
-            complete = self._complete
-        out["events"] = {
-            "total": len(served),
-            "last_seq": len(served) - 1,
-            "by_kind": dict(sorted(
-                Counter(event.kind for event in served).items())),
-        }
-        elapsed = (time.time() - started) if started is not None else None
-        out["elapsed_seconds"] = (round(elapsed, 3)
-                                  if elapsed is not None else None)
-        eta = 0.0 if complete else None
-        if (not complete and elapsed is not None and total
-                and 0 < done < total):
-            eta = round(elapsed / done * (total - done), 3)
-        out["eta_seconds"] = eta
-        out["phases"] = self._phase_view()
+            heartbeats = len(self._live)
         runner = self._runner
-        if runner is not None:
-            try:
-                state = runner.get_current_state()
-                out["state"] = (asdict(state) if is_dataclass(state)
-                                else state)
-            except Exception:
-                # Progress must stay servable even while the runner is
-                # mid-mutation on the simulation thread.
-                out["state"] = None
+        out: Dict[str, object] = {
+            "experiment": None, "units_total": None, "units_done": 0,
+            "units_in_flight": [], "complete": False,
+            "heartbeats": heartbeats, "elapsed_seconds": None,
+            "eta_seconds": None, "state": None,
+            "events": {"total": len(served), "last_seq": len(served) - 1,
+                       "by_kind": dict(sorted(Counter(
+                           event.kind for event in served).items()))},
+            "phases": self._phase_view(runner),
+        }
+        if runner is None:
+            return out
+        record = runner.progress
+        total, done, complete = record.total, record.completed, record.complete
+        ran = done - record.resumed
+        started = record.started_wall
+        elapsed = None if started is None else round(time.time() - started, 3)
+        eta = 0.0 if complete else None
+        if not complete and elapsed is not None and ran > 0:
+            eta = round(elapsed / ran * (total - done), 3)
+        in_flight = sorted(dict(record.in_flight).items())
+        out.update(
+            experiment=runner.experiment_name, units_total=total,
+            units_done=done, complete=complete, elapsed_seconds=elapsed,
+            eta_seconds=eta, state=asdict(runner.get_current_state()),
+            units_in_flight=[{"unit": index, "label": unit.label, "pid": pid}
+                             for index, (unit, pid) in in_flight])
         return out
 
-    def _phase_view(self) -> Dict[str, Dict[str, float]]:
+    def _phase_view(self, runner) -> Dict[str, Dict[str, float]]:
         durations: Dict[str, List[float]] = {}
         telemetry = self._telemetry
         if telemetry is not None and telemetry.tracer is not None:
             for record in list(telemetry.tracer.spans):
                 durations.setdefault(record.name, []).append(record.dur_s)
-        if self._runner is not None:
+        if runner is not None:
             # Pool workers' spans, which the engine merges into the run's
             # progress record (the parent tracer never sees them).
-            workers = self._runner.progress.phase_durations
+            workers = runner.progress.phase_durations
             for name, values in dict(workers).items():
                 durations.setdefault(name, []).extend(list(values))
         if not durations:

@@ -13,7 +13,9 @@ telemetry facade (:mod:`repro.scale.telemetry`).  It provides:
   count.
 * An in-process pub/sub API — :meth:`EventLog.subscribe` — so a
   long-lived service can tail a live campaign without polling
-  ``get_current_state()`` or touching the campaign's results.  The final
+  ``get_current_state()`` (a snapshot of the engine's progress record,
+  :class:`~repro.scale.parallel.CampaignProgress`) or touching the
+  campaign's results.  The final
   ``campaign_complete`` event marks termination, so consumers never need
   a poll loop to detect the end of a run.
 * Streaming health detectors over the event feed:

@@ -32,8 +32,8 @@ merged table is identical to an uninterrupted run's.
 
 **Telemetry fan-in.**  Workers ship a per-unit metrics-registry delta and
 their span durations home with each outcome; the parent merges deltas into
-the campaign registry (so ``get_current_state()`` and Prometheus exports
-read ONE registry) and accumulates span durations for
+the campaign registry (so a pooled run's Prometheus export reads ONE
+registry) and accumulates span durations for
 :func:`repro.scale.telemetry.phase_breakdown`.  With a ``trace_dir``, each
 worker also appends its raw spans to ``worker-<pid>.jsonl``.  When the
 parent telemetry carries an event log (:mod:`repro.scale.obs`), workers
@@ -51,10 +51,12 @@ import json
 import multiprocessing
 import os
 import pickle
+import queue
 import signal
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                as_completed, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
@@ -95,12 +97,24 @@ class CampaignUnit:
 
 @dataclass
 class CampaignProgress:
-    """One run's progress: the engine writes it; ``get_current_state()`` and
-    a mounted monitor read it."""
+    """One run's progress, its only ledger: the engine writes it, lock-free;
+    ``get_current_state()``, ``/progress`` and ``units_resumed`` read it a
+    field (or one ``dict`` copy of ``in_flight``) at a time."""
 
+    total: int
+    #: Units simulated or restored from the checkpoint; ``resumed`` of them
+    #: restored.
     completed: int = 0
-    #: The unit in flight (in-process) or last merged (pooled); ``None`` idle.
-    current: Optional[CampaignUnit] = None
+    resumed: int = 0
+    #: Wall clock at ``campaign_started``.
+    started_wall: Optional[float] = None
+    #: Set where ``campaign_complete`` is emitted.
+    complete: bool = False
+    #: Running units by index, with the worker's PID: in process the one
+    #: unit (PID ``None``), in a monitored pool what the heartbeats say; an
+    #: unmonitored pool leaves it empty.
+    in_flight: Dict[int, Tuple[CampaignUnit, Optional[int]]] = field(
+        default_factory=dict)
     #: Pool workers' span durations by phase name (empty for in-process runs).
     phase_durations: Dict[str, List[float]] = field(default_factory=dict)
 
@@ -371,6 +385,9 @@ def canonical_result_bytes(result: object) -> bytes:
 #: Per-worker state installed by the pool initializer.
 _WORKER: Optional[Dict[str, object]] = None
 
+#: Longest a monitored pool waits on completions between heartbeat drains.
+_HEARTBEAT_WAIT_S = 0.2
+
 
 def _run_unit_logged(runner, unit: CampaignUnit) -> object:
     """``run_unit`` inside its lifecycle events (in-process loop and workers alike)."""
@@ -396,8 +413,9 @@ def _worker_init(runner, trace_dir: Optional[str],
     attaches a worker-local log whose per-unit batches ship home with each
     outcome and fan into the parent stream in unit order.
     ``heartbeat_queue`` (present only when a monitor is attached) is the
-    out-of-band liveness channel: coarse ``unit_heartbeat`` records go
-    straight to the parent's monitor and never touch the canonical log.
+    out-of-band liveness channel: coarse ``unit_heartbeat`` records go to
+    the parent engine, which drains them into the progress record and the
+    monitor's live feed; they never touch the canonical log.
     """
     global _WORKER
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -413,9 +431,9 @@ def _worker_heartbeat(unit: CampaignUnit, phase: str) -> None:
     """Best-effort liveness record; a heartbeat may never fail a unit.
 
     The payload deliberately carries wall-clock and the worker PID — it
-    is quarantined on the monitor side (``/progress`` and ``/stream``
-    only) and never merged into the canonical event stream, which is how
-    the byte-identity contract survives the monitor being attached.
+    is quarantined (in-flight PIDs and ``/stream`` only) and never merged
+    into the canonical event stream, which is how the byte-identity
+    contract survives the monitor being attached.
     """
     heartbeat_queue = _WORKER.get("heartbeat_queue")
     if heartbeat_queue is None:
@@ -496,11 +514,14 @@ class ProcessPoolCampaignExecutor:
         self.trace_dir = Path(trace_dir) if trace_dir else None
         #: An attached :class:`repro.scale.monitor.MonitorServer` (or
         #: ``None``).  Purely observational: it reads the runner's
-        #: telemetry and receives out-of-band worker heartbeats, so the
-        #: campaign's numbers and canonical event bytes are identical
-        #: with or without it.
+        #: telemetry and progress record, so the campaign's numbers and
+        #: canonical event bytes are identical with or without it.
         self.monitor = monitor
-        self.units_resumed = 0
+
+    @property
+    def units_resumed(self) -> int:
+        """The units the last run restored from its checkpoint."""
+        return self.runner.progress.resumed
 
     @property
     def phase_durations(self) -> Dict[str, List[float]]:
@@ -516,9 +537,8 @@ class ProcessPoolCampaignExecutor:
             # Mount (idempotent) and start serving before the first unit.
             self.monitor.mount(telemetry, runner=runner)
             self.monitor.start()
-        progress = runner.progress = CampaignProgress()
-        self.units_resumed = 0
         units = runner.unit_specs()
+        progress = runner.progress = CampaignProgress(total=len(units))
         table: Optional[RunTable] = None
         restored: Dict[int, object] = {}
         if self.checkpoint_dir is not None:
@@ -532,6 +552,7 @@ class ProcessPoolCampaignExecutor:
         with campaign_span:
             runner.prepare()
             runner.begin_campaign()
+            progress.started_wall = time.time()
             telemetry.emit("campaign_started",
                            experiment=runner.experiment_name, units=len(units))
             telemetry.set_gauge("parallel.n_workers", self.n_workers)
@@ -539,26 +560,27 @@ class ProcessPoolCampaignExecutor:
                 if 0 <= index < len(units) and outcomes[index] is None:
                     outcomes[index] = outcome
                     telemetry.inc("parallel.units_resumed")
-                    self.units_resumed += 1
-                    self._unit_done()
+                    progress.resumed += 1
+                    self._unit_done(index)
             pending = [unit for unit in units if outcomes[unit.index] is None]
             if pending:
                 if self.n_workers == 1:
                     self._run_in_process(pending, outcomes, table)
                 else:
                     self._run_pool(pending, outcomes, table)
-        progress.current = None
         result = runner.merge_units(outcomes, started_at=started_at,
                                     duration_seconds=campaign_span.seconds)
+        progress.complete = True
         telemetry.emit("campaign_complete",
                        experiment=runner.experiment_name, units=len(units))
         return result
 
-    def _unit_done(self) -> None:
+    def _unit_done(self, index: int) -> None:
         """Count a unit as soon as it is simulated or restored, ahead of its checkpoint."""
         runner = self.runner
         runner.telemetry.inc(runner.progress_counter)
         runner.progress.completed += 1
+        runner.progress.in_flight.pop(index, None)
 
     # -- in-process path (``run()``, and resume-only) ---------------------------------
 
@@ -566,8 +588,9 @@ class ProcessPoolCampaignExecutor:
                         outcomes: List[Optional[object]],
                         table: Optional[RunTable]) -> None:
         runner = self.runner
+        in_flight = runner.progress.in_flight
         for unit in pending:
-            runner.progress.current = unit
+            in_flight[unit.index] = (unit, None)
             try:
                 outcome = _run_unit_logged(runner, unit)
             except Exception as exc:
@@ -578,7 +601,7 @@ class ProcessPoolCampaignExecutor:
                     f"campaign unit {unit.label!r} failed: {exc}"
                 ) from exc
             outcomes[unit.index] = outcome
-            self._unit_done()
+            self._unit_done(unit.index)
             if table is not None:
                 table.record_outcome(unit, outcome)
 
@@ -610,8 +633,6 @@ class ProcessPoolCampaignExecutor:
                       telemetry.events is not None,
                       heartbeat_queue),
         )
-        if self.monitor is not None:
-            self.monitor.watch_heartbeats(heartbeat_queue)
         # Worker event batches arrive in completion order but fan into the
         # parent log strictly in unit order: each batch is buffered until
         # every earlier pending unit's batch has been flushed, so the merged
@@ -621,10 +642,12 @@ class ProcessPoolCampaignExecutor:
         event_batches: Dict[int, List] = {}
         flush_order = [unit.index for unit in pending]
         flush_pos = 0
+        #: Dispatched units not merged yet, by index.
+        waiting = {unit.index: unit for unit in pending}
         try:
             futures = {pool.submit(_worker_run_unit, unit): unit
                        for unit in pending}
-            for future in as_completed(futures):
+            for future in self._completed(futures, heartbeat_queue, waiting):
                 unit = futures[future]
                 try:
                     index, outcome, delta, spans, events = future.result()
@@ -651,8 +674,8 @@ class ProcessPoolCampaignExecutor:
                         elog.extend_raw(
                             event_batches.pop(flush_order[flush_pos]))
                         flush_pos += 1
-                runner.progress.current = unit
-                self._unit_done()
+                del waiting[index]
+                self._unit_done(index)
                 if table is not None:
                     table.record_outcome(unit, outcome)
             pool.shutdown(wait=True)
@@ -661,10 +684,43 @@ class ProcessPoolCampaignExecutor:
             # ones to drain — completed work is already checkpointed.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-        finally:
-            if self.monitor is not None:
-                # Stops the drainer once it has read what is queued.
-                self.monitor.unwatch_heartbeats()
+        if heartbeat_queue is not None:
+            # The loop's drains keep the queue's pipe from filling, so a
+            # worker's exit flush cannot stall the shutdown; what the
+            # workers sent after the last drain is read here.
+            self._drain_heartbeats(heartbeat_queue, waiting)
+
+    def _completed(self, futures, heartbeat_queue,
+                   waiting: Dict[int, CampaignUnit]):
+        """The pool's futures as they finish; a monitored pool drains the
+        heartbeats at least every ``_HEARTBEAT_WAIT_S`` while it waits."""
+        if heartbeat_queue is None:
+            yield from as_completed(futures)
+            return
+        running = set(futures)
+        while running:
+            done, running = wait(running, timeout=_HEARTBEAT_WAIT_S,
+                                 return_when=FIRST_COMPLETED)
+            self._drain_heartbeats(heartbeat_queue, waiting)
+            yield from done
+
+    def _drain_heartbeats(self, heartbeat_queue,
+                          waiting: Dict[int, CampaignUnit]) -> None:
+        """Hand the queued heartbeats to the monitor's ``/stream`` feed; a
+        ``started`` one puts its unit in flight unless it has merged, a
+        ``complete`` one takes it out."""
+        in_flight = self.runner.progress.in_flight
+        while True:
+            try:
+                record = heartbeat_queue.get_nowait()
+            except queue.Empty:
+                return
+            index = record["unit"]
+            if record["phase"] == "started" and index in waiting:
+                in_flight[index] = (waiting[index], record["pid"])
+            else:
+                in_flight.pop(index, None)
+            self.monitor.observe_heartbeat(record)
 
     def _mark_failed(self, unit: CampaignUnit, table: Optional[RunTable],
                      exc: Exception) -> None:

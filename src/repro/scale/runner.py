@@ -186,7 +186,7 @@ class CampaignRunner:
     def __init__(self, *, telemetry: Optional[Telemetry],
                  population: Optional[ClientPopulation] = None) -> None:
         self.telemetry = telemetry if telemetry is not None else _default_telemetry()
-        self.progress = CampaignProgress()
+        self.progress = CampaignProgress(total=self.total_units)
         self._population: Optional[ClientPopulation] = None
         if population is not None:
             self.adopt_population(population)
@@ -231,13 +231,15 @@ class CampaignRunner:
         return f"campaign.{self.unit_noun}_completed"
 
     def get_current_state(self) -> ScaleExperimentState:
-        """Snapshot the engine's progress record (poll-safe, cheap)."""
+        """Snapshot the engine's progress record (poll-safe, cheap); the
+        current point is the lowest-index unit in flight."""
         progress = self.progress
-        clients, label = ((None, None) if progress.current is None
-                          else self.unit_state(progress.current))
+        in_flight = dict(progress.in_flight)
+        clients, label = ((None, None) if not in_flight
+                          else self.unit_state(in_flight[min(in_flight)][0]))
         return ScaleExperimentState(
             completed_points=progress.completed,
-            total_points=self.total_units,
+            total_points=progress.total,
             current_clients=clients,
             current_label=label,
         )
@@ -340,6 +342,8 @@ class ScaleExperimentState:
 
     completed_points: int
     total_points: int
+    #: Population size of the in-flight point; ``None`` when no unit is in
+    #: flight (always, in an unmonitored pool).
     current_clients: Optional[int]
     #: Human-readable label of the in-flight point (e.g. the scenario name
     #: of a timeline campaign); ``None`` when idle or for plain sweeps.

@@ -203,9 +203,9 @@ class MetricsRegistry:
         gauges take the incoming value (last writer wins — a gauge is a
         level, not an accumulation).  This is how a multi-worker campaign
         presents ONE registry: each worker's per-unit delta is merged into
-        the campaign's registry as its results arrive, so exporters and
-        ``get_current_state()`` read merged ``campaign.*``/``solver.*``
-        counters exactly as they would after a single-process run.
+        the campaign's registry as its results arrive, so exporters read
+        merged ``campaign.*``/``solver.*`` counters exactly as they would
+        after a single-process run.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.inc(name, float(value))

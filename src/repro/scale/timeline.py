@@ -879,7 +879,8 @@ class FluidTimeline:
 class SolvedEpoch:
     """One epoch's instantiated problem with everything solved from it.
 
-    The timeline's only solve memo.  An epoch with the same template, demand
+    The timeline's only solve memo, kept in the last epoch's
+    :class:`_DerivedEpoch`.  An epoch with the same template, demand
     scaling and capacity scaling (steady load, no events) is the *same
     problem*, so the instantiated problem, the allocation, the interpreted
     fluid result and the latency metrics are all reused outright.  A changed
@@ -977,7 +978,6 @@ class _TimelineRun:
         #: Demand-weighted per-region weights for the autoscaler's forecast.
         self.region_demand: Optional[np.ndarray] = None
         self.last_metrics: Optional[EpochMetrics] = None
-        self.solved: Optional[SolvedEpoch] = None
         #: The last epoch's derivation, taken back by a resting epoch.
         self.derived: Optional[_DerivedEpoch] = None
         #: Committed-capacity sums (``epoch_cost`` keywords), cached while
@@ -1234,11 +1234,16 @@ class _TimelineRun:
               capacity_scale: Optional[np.ndarray],
               extra_setups: Optional[np.ndarray],
               ) -> Tuple[SolvedEpoch, bool, float]:
-        """This epoch's :class:`SolvedEpoch`, whether reused, and its seconds."""
+        """This epoch's :class:`SolvedEpoch`, whether reused, and its seconds.
+
+        The last solve, the one in ``derived``, is the reuse candidate and
+        the warm start; ``step`` keeps the new one in the next ``derived``.
+        """
         timeline = self.timeline
         telemetry = self.telemetry
         template = self.template
-        last = self.solved if timeline.warm_start else None
+        last = (self.derived.solved
+                if timeline.warm_start and self.derived is not None else None)
         if last is not None and last.answers(template, served_scale,
                                              capacity_scale, extra_setups):
             # Bit-identical problem (steady load, same fleet state): the
@@ -1280,12 +1285,12 @@ class _TimelineRun:
                 )
             latency_seconds = latency_span.seconds
         telemetry.observe("timeline.solver_iterations", allocation.iterations)
-        self.solved = SolvedEpoch(
+        solved = SolvedEpoch(
             template, served_scale, capacity_scale, extra_setups, problem,
             allocation, fluid, latency_result, latency,
         )
-        return self.solved, False, (instantiate_span.seconds
-                                    + solve_span.seconds + latency_seconds)
+        return solved, False, (instantiate_span.seconds
+                               + solve_span.seconds + latency_seconds)
 
     def reuse_solve(self) -> float:
         """The ``solve`` span of an epoch whose answer is the last one."""

@@ -9,6 +9,8 @@ every view is a slice of the mounted ``EventLog`` up to a high-water mark.
 """
 
 import json
+import os
+import queue
 import sys
 import threading
 from urllib.error import HTTPError
@@ -19,6 +21,7 @@ import pytest
 from repro.scale import (
     EVENT_SCHEMA_VERSION,
     MonitorServer,
+    ProcessPoolCampaignExecutor,
     StochasticCampaignRunner,
     Telemetry,
     attach_detectors,
@@ -165,6 +168,138 @@ class TestMonitorIdentity:
         assert ndjson == baseline[1]
 
 
+class TestOneProgressRecord:
+    """``/progress`` reads the engine's progress record and nothing else."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_resumed_campaign_counts_its_restored_units(self, tmp_path,
+                                                        n_workers):
+        checkpoint = tmp_path / "ck"
+        make_e14(replicas=6).run_parallel(n_workers=1,
+                                          checkpoint_dir=checkpoint)
+        for path in sorted(checkpoint.glob("unit-*.json"))[:2]:
+            path.unlink()
+        runner = make_e14(replicas=6)
+        with MonitorServer.attach(runner.telemetry, runner=runner) as monitor:
+            runner.run_parallel(n_workers=n_workers,
+                                checkpoint_dir=checkpoint, monitor=monitor)
+            _, _, body = http_get(monitor.url + "/progress")
+        progress = json.loads(body)
+        state = runner.get_current_state()
+        assert progress["units_done"] == progress["units_total"] == 6
+        assert state.completed_points == 6
+        assert progress["state"]["completed_points"] == 6
+        assert progress["complete"] is True
+        assert progress["eta_seconds"] == 0.0
+        assert runner.progress.resumed == 4
+
+    def test_remount_onto_a_fresh_telemetry_starts_from_nothing(self):
+        runner = make_e14()
+        with MonitorServer.attach(runner.telemetry, runner=runner) as monitor:
+            runner.run_parallel(n_workers=2, monitor=monitor)
+            assert monitor.progress()["heartbeats"] == 2 * 4
+            monitor.mount(Telemetry(trace=False, events=True))
+            progress = monitor.progress()
+            assert progress["units_done"] == 0
+            assert progress["heartbeats"] == 0
+            assert monitor.health()["heartbeats"] == 0
+            assert progress["state"] is None
+            assert progress["units_total"] is None
+            assert progress["phases"] == {}
+
+    def test_in_flight_units_carry_worker_pids(self):
+        # Units of tens of milliseconds, twice as many as workers, so the
+        # engine drains heartbeats while some units are still running.
+        runner = make_e14(epochs=400, replicas=8)
+        samples = []
+
+        def sample(event):
+            if event.kind == "unit_complete":
+                samples.append(monitor.progress()["units_in_flight"])
+
+        runner.telemetry.events.subscribe(sample)
+        with MonitorServer.attach(runner.telemetry, runner=runner) as monitor:
+            runner.run_parallel(n_workers=4, monitor=monitor)
+            assert monitor.progress()["units_in_flight"] == []
+        assert len(samples) == 8
+        assert all(len(sample) <= 4 for sample in samples)
+        entries = [entry for sample in samples for entry in sample]
+        assert entries
+        for entry in entries:
+            assert isinstance(entry["pid"], int)
+            assert entry["pid"] != os.getpid()
+            assert entry["label"] == f"replica {entry['unit']}"
+        assert runner.progress.in_flight == {}
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_progress_polled_flat_out_while_the_engine_writes(self,
+                                                              n_workers):
+        """Request threads read the record while the engine writes it,
+        with no lock: every read is whole, and counts never go back."""
+        runner = make_e14(replicas=8)
+        reads, errors = [], []
+        stop = threading.Event()
+        with MonitorServer.attach(runner.telemetry, runner=runner) as monitor:
+            def poll():
+                while not stop.is_set():
+                    try:
+                        reads.append(json.loads(
+                            http_get(monitor.url + "/progress")[2]))
+                    except Exception as exc:  # a failed read is the finding
+                        errors.append(exc)
+                        return
+
+            client = threading.Thread(target=poll, daemon=True)
+            client.start()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                runner.run_parallel(n_workers=n_workers, monitor=monitor)
+            finally:
+                sys.setswitchinterval(interval)
+            stop.set()
+            client.join(timeout=60)
+            assert not client.is_alive()
+        assert errors == []
+        assert reads
+        done = [read["units_done"] for read in reads]
+        assert done == sorted(done) and done[-1] <= 8
+        for read in reads:
+            assert read["units_total"] == 8
+            assert read["state"]["completed_points"] >= read["units_done"]
+            assert len(read["units_in_flight"]) <= n_workers
+
+    def test_late_started_heartbeat_is_not_in_flight(self, monkeypatch):
+        """A ``started`` heartbeat that reaches the engine after its unit
+        merged (heartbeats and results travel on different pipes) must not
+        put the unit back in flight."""
+        runner = make_e14()
+        merged, leaked = [], []
+        runner.telemetry.events.subscribe(
+            lambda event: event.kind == "unit_complete"
+            and merged.append(event.payload))
+        drain = ProcessPoolCampaignExecutor._drain_heartbeats
+
+        def drain_with_late_starts(executor, heartbeat_queue, waiting):
+            late = queue.Queue()
+            for payload in merged:
+                late.put({"kind": "unit_heartbeat", "unit": payload["unit"],
+                          "label": payload["label"], "replica": 0,
+                          "phase": "started", "pid": 1, "wall_time": 0.0})
+            drain(executor, late, waiting)
+            drain(executor, heartbeat_queue, waiting)
+            leaked.extend(index for index in runner.progress.in_flight
+                          if index not in waiting)
+
+        monkeypatch.setattr(ProcessPoolCampaignExecutor, "_drain_heartbeats",
+                            drain_with_late_starts)
+        with MonitorServer.attach(runner.telemetry, runner=runner) as monitor:
+            runner.run_parallel(n_workers=2, monitor=monitor)
+            assert monitor.progress()["units_in_flight"] == []
+        assert len(merged) == 4
+        assert leaked == []
+
+
 class TestServesTheLog:
     """The monitor has no event store of its own: log + one integer."""
 
@@ -241,12 +376,16 @@ class TestServesTheLog:
         assert progress["events"] == {
             "total": 3, "last_seq": 2,
             "by_kind": {"campaign_started": 1, "detector": 1, "epoch": 1}}
-        assert progress["complete"] is False
         monitor.mount(telemetry)
         lines, next_seq, remaining = monitor.events_page(-1, 100)
         assert "".join(line + "\n" for line in lines) == log.to_ndjson()
         assert (next_seq, remaining) == (5, 0)
-        assert monitor.progress()["complete"] is True
+        # Unit fields come from a runner's progress record alone: a
+        # runner-less mount serves the log, never a completion read off it.
+        progress = monitor.progress()
+        assert progress["events"]["by_kind"]["campaign_complete"] == 1
+        assert (progress["complete"], progress["units_total"],
+                progress["state"]) == (False, None, None)
 
     def test_remount_on_a_telemetry_without_events_serves_nothing_stale(self):
         first = Telemetry(trace=False, events=True)

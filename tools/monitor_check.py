@@ -15,7 +15,11 @@ operator role over plain HTTP while the campaign runs:
 * after completion, ``/events`` must serve bytes identical to
   ``EventLog.to_ndjson()`` — in one page, and stitched from 97-event
   pages walked from ``since_seq=-5`` until ``X-Remaining: 0`` — and
-  ``/verdicts`` must filter to ``kind == "detector"``.
+  ``/verdicts`` must filter to ``kind == "detector"``;
+* resume leg: with half the unit files removed, the campaign re-runs into
+  the same checkpoint under the same monitor, and ``/progress`` must count
+  every unit — ``units_done == units_total ==`` restored + re-run units —
+  and read ``complete``.
 
 The captured SSE stream is written to ``--out`` for upload as a CI
 artifact.  Run from the repo root::
@@ -102,12 +106,12 @@ def main(argv=None) -> int:
     print(f"monitor serving at {monitor.url}")
 
     result_box = {}
+    checkpoint = tempfile.TemporaryDirectory()
 
     def drive() -> None:
-        with tempfile.TemporaryDirectory() as checkpoint_dir:
-            result_box["result"] = runner.run_parallel(
-                n_workers=args.workers, checkpoint_dir=checkpoint_dir,
-                monitor=monitor)
+        result_box["result"] = runner.run_parallel(
+            n_workers=args.workers, checkpoint_dir=checkpoint.name,
+            monitor=monitor)
 
     campaign = threading.Thread(target=drive, name="campaign", daemon=True)
     campaign.start()
@@ -202,6 +206,32 @@ def main(argv=None) -> int:
     out_path = Path(args.out)
     out_path.write_text("".join(data + "\n" for _, data in replayed))
     print(f"captured stream: {out_path} ({len(replayed)} events)")
+
+    print("resume leg (same checkpoint, half the unit files removed):")
+    unit_files = sorted(Path(checkpoint.name).glob("unit-*.json"))
+    for path in unit_files[:len(unit_files) // 2]:
+        path.unlink()
+    restored = len(list(Path(checkpoint.name).glob("unit-*.json")))
+    telemetry = Telemetry(trace=False, events=True)
+    attach_detectors(telemetry.events)
+    runner = StochasticCampaignRunner(
+        clients=args.clients, epochs=args.epochs, replicas=args.replicas,
+        seed=args.seed, nominal_sites=4, max_sites=8, telemetry=telemetry,
+    )
+    runner.run_parallel(n_workers=args.workers,
+                        checkpoint_dir=checkpoint.name, monitor=monitor)
+    checkpoint.cleanup()
+    rerun = sum(event.kind == "unit_complete" for event in telemetry.events)
+    check(rerun == len(unit_files) - restored > 0,
+          f"the resume re-ran the {rerun} removed units")
+    status, _, body = get(monitor.url + "/progress")
+    progress = json.loads(body)
+    check(progress.get("units_done") == progress.get("units_total")
+          == restored + rerun,
+          f"/progress counts restored + re-run units "
+          f"({progress.get('units_done')}/{progress.get('units_total')} "
+          f"= {restored} + {rerun})")
+    check(progress.get("complete") is True, "/progress reads complete")
 
     monitor.close()
     if _failures:
