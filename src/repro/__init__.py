@@ -28,10 +28,13 @@ Subpackages
     models and the experiment/report harness.
 ``repro.scale``
     Flow-level (fluid) fleet simulator: client populations as vectorized
-    aggregate demand, consistent-hash fleets over :mod:`repro.core.anycast`,
-    a numpy max-min fair capacity solver, a campaign runner sweeping
+    aggregate demand, fleets spread by their own consistent-hash ring, a
+    numpy max-min fair capacity solver, a campaign runner sweeping
     10^3–10^6 clients, and cross-validation against the packet-level
-    simulator.
+    simulator.  It imports numpy and the light leaves (``repro.units``,
+    ``repro.packet``, ``repro.analysis.report``); the packet-level
+    simulator only inside the functions that drive it (the
+    cross-validation's packet arms, ``CryptoCostModel.calibrated``).
 """
 
 __version__ = "1.0.0"

@@ -1,45 +1,7 @@
-"""Analysis layer: metrics, scenario builders, experiment runners, reports."""
+"""Analysis layer: metrics, scenario builders, experiment runners, reports.
 
-from .metrics import (
-    ComparisonRow,
-    FlowSummary,
-    FlowTracker,
-    ThroughputResult,
-    compare,
-    measure_throughput,
-)
-from .report import (
-    ExperimentReport,
-    format_frontier_table,
-    format_series,
-    format_table,
-)
-from .scenarios import (
-    COGENT_ANYCAST,
-    COGENT_SITES,
-    VERIZON_ANYCAST,
-    Figure1Scenario,
-    build_base_topology,
-    build_dumbbell,
-    build_figure1,
-)
-
-__all__ = [
-    "ComparisonRow",
-    "FlowSummary",
-    "FlowTracker",
-    "ThroughputResult",
-    "compare",
-    "measure_throughput",
-    "ExperimentReport",
-    "format_frontier_table",
-    "format_series",
-    "format_table",
-    "COGENT_ANYCAST",
-    "COGENT_SITES",
-    "VERIZON_ANYCAST",
-    "Figure1Scenario",
-    "build_base_topology",
-    "build_dumbbell",
-    "build_figure1",
-]
+The package itself imports nothing: each module is imported by name
+(``repro.analysis.report``, ``repro.analysis.scenarios``, ...), so the
+fluid model can use the report tables without loading the packet-level
+scenario builders.
+"""

@@ -21,10 +21,8 @@ from ..packet.addresses import IPv4Address
 from ..packet.builder import udp_packet
 from ..packet.dscp import Dscp
 from ..packet.packet import Packet
+from ..units import DEFAULT_PACKET_INTERVAL, DEFAULT_PAYLOAD_BYTES
 
-#: Default codec parameters, G.711-like: 50 packets/s, 160-byte frames.
-DEFAULT_PACKET_INTERVAL = 0.020
-DEFAULT_PAYLOAD_BYTES = 160
 DEFAULT_VOIP_PORT = 16384
 
 

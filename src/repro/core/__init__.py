@@ -1,6 +1,7 @@
 """Core contribution of the paper: the neutralizer protocol and host stacks."""
 
-from .anycast import ConsistentHashRing, NeutralizerDeployment, deploy_neutralizer_service
+from ..packet.headers import expected_data_overhead_bytes
+from .anycast import NeutralizerDeployment, deploy_neutralizer_service
 from .api import NetNeutralityDeployment, neutralize_isp
 from .client import DestinationInfo, NeutralizedClientStack
 from .envelope import (
@@ -51,12 +52,10 @@ from .shim import (
     NeutralizedDataBody,
     ReturnDataBody,
     ReverseKeyRequestBody,
-    expected_data_overhead_bytes,
     parse_shim_body,
 )
 
 __all__ = [
-    "ConsistentHashRing",
     "NeutralizerDeployment",
     "deploy_neutralizer_service",
     "NetNeutralityDeployment",

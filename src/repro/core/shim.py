@@ -35,18 +35,18 @@ from ..crypto.rsa import RsaPublicKey
 from ..exceptions import ShimError
 from ..packet.addresses import IPv4Address
 from ..packet.headers import (
+    NEUTRALIZED_DATA_FIXED,
+    NONCE_LEN,
     SHIM_TYPE_KEY_SETUP_REQUEST,
     SHIM_TYPE_KEY_SETUP_RESPONSE,
     SHIM_TYPE_NEUTRALIZED_DATA,
     SHIM_TYPE_RETURN_DATA,
     SHIM_TYPE_REVERSE_KEY_REQUEST,
+    TAG_LEN,
     ShimHeader,
 )
 
-NONCE_LEN = 8
 SYMMETRIC_KEY_LEN = 16
-#: Short per-packet integrity tag over the shim fields (see kdf.integrity_tag).
-TAG_LEN = 4
 
 # Flag bits used by data/return bodies.
 FLAG_KEY_REQUEST = 0x01
@@ -193,7 +193,7 @@ class NeutralizedDataBody:
     refresh_key: Optional[bytes] = None
     next_protocol: int = 0
 
-    _FIXED = struct.Struct(f"!H{NONCE_LEN}sB4s{TAG_LEN}s")
+    _FIXED = NEUTRALIZED_DATA_FIXED
 
     def __post_init__(self) -> None:
         _require(len(self.nonce) == NONCE_LEN, "nonce must be 8 bytes")
@@ -366,14 +366,3 @@ def parse_shim_body(shim: ShimHeader):
     if parser is None:
         raise ShimError(f"unknown shim type {shim.shim_type}")
     return parser(shim.body)
-
-
-def expected_data_overhead_bytes() -> int:
-    """Shim overhead of a forward data packet as seen by the access ISP.
-
-    Generic shim container (4) + epoch (2) + nonce (8) + flags (1) +
-    encrypted destination (4) + tag (4) = 23 bytes.  Together with the
-    20-byte IP header, an 8-byte folded transport header and a 64-byte
-    payload this lands within a few bytes of the paper's 112-byte figure.
-    """
-    return 4 + NeutralizedDataBody._FIXED.size

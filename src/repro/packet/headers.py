@@ -194,6 +194,16 @@ SHIM_TYPE_RETURN_DATA = 4
 SHIM_TYPE_REVERSE_KEY_REQUEST = 5
 SHIM_TYPE_ONION = 6
 
+#: Widths of the clear-text nonce and the short per-packet integrity tag
+#: (see kdf.integrity_tag) that the neutralizer bodies carry.
+NONCE_LEN = 8
+TAG_LEN = 4
+
+#: Fixed layout of the forward data body: epoch, nonce, flags, encrypted
+#: destination address, tag.  :class:`repro.core.shim.NeutralizedDataBody`
+#: packs with it; the fluid model prices its wire size from it.
+NEUTRALIZED_DATA_FIXED = struct.Struct(f"!H{NONCE_LEN}sB4s{TAG_LEN}s")
+
 
 @dataclass(frozen=True)
 class ShimHeader:
@@ -234,3 +244,14 @@ class ShimHeader:
         if len(data) < SHIM_FIXED_LEN + body_len:
             raise TruncatedPacketError("shim body truncated")
         return cls(shim_type, next_protocol, data[SHIM_FIXED_LEN:SHIM_FIXED_LEN + body_len])
+
+
+def expected_data_overhead_bytes() -> int:
+    """Shim overhead of a forward data packet as seen by the access ISP.
+
+    Generic shim container (4) + epoch (2) + nonce (8) + flags (1) +
+    encrypted destination (4) + tag (4) = 23 bytes.  Together with the
+    20-byte IP header, an 8-byte folded transport header and a 64-byte
+    payload this lands within a few bytes of the paper's 112-byte figure.
+    """
+    return SHIM_FIXED_LEN + NEUTRALIZED_DATA_FIXED.size

@@ -9,8 +9,8 @@ clients as aggregate fluid demand instead:
 
 ``population``
     Client populations as vectorized numpy arrays: per-client application
-    class (VoIP/web/video mixes whose rates come straight from
-    :mod:`repro.apps`), access region, and a hash position used for
+    class (VoIP/web/video mixes whose rates mirror the :mod:`repro.apps`
+    models), access region, and a hash position used for
     consistent-hash assignment to neutralizer sites.
 ``costmodel``
     CPU cost of the neutralizer fast path (AES blocks, Ks derivations, RSA
@@ -18,8 +18,8 @@ clients as aggregate fluid demand instead:
     ``benchmarks/bench_crypto.py`` times.
 ``fleet``
     A neutralizer fleet: per-site capacity and health layered on the
-    consistent-hash ring from :mod:`repro.core.anycast`, with vectorized
-    client-to-site assignment and failover.
+    consistent-hash ring it defines, with vectorized client-to-site
+    assignment and failover.
 ``solver``
     Fair capacity allocation over shared links and site CPUs: max-min for
     inelastic (CBR) flows by a numpy-vectorized progressive-filling fixed

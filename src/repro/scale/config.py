@@ -710,12 +710,6 @@ class ConfigTransaction:
 
     # -- staging ---------------------------------------------------------------------
 
-    def stage(self, config: ScenarioConfig) -> None:
-        """Replace the staged document wholesale."""
-        if self._committed_event is not None:
-            raise ConfigError("transaction already committed; roll back first")
-        self._staged = config.to_dict()
-
     def set(self, path: str, value: object) -> None:
         """Edit one staged field by path (e.g. ``autoscaler.min_sites``).
 

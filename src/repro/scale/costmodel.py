@@ -20,11 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..analysis.metrics import measure_throughput
-from ..crypto.backend import fast_backend_available, get_cipher
-from ..crypto.kdf import derive_symmetric_key
-from ..crypto.randomness import DeterministicRandom
-from ..crypto.rsa import generate_keypair
 from ..exceptions import WorkloadError
 
 
@@ -72,10 +67,6 @@ class CryptoCostModel:
         """Sustainable data-path forwarding rate for ``cores`` dedicated cores."""
         return cores / self.data_packet_cost_seconds
 
-    def key_setups_per_second(self, cores: float = 1.0) -> float:
-        """Sustainable key-setup answer rate for ``cores`` dedicated cores."""
-        return cores / self.key_setup_cost_seconds
-
     def scaled(self, factor: float) -> "CryptoCostModel":
         """A model whose primitives run ``factor`` times faster (what-if box)."""
         if factor <= 0:
@@ -103,6 +94,12 @@ class CryptoCostModel:
     @classmethod
     def calibrated(cls, *, iterations: int = 500, seed: int = 303) -> "CryptoCostModel":
         """Measure the primitive rates in-process on the current machine."""
+        from ..analysis.metrics import measure_throughput
+        from ..crypto.backend import fast_backend_available, get_cipher
+        from ..crypto.kdf import derive_symmetric_key
+        from ..crypto.randomness import DeterministicRandom
+        from ..crypto.rsa import generate_keypair
+
         rng = DeterministicRandom(seed)
         key = rng.random_bytes(16)
         block = rng.random_bytes(16)

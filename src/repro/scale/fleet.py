@@ -1,32 +1,171 @@
-"""The neutralizer fleet: sites, capacity, health, and client assignment.
+"""The neutralizer fleet: sites, capacity, health, and the hash ring.
 
 This is the supply side of the paper's §4 scaling argument (neutralizer
 boxes at the neutral ISP's borders, reached by anycast).  A *site* is one
-anycast entry point into the neutral domain — in the
-packet-level simulator, one :class:`repro.core.neutralizer.Neutralizer` on a
-border router; here, a CPU budget (cores × the calibrated per-packet cost)
-plus an uplink.  Clients are spread over healthy sites with the
-:class:`repro.core.anycast.ConsistentHashRing`, evaluated vectorized: the
-ring's points are hashed into numpy arrays once and a million clients are
-assigned with a single :func:`repro.core.anycast.ring_locate`.  Failing a
-site withdraws its ring points, so exactly the failed site's clients move —
-the fleet-level analogue of a router withdrawing its anycast route.  The
-sites are fixed at construction, so every point they can contribute is hashed
-and sorted once (the *universe*) and each in-service ring is a boolean mask
-of it: a membership change is O(ring points), with no re-hash and no re-sort.
+anycast entry point into the neutral domain — in the packet-level
+simulator, one :class:`repro.core.neutralizer.Neutralizer` on a border
+router; here, a CPU budget (cores × the calibrated per-packet cost) plus an
+uplink.  Clients are spread over healthy sites with the
+:class:`ConsistentHashRing` defined here, evaluated vectorized: the ring's
+points are hashed into numpy arrays once and a million clients are assigned
+with a single :func:`ring_locate`.  Failing a site withdraws its ring
+points, so exactly the failed site's clients move — the fleet-level
+analogue of a router withdrawing its anycast route.  The sites are fixed at
+construction, so every point they can contribute is hashed and sorted once
+(the *universe*) and each in-service ring is a boolean mask of it: a
+membership change is O(ring points), with no re-hash and no re-sort.  The
+ring needs only numpy and :mod:`hashlib`; nothing here imports the
+packet-level simulator.
 """
 
 from __future__ import annotations
 
+import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.anycast import ConsistentHashRing, NeutralizerDeployment, ring_locate
 from ..exceptions import TopologyError
 from ..units import gbps
 from .costmodel import CryptoCostModel
+
+
+def arc_moved_fraction(positions_a: np.ndarray, owners_a: np.ndarray,
+                       positions_b: np.ndarray, owners_b: np.ndarray,
+                       space: int) -> float:
+    """Key-space fraction whose owner differs between two ring states.
+
+    What :meth:`NeutralizerFleet.ring_moved_fraction` computes over two of
+    the fleet's point lists: every arc between consecutive boundary points
+    (the union of both rings' points) has one owner per ring — probe each
+    arc's upper end (inclusive successor semantics, wrapping the final arc
+    past the last point to the first) and sum the lengths of arcs whose
+    owners disagree.  Owner arrays are integer
+    ids shared between the two rings; arc lengths are summed in exact Python
+    ints, so an identity diff is exactly 0.0.
+    """
+    boundaries = np.concatenate([positions_a, positions_b])
+    boundaries.sort(kind="stable")
+    probes = np.concatenate([boundaries[1:], boundaries[:1]])
+
+    def owners_at(positions: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        slots = np.searchsorted(positions, probes, side="left")
+        slots[slots == positions.size] = 0
+        return owners[slots]
+
+    changed = np.flatnonzero(
+        owners_at(positions_a, owners_a) != owners_at(positions_b, owners_b)
+    )
+    # An arc runs from its boundary up to its probe; the final one wraps
+    # past the last point to the first, so its probe is ``space`` short.
+    moved = sum(probes[changed].tolist()) - sum(boundaries[changed].tolist())
+    if changed.size and changed[-1] == boundaries.size - 1:
+        moved += space
+    return moved / space
+
+
+#: Leading key bits :func:`ring_locate` tables: 2^16 buckets against ~10^3
+#: ring points leave ~98 % of the buckets — and so of uniformly hashed keys —
+#: with no point inside, and the table (512 KB) still sits in cache.
+_LOCATE_TABLE_BITS = 16
+
+
+def ring_locate(points: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(points, keys, side="left")`` for hashed uint64 keys.
+
+    ``points`` is a sorted uint64 ring, ``keys`` any uint64 positions; the
+    result counts, per key, the ring points strictly below it.  The key
+    space is cut into ``2**_LOCATE_TABLE_BITS`` equal buckets by the
+    leading bits.  A key whose bucket holds no ring point has every point
+    of a lower bucket below it and every other point above it, so its
+    answer is one table read; only a key sharing its bucket with a point is
+    binary-searched.  Exact for any keys and any points (ties, duplicates,
+    the ends of the space, an empty ring) — the key distribution changes
+    only how many keys take the table read.
+    """
+    shift = np.uint64(ConsistentHashRing._SPACE_BITS - _LOCATE_TABLE_BITS)
+    # Bucket numbers fit 16 bits, so the uint64 → int64 view is a free cast.
+    per_bucket = np.bincount((points >> shift).view(np.int64),
+                             minlength=1 << _LOCATE_TABLE_BITS)
+    table = np.cumsum(per_bucket) - per_bucket      # points in lower buckets
+    table[per_bucket > 0] = -1
+    slots = table[(keys >> shift).view(np.int64)]
+    shared = np.flatnonzero(slots < 0)
+    slots[shared] = np.searchsorted(points, keys[shared], side="left")
+    return slots
+
+
+class ConsistentHashRing:
+    """Consistent hashing of opaque keys onto named sites.
+
+    IP anycast gives *topological* nearest-entry routing; inside a domain the
+    operators still need a stable way to spread sources over boxes so caches
+    and rate-limit state stay warm.  This ring hashes each site name onto
+    ``replicas`` points of the 2^64 circle (blake2b keyed with ``salt``) and
+    assigns a key to the first site point at or after the key's position.
+    Removing a site moves only that site's keys — the property fleet failover
+    relies on.  :class:`NeutralizerFleet` hashes its points through this
+    class and does the same lookup vectorized, so a ring built from the
+    fleet's in-service site names is the scalar reference for it.
+    """
+
+    _SPACE_BITS = 64
+
+    def __init__(self, site_names: Optional[List[str]] = None, *, replicas: int = 64,
+                 salt: bytes = b"neutralizer-ring") -> None:
+        if replicas <= 0:
+            raise TopologyError("ring replicas must be positive")
+        self.replicas = replicas
+        self.salt = salt
+        self._points: List[Tuple[int, str]] = []
+        for name in site_names or []:
+            self.add_site(name)
+
+    def _position(self, data: bytes) -> int:
+        digest = hashlib.blake2b(data, digest_size=8, key=self.salt).digest()
+        return int.from_bytes(digest, "big")
+
+    def add_site(self, name: str) -> None:
+        """Insert ``replicas`` points for ``name`` (idempotent)."""
+        if any(owner == name for _, owner in self._points):
+            return
+        for replica in range(self.replicas):
+            point = (self._position(f"{name}#{replica}".encode()), name)
+            self._points.insert(bisect_left(self._points, point), point)
+
+    def remove_site(self, name: str) -> None:
+        """Withdraw every point of ``name`` (simulated failure or drain)."""
+        self._points = [point for point in self._points if point[1] != name]
+
+    @property
+    def site_names(self) -> List[str]:
+        """Distinct member sites, sorted."""
+        return sorted({owner for _, owner in self._points})
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def key_position(self, key: Union[str, bytes]) -> int:
+        """Ring position of ``key`` (same space as :meth:`table` positions)."""
+        data = key.encode() if isinstance(key, str) else key
+        return self._position(data)
+
+    def site_for(self, key: Union[str, bytes]) -> str:
+        """The site owning ``key``: first point clockwise from its position."""
+        if not self._points:
+            raise TopologyError("hash ring has no sites")
+        index = bisect_left(self._points, (self.key_position(key), ""))
+        if index == len(self._points):
+            index = 0
+        return self._points[index][1]
+
+    def table(self) -> Tuple[List[int], List[str]]:
+        """Sorted ring positions and their owning sites."""
+        positions = [position for position, _ in self._points]
+        owners = [owner for _, owner in self._points]
+        return positions, owners
 
 
 @dataclass
@@ -120,21 +259,6 @@ class NeutralizerFleet:
                  for i in range(n_sites)]
         return cls(sites, cost_model=cost_model, replicas=replicas)
 
-    @classmethod
-    def from_deployment(
-        cls,
-        deployment: NeutralizerDeployment,
-        *,
-        cores: float = 8.0,
-        uplink_bps: float = gbps(10),
-        cost_model: Optional[CryptoCostModel] = None,
-        replicas: int = 64,
-    ) -> "NeutralizerFleet":
-        """Mirror a packet-level anycast deployment: one site per deployed box."""
-        sites = [FleetSite(name, cores=cores, uplink_bps=uplink_bps)
-                 for name in deployment.router_names]
-        return cls(sites, cost_model=cost_model, replicas=replicas)
-
     # -- health and commissioning ----------------------------------------------------
 
     def _rebuild_ring(self) -> None:
@@ -198,13 +322,10 @@ class NeutralizerFleet:
                             after: Tuple[np.ndarray, np.ndarray]) -> float:
         """Hash-space fraction whose owner differs between two ring states.
 
-        :func:`repro.core.anycast.arc_moved_fraction` over the
-        position/owner-index arrays of two :meth:`ring_state` results: the
-        key space whose owner moved, read off the two rings' points rather
-        than the universe arcs.
+        :func:`arc_moved_fraction` over the position/owner-index arrays of
+        two :meth:`ring_state` results: the key space whose owner moved,
+        read off the two rings' points rather than the universe arcs.
         """
-        from ..core.anycast import arc_moved_fraction
-
         if before[0] is after[0] and before[1] is after[1]:
             return 0.0  # the same snapshot: no membership change in between
         return arc_moved_fraction(
@@ -300,7 +421,7 @@ class NeutralizerFleet:
 
         The successor lookup of :meth:`ConsistentHashRing.site_for`, done for
         the whole population at once with
-        :func:`repro.core.anycast.ring_locate` (wrapping past the last ring
+        :func:`ring_locate` (wrapping past the last ring
         point back to the first).
         """
         slots = ring_locate(self._ring_positions, ring_positions)
@@ -347,7 +468,7 @@ class NeutralizerFleet:
         Arc ``i`` holds the keys above point ``i - 1`` up to point ``i``;
         arc 0 starts at key 0 and the last arc ends at the top key.  The
         lengths are summed in exact Python ints, as in
-        :func:`repro.core.anycast.arc_moved_fraction`, so the moved arcs of
+        :func:`arc_moved_fraction`, so the moved arcs of
         two ring states give that function's fraction bit for bit.
         """
         points = self._universe_positions
@@ -394,12 +515,3 @@ class NeutralizerFleet:
     def data_capacity_pps(self) -> np.ndarray:
         """Per-site data-path forwarding budget in packets/s."""
         return self.cpu_capacity_cores() / self.cost_model.data_packet_cost_seconds
-
-    def describe(self) -> str:
-        """One-line summary used by reports and examples."""
-        serving = self.in_service_names
-        per_site = self.cost_model.data_packets_per_second(self.sites[0].cores)
-        return (
-            f"fleet of {len(self.sites)} sites ({len(serving)} in service), "
-            f"~{per_site:,.0f} pkt/s per site data path"
-        )

@@ -487,8 +487,8 @@ class MonitorServer:
         ETA, the served events' counts and the phases.
 
         A runner-less mount has no unit fields (null, zero, empty or
-        false).  The ETA counts only the units run in this run: a restored
-        unit cost nothing.
+        false).  Elapsed time stops at completion.  The ETA counts only
+        the units run in this run: a restored unit cost nothing.
         """
         with self._cond:
             served, _ = self._served_locked(-1)
@@ -509,8 +509,9 @@ class MonitorServer:
         record = runner.progress
         total, done, complete = record.total, record.completed, record.complete
         ran = done - record.resumed
-        started = record.started_wall
-        elapsed = None if started is None else round(time.time() - started, 3)
+        started, finished = record.started_wall, record.finished_wall
+        ended = time.time() if finished is None else finished
+        elapsed = None if started is None else round(ended - started, 3)
         eta = 0.0 if complete else None
         if not complete and elapsed is not None and ran > 0:
             eta = round(elapsed / ran * (total - done), 3)

@@ -108,7 +108,9 @@ class CampaignProgress:
     resumed: int = 0
     #: Wall clock at ``campaign_started``.
     started_wall: Optional[float] = None
-    #: Set where ``campaign_complete`` is emitted.
+    #: Both set where ``campaign_complete`` is emitted, the wall clock first,
+    #: so a reader that sees ``complete`` also sees the end time.
+    finished_wall: Optional[float] = None
     complete: bool = False
     #: Running units by index, with the worker's PID: in process the one
     #: unit (PID ``None``), in a monitored pool what the heartbeats say; an
@@ -570,6 +572,7 @@ class ProcessPoolCampaignExecutor:
                     self._run_pool(pending, outcomes, table)
         result = runner.merge_units(outcomes, started_at=started_at,
                                     duration_seconds=campaign_span.seconds)
+        progress.finished_wall = time.time()
         progress.complete = True
         telemetry.emit("campaign_complete",
                        experiment=runner.experiment_name, units=len(units))

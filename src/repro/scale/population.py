@@ -3,8 +3,9 @@
 This is the demand side of the paper's §4 scaling argument ("an ISP with
 millions of subscribers"): a population is millions of clients, each
 belonging to one *demand class*
-(VoIP, web, video — rates and packet sizes taken from the corresponding
-:mod:`repro.apps` models plus the neutralizer's wire overhead) and one access
+(VoIP, web, video — rates and packet sizes mirroring the corresponding
+:mod:`repro.apps` models, the VoIP codec read from :mod:`repro.units`, plus
+the neutralizer's wire overhead from :mod:`repro.packet.headers`) and one access
 *region* (an aggregate of access links sharing a regional uplink).  Nothing
 is simulated per client; the population is three numpy arrays — class index,
 region index, ring position — drawn deterministically from a seed, and every
@@ -14,7 +15,9 @@ milliseconds; they are drawn, hashed and counted in fixed-size chunks, so
 nothing else of population size is ever allocated.  The one per-client
 pass a campaign needs (:meth:`ClientPopulation.arc_histogram`) runs once
 per (population, ring universe), after which ring changes are served from
-that per-arc histogram and touch no per-client array.
+that per-arc histogram and touch no per-client array.  Clients are placed
+with the fleet's :func:`repro.scale.fleet.ring_locate`; nothing here imports
+the packet-level simulator.
 """
 
 from __future__ import annotations
@@ -24,12 +27,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..apps.voip import DEFAULT_PACKET_INTERVAL, DEFAULT_PAYLOAD_BYTES
-from ..core.anycast import ring_locate
-from ..core.shim import expected_data_overhead_bytes
 from ..exceptions import WorkloadError
-from ..packet.headers import IPV4_HEADER_LEN, UDP_HEADER_LEN
-from ..units import BITS_PER_BYTE
+from ..packet.headers import IPV4_HEADER_LEN, UDP_HEADER_LEN, expected_data_overhead_bytes
+from ..units import BITS_PER_BYTE, DEFAULT_PACKET_INTERVAL, DEFAULT_PAYLOAD_BYTES
+from .fleet import ring_locate
 
 #: Bytes the neutralized data shim adds on the wire, straight from the shim
 #: layout so the fluid model can never drift from the packet-level one.
@@ -80,11 +81,6 @@ class DemandClass:
             raise WorkloadError("duty cycle must be in (0, 1]")
         if self.alpha <= 0:
             raise WorkloadError("alpha must be positive")
-
-    @property
-    def bits_per_second(self) -> float:
-        """Wire bits per second of one active client."""
-        return self.packets_per_second * self.packet_bytes * BITS_PER_BYTE
 
     @property
     def mean_packets_per_second(self) -> float:
@@ -415,13 +411,3 @@ class ClientPopulation:
     def class_alpha(self) -> np.ndarray:
         """Per-class alpha-fairness parameters."""
         return np.array([cls.alpha for cls in self.mix.classes], dtype=np.float64)
-
-    def describe(self) -> str:
-        """One-line summary used by reports and examples."""
-        per_class = ", ".join(
-            f"{name}={count}" for name, count in zip(self.mix.names, self.class_counts())
-        )
-        return (
-            f"population of {self.n_clients} clients over {self.regions} regions "
-            f"(seed {self.seed}): {per_class}"
-        )

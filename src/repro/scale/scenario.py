@@ -155,17 +155,6 @@ class ProblemTemplate:
     flow_alpha: Optional[np.ndarray] = None
     #: Per-class flow index arrays (precomputed: interpret() runs per epoch).
     class_members: List[np.ndarray] = field(default_factory=list)
-    _flow_labels: Optional[List[str]] = field(default=None, repr=False)
-
-    @property
-    def flow_labels(self) -> List[str]:
-        """Human-readable flow names, built lazily (debugging/report use only)."""
-        if self._flow_labels is None:
-            self._flow_labels = [
-                f"r{r}/{self.population.mix.names[c]}/{self.fleet.sites[s].name}"
-                for r, c, s in zip(self.region_of, self.class_of, self.site_of)
-            ]
-        return self._flow_labels
 
     @property
     def payload_nbytes(self) -> int:
@@ -174,7 +163,7 @@ class ProblemTemplate:
         Every ring change a replica plays allocates one successor of this
         size (the arc table excepted: successors share it by reference), per
         pool worker — the number to check when sizing ``n_workers`` against
-        available memory (see docs/parallel.md).  Lazy labels are not counted.
+        available memory (see docs/parallel.md).
         """
         arrays = (
             self.arc_hist, self.arc_owners, self.counts3d, self.clients_per_site,
@@ -184,15 +173,6 @@ class ProblemTemplate:
             self.elastic_flows, self.flow_alpha, *self.class_members,
         )
         return int(sum(a.nbytes for a in arrays if a is not None))
-
-    @property
-    def resource_labels(self) -> List[str]:
-        """Human-readable resource names, in capacity-vector order."""
-        return (
-            [f"region{r}-uplink" for r in range(self.regions)]
-            + [f"{site.name}-uplink" for site in self.fleet.sites]
-            + [f"{site.name}-cpu" for site in self.fleet.sites]
-        )
 
     @classmethod
     def build(cls, population: ClientPopulation, fleet: NeutralizerFleet,
@@ -366,8 +346,6 @@ class ProblemTemplate:
             site_uplink,
             cpu_capacity,
         ])
-        # Labels are omitted from the per-epoch problem (they are never read
-        # on the hot path); ``template.flow_labels`` builds them on demand.
         # Elastic classes ride through as the per-flow mask/alpha, with the
         # group sizes as utility weights so alpha fairness stays per client.
         problem = CapacityProblem(

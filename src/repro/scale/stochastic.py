@@ -379,14 +379,6 @@ class FaultSchedule:
         return any(site == site_index and start <= epoch < until
                    for site, start, until in self.downtime)
 
-    def window_starting(self, site_index: int,
-                        epoch: int) -> Optional[DowntimeWindow]:
-        """The merged window of ``site_index`` beginning at ``epoch``."""
-        for window in self.downtime:
-            if window[0] == site_index and window[1] == epoch:
-                return window
-        return None
-
 
 def compile_schedule(
     processes: Sequence[EventProcess],

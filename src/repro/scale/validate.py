@@ -35,8 +35,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.report import ExperimentReport
-from ..analysis.scenarios import build_scale_validation_scenario
-from ..apps.workloads import ConstantRateSource
 from ..exceptions import WorkloadError
 from ..packet.builder import udp_packet
 from ..packet.headers import IPV4_HEADER_LEN, UDP_HEADER_LEN
@@ -144,6 +142,9 @@ def _run_packet_arm(*, clients: int, rate_pps: float, payload_bytes: int,
                     bottleneck_rate_bps: float, duration_seconds: float,
                     seed: int) -> ValidationArm:
     """Run one regime through the event engine and measure steady goodput."""
+    from ..analysis.scenarios import build_scale_validation_scenario
+    from ..apps.workloads import ConstantRateSource
+
     scenario = build_scale_validation_scenario(
         clients=clients, bottleneck_rate_bps=bottleneck_rate_bps, seed=seed
     )
@@ -364,6 +365,8 @@ def _run_latency_arm(*, name: str, clients: int, utilization_target: float,
                      duration_seconds: float, seed: int,
                      model: LatencyModel) -> LatencyValidationArm:
     """Measure per-packet one-way delay and predict it with the proxy."""
+    from ..analysis.scenarios import build_scale_validation_scenario
+
     scenario = build_scale_validation_scenario(
         clients=clients, bottleneck_rate_bps=bottleneck_rate_bps, seed=seed
     )
@@ -569,6 +572,7 @@ def _run_adversary_packet_arm(*, name: str, clients: int, adopters: int,
     Returns (delivered fraction, offered pps).
     """
     from ..analysis.scenarios import build_dumbbell
+    from ..apps.workloads import ConstantRateSource
     from ..core.api import neutralize_isp
     from ..crypto.randomness import DeterministicRandom
     from ..discrimination.classifier import criteria_for_destination

@@ -1,8 +1,11 @@
-"""Small unit-conversion helpers used across the simulator and benchmarks.
+"""Unit-conversion helpers and the constants both simulators share.
 
 The simulator keeps time in seconds (floats) and sizes in bytes (ints).  These
 helpers exist so that experiment scripts read naturally (``mbps(100)``,
-``msec(20)``) instead of sprinkling powers of ten around.
+``msec(20)``) instead of sprinkling powers of ten around.  The module is a
+leaf, so it also holds the VoIP codec's parameters: the packet-level call of
+:mod:`repro.apps.voip` and the fluid VoIP class of
+:mod:`repro.scale.population` read the same two numbers.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ BITS_PER_BYTE = 8
 KILO = 1_000
 MEGA = 1_000_000
 GIGA = 1_000_000_000
+
+#: Default VoIP codec parameters, G.711-like: 50 packets/s, 160-byte frames.
+DEFAULT_PACKET_INTERVAL = 0.020
+DEFAULT_PAYLOAD_BYTES = 160
 
 
 def kbps(value: float) -> float:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.scenarios import build_figure1
-from repro.core.anycast import ConsistentHashRing, arc_moved_fraction, ring_locate
 from repro.exceptions import TopologyError
 from repro.packet import ip, udp_packet
+from repro.scale.fleet import ConsistentHashRing, arc_moved_fraction, ring_locate
 
 
 class TestAnycastFailover:

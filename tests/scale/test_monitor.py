@@ -13,6 +13,7 @@ import os
 import queue
 import sys
 import threading
+import time
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
@@ -192,6 +193,16 @@ class TestOneProgressRecord:
         assert progress["complete"] is True
         assert progress["eta_seconds"] == 0.0
         assert runner.progress.resumed == 4
+
+    def test_elapsed_stops_when_the_campaign_completes(self):
+        runner = make_e14(clients=2000, replicas=2)
+        with MonitorServer.attach(runner.telemetry, runner=runner) as monitor:
+            runner.run_parallel(n_workers=1, monitor=monitor)
+            first = monitor.progress()
+            time.sleep(0.2)
+            second = monitor.progress()
+        assert first["complete"] is True
+        assert second["elapsed_seconds"] == first["elapsed_seconds"]
 
     def test_remount_onto_a_fresh_telemetry_starts_from_nothing(self):
         runner = make_e14()

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.anycast import ConsistentHashRing, ring_locate
 from repro.exceptions import TopologyError, WorkloadError
 from repro.scale import (
     ClientPopulation,
@@ -22,6 +21,7 @@ from repro.scale import (
     elastic_mix,
     voip_class,
 )
+from repro.scale.fleet import ConsistentHashRing, ring_locate
 from repro.scale.population import _CHUNK_CLIENTS, neutralized_wire_bytes
 
 
@@ -411,7 +411,7 @@ def reference_ring(fleet):
 
 
 def reference_moved_fraction(before, after):
-    """:func:`repro.core.anycast.arc_moved_fraction` as the per-arc loop it
+    """:func:`repro.scale.fleet.arc_moved_fraction` as the per-arc loop it
     replaced — exact Python ints, so the comparison below is ``==``."""
     space = 1 << 64
     boundaries = np.sort(np.concatenate([before[0], after[0]]), kind="stable")
@@ -872,10 +872,10 @@ class TestDrainLifecycle:
         assert fast > 0
 
     def test_moved_fraction_of_one_snapshot_is_exactly_zero(self, monkeypatch):
-        from repro.core import anycast
+        from repro.scale import fleet as fleet_module
 
         fleet = NeutralizerFleet.build(3)
-        monkeypatch.setattr(anycast, "arc_moved_fraction",
+        monkeypatch.setattr(fleet_module, "arc_moved_fraction",
                             lambda *args: pytest.fail("diffed a ring with itself"))
         moved = NeutralizerFleet.ring_moved_fraction(fleet.ring_state(), fleet.ring_state())
         assert moved == 0.0 and isinstance(moved, float)
