@@ -19,7 +19,7 @@ from ..crypto.randomness import DeterministicRandom, RandomSource
 from ..netsim.isp import Relationship
 from ..netsim.topology import Topology
 from ..netsim.trace import TraceCollector
-from ..packet.addresses import IPv4Address, ip
+from ..packet.addresses import ip
 from ..units import mbps, msec
 
 #: The anycast address Cogent's neutralizer service uses in every example.
@@ -53,18 +53,6 @@ class Figure1Scenario:
     def host(self, name: str):
         """Shorthand for :meth:`Topology.host`."""
         return self.topology.host(name)
-
-    def client_stack(self, host_name: str):
-        """Client stack attached to an access-ISP host (None when not neutralized)."""
-        if self.deployment is None:
-            return None
-        return self.deployment.clients.get(host_name)
-
-    def server_stack(self, host_name: str):
-        """Server stack attached to a Cogent site (None when not neutralized)."""
-        if self.deployment is None:
-            return None
-        return self.deployment.servers.get(host_name)
 
 
 def build_base_topology(rng: Optional[RandomSource] = None) -> Topology:

@@ -1,15 +1,9 @@
 """Application models and workload generators used by the experiments."""
 
 from .video import VideoQualityReport, VideoReceiver, VideoStream
-from .voip import (
-    DEFAULT_VOIP_PORT,
-    VoipCall,
-    VoipQualityReport,
-    VoipReceiver,
-    run_call,
-)
+from .voip import DEFAULT_VOIP_PORT, VoipCall, VoipQualityReport, VoipReceiver
 from .web import WebClient, WebServer, WebTransferResult
-from .workloads import ConstantRateSource, KeySetupFlood, PoissonSource, TrafficMix
+from .workloads import ConstantRateSource, KeySetupFlood, PoissonSource
 
 __all__ = [
     "VideoQualityReport",
@@ -19,12 +13,10 @@ __all__ = [
     "VoipCall",
     "VoipQualityReport",
     "VoipReceiver",
-    "run_call",
     "WebClient",
     "WebServer",
     "WebTransferResult",
     "ConstantRateSource",
     "KeySetupFlood",
     "PoissonSource",
-    "TrafficMix",
 ]

@@ -11,8 +11,7 @@ the neutralizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
 
 from ..exceptions import WorkloadError
 from ..netsim.node import Host
@@ -161,29 +160,3 @@ class VoipCall:
             p95_latency_seconds=self.receiver.latency.percentile(0.95),
             jitter_seconds=self.receiver.latency.jitter,
         )
-
-
-def run_call(
-    topology,
-    caller: Host,
-    callee: Host,
-    *,
-    duration_seconds: float = 5.0,
-    dscp: int = int(Dscp.BEST_EFFORT),
-    name: str = "call",
-    extra_runtime: float = 2.0,
-    destination_address: Optional[IPv4Address] = None,
-) -> VoipQualityReport:
-    """Convenience: set up receiver + call, run the simulation, return the report."""
-    receiver = VoipReceiver(callee)
-    call = VoipCall(
-        caller,
-        destination_address or callee.address,
-        receiver,
-        name=name,
-        duration_seconds=duration_seconds,
-        dscp=dscp,
-    )
-    call.start()
-    topology.run(duration_seconds + extra_runtime)
-    return call.report()

@@ -8,8 +8,7 @@ DoS experiments (E8, E11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Optional
 
 from ..crypto.randomness import DEFAULT_SOURCE, RandomSource
 from ..crypto.rsa import generate_keypair
@@ -143,18 +142,3 @@ class KeySetupFlood:
         )
         self.attacker.send_raw(packet)
         self.requests_sent += 1
-
-
-@dataclass
-class TrafficMix:
-    """A named bundle of sources started together (used by scenario builders)."""
-
-    name: str
-    sources: List[object]
-
-    def start_all(self, duration_seconds: float, delay: float = 0.0) -> Dict[str, int]:
-        """Start every source; returns scheduled packet counts per source index."""
-        return {
-            f"{self.name}[{index}]": source.start(duration_seconds, delay)
-            for index, source in enumerate(self.sources)
-        }

@@ -15,7 +15,7 @@ deliberately transparent: every parameter is an input, nothing is fitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 
@@ -40,12 +40,6 @@ class PayerOutcome:
     monthly_cost: float
     users_reached_full_speed: int
     users_lost: int
-
-    def cost_per_retained_user(self) -> float:
-        """Monthly cost per user kept at full speed (inf when no users kept)."""
-        if self.users_reached_full_speed == 0:
-            return float("inf")
-        return self.monthly_cost / self.users_reached_full_speed
 
 
 class PayEveryIspModel:

@@ -37,7 +37,6 @@ from ..packet.headers import (
     SHIM_TYPE_KEY_SETUP_RESPONSE,
     SHIM_TYPE_NEUTRALIZED_DATA,
     SHIM_TYPE_RETURN_DATA,
-    UdpHeader,
 )
 from ..packet.packet import Packet
 from .envelope import (
@@ -167,10 +166,6 @@ class NeutralizedClientStack:
         info = DestinationInfo.from_bootstrap(bootstrap)
         self.register_destination(info)
         return info
-
-    def is_neutralized_destination(self, address: IPv4Address) -> bool:
-        """``True`` if traffic to ``address`` will be neutralized."""
-        return address in self._destinations
 
     # -- key setup ------------------------------------------------------------------------
 
@@ -445,12 +440,6 @@ class NeutralizedClientStack:
         return rebuilt
 
     # -- introspection ---------------------------------------------------------------------------------
-
-    def established_neutralizers(self) -> List[IPv4Address]:
-        """Neutralizer addresses with an established key."""
-        return [
-            address for address, context in self._contexts.items() if context.is_established
-        ]
 
     def active_key_for(self, neutralizer_address: IPv4Address) -> Optional[ActiveKey]:
         """Return the currently active key for one neutralizer (or None)."""

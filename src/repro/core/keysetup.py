@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..crypto.randomness import DEFAULT_SOURCE, RandomSource
 from ..crypto.rsa import RsaKeyPair, generate_keypair
@@ -112,12 +112,6 @@ class KeySetupContext:
             refreshed=True,
         )
         self.refreshes_received += 1
-        return self.active
-
-    def install_external_key(self, nonce: bytes, key: bytes, epoch: int) -> ActiveKey:
-        """Adopt a key learned out-of-band (reverse-direction hello, §3.3)."""
-        self.active = ActiveKey(nonce=nonce, key=key, epoch=epoch, refreshed=True)
-        self.state = KeySetupState.ESTABLISHED
         return self.active
 
     # -- queries -----------------------------------------------------------------------

@@ -15,7 +15,7 @@ rotation still decrypt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..crypto.kdf import derive_symmetric_key
@@ -70,11 +70,6 @@ class MasterKeyManager:
         """The epoch number new key setups are issued under."""
         return self._current_epoch
 
-    @property
-    def current_key(self) -> bytes:
-        """The current epoch's master key ``KM``."""
-        return self._epochs[self._current_epoch].key
-
     def key_for_epoch(self, epoch: int) -> bytes:
         """Return the master key of ``epoch`` or raise if it has been retired."""
         try:
@@ -84,10 +79,6 @@ class MasterKeyManager:
                 f"master key epoch {epoch} is no longer available "
                 f"(current epoch is {self._current_epoch})"
             ) from exc
-
-    def has_epoch(self, epoch: int) -> bool:
-        """``True`` if the epoch's key is still held."""
-        return epoch in self._epochs
 
     def rotate(self, now: float = 0.0) -> int:
         """Advance to a fresh epoch, discarding epochs beyond the retention window."""
@@ -119,11 +110,6 @@ class MasterKeyManager:
         chosen = self._current_epoch if epoch is None else epoch
         master = self.key_for_epoch(chosen)
         return derive_symmetric_key(master, nonce, source_address.packed)
-
-    @property
-    def retained_epoch_count(self) -> int:
-        """Number of epochs currently held (current + retained old ones)."""
-        return len(self._epochs)
 
     def key_setups_per_source_per_day(self) -> float:
         """How many key setups one source needs per day given the lifetime.

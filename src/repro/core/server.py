@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from ..crypto.randomness import DEFAULT_SOURCE, RandomSource
 from ..crypto.rsa import RsaKeyPair, RsaPublicKey
 from ..e2e.session import E2eResponder, E2eSession, sessions_from_secret
-from ..exceptions import NeutralizerError, ShimError
+from ..exceptions import ShimError
 from ..netsim.node import Host
 from ..packet.addresses import IPv4Address
 from ..packet.headers import (
@@ -34,7 +34,6 @@ from ..packet.headers import (
     PROTO_UDP,
     SHIM_TYPE_KEY_SETUP_RESPONSE,
     SHIM_TYPE_NEUTRALIZED_DATA,
-    UdpHeader,
 )
 from ..packet.packet import Packet
 from .envelope import (
@@ -112,10 +111,6 @@ class NeutralizedServerStack:
     def public_key(self) -> RsaPublicKey:
         """The key the site publishes in its DNS KEY record."""
         return self.keypair.public
-
-    def known_peers(self) -> List[IPv4Address]:
-        """Addresses of outside peers with established state."""
-        return list(self._peers)
 
     # -- ingress: unwrap forward packets -------------------------------------------------
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..crypto.rsa import RsaPublicKey
 from ..exceptions import ShimError
@@ -294,11 +294,6 @@ class ReturnDataBody:
         _require(len(self.nonce) == NONCE_LEN, "nonce must be 8 bytes")
         _require(len(self.address_field) == 4, "address field must be 4 bytes")
         _require(len(self.tag) == TAG_LEN, f"tag must be {TAG_LEN} bytes")
-
-    @property
-    def is_reverse_hello(self) -> bool:
-        """``True`` for the first packet of a customer-initiated session."""
-        return bool(self.flags & FLAG_REVERSE_HELLO)
 
     def tag_input(self) -> bytes:
         """The bytes covered by the integrity tag on the anonymized leg."""

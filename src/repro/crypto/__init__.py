@@ -15,8 +15,6 @@ from .backend import (
     FastAesCipher,
     fast_backend_available,
     get_cipher,
-    get_default_backend,
-    set_default_backend,
 )
 from .kdf import (
     DERIVED_KEY_LEN,
@@ -52,8 +50,6 @@ __all__ = [
     "FAST_BACKEND",
     "fast_backend_available",
     "get_cipher",
-    "get_default_backend",
-    "set_default_backend",
     "DERIVED_KEY_LEN",
     "constant_time_equal",
     "derive_symmetric_key",

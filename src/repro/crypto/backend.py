@@ -9,9 +9,9 @@ backend that uses its AES-ECB primitive for single-block operations; protocol
 code never notices the difference because both backends expose the same
 ``encrypt_block`` / ``decrypt_block`` interface.
 
-Backend selection is explicit (``get_cipher(key, backend="pure")``) with a
-process-wide default that the benchmark harness flips to "fast" when
-available.  Tests always pin the backend they mean to exercise.
+Backend selection is explicit (``get_cipher(key, backend="fast")``); the
+default is the pure-Python reference.  Tests always pin the backend they mean
+to exercise.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ except Exception:  # pragma: no cover
 
 PURE_BACKEND = "pure"
 FAST_BACKEND = "fast"
-
-_default_backend = PURE_BACKEND
 
 
 class FastAesCipher:
@@ -76,24 +74,9 @@ def fast_backend_available() -> bool:
     return _HAVE_CRYPTOGRAPHY
 
 
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend ("pure" or "fast")."""
-    global _default_backend
-    if name not in (PURE_BACKEND, FAST_BACKEND):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == FAST_BACKEND and not _HAVE_CRYPTOGRAPHY:
-        raise CryptoError("fast backend requested but 'cryptography' is not installed")
-    _default_backend = name
-
-
-def get_default_backend() -> str:
-    """Return the name of the current process-wide default backend."""
-    return _default_backend
-
-
 def get_cipher(key: bytes, backend: Optional[str] = None):
-    """Return an AES cipher for ``key`` on the requested (or default) backend."""
-    chosen = backend or _default_backend
+    """Return an AES cipher for ``key`` on the requested (or the pure) backend."""
+    chosen = backend or PURE_BACKEND
     if chosen == PURE_BACKEND:
         return AesCipher(key)
     if chosen == FAST_BACKEND:

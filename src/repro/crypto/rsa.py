@@ -63,11 +63,6 @@ class RsaPublicKey:
         return self.modulus.bit_length()
 
     @property
-    def max_message_bytes(self) -> int:
-        """Largest padded plaintext this key can encrypt (padding needs 11 bytes)."""
-        return self.byte_length - 11
-
-    @property
     def byte_length(self) -> int:
         """Modulus width in whole bytes."""
         return (self.modulus.bit_length() + 7) // 8

@@ -2,7 +2,6 @@
 
 from .classifier import (
     MatchCriteria,
-    criteria_for_application,
     criteria_for_destination,
     criteria_for_dns_name,
     criteria_for_encrypted_traffic,
@@ -21,7 +20,6 @@ from .policy import (
     DiscriminationPolicy,
     DiscriminationRule,
     RuleStatistics,
-    block_application_policy,
     degrade_competitor_policy,
     delay_dns_policy,
     drop_key_setup_policy,
@@ -31,7 +29,6 @@ from .policy import (
 
 __all__ = [
     "MatchCriteria",
-    "criteria_for_application",
     "criteria_for_destination",
     "criteria_for_dns_name",
     "criteria_for_encrypted_traffic",
@@ -47,7 +44,6 @@ __all__ = [
     "DiscriminationPolicy",
     "DiscriminationRule",
     "RuleStatistics",
-    "block_application_policy",
     "degrade_competitor_policy",
     "delay_dns_policy",
     "drop_key_setup_policy",

@@ -10,7 +10,7 @@ hit also matched this rule".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..packet.addresses import IPv4Address, Prefix
@@ -101,11 +101,6 @@ def criteria_for_destination(address: IPv4Address, name: str = "") -> MatchCrite
     anycast address, no packet matches any more.
     """
     return MatchCriteria(name=name or f"involves {address}", involves_address=address)
-
-
-def criteria_for_application(application: str, name: str = "") -> MatchCriteria:
-    """Target an application type recognized by DPI (e.g. "voip")."""
-    return MatchCriteria(name=name or f"application {application}", application=application)
 
 
 def criteria_for_dns_name(query_name: str, name: str = "") -> MatchCriteria:

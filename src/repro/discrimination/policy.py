@@ -11,7 +11,7 @@ intended victim — the §3.6 argument made measurable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 
@@ -86,11 +86,6 @@ class DiscriminationPolicy:
         #: Token buckets for THROTTLE rules, keyed by rule name.
         self._buckets: Dict[str, TokenBucket] = {}
         self.total_packets_seen = 0
-
-    def add_rule(self, rule: DiscriminationRule) -> None:
-        """Append a rule to the policy."""
-        self.rules.append(rule)
-        self.statistics.setdefault(rule.name, RuleStatistics())
 
     def evaluate(
         self, packet: Packet, report: Optional[InspectionReport] = None
@@ -174,22 +169,6 @@ def degrade_competitor_policy(
                 drop_probability=drop_probability,
                 intent=intent,
             ),
-        ],
-    )
-
-
-def block_application_policy(application: str, intent: str = "") -> DiscriminationPolicy:
-    """Blunt application blocking (e.g. drop everything DPI labels "voip")."""
-    from .classifier import criteria_for_application
-
-    return DiscriminationPolicy(
-        name=f"block-{application}",
-        rules=[
-            DiscriminationRule(
-                criteria=criteria_for_application(application),
-                action=Action.DROP,
-                intent=intent or f"block {application} entirely",
-            )
         ],
     )
 

@@ -70,11 +70,6 @@ class ResourceRecord:
         )
         return cls(name=name, rtype=RecordType.NEUT, data=data, ttl=ttl)
 
-    @classmethod
-    def ns(cls, name: str, resolver_address: IPv4Address, ttl: int = 3600) -> "ResourceRecord":
-        """Build an NS-like record pointing at a resolver address."""
-        return cls(name=name, rtype=RecordType.NS, data=resolver_address.packed, ttl=ttl)
-
     # -- typed accessors ---------------------------------------------------------
 
     def as_address(self) -> IPv4Address:

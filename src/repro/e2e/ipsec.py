@@ -78,12 +78,6 @@ class EspSecurityAssociation:
         cipher = get_cipher(self.encryption_key, backend=self.backend)
         return cbc_decrypt(cipher, iv, ciphertext)
 
-    def peek_spi(self, payload: bytes) -> int:
-        """Return the SPI of an ESP payload without decrypting (receiver demux)."""
-        if len(payload) < 4:
-            raise DecryptionError("ESP payload too short to carry an SPI")
-        return struct.unpack("!I", payload[:4])[0]
-
 
 def overhead_bytes() -> int:
     """Fixed per-packet overhead of the ESP encapsulation (excluding CBC padding)."""

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from ..crypto.kdf import hmac_sha256
 from ..crypto.randomness import DEFAULT_SOURCE, RandomSource
-from ..crypto.rsa import RsaKeyPair, RsaPrivateKey, RsaPublicKey, generate_keypair
+from ..crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 from ..exceptions import DecryptionError
 from .ipsec import EspSecurityAssociation
 
@@ -118,11 +118,6 @@ class E2eResponder:
     def public_key(self) -> RsaPublicKey:
         """The public key to publish in DNS."""
         return self._keypair.public
-
-    @property
-    def private_key(self) -> RsaPrivateKey:
-        """The matching private key (kept on the host)."""
-        return self._keypair.private
 
     def accept_handshake(self, handshake: bytes) -> E2eSession:
         """Process the initiator's handshake blob and return the responder session."""

@@ -94,10 +94,6 @@ class NxDomainError(DnsError):
     """The queried name does not exist."""
 
 
-class DnsTimeoutError(DnsError):
-    """The resolver did not answer within the configured budget."""
-
-
 # ---------------------------------------------------------------------------
 # Neutralizer protocol
 # ---------------------------------------------------------------------------
@@ -143,7 +139,3 @@ class ReservationError(QosError):
 
 class WorkloadError(ReproError):
     """A workload generator was configured inconsistently."""
-
-
-class ExperimentError(ReproError):
-    """An experiment harness invariant was violated."""

@@ -15,7 +15,6 @@ from typing import List, Sequence
 
 from ..core.keysetup import attacker_window_seconds
 from ..crypto.rsa import (
-    decryption_cost_multiplications,
     encryption_cost_multiplications,
     estimate_factoring_cost,
     symmetric_equivalent_bits,
@@ -56,11 +55,6 @@ class TradeoffPoint:
     def neutralizer_cost_multiplications(self) -> int:
         """Modular multiplications per key setup at the neutralizer (e = 3)."""
         return encryption_cost_multiplications(3, self.rsa_bits)
-
-    @property
-    def source_cost_multiplications(self) -> int:
-        """Modular multiplications per key setup at the source (CRT decryption)."""
-        return decryption_cost_multiplications(self.rsa_bits)
 
     @property
     def symmetric_equivalent(self) -> float:

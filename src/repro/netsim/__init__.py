@@ -5,7 +5,7 @@ from .isp import ISP, IspRegistry, Relationship
 from .link import Interface, Link
 from .node import Host, Node
 from .router import Router
-from .routing import RoutingComputer, validate_reachability
+from .routing import RoutingComputer
 from .stats import Counters, LatencySampler, LinkStats
 from .topology import Topology
 from .trace import TraceCollector, TraceRecord
@@ -22,7 +22,6 @@ __all__ = [
     "Node",
     "Router",
     "RoutingComputer",
-    "validate_reachability",
     "Counters",
     "LatencySampler",
     "LinkStats",

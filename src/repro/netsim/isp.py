@@ -79,14 +79,6 @@ class ISP:
         """Declare the business relationship with another ISP."""
         self.relationships[other_isp] = relationship
 
-    def relationship_with(self, other_isp: str) -> Optional[Relationship]:
-        """Return the declared relationship with ``other_isp`` (None if unknown)."""
-        return self.relationships.get(other_isp)
-
-    def is_customer_isp(self, other_isp: str) -> bool:
-        """Return ``True`` if ``other_isp`` buys transit from this ISP."""
-        return self.relationships.get(other_isp) == Relationship.CUSTOMER
-
     def is_peer_isp(self, other_isp: str) -> bool:
         """Return ``True`` if ``other_isp`` peers settlement-free with this ISP."""
         return self.relationships.get(other_isp) == Relationship.PEER

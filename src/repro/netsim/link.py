@@ -128,10 +128,6 @@ class Link:
         """Return the egress statistics for the direction leaving ``interface``."""
         return self._directions[interface].stats
 
-    def scheduler_from(self, interface: Interface) -> Scheduler:
-        """Return the egress scheduler for the direction leaving ``interface``."""
-        return self._directions[interface].scheduler
-
     def set_scheduler(self, from_interface: Interface, scheduler: Scheduler) -> None:
         """Replace the egress scheduler of one direction (QoS experiments)."""
         direction = self._directions[from_interface]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..exceptions import TopologyError
 from ..packet.addresses import IPv4Address
 from ..packet.headers import PROTO_UDP
 from ..packet.packet import Packet
@@ -40,13 +39,6 @@ class Node:
         self.interfaces.append(interface)
         return interface
 
-    def interface_by_name(self, name: str) -> Interface:
-        """Return the interface called ``name``."""
-        for interface in self.interfaces:
-            if interface.name == name:
-                return interface
-        raise TopologyError(f"node {self.name} has no interface {name!r}")
-
     @property
     def addresses(self) -> List[IPv4Address]:
         """All addresses assigned to this node's interfaces."""
@@ -72,7 +64,6 @@ class Host(Node):
         self._primary = self.add_interface("eth0", address)
         #: Packets that no handler claimed, kept for tests and debugging.
         self.unclaimed: List[Packet] = []
-        self._protocol_handlers: Dict[int, PacketHandler] = {}
         self._port_handlers: Dict[int, PacketHandler] = {}
         #: Outbound hooks applied (in order) to every sent packet.  The
         #: neutralizer client stack installs itself here so applications are
@@ -95,17 +86,9 @@ class Host(Node):
 
     # -- stack registration ----------------------------------------------------
 
-    def register_protocol_handler(self, protocol: int, handler: PacketHandler) -> None:
-        """Register a handler for an IP protocol number."""
-        self._protocol_handlers[protocol] = handler
-
     def register_port_handler(self, port: int, handler: PacketHandler) -> None:
         """Register a handler for a UDP destination port."""
         self._port_handlers[port] = handler
-
-    def unregister_port_handler(self, port: int) -> None:
-        """Remove a UDP port handler if present."""
-        self._port_handlers.pop(port, None)
 
     # -- sending ----------------------------------------------------------------
 
@@ -133,7 +116,7 @@ class Host(Node):
     # -- receiving ----------------------------------------------------------------
 
     def receive(self, packet: Packet, interface: Interface) -> None:
-        """Run ingress hooks then dispatch to protocol/port handlers."""
+        """Run ingress hooks then dispatch to the UDP port handlers."""
         packet.record_hop(self.name)
         self.counters.increment("packets_received")
         self.counters.increment("bytes_received", packet.size_bytes)
@@ -151,9 +134,5 @@ class Host(Node):
             if handler is not None:
                 handler(packet, self)
                 return
-        handler = self._protocol_handlers.get(packet.ip.protocol)
-        if handler is not None:
-            handler(packet, self)
-            return
         self.unclaimed.append(packet)
         self.counters.increment("packets_unclaimed")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..exceptions import HeaderError, RoutingError
+from ..exceptions import HeaderError
 from ..packet.addresses import IPv4Address, Prefix
 from ..packet.packet import Packet
 from .engine import Simulator
@@ -75,24 +75,11 @@ class Router(Node):
                 return candidate
         return None
 
-    @property
-    def route_count(self) -> int:
-        """Number of installed routes (host + prefix)."""
-        return len(self._host_routes) + len(self._prefix_routes)
-
     # -- local services -------------------------------------------------------------
 
     def attach_local_service(self, address: IPv4Address, service: LocalService) -> None:
         """Bind a service (e.g. a neutralizer) to an address terminating here."""
         self._local_services[address] = service
-
-    def detach_local_service(self, address: IPv4Address) -> None:
-        """Remove a previously attached service."""
-        self._local_services.pop(address, None)
-
-    def serves_address(self, address: IPv4Address) -> bool:
-        """Return ``True`` if a local service or interface owns ``address``."""
-        return address in self._local_services or self.owns_address(address)
 
     # -- forwarding -------------------------------------------------------------------
 
@@ -153,8 +140,3 @@ class Router(Node):
             return False
         self.counters.increment("packets_injected")
         return egress.transmit(packet)
-
-
-def raise_routing_error(router: Router, destination: IPv4Address) -> None:
-    """Helper for strict experiments that treat unroutable packets as bugs."""
-    raise RoutingError(f"{router.name} has no route toward {destination}")

@@ -14,10 +14,10 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from ..exceptions import RoutingError, TopologyError
+from ..exceptions import RoutingError
 from ..packet.addresses import IPv4Address
 from .link import Interface, Link
-from .node import Host, Node
+from .node import Node
 from .router import Router
 
 
@@ -150,26 +150,3 @@ class RoutingComputer:
                 best_cost = cost
                 best_name = member
         return best_name
-
-    def install_address_route(self, address: IPv4Address, owner_name: str) -> None:
-        """Install routes for a single, newly created address (dynamic QoS addresses)."""
-        if owner_name not in self._nodes:
-            raise TopologyError(f"unknown node {owner_name!r}")
-        for node in self._nodes.values():
-            if not isinstance(node, Router) or node.name == owner_name:
-                continue
-            try:
-                interface = self.next_hop_interface(node.name, owner_name)
-            except RoutingError:
-                continue
-            if interface is not None:
-                node.add_host_route(address, interface)
-
-
-def validate_reachability(computer: RoutingComputer, hosts: List[Host]) -> None:
-    """Raise if any pair of hosts lacks a path (topology sanity check)."""
-    names = [host.name for host in hosts]
-    for source in names:
-        for target in names:
-            if source != target:
-                computer.shortest_path(source, target)

@@ -257,24 +257,11 @@ class Topology:
             return self.build_routes()
         return self._routing
 
-    def register_dynamic_address(self, address: IPv4Address, owner_name: str) -> None:
-        """Install routes for an address created after :meth:`build_routes`.
-
-        Used by the QoS dynamic-address remedy of §3.4: the neutralizer mints
-        a pseudo-address for a flow, attaches it locally, and the rest of the
-        network needs a route toward it.
-        """
-        self.routing.install_address_route(address, owner_name)
-
     # -- convenience -----------------------------------------------------------------------
 
     def run(self, duration: float) -> int:
         """Advance the simulation by ``duration`` seconds."""
         return self.sim.run_for(duration)
-
-    def isp_of_address(self, address: IPv4Address) -> Optional[ISP]:
-        """Return the ISP owning ``address``, if any."""
-        return self.isps.owner_of(address)
 
     def describe(self) -> str:
         """Multi-line human-readable summary (used by examples)."""

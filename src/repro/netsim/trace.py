@@ -1,8 +1,7 @@
 """Packet tracing: per-node observations for assertions and debugging.
 
-A :class:`TraceCollector` can be attached to links (as an observer) and to
-routers/hosts (as hooks) to record what an eavesdropper at that vantage point
-would see.  Experiments use it in two ways: to verify protocol behaviour
+A :class:`TraceCollector` can be attached to routers (as an ingress hook) to
+record what an eavesdropper at that vantage point would see.  Experiments use it in two ways: to verify protocol behaviour
 ("the neutralizer swapped the addresses"), and to play the role of the
 *discriminatory ISP's* vantage — the central privacy claim is about what is
 visible inside AT&T, and tests assert it over the collected trace.
@@ -11,7 +10,7 @@ visible inside AT&T, and tests assert it over the collected trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..packet.addresses import IPv4Address
 from ..packet.packet import Packet
@@ -39,7 +38,7 @@ class TraceRecord:
 
 
 class TraceCollector:
-    """Collects :class:`TraceRecord` observations from hooks and observers."""
+    """Collects :class:`TraceRecord` observations from router hooks."""
 
     def __init__(self, name: str = "trace", snippet_bytes: int = 16) -> None:
         self.name = name
@@ -48,28 +47,11 @@ class TraceCollector:
 
     # -- attachment points ---------------------------------------------------------
 
-    def link_observer(self) -> Callable[[Packet, object], None]:
-        """Return an observer suitable for ``Link.observers``."""
-
-        def observe(packet: Packet, from_interface) -> None:
-            self._record(from_interface.node.sim.now, from_interface.node.name, packet)
-
-        return observe
-
     def router_hook(self):
         """Return an ingress hook for routers that records and passes through."""
 
         def hook(packet: Packet, router, interface):
             self._record(router.sim.now, router.name, packet)
-            return packet
-
-        return hook
-
-    def host_hook(self):
-        """Return an ingress hook for hosts that records and passes through."""
-
-        def hook(packet: Packet, host):
-            self._record(host.sim.now, host.name, packet)
             return packet
 
         return hook

@@ -13,7 +13,7 @@ hand out host addresses inside an ISP's prefix deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from ..exceptions import AddressError
 
@@ -155,15 +155,6 @@ class AddressAllocator:
         self._next_index += 1
         return address
 
-    def allocate_many(self, count: int) -> List[IPv4Address]:
-        """Allocate ``count`` consecutive addresses."""
-        return [self.allocate() for _ in range(count)]
-
-    @property
-    def allocated_count(self) -> int:
-        """Number of addresses handed out so far."""
-        return self._next_index - 1
-
 
 @dataclass(frozen=True)
 class AnycastAddress:
@@ -226,15 +217,3 @@ WELL_KNOWN_BLOCKS = {
     "transit": Prefix.parse("10.9.0.0/16"),
     "anycast": Prefix.parse("10.200.0.0/24"),
 }
-
-
-def allocator_for(name: str) -> AddressAllocator:
-    """Return a fresh allocator for one of the well-known blocks."""
-    if name not in WELL_KNOWN_BLOCKS:
-        raise AddressError(f"unknown well-known block {name!r}")
-    return AddressAllocator(WELL_KNOWN_BLOCKS[name])
-
-
-def is_anycast_address(address: IPv4Address, groups: Optional[list] = None) -> bool:
-    """Return ``True`` if ``address`` belongs to the reserved anycast block."""
-    return WELL_KNOWN_BLOCKS["anycast"].contains(address)

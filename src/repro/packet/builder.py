@@ -12,7 +12,7 @@ from typing import Optional
 
 from .addresses import IPv4Address
 from .dscp import Dscp
-from .headers import IPv4Header, PROTO_ESP, PROTO_UDP, ShimHeader, UdpHeader
+from .headers import IPv4Header, PROTO_UDP, ShimHeader, UdpHeader
 from .packet import Packet
 
 
@@ -38,31 +38,6 @@ def udp_packet(
         ),
         udp=UdpHeader(source_port=source_port, destination_port=destination_port),
         payload=payload,
-    )
-    if flow_id is not None:
-        packet.meta["flow_id"] = flow_id
-    return packet
-
-
-def esp_packet(
-    source: IPv4Address,
-    destination: IPv4Address,
-    encrypted_payload: bytes,
-    *,
-    dscp: int = int(Dscp.BEST_EFFORT),
-    ttl: int = 64,
-    flow_id: Optional[str] = None,
-) -> Packet:
-    """Build an end-to-end encrypted (ESP-like) packet without a shim."""
-    packet = Packet(
-        ip=IPv4Header(
-            source=source,
-            destination=destination,
-            protocol=PROTO_ESP,
-            dscp=dscp,
-            ttl=ttl,
-        ),
-        payload=encrypted_payload,
     )
     if flow_id is not None:
         packet.meta["flow_id"] = flow_id

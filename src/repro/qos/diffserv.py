@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict
 
 from ..packet.dscp import Dscp, priority_of
 from ..packet.packet import Packet
@@ -77,10 +77,6 @@ class DiffServDomain:
     def add_sla(self, sla: ServiceLevelAgreement) -> None:
         """Register (or replace) a customer's SLA."""
         self._slas[sla.customer] = sla
-
-    def sla_for(self, customer: str) -> Optional[ServiceLevelAgreement]:
-        """Return the SLA of ``customer`` if one exists."""
-        return self._slas.get(customer)
 
     def remark(self, packet: Packet, customer: str) -> Packet:
         """Re-mark a packet according to the customer's SLA (edge conditioning).

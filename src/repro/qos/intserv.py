@@ -15,7 +15,7 @@ service variant and the associated unit tests can exercise them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import ReservationError
@@ -147,8 +147,3 @@ class DynamicAddressPool:
         if dynamic in self._assigned:
             del self._assigned[dynamic]
             self._free.append(dynamic)
-
-    @property
-    def assigned_count(self) -> int:
-        """Number of dynamic addresses currently assigned."""
-        return len(self._assigned)

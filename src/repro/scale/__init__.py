@@ -109,7 +109,6 @@ from .autoscale import (
     Autoscaler,
     AutoscaleObservation,
     AutoscalePolicy,
-    EpochMetrics,
     PredictiveLoadPolicy,
     StepPolicy,
     TargetLatencyPolicy,
@@ -124,7 +123,6 @@ from .latency import (
     evaluate_latency,
 )
 from .catalogue import (
-    CATALOGUE,
     build_scenario,
     nominal_demand,
     provisioned_fleet,
@@ -149,11 +147,9 @@ from .obs import (
     EVENT_SCHEMA_VERSION,
     AutoscaleOscillationDetector,
     BlackHoleDetector,
-    DetectorSuite,
     Event,
     EventLog,
     SloBreachDetector,
-    Subscription,
     attach_detectors,
     verdicts,
 )
@@ -162,9 +158,7 @@ from .stochastic import (
     AttackOnset,
     CorrelatedRegionalOutage,
     EventProcess,
-    FaultSchedule,
     PoissonSiteFailures,
-    RegionalOutageRecord,
     antithetic_uniforms,
     compile_events,
     compile_schedule,
@@ -191,29 +185,18 @@ from .population import (
 from .runner import (
     AdversaryCampaignResult,
     AdversaryCampaignRunner,
-    AdversaryPointRecord,
-    AdversaryReplicaRecord,
     CampaignRunner,
-    FleetScaleResult,
     FleetScaleRunner,
     FrontierPoint,
     FrontierResult,
-    CHURN_SLO_FRONTIER_COLUMNS,
-    LATENCY_COST_FRONTIER_COLUMNS,
     LatencyCampaignRunner,
     LatencyFrontierPoint,
     LatencyFrontierResult,
     MetricDistribution,
-    ScaleExperimentState,
     replica_seed_draws,
     StochasticCampaignResult,
     StochasticCampaignRunner,
-    StochasticReplicaRecord,
-    SweepRecord,
-    TimelineCampaignRecord,
-    TimelineCampaignResult,
     TimelineCampaignRunner,
-    VarianceComparisonResult,
     compare_variance_reduction,
     run_churn_slo_frontier,
     run_latency_cost_frontier,
@@ -225,7 +208,6 @@ from .telemetry import (
     MetricsRegistry,
     NullTelemetry,
     Span,
-    SpanRecord,
     Telemetry,
     Tracer,
     format_phase_table,
@@ -258,7 +240,6 @@ from .timeline import (
     TimelineResult,
 )
 from .validate import (
-    AdversaryValidationResult,
     CrossValidationResult,
     LatencyValidationResult,
     cross_validate,
@@ -271,10 +252,7 @@ __all__ = [
     "AdversaryCampaignResult",
     "AdversaryCampaignRunner",
     "AdversaryGame",
-    "AdversaryPointRecord",
-    "AdversaryReplicaRecord",
     "AdversaryRun",
-    "AdversaryValidationResult",
     "Allocation",
     "AttackOnset",
     "AutoscaleObservation",
@@ -282,8 +260,6 @@ __all__ = [
     "AutoscalePolicy",
     "Autoscaler",
     "BlackHoleDetector",
-    "CATALOGUE",
-    "CHURN_SLO_FRONTIER_COLUMNS",
     "CampaignRunner",
     "CampaignUnit",
     "CapacityDegradation",
@@ -300,21 +276,17 @@ __all__ = [
     "CryptoCostModel",
     "DEFAULT_BUCKET_EDGES",
     "DemandClass",
-    "DetectorSuite",
     "DiscriminationToggle",
     "DiurnalLoad",
     "EVENT_SCHEMA_VERSION",
-    "EpochMetrics",
     "EpochProblem",
     "EpochRecord",
     "Event",
     "EventLog",
     "EventProcess",
-    "FaultSchedule",
     "FieldChange",
     "FlashCrowdLoad",
     "FleetEvent",
-    "FleetScaleResult",
     "FleetScaleRunner",
     "FleetSite",
     "FleetSpec",
@@ -323,7 +295,6 @@ __all__ = [
     "FrontierPoint",
     "FrontierResult",
     "IspStrategy",
-    "LATENCY_COST_FRONTIER_COLUMNS",
     "LatencyCampaignRunner",
     "LatencyFrontierPoint",
     "LatencyFrontierResult",
@@ -346,9 +317,7 @@ __all__ = [
     "ProcessPoolCampaignExecutor",
     "ProvisioningCostModel",
     "ReconfigEvent",
-    "RegionalOutageRecord",
     "RunTable",
-    "ScaleExperimentState",
     "ScaleScenario",
     "ScenarioConfig",
     "SharedPopulationPack",
@@ -357,22 +326,15 @@ __all__ = [
     "SiteSpec",
     "SloBreachDetector",
     "Span",
-    "SpanRecord",
     "StepPolicy",
     "StochasticCampaignResult",
     "StochasticCampaignRunner",
-    "StochasticReplicaRecord",
-    "Subscription",
-    "SweepRecord",
     "TargetLatencyPolicy",
     "TargetUtilizationPolicy",
     "Telemetry",
-    "TimelineCampaignRecord",
-    "TimelineCampaignResult",
     "TimelineCampaignRunner",
     "TimelineResult",
     "Tracer",
-    "VarianceComparisonResult",
     "allen_cunneen_factor",
     "alpha_fair_allocation",
     "antithetic_uniforms",

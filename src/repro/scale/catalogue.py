@@ -68,6 +68,7 @@ The thirteen stock scenarios cover the transients the steady-state sweep
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -154,7 +155,10 @@ def provisioned_fleet(
 CATALOGUE_DATA_DIR = Path(__file__).with_name("catalogue_data")
 
 
-def _load_catalogue() -> Dict[str, ScenarioConfig]:
+@functools.cache
+def _catalogue() -> Dict[str, ScenarioConfig]:
+    """Name → document, parsed on first use (importing the package parses
+    nothing: every tool and every spawned pool worker imports it)."""
     configs: Dict[str, ScenarioConfig] = {}
     for path in sorted(CATALOGUE_DATA_DIR.glob("*.json")):
         config = load_config(path)
@@ -167,12 +171,16 @@ def _load_catalogue() -> Dict[str, ScenarioConfig]:
     return configs
 
 
-CATALOGUE: Dict[str, ScenarioConfig] = _load_catalogue()
+def __getattr__(name: str):
+    # ``CATALOGUE`` reads as a module constant but is parsed on first access.
+    if name == "CATALOGUE":
+        return _catalogue()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def scenario_names() -> List[str]:
     """The catalogue's scenario names, in definition order."""
-    return list(CATALOGUE)
+    return list(_catalogue())
 
 
 def build_scenario(name: str, *, clients: int = 100_000, seed: int = 2006,
@@ -188,11 +196,12 @@ def build_scenario(name: str, *, clients: int = 100_000, seed: int = 2006,
     ``telemetry`` attaches a :class:`repro.scale.telemetry.Telemetry` to the
     built timeline — spans and counters only, never simulation input.
     """
+    catalogue = _catalogue()
     try:
-        config = CATALOGUE[name]
+        config = catalogue[name]
     except KeyError:
         raise ConfigError(
-            f"unknown scenario {name!r}; catalogue has {', '.join(CATALOGUE)}",
+            f"unknown scenario {name!r}; catalogue has {', '.join(catalogue)}",
             field_path="name",
         ) from None
     timeline = config.build(clients=clients, seed=seed, cost_model=cost_model,
@@ -203,10 +212,8 @@ def build_scenario(name: str, *, clients: int = 100_000, seed: int = 2006,
 
 
 def run_scenario(name: str, *, clients: int = 100_000, seed: int = 2006,
-                 cost_model: Optional[CryptoCostModel] = None,
                  population: Optional[ClientPopulation] = None,
                  telemetry=None):
     """Build and run one named scenario, returning its TimelineResult."""
     return build_scenario(name, clients=clients, seed=seed,
-                          cost_model=cost_model, population=population,
-                          telemetry=telemetry).run()
+                          population=population, telemetry=telemetry).run()

@@ -538,8 +538,8 @@ class ScenarioConfig:
             raise ConfigError("a scenario document must be an object")
         return _decode_dataclass(cls, data, "")
 
-    def to_json(self, *, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

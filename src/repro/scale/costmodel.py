@@ -92,7 +92,7 @@ class CryptoCostModel:
         )
 
     @classmethod
-    def calibrated(cls, *, iterations: int = 500, seed: int = 303) -> "CryptoCostModel":
+    def calibrated(cls, *, iterations: int = 500) -> "CryptoCostModel":
         """Measure the primitive rates in-process on the current machine."""
         from ..analysis.metrics import measure_throughput
         from ..crypto.backend import fast_backend_available, get_cipher
@@ -100,7 +100,7 @@ class CryptoCostModel:
         from ..crypto.randomness import DeterministicRandom
         from ..crypto.rsa import generate_keypair
 
-        rng = DeterministicRandom(seed)
+        rng = DeterministicRandom(303)
         key = rng.random_bytes(16)
         block = rng.random_bytes(16)
         source = rng.random_bytes(4)

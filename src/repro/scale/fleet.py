@@ -103,7 +103,7 @@ class ConsistentHashRing:
     IP anycast gives *topological* nearest-entry routing; inside a domain the
     operators still need a stable way to spread sources over boxes so caches
     and rate-limit state stay warm.  This ring hashes each site name onto
-    ``replicas`` points of the 2^64 circle (blake2b keyed with ``salt``) and
+    ``replicas`` points of the 2^64 circle (blake2b keyed with a fixed salt) and
     assigns a key to the first site point at or after the key's position.
     Removing a site moves only that site's keys — the property fleet failover
     relies on.  :class:`NeutralizerFleet` hashes its points through this
@@ -112,19 +112,19 @@ class ConsistentHashRing:
     """
 
     _SPACE_BITS = 64
+    _SALT = b"neutralizer-ring"
 
-    def __init__(self, site_names: Optional[List[str]] = None, *, replicas: int = 64,
-                 salt: bytes = b"neutralizer-ring") -> None:
+    def __init__(self, site_names: Optional[List[str]] = None, *,
+                 replicas: int = 64) -> None:
         if replicas <= 0:
             raise TopologyError("ring replicas must be positive")
         self.replicas = replicas
-        self.salt = salt
         self._points: List[Tuple[int, str]] = []
         for name in site_names or []:
             self.add_site(name)
 
     def _position(self, data: bytes) -> int:
-        digest = hashlib.blake2b(data, digest_size=8, key=self.salt).digest()
+        digest = hashlib.blake2b(data, digest_size=8, key=self._SALT).digest()
         return int.from_bytes(digest, "big")
 
     def add_site(self, name: str) -> None:

@@ -133,8 +133,7 @@ class LatencyModel:
                                     self.service_cv, self.max_utilization)
 
     @classmethod
-    def heavy_tailed(cls, *, service_scv: float = 16.0,
-                     arrival_cv: float = 1.0, **kwargs) -> "LatencyModel":
+    def heavy_tailed(cls, *, service_scv: float = 16.0, **kwargs) -> "LatencyModel":
         """A G/G/1 proxy with heavy-tailed service (SCV ``service_scv``).
 
         ``service_scv`` is the *squared* CV of service times — 16 is a
@@ -144,8 +143,7 @@ class LatencyModel:
         """
         if service_scv < 0:
             raise WorkloadError("the service-time SCV must be non-negative")
-        return cls(service_cv=math.sqrt(service_scv), arrival_cv=arrival_cv,
-                   **kwargs)
+        return cls(service_cv=math.sqrt(service_scv), **kwargs)
 
     def base_rtt_matrix(self, regions: int, sites: int) -> np.ndarray:
         """Deterministic base RTT (seconds) between every region and site.

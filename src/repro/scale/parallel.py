@@ -127,21 +127,17 @@ class CampaignProgress:
 
 
 class SharedPopulationPack:
-    """One population's arrays in POSIX shared memory, attachable by name.
+    """One population's arrays in POSIX shared memory.
 
     The engine does not use this class — pool workers take the prepared
     runner as it is (module docstring, *Inputs*); it stays for the
     benchmark suite's ``parallel.shared_pack_*`` probe.  ``create`` packs a
-    population's arrays (including the sorted-ring cache, so an attacher
-    skips the O(n log n) sort); ``attach`` reconstructs a zero-copy
-    :class:`ClientPopulation` view in another process.  The creator owns
+    population's arrays, including the sorted-ring cache.  The creator owns
     the segments: it must ``close()`` and ``unlink()`` them in a ``finally``.
     """
 
-    def __init__(self, segments: Dict[str, shared_memory.SharedMemory],
-                 manifest: Dict[str, object]) -> None:
+    def __init__(self, segments: Dict[str, shared_memory.SharedMemory]) -> None:
         self._segments = segments
-        self.manifest = manifest
 
     @classmethod
     def create(cls, population: ClientPopulation) -> "SharedPopulationPack":
@@ -154,7 +150,6 @@ class SharedPopulationPack:
             "ring_sorted_region_class": sorted_region_class,
         }
         segments: Dict[str, shared_memory.SharedMemory] = {}
-        specs: Dict[str, Dict[str, object]] = {}
         try:
             for key, array in arrays.items():
                 array = np.ascontiguousarray(array)
@@ -164,55 +159,17 @@ class SharedPopulationPack:
                                   buffer=segment.buf)
                 view[:] = array
                 segments[key] = segment
-                specs[key] = {"name": segment.name,
-                              "dtype": str(array.dtype),
-                              "shape": tuple(array.shape)}
         except BaseException:
             for segment in segments.values():
                 segment.close()
                 segment.unlink()
             raise
-        manifest = {
-            "arrays": specs,
-            "mix": population.mix,
-            "regions": population.regions,
-            "seed": population.seed,
-        }
-        return cls(segments, manifest)
+        return cls(segments)
 
     @property
     def nbytes(self) -> int:
         """Total shared bytes."""
         return sum(segment.size for segment in self._segments.values())
-
-    @staticmethod
-    def attach(manifest: Dict[str, object],
-               ) -> Tuple[ClientPopulation, List[shared_memory.SharedMemory]]:
-        """A population view over the creator's segments.
-
-        Returns the population and the open segments; the caller must keep
-        the segments referenced for the arrays' lifetime and ``close()``
-        them when done.
-        """
-        segments: List[shared_memory.SharedMemory] = []
-        views: Dict[str, np.ndarray] = {}
-        for key, spec in manifest["arrays"].items():
-            segment = shared_memory.SharedMemory(name=spec["name"])
-            segments.append(segment)
-            views[key] = np.ndarray(tuple(spec["shape"]),
-                                    dtype=np.dtype(spec["dtype"]),
-                                    buffer=segment.buf)
-        population = ClientPopulation.from_arrays(
-            mix=manifest["mix"],
-            regions=manifest["regions"],
-            seed=manifest["seed"],
-            class_index=views["class_index"],
-            region_index=views["region_index"],
-            ring_positions=views["ring_positions"],
-            ring_sorted=(views["ring_sorted_positions"],
-                         views["ring_sorted_region_class"]),
-        )
-        return population, segments
 
     def close(self) -> None:
         for segment in self._segments.values():

@@ -151,18 +151,19 @@ def default_mix() -> PopulationMix:
     )
 
 
-def elastic_mix(*, web_alpha: float = 2.0, video_alpha: float = 2.0) -> PopulationMix:
+def elastic_mix() -> PopulationMix:
     """The default mix with TCP-like web and video, CBR VoIP kept inelastic.
 
     The realistic split: page fetches and streaming ride congestion control
-    (their rates are peaks they back off from), while the VoIP codec keeps
-    emitting at its fixed rate and the domain sheds its excess max-min.
+    (their rates are peaks they back off from, at alpha = 2), while the VoIP
+    codec keeps emitting at its fixed rate and the domain sheds its excess
+    max-min.
     """
     return PopulationMix(
         classes=(
             voip_class(),
-            replace(web_class(), elastic=True, alpha=web_alpha),
-            replace(video_class(), elastic=True, alpha=video_alpha),
+            replace(web_class(), elastic=True, alpha=2.0),
+            replace(video_class(), elastic=True, alpha=2.0),
         ),
         fractions=(0.2, 0.5, 0.3),
     )
@@ -260,18 +261,14 @@ class ClientPopulation:
         class_index: np.ndarray,
         region_index: np.ndarray,
         ring_positions: np.ndarray,
-        ring_sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "ClientPopulation":
         """A population wrapping already-materialized arrays, no RNG draw.
 
-        Same clients, same ring positions, zero drawing or copying — how a
-        process that maps another's arrays (the shared-memory pack in
-        :mod:`repro.scale.parallel`) gets its view of them.  ``ring_sorted``
-        optionally pre-seeds the ``(positions, region_class)`` cache of
-        :meth:`ring_sorted`, skipping the O(n log n) sort.  The arrays are
-        adopted as-is (typically read-only views); callers must pass the
-        exact arrays a seeded :class:`ClientPopulation` build produced, or
-        downstream determinism guarantees are off.
+        The arrays are adopted as-is, with no drawing or copying — how a
+        test puts clients at chosen ring positions (on, just below and just
+        above the fleet's ring points).  ``seed`` is recorded, not used:
+        only a seeded :class:`ClientPopulation` build carries its
+        determinism guarantees.
         """
         if class_index.shape != region_index.shape or \
                 class_index.shape != ring_positions.shape:
@@ -284,7 +281,7 @@ class ClientPopulation:
         population.class_index = class_index
         population.region_index = region_index
         population.ring_positions = ring_positions
-        population._ring_sorted = ring_sorted
+        population._ring_sorted = None
         population._client_counts = None
         population._arc_histograms = {}
         return population

@@ -1397,12 +1397,7 @@ class VarianceComparisonResult:
                 f"scheme {scheme!r} was not part of this comparison "
                 f"(ran: {', '.join(self.mean_estimator_std)})"
             )
-        base = self.mean_estimator_std.get("iid")
-        if base is None:
-            raise WorkloadError(
-                "this comparison ran without the 'iid' scheme, so there is "
-                "no baseline to quote a reduction against"
-            )
+        base = self.mean_estimator_std["iid"]
         if base <= 0:
             return 1.0  # zero iid spread: nothing left to reduce
         return self.mean_estimator_std[scheme] / base
@@ -1415,30 +1410,26 @@ def compare_variance_reduction(
     replicas: int = 8,
     batches: int = 6,
     seed: int = 2006,
-    schemes: Sequence[str] = VARIANCE_SCHEMES,
     **campaign_kwargs,
 ) -> VarianceComparisonResult:
     """Measure what stratified seeds and antithetic pairs actually buy.
 
-    Runs ``batches`` independent campaigns per scheme (each a full, smaller
-    E14) and compares the spread of the *estimators* across batches: the
-    campaign's mean availability and its pooled tail-risk P95.  A scheme
-    whose estimator spread is smaller delivers sharper availability tails at
-    the same replica budget — the measured numbers EXPERIMENTS.md quotes.
+    Runs ``batches`` independent campaigns per scheme of
+    :data:`VARIANCE_SCHEMES` (each a full, smaller E14) and compares the
+    spread of the *estimators* across batches: the campaign's mean
+    availability and its pooled tail-risk P95.  A scheme whose estimator
+    spread is smaller delivers sharper availability tails at the same
+    replica budget — the measured numbers EXPERIMENTS.md quotes.
     One shared population feeds every campaign, so the schemes differ only
     in how replica randomness is allocated.
     """
     if batches < 2:
         raise WorkloadError("variance comparison needs at least two batches")
-    unknown = set(schemes) - set(VARIANCE_SCHEMES)
-    if unknown:
-        raise WorkloadError(f"unknown variance-reduction scheme(s) {sorted(unknown)}")
-    _reject_repeats("schemes", schemes)
     # Built by the first runner (batch 0 runs on ``seed``), adopted by the rest.
     population = None
-    mean_estimates: Dict[str, List[float]] = {scheme: [] for scheme in schemes}
-    tail_estimates: Dict[str, List[float]] = {scheme: [] for scheme in schemes}
-    for scheme in schemes:
+    mean_estimates: Dict[str, List[float]] = {scheme: [] for scheme in VARIANCE_SCHEMES}
+    tail_estimates: Dict[str, List[float]] = {scheme: [] for scheme in VARIANCE_SCHEMES}
+    for scheme in VARIANCE_SCHEMES:
         for batch in range(batches):
             runner = StochasticCampaignRunner(
                 clients=clients, epochs=epochs, replicas=replicas,
@@ -1470,7 +1461,7 @@ def compare_variance_reduction(
           # nan, not 1.0: "no baseline" must not read as "no gain".
           mean_std[scheme] / mean_std["iid"] if mean_std.get("iid")
           else float("nan")]
-         for scheme in schemes],
+         for scheme in VARIANCE_SCHEMES],
         title="estimator spread across batches (lower std = sharper)",
     )
     report.add_note(

@@ -441,8 +441,7 @@ class ScaleScenario:
 
     # -- solving ---------------------------------------------------------------------
 
-    def solve(self, *, warm_start: Optional[np.ndarray] = None,
-              telemetry=None) -> FluidResult:
+    def solve(self, *, telemetry=None) -> FluidResult:
         """Build and solve the problem, interpreting rates as class goodputs.
 
         Dispatches through :func:`repro.scale.solver.solve_allocation`, so a
@@ -452,6 +451,5 @@ class ScaleScenario:
         """
         template = self.build_template()
         epoch = template.instantiate()
-        allocation = solve_allocation(epoch.problem, warm_start=warm_start,
-                                      telemetry=telemetry)
+        allocation = solve_allocation(epoch.problem, telemetry=telemetry)
         return template.interpret(epoch, allocation)

@@ -954,7 +954,6 @@ def solve_allocation(problem: CapacityProblem,
                      *,
                      warm_start: Optional[np.ndarray] = None,
                      warm_prices: Optional[np.ndarray] = None,
-                     max_iterations: Optional[int] = None,
                      telemetry: Optional[Telemetry] = None) -> Allocation:
     """Solve a problem whose flows may mix inelastic and elastic classes.
 
@@ -972,13 +971,11 @@ def solve_allocation(problem: CapacityProblem,
     telemetry = telemetry if telemetry is not None else NULL
     if not problem.has_elastic:
         return max_min_allocation(problem, warm_start=warm_start,
-                                  max_iterations=max_iterations,
                                   telemetry=telemetry)
     elastic = problem.elastic
     if elastic.all():
         return alpha_fair_allocation(problem, warm_start=warm_start,
                                      warm_prices=warm_prices,
-                                     max_iterations=max_iterations,
                                      telemetry=telemetry)
 
     demands = problem.demands
@@ -1002,7 +999,6 @@ def solve_allocation(problem: CapacityProblem,
     inelastic_allocation = max_min_allocation(
         sub_inelastic,
         warm_start=hint[inelastic] if hint is not None else None,
-        max_iterations=max_iterations,
         telemetry=telemetry,
     )
 
@@ -1013,7 +1009,6 @@ def solve_allocation(problem: CapacityProblem,
         sub_elastic,
         warm_start=hint[elastic] if hint is not None else None,
         warm_prices=warm_prices,
-        max_iterations=max_iterations,
         telemetry=telemetry,
     )
 

@@ -1180,10 +1180,10 @@ class _TimelineRun:
         """
         with self.telemetry.span("ring_remap"):
             self.template = template = self.scenario.build_template()
-        remapped, ring_moved = 0, 0.0
-        if template.arc_owners is not self.arc_owners:
-            remapped, ring_moved = template.churn_since(self.arc_owners)
-            self.arc_owners = template.arc_owners
+            remapped, ring_moved = 0, 0.0
+            if template.arc_owners is not self.arc_owners:
+                remapped, ring_moved = template.churn_since(self.arc_owners)
+                self.arc_owners = template.arc_owners
         self.telemetry.inc("timeline.clients_remapped", remapped)
         if self.region_demand is None:
             per_flow_bps = template.base_demands * template.group_clients

@@ -30,7 +30,7 @@ the path delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -232,23 +232,20 @@ def _solve_fluid_arm(*, clients: int, rate_pps: float, wire_bits: float,
 
 
 def cross_validate(
-    *,
-    clients: int = 4,
-    payload_bytes: int = 200,
-    bottleneck_rate_bps: float = 600_000.0,
-    unloaded_rate_pps: float = 25.0,
-    congested_rate_pps: float = 90.0,
-    duration_seconds: float = 4.0,
-    seed: int = 2006,
+    *, duration_seconds: float = 4.0, seed: int = 2006
 ) -> CrossValidationResult:
-    """Run both regimes both ways and tabulate the agreement."""
+    """Run both regimes both ways and tabulate the agreement.
+
+    Four clients send 200 B payloads across a 600 kb/s bottleneck, at
+    25 pps each (unloaded) and at 90 pps each (congested).
+    """
     arms = [
         _run_packet_arm(
-            clients=clients, rate_pps=rate, payload_bytes=payload_bytes,
-            bottleneck_rate_bps=bottleneck_rate_bps,
+            clients=4, rate_pps=rate, payload_bytes=200,
+            bottleneck_rate_bps=600_000.0,
             duration_seconds=duration_seconds, seed=seed,
         )
-        for rate in (unloaded_rate_pps, congested_rate_pps)
+        for rate in (25.0, 90.0)
     ]
     report = ExperimentReport(
         "E12v", "Fluid vs packet-level goodput on the shared dumbbell scenario"
@@ -458,32 +455,24 @@ def _run_latency_arm(*, name: str, clients: int, utilization_target: float,
 
 
 def cross_validate_latency(
-    *,
-    clients: int = 6,
-    payload_bytes: int = 200,
-    bottleneck_rate_bps: float = 600_000.0,
-    light_utilization: float = 0.35,
-    loaded_utilization: float = 0.75,
-    duration_seconds: float = 6.0,
-    seed: int = 2006,
-    model: Optional[LatencyModel] = None,
+    *, duration_seconds: float = 6.0, seed: int = 2006
 ) -> LatencyValidationResult:
     """Run both load levels both ways and tabulate the delay agreement.
 
-    Deterministic packet-size service means the proxy is exercised at
-    ``service_cv = 0`` (the M/D/1 point of the P-K family), which is also
-    what the packet arm's fixed-size packets realize.
+    Six clients send 200 B payloads across a 600 kb/s bottleneck held at
+    35 % (light) and 75 % (loaded) utilization.  Deterministic packet-size
+    service means the proxy is exercised at ``service_cv = 0`` (the M/D/1
+    point of the P-K family), which is also what the packet arm's
+    fixed-size packets realize.
     """
-    model = model or LatencyModel(service_cv=0.0)
+    model = LatencyModel(service_cv=0.0)
     arms = [
         _run_latency_arm(
-            name=name, clients=clients, utilization_target=target,
-            payload_bytes=payload_bytes,
-            bottleneck_rate_bps=bottleneck_rate_bps,
+            name=name, clients=6, utilization_target=target,
+            payload_bytes=200, bottleneck_rate_bps=600_000.0,
             duration_seconds=duration_seconds, seed=seed, model=model,
         )
-        for name, target in (("light", light_utilization),
-                             ("loaded", loaded_utilization))
+        for name, target in (("light", 0.35), ("loaded", 0.75))
     ]
     report = ExperimentReport(
         "E15v", "Latency proxy vs packet-level delay on the shared dumbbell"
@@ -711,34 +700,25 @@ def _solve_adversary_fluid_arm(*, clients: int, adoption: float,
 
 
 def cross_validate_adversary(
-    *,
-    clients: int = 6,
-    payload_bytes: int = 200,
-    bottleneck_rate_bps: float = 2_000_000.0,
-    rate_pps: float = 25.0,
-    throttle_factor: float = 0.3,
-    adoptions: Sequence[float] = (0.0, 0.5),
-    duration_seconds: float = 4.0,
-    seed: int = 2006,
+    *, duration_seconds: float = 4.0, seed: int = 2006
 ) -> AdversaryValidationResult:
     """Cross-check one fluid adversary epoch against the packet-level path.
 
     Both arms realize the same situation: a discriminatory access ISP
-    throttles everything it can classify toward the server to
-    ``throttle_factor`` of its rate, while an ``adoption`` share of clients
-    has deployed the neutralizer and become unclassifiable.  The packet arm
-    runs :mod:`repro.discrimination` rules against real (partly
+    throttles everything it can classify toward the server to 30 % of its
+    rate, while an adoption share of clients (none, then half) has
+    deployed the neutralizer and become unclassifiable.  Six clients send
+    200 B payloads at 25 pps each across a 2 Mb/s bottleneck.  The packet
+    arm runs :mod:`repro.discrimination` rules against real (partly
     neutralized) traffic through :mod:`repro.netsim`; the fluid arm runs
     the same epoch through :class:`repro.scale.adversary.AdversaryRun` and
     the solver.  Delivered fractions must agree within 10 % at every
     adoption level — the license for quoting E16 frontiers at fleet scale.
     """
-    if not adoptions:
-        raise WorkloadError("the adversary validation needs adoption levels")
+    clients, payload_bytes, bottleneck_rate_bps = 6, 200, 2_000_000.0
+    rate_pps, throttle_factor = 25.0, 0.3
     arms: List[AdversaryValidationArm] = []
-    for adoption in adoptions:
-        if not 0.0 <= adoption <= 1.0:
-            raise WorkloadError("adoption levels must be fractions in [0, 1]")
+    for adoption in (0.0, 0.5):
         adopters = int(round(clients * adoption))
         packet_fraction, offered_pps = _run_adversary_packet_arm(
             name=f"adoption {adoption:g}", clients=clients, adopters=adopters,

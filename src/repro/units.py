@@ -23,11 +23,6 @@ DEFAULT_PACKET_INTERVAL = 0.020
 DEFAULT_PAYLOAD_BYTES = 160
 
 
-def kbps(value: float) -> float:
-    """Return a rate expressed in kilobits/second as bits/second."""
-    return float(value) * KILO
-
-
 def mbps(value: float) -> float:
     """Return a rate expressed in megabits/second as bits/second."""
     return float(value) * MEGA
@@ -36,11 +31,6 @@ def mbps(value: float) -> float:
 def gbps(value: float) -> float:
     """Return a rate expressed in gigabits/second as bits/second."""
     return float(value) * GIGA
-
-
-def usec(value: float) -> float:
-    """Return a duration expressed in microseconds as seconds."""
-    return float(value) / MEGA
 
 
 def msec(value: float) -> float:
@@ -82,15 +72,3 @@ def transmission_time(size_bytes: int, rate_bps: float) -> float:
     if rate_bps <= 0:
         return 0.0
     return (size_bytes * BITS_PER_BYTE) / float(rate_bps)
-
-
-def pps_to_bps(packets_per_second: float, packet_size_bytes: int) -> float:
-    """Convert a packet rate to a bit rate for a fixed packet size."""
-    return packets_per_second * packet_size_bytes * BITS_PER_BYTE
-
-
-def bps_to_pps(rate_bps: float, packet_size_bytes: int) -> float:
-    """Convert a bit rate to a packet rate for a fixed packet size."""
-    if packet_size_bytes <= 0:
-        raise ValueError("packet size must be positive")
-    return rate_bps / (packet_size_bytes * BITS_PER_BYTE)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import WorkloadError
 from repro.scale import (
-    CATALOGUE,
     ClientPopulation,
     TimelineCampaignRunner,
     build_scenario,
@@ -14,6 +13,7 @@ from repro.scale import (
     run_scenario,
     scenario_names,
 )
+from repro.scale.catalogue import CATALOGUE
 
 SMOKE_CLIENTS = 2_000
 

@@ -148,16 +148,11 @@ class TestRunner:
         (lambda checkpoint_dir: AdversaryCampaignRunner(
             aggressiveness=(0.3, 0.3), sensitivities=(2.0,), clients=1_000),
          "0.3 twice"),
-        (lambda checkpoint_dir: compare_variance_reduction(
-            schemes=("iid", "iid"), clients=1_000, epochs=4, replicas=2,
-            batches=2),
-         "'iid' twice"),
         (lambda checkpoint_dir: run_churn_slo_frontier(
             targets=(0.6, 0.6000001), clients=1_000, epochs=4, replicas=2,
             checkpoint_dir=checkpoint_dir),
          "0.6 and 0.6000001, which share the point name 'target-0.6'"),
-    ], ids=["e12-client-counts", "e13-scenarios", "e16-grid", "variance-schemes",
-            "frontier-points"])
+    ], ids=["e12-client-counts", "e13-scenarios", "e16-grid", "frontier-points"])
     def test_repeated_sweep_value_is_refused_before_any_unit_runs(
             self, tmp_path, sweep, repeated):
         # A repeat would collapse two points into one result entry, or

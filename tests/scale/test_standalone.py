@@ -75,5 +75,21 @@ def test_import_loads_no_packet_simulator():
     assert not [name for name in modules if name.split(".")[0] == "networkx"]
 
 
+def test_import_parses_no_catalogue_document():
+    # Every tool and every spawned pool worker imports repro.scale; the
+    # thirteen scenario documents are parsed on first use, not then.
+    opened = json.loads(run_python(
+        "import json, sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: opened.append(str(args[0]))\n"
+        "                 if event == 'open' and 'catalogue_data' in str(args[0])\n"
+        "                 else None)\n"
+        "import repro.scale\n"
+        "at_import = list(opened)\n"
+        "repro.scale.scenario_names()\n"
+        "print(json.dumps([at_import, len(opened)]))\n"))
+    assert opened == [[], 13]
+
+
 def test_campaigns_run_with_the_packet_simulator_blocked():
     assert run_python(_CAMPAIGNS.format(blocked=BLOCKED)).strip() == "ok"
