@@ -153,7 +153,6 @@ from .obs import (
     attach_detectors,
     verdicts,
 )
-from .monitor import MonitorServer
 from .stochastic import (
     AttackOnset,
     CorrelatedRegionalOutage,
@@ -246,6 +245,16 @@ from .validate import (
     cross_validate_adversary,
     cross_validate_latency,
 )
+
+
+def __getattr__(name):
+    # PEP 562: the HTTP monitor pulls in http.server, so it loads on first
+    # use of the name, not with every campaign, tool and pool worker.
+    if name == "MonitorServer":
+        from .monitor import MonitorServer
+
+        return MonitorServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AdoptionModel",

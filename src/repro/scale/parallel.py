@@ -21,8 +21,9 @@ and the ``parallel-equivalence`` CI job: ``n_workers=1`` *is* the runner's
 runner ``prepare()`` left behind.  ``prepare()`` does what a campaign's
 units share — for E14–E16 that is every O(n_clients) pass there is — once,
 in the parent; the pool receives that runner as it is (``fork`` inherits it
-copy-on-write, zero copies; ``spawn`` pickles it whole, one population per
-worker) and a worker never prepares anything.
+copy-on-write, zero copies; ``spawn`` pickles it whole, so each worker
+unpickles one population at 1 B/client plus the template) and a worker
+never prepares anything.
 
 **Checkpointed resume.**  With a ``checkpoint_dir``, a :class:`RunTable`
 directory records one JSON file per completed unit (written atomically:
@@ -131,9 +132,10 @@ class SharedPopulationPack:
 
     The engine does not use this class — pool workers take the prepared
     runner as it is (module docstring, *Inputs*); it stays for the
-    benchmark suite's ``parallel.shared_pack_*`` probe.  ``create`` packs a
-    population's arrays, including the sorted-ring cache.  The creator owns
-    the segments: it must ``close()`` and ``unlink()`` them in a ``finally``.
+    benchmark suite's ``parallel.shared_pack_*`` probe.  ``create`` packs
+    five columns built from a population's views, the two sorted-ring
+    columns included.  The creator owns the segments: it must ``close()``
+    and ``unlink()`` them in a ``finally``.
     """
 
     def __init__(self, segments: Dict[str, shared_memory.SharedMemory]) -> None:

@@ -7,15 +7,17 @@ belonging to one *demand class*
 :mod:`repro.apps` models, the VoIP codec read from :mod:`repro.units`, plus
 the neutralizer's wire overhead from :mod:`repro.packet.headers`) and one access
 *region* (an aggregate of access links sharing a regional uplink).  Nothing
-is simulated per client; the population is three numpy arrays — class index,
-region index, ring position — drawn deterministically from a seed, and every
-downstream consumer (fleet assignment, demand aggregation) is a vectorized
-reduction over them.  A million clients fit in 16 MB and aggregate in
-milliseconds; they are drawn, hashed and counted in fixed-size chunks, so
-nothing else of population size is ever allocated.  The one per-client
-pass a campaign needs (:meth:`ClientPopulation.arc_histogram`) runs once
-per (population, ring universe), after which ring changes are served from
-that per-arc histogram and touch no per-client array.  Clients are placed
+is simulated per client; the population keeps one byte per client — the
+fused ``region * n_classes + class`` bin, drawn deterministically from a
+seed — and derives each client's ring position from its identity (seed and
+index) whenever a pass needs it, the way the paper's neutralizer derives
+per-source state with a stateless KDF instead of keeping a table.  A million
+clients fit in 1 MB and aggregate in milliseconds; they are drawn, hashed
+and counted in fixed-size chunks, so nothing else of population size is
+ever allocated.  The one per-client pass a campaign needs
+(:meth:`ClientPopulation.arc_histogram`) runs once per (population, ring
+universe), after which ring changes are served from that per-arc histogram
+and touch no per-client data.  Clients are placed
 with the fleet's :func:`repro.scale.fleet.ring_locate`; nothing here imports
 the packet-level simulator.
 """
@@ -190,7 +192,8 @@ def _choice_cdf(fractions: np.ndarray) -> np.ndarray:
 
 
 class ClientPopulation:
-    """A seeded population of clients, materialized as numpy arrays."""
+    """A seeded population of clients: one stored bin per client, ring
+    positions derived from identity."""
 
     def __init__(
         self,
@@ -206,16 +209,14 @@ class ClientPopulation:
             raise WorkloadError("population needs at least one access region")
         if not 0 <= int(seed) < 2**64:
             raise WorkloadError("population seed must be in [0, 2**64)")
-        self.n_clients = int(n_clients)
-        self.mix = mix or default_mix()
-        self.regions = int(regions)
-        self.seed = int(seed)
+        self._describe(n_clients, mix, regions, seed)
 
-        # The columns are ``rng.choice(classes, n, p=fractions)`` then
-        # ``rng.choice(regions, n, p=weights)`` on one ``default_rng(seed)``
-        # stream, drawn a chunk at a time: ``choice`` spends one uniform per
-        # client, so a second cursor on the same seed, advanced past the
-        # class column's n draws, yields the region column bit for bit.
+        # The classes and regions are ``rng.choice(classes, n, p=fractions)``
+        # then ``rng.choice(regions, n, p=weights)`` on one
+        # ``default_rng(seed)`` stream, drawn a chunk at a time: ``choice``
+        # spends one uniform per client, so a second cursor on the same
+        # seed, advanced past the class column's n draws, yields the region
+        # column bit for bit.  Each client keeps only the fused bin.
         class_rng = np.random.default_rng(self.seed)
         region_rng = np.random.default_rng(self.seed)
         region_rng.bit_generator.advance(self.n_clients)
@@ -223,33 +224,18 @@ class ClientPopulation:
         # Regions are deliberately uneven (metro vs rural): weights 1/(k+1).
         weights = 1.0 / (np.arange(self.regions, dtype=np.float64) + 1.0)
         region_cdf = _choice_cdf(weights / weights.sum())
-        # Ring positions come from client identity, not the rng stream, so a
-        # client keeps its site when the population is re-drawn larger.  The
-        # offset wraps modulo 2^64 like the identities it is added to.
-        offset = np.uint64((self.seed * 0x1000003) & (2**64 - 1))
 
-        self.class_index = np.empty(self.n_clients, dtype=np.int32)
-        self.region_index = np.empty(self.n_clients, dtype=np.int32)
-        self.ring_positions = np.empty(self.n_clients, dtype=np.uint64)
-        class_counts = np.zeros(len(self.mix.classes), dtype=np.int64)
-        region_counts = np.zeros(self.regions, dtype=np.int64)
+        self._bins = np.empty(self.n_clients, dtype=self._bin_dtype())
+        bin_counts = np.zeros(self.regions * self.n_classes, dtype=np.int64)
         for start in range(0, self.n_clients, _CHUNK_CLIENTS):
             stop = min(start + _CHUNK_CLIENTS, self.n_clients)
-            for column, counts, cdf, rng in (
-                    (self.class_index, class_counts, class_cdf, class_rng),
-                    (self.region_index, region_counts, region_cdf, region_rng)):
-                drawn = cdf.searchsorted(rng.random(stop - start), side="right")
-                column[start:stop] = drawn
-                counts += np.bincount(drawn, minlength=counts.size)
-            identities = np.arange(start, stop, dtype=np.uint64)
-            identities += offset
-            self.ring_positions[start:stop] = _splitmix64(identities)
-        for counts in (class_counts, region_counts):
-            counts.setflags(write=False)
-        self._client_counts: Optional[Tuple[np.ndarray, np.ndarray]] = (
-            class_counts, region_counts)
-        self._ring_sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._arc_histograms: Dict[bytes, np.ndarray] = {}
+            fused = region_cdf.searchsorted(region_rng.random(stop - start), side="right")
+            fused *= self.n_classes
+            fused += class_cdf.searchsorted(class_rng.random(stop - start), side="right")
+            self._bins[start:stop] = fused
+            bin_counts += np.bincount(fused, minlength=bin_counts.size)
+        self._positions: Optional[np.ndarray] = None
+        self._set_counts(bin_counts)
 
     @classmethod
     def from_arrays(
@@ -262,29 +248,82 @@ class ClientPopulation:
         region_index: np.ndarray,
         ring_positions: np.ndarray,
     ) -> "ClientPopulation":
-        """A population wrapping already-materialized arrays, no RNG draw.
+        """A population of given clients, no RNG draw.
 
-        The arrays are adopted as-is, with no drawing or copying — how a
-        test puts clients at chosen ring positions (on, just below and just
-        above the fleet's ring points).  ``seed`` is recorded, not used:
-        only a seeded :class:`ClientPopulation` build carries its
-        determinism guarantees.
+        How a test puts clients at chosen ring positions (on, just below
+        and just above the fleet's ring points): the positions are adopted
+        as-is, in place of the identity derivation, and the class and
+        region columns are fused into the stored bins.  ``seed`` is
+        recorded, not used: only a seeded :class:`ClientPopulation` build
+        carries its determinism guarantees.
         """
         if class_index.shape != region_index.shape or \
                 class_index.shape != ring_positions.shape:
             raise WorkloadError("population arrays must have matching shapes")
         population = cls.__new__(cls)
-        population.n_clients = int(class_index.size)
-        population.mix = mix or default_mix()
-        population.regions = int(regions)
-        population.seed = int(seed)
-        population.class_index = class_index
-        population.region_index = region_index
-        population.ring_positions = ring_positions
-        population._ring_sorted = None
-        population._client_counts = None
-        population._arc_histograms = {}
+        population._describe(class_index.size, mix, regions, seed)
+        fused = region_index.astype(np.int64) * population.n_classes + class_index
+        population._bins = fused.astype(population._bin_dtype())
+        population._positions = ring_positions
+        population._set_counts(np.bincount(
+            fused, minlength=population.regions * population.n_classes))
         return population
+
+    def _describe(self, n_clients: int, mix: Optional[PopulationMix],
+                  regions: int, seed: int) -> None:
+        """The recipe: what the population is drawn from."""
+        self.n_clients = int(n_clients)
+        self.mix = mix or default_mix()
+        self.regions = int(regions)
+        self.seed = int(seed)
+        self._arc_histograms: Dict[bytes, np.ndarray] = {}
+
+    def _bin_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds every bin (uint8 for 8 × 3)."""
+        return np.min_scalar_type(self.regions * self.n_classes - 1)
+
+    def _set_counts(self, bin_counts: np.ndarray) -> None:
+        """Clients per class and per region, from clients per bin; read-only."""
+        grid = bin_counts.reshape(self.regions, self.n_classes)
+        self._class_counts = grid.sum(axis=0)
+        self._region_counts = grid.sum(axis=1)
+        for counts in (self._class_counts, self._region_counts):
+            counts.setflags(write=False)
+
+    def _ring_positions(self, start: int, stop: int) -> np.ndarray:
+        """Ring positions of clients ``start..stop-1``, a fresh uint64 array.
+
+        A position comes from client identity, not the rng stream, so a
+        client keeps its site when the population is re-drawn larger: the
+        splitmix64 of its index plus a seed offset, which wraps modulo 2^64
+        like the identities it is added to.
+        """
+        if self._positions is not None:
+            return self._positions[start:stop]
+        identities = np.arange(start, stop, dtype=np.uint64)
+        identities += np.uint64((self.seed * 0x1000003) & (2**64 - 1))
+        return _splitmix64(identities)
+
+    # -- per-client views, built on demand and kept by nobody ---------------------
+
+    @property
+    def class_index(self) -> np.ndarray:
+        """Per client, its demand class (int32); built on each read."""
+        return (self._bins % self.n_classes).astype(np.int32)
+
+    @property
+    def region_index(self) -> np.ndarray:
+        """Per client, its access region (int32); built on each read."""
+        return (self._bins // self.n_classes).astype(np.int32)
+
+    @property
+    def ring_positions(self) -> np.ndarray:
+        """Per client, its uint64 ring position; built on each read."""
+        positions = np.empty(self.n_clients, dtype=np.uint64)
+        for start in range(0, self.n_clients, _CHUNK_CLIENTS):
+            stop = min(start + _CHUNK_CLIENTS, self.n_clients)
+            positions[start:stop] = self._ring_positions(start, stop)
+        return positions
 
     # -- aggregation -----------------------------------------------------------------
 
@@ -293,32 +332,13 @@ class ClientPopulation:
         """Number of demand classes in the mix."""
         return len(self.mix.classes)
 
-    def _counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Clients per (class, region), counted once and handed out read-only.
-
-        A drawn population counts while it draws; one adopted through
-        :meth:`from_arrays` counts here, on first use.  Deterministic from
-        the constructor arguments, so the memo needs no invalidation.
-        """
-        if self._client_counts is None:
-            self._client_counts = (
-                np.bincount(self.class_index, minlength=self.n_classes),
-                np.bincount(self.region_index, minlength=self.regions))
-            for counts in self._client_counts:
-                counts.setflags(write=False)
-        return self._client_counts
-
     def class_counts(self) -> np.ndarray:
-        """Subscribed clients per demand class."""
-        return self._counts()[0]
+        """Subscribed clients per demand class (counted while drawing)."""
+        return self._class_counts
 
     def region_counts(self) -> np.ndarray:
-        """Subscribed clients per access region."""
-        return self._counts()[1]
-
-    def _region_class(self) -> np.ndarray:
-        """Per client, the fused ``region * n_classes + class`` index (int64)."""
-        return self.region_index.astype(np.int64) * self.n_classes + self.class_index
+        """Subscribed clients per access region (counted while drawing)."""
+        return self._region_counts
 
     def group_counts(self, site_index: np.ndarray, n_sites: int) -> np.ndarray:
         """Client counts per (region, class, site) given a site assignment.
@@ -329,7 +349,7 @@ class ClientPopulation:
         """
         if site_index.shape != (self.n_clients,):
             raise WorkloadError("site assignment must cover every client")
-        fused = self._region_class() * n_sites + site_index.astype(np.int64)
+        fused = self._bins.astype(np.int64) * n_sites + site_index
         counts = np.bincount(fused, minlength=self.regions * self.n_classes * n_sites)
         return counts.reshape(self.regions, self.n_classes, n_sites)
 
@@ -342,12 +362,13 @@ class ClientPopulation:
         lies in arc ``i`` iff exactly ``i`` of them are below its position
         (the last arc wraps), and a bin is the fused ``region * n_classes +
         class`` index.  Returns a read-only ``(len(universe) + 1, regions *
-        n_classes)`` int64 table, counted in chunks — locate, fuse,
-        ``bincount`` — so the pass is O(n_clients) time and O(chunk) extra
-        memory, with no sort.  Memoised per distinct universe: every
-        scenario, timeline and Monte-Carlo replica whose fleet hashes to
-        the same points shares one table, and fleet membership changes cost
-        O(ring points × bins) and never come back here.
+        n_classes)`` int64 table, counted in chunks — derive positions,
+        locate, add the stored bins, ``bincount`` — so the pass is
+        O(n_clients) time and O(chunk) extra memory, with no sort.
+        Memoised per distinct universe: every scenario, timeline and
+        Monte-Carlo replica whose fleet hashes to the same points shares one
+        table, and fleet membership changes cost O(ring points × bins) and
+        never come back here.
         """
         key = universe.tobytes()
         histogram = self._arc_histograms.get(key)
@@ -355,11 +376,10 @@ class ClientPopulation:
             bins = self.regions * self.n_classes
             flat = np.zeros((universe.size + 1) * bins, dtype=np.int64)
             for start in range(0, self.n_clients, _CHUNK_CLIENTS):
-                chunk = slice(start, start + _CHUNK_CLIENTS)
-                fused = ring_locate(universe, self.ring_positions[chunk])
+                stop = min(start + _CHUNK_CLIENTS, self.n_clients)
+                fused = ring_locate(universe, self._ring_positions(start, stop))
                 fused *= bins
-                fused += self.region_index[chunk] * self.n_classes
-                fused += self.class_index[chunk]
+                fused += self._bins[start:stop]
                 flat += np.bincount(fused, minlength=flat.size)
             histogram = flat.reshape(universe.size + 1, bins)
             histogram.setflags(write=False)
@@ -367,25 +387,23 @@ class ClientPopulation:
         return histogram
 
     def ring_sorted(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The population reordered by ring position, cached after first use.
+        """The population reordered by ring position, built on each call.
 
         Returns ``(positions, region_class)``, both in ascending
         ring-position order; ``region_class`` is the fused
-        ``region * n_classes + class`` index used for group counting.  With
-        clients sorted this way, a consistent-hash assignment is a *segment
-        structure* — ``searchsorted`` of the ring's points into the client
-        positions
+        ``region * n_classes + class`` index (int64) used for group
+        counting.  With clients sorted this way, a consistent-hash
+        assignment is a *segment structure* — ``searchsorted`` of the ring's
+        points into the client positions
         (:meth:`repro.scale.fleet.NeutralizerFleet.assignment_segments`).
-        A lazy view for diagnostics and tests, on no campaign path: it costs
-        an O(n log n) sort and two population-sized columns, where
-        :meth:`arc_histogram` gives a campaign the same counts without
-        either.
+        A view for diagnostics and tests, on no campaign path: it costs an
+        O(n log n) sort and two population-sized columns, which the
+        population does not keep, where :meth:`arc_histogram` gives a
+        campaign the same counts without either.
         """
-        if self._ring_sorted is None:
-            order = np.argsort(self.ring_positions, kind="stable")
-            self._ring_sorted = (self.ring_positions[order],
-                                 self._region_class()[order])
-        return self._ring_sorted
+        positions = self.ring_positions
+        order = np.argsort(positions, kind="stable")
+        return positions[order], self._bins[order].astype(np.int64)
 
     def demand_pps_per_client(self) -> np.ndarray:
         """Busy-instant packets/s of one subscribed client, per class."""

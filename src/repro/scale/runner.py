@@ -289,8 +289,9 @@ class CampaignRunner:
 
     def __getstate__(self):
         # Telemetry holds thread locks; workers get a fresh registry.  What
-        # prepare() built travels whole — a spawn-started worker pays one
-        # pickled population, and no O(n_clients) pass of its own.
+        # prepare() built travels whole — a spawn-started worker unpickles
+        # one population (1 B/client of bins, its arc tables) and the
+        # template, and makes no O(n_clients) pass of its own.
         return {**self.__dict__, "telemetry": None}
 
     def __setstate__(self, state):

@@ -328,17 +328,18 @@ class TestWorkerInputs:
                              ids=["E14", "E15", "E16"])
     def test_replica_reads_nothing_per_client(self, factory, monkeypatch):
         """Pins ``prepare()`` as the only O(n_clients) code of a campaign:
-        after it, the population's per-client arrays are off limits."""
+        after it, the population's per-client data is off limits."""
         runner, twin = factory(), factory()
         runner.prepare()
         population = runner.shared_population()
 
-        def off_limits():
-            raise AssertionError("a replica went back to the sorted population")
+        def off_limits(*args, **kwargs):
+            raise AssertionError("a replica re-read the population")
 
-        monkeypatch.setattr(population, "ring_sorted", off_limits)
-        for name in ("ring_positions", "class_index", "region_index", "_ring_sorted"):
-            monkeypatch.setattr(population, name, None)
+        # The bin column and the position derivation are the only
+        # per-client sources every population view reads.
+        monkeypatch.setattr(population, "_bins", None)
+        monkeypatch.setattr(population, "_ring_positions", off_limits)
         unit = runner.unit_specs()[0]
         assert _simulation(runner.run_unit(unit)) == _simulation(twin.run_unit(unit))
 

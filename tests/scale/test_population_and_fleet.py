@@ -56,6 +56,17 @@ def reference_splitmix64(value):
     return z ^ (z >> 31)
 
 
+def seal_per_client(monkeypatch, population, why):
+    """Put a population's per-client data off limits: its stored bin column
+    and its ring-position derivation, the only two sources every per-client
+    view (columns, sorted ring, histograms) reads."""
+    def off_limits(*args, **kwargs):
+        raise AssertionError(why)
+
+    monkeypatch.setattr(population, "_bins", None)
+    monkeypatch.setattr(population, "_ring_positions", off_limits)
+
+
 class TestPopulation:
     def test_deterministic_from_seed(self):
         one = ClientPopulation(5_000, seed=42)
@@ -232,11 +243,13 @@ class TestSegmentAssignment:
         assert (np.diff(cuts) >= 0).all()
         assert owners.size == cuts.size - 1
 
-    def test_ring_sorted_is_cached_and_consistent(self):
+    def test_ring_sorted_is_sorted_and_not_kept(self):
         population = ClientPopulation(1_000, seed=5)
         first = population.ring_sorted()
         second = population.ring_sorted()
-        assert first[0] is second[0]  # same arrays, not recomputed
+        # Recomputed on each call: the population keeps no sorted copy.
+        assert first[0] is not second[0]
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
         assert (np.diff(first[0].astype(object)) >= 0).all()
 
     def test_ring_sorted_is_two_columns_and_fills_the_count_memos(self, monkeypatch):
@@ -250,9 +263,8 @@ class TestSegmentAssignment:
             + population.class_index[order])
         classes = np.bincount(population.class_index, minlength=population.n_classes)
         regions = np.bincount(population.region_index, minlength=population.regions)
-        # The draw counted as it went: the memo needs no per-client read.
-        monkeypatch.setattr(population, "class_index", None)
-        monkeypatch.setattr(population, "region_index", None)
+        # The draw counted as it went: the counts need no per-client read.
+        seal_per_client(monkeypatch, population, "the counts re-read the population")
         assert np.array_equal(population.class_counts(), classes)
         assert np.array_equal(population.region_counts(), regions)
         assert population.class_counts() is population.class_counts()
@@ -360,12 +372,7 @@ class TestIncrementalTemplate:
         scenario = ScaleScenario(population, fleet)
         scenario.build_template()
 
-        def off_limits():
-            raise AssertionError("rebuilt() went back to the sorted population")
-
-        monkeypatch.setattr(population, "ring_sorted", off_limits)
-        for name in ("ring_positions", "class_index", "region_index", "_ring_sorted"):
-            monkeypatch.setattr(population, name, None)
+        seal_per_client(monkeypatch, population, "rebuilt() re-read the population")
         for action, site in [("fail_site", "site02"), ("drain_site", "site05"),
                              ("restore_site", "site02")]:
             getattr(fleet, action)(site)
@@ -729,12 +736,47 @@ class TestRingLocate:
 
 class TestPrepareFootprint:
     """prepare() is one bounded-memory pass: nothing population-sized is
-    allocated beyond the three client columns, and no path sorts them."""
+    allocated beyond the one-byte bin column, and no path sorts clients."""
+
+    def test_population_retains_one_byte_per_client(self):
+        clients = 10**5
+        ClientPopulation(10)  # a first build imports what numpy loads lazily
+        tracemalloc.start()
+        try:
+            population = ClientPopulation(clients, seed=2006)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert population.class_counts().sum() == clients
+        # The fused region×class bin, one uint8 per client; positions are
+        # derived from identity when a pass needs them.
+        assert retained <= 1.1 * clients
+
+    def test_a_campaign_draws_the_population_once(self, monkeypatch):
+        """Two rng streams (class, region), each constructed once for a
+        whole campaign: no pass re-draws the population."""
+        import sys
+
+        from repro.scale import StochasticCampaignRunner, population as module
+
+        constructed = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == module.__name__:
+                constructed.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        StochasticCampaignRunner(clients=2_000, nominal_sites=4, max_sites=6,
+                                 epochs=10, replicas=3, seed=7).run()
+        assert constructed == [(7,), (7,)]
 
     def test_million_client_build_stays_within_its_columns(self):
         from repro.scale.scenario import ScaleScenario
 
         clients = 10**6
+        ClientPopulation(10)  # a first build imports what numpy loads lazily
         tracemalloc.start()
         try:
             population = ClientPopulation(clients, seed=81)
@@ -743,9 +785,9 @@ class TestPrepareFootprint:
         finally:
             tracemalloc.stop()
         assert template.counts3d.sum() == clients
-        # 16 B/client of columns (int32 + int32 + uint64) and O(chunk) beside.
-        assert retained <= 17 * clients + (1 << 20)
-        assert peak <= 24 * clients + (4 << 20)
+        # 1 B/client of bins (uint8) and O(chunk) beside.
+        assert retained <= clients + (1 << 20)
+        assert peak <= clients + (8 << 20)
 
     def test_campaign_paths_never_sort_the_population(self, monkeypatch):
         from repro.scale import FluidTimeline, StochasticCampaignRunner

@@ -75,6 +75,16 @@ def test_import_loads_no_packet_simulator():
     assert not [name for name in modules if name.split(".")[0] == "networkx"]
 
 
+def test_import_loads_no_http_server():
+    # The monitor is the one HTTP user; it loads when its name is first used.
+    modules = json.loads(run_python(
+        "import json, sys\n"
+        "import repro.scale.timeline\n"
+        "print(json.dumps(sorted(sys.modules)))\n"))
+    assert "http.server" not in modules
+    assert "repro.scale.monitor" not in modules
+
+
 def test_import_parses_no_catalogue_document():
     # Every tool and every spawned pool worker imports repro.scale; the
     # thirteen scenario documents are parsed on first use, not then.

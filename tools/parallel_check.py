@@ -11,8 +11,8 @@ Two modes, both exercised by the ``parallel-equivalence`` CI job:
     at ``n_workers=2`` with ``fork`` masked out of the start methods, so
     the pickled-runner (``spawn``) path is executed too, and gates what
     that path ships: the prepared runner's pickle must stay within
-    17 B/client + 2 MB (the three client columns and the template; no
-    sorted copy of the population).
+    2 B/client + 2 MB (the population's one-byte bin column, its arc
+    table and the template; no stored ring positions, no sorted copy).
 
 ``resume``
     Launches a checkpointed frontier sweep in a child process, SIGINTs it
@@ -120,10 +120,10 @@ def check_spawn_payload() -> int:
     runner = make_e14()
     runner.prepare()
     payload = len(pickle.dumps(runner))
-    budget = 17 * CLIENTS + (2 << 20)
+    budget = 2 * CLIENTS + (2 << 20)
     verdict = "ok" if payload <= budget else "FAIL"
     print(f"{verdict}: E14 prepared runner pickles to {payload:,} bytes for "
-          f"{CLIENTS:,} clients (budget 17 B/client + 2 MB = {budget:,})")
+          f"{CLIENTS:,} clients (budget 2 B/client + 2 MB = {budget:,})")
     return int(payload > budget)
 
 
