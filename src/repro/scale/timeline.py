@@ -1255,15 +1255,12 @@ class _TimelineRun:
                                            extra_setups)
         solve_span = telemetry.span("solve")
         with solve_span:
-            # The previous rates align only with the flow structure they
-            # were solved on.  Congestion prices are per-resource, and the
-            # resource list (regions + site uplinks + site CPUs, indices
-            # stable across failures) never changes shape, so unlike the
-            # rates they survive template rebuilds.
+            # Congestion prices are per-resource, and the resource list
+            # (regions + site uplinks + site CPUs, indices stable across
+            # failures) never changes shape, so they survive template
+            # rebuilds.
             allocation = solve_allocation(
                 problem.problem,
-                warm_start=(last.allocation.rates if last is not None
-                            and last.template is template else None),
                 warm_prices=(last.allocation.prices if last is not None
                              else None),
                 telemetry=telemetry,

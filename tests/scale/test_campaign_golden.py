@@ -204,7 +204,7 @@ TIMELINE_GOLDEN = {
         "b9b95fe7335dad67821f8de28204c2f7f6ce94118fad05fdf65925cf4cf31c0a",
         "5efaccec8cdd78cbc793d8d7d2bd3bd2b3060eec882edca6166e7986400d3c1f",
         "1424fba3b32ac1405cf73c5061bab9cae6feabe51a0e560fa7ca454dbde71a3d",
-        "ebdbed6daccda9688fc6c17888bceb800ed0e6891ece7b7733df54dc7e920409",
+        "05289e216d1b286ca19646a2b0de41029eea83af390a874094d657f2c581fd5d",
         "b9b95fe7335dad67821f8de28204c2f7f6ce94118fad05fdf65925cf4cf31c0a",
     ),
     "regional_outage": (
@@ -218,21 +218,21 @@ TIMELINE_GOLDEN = {
         "f0c2d2f7777a83382e68c09cde6c68fd32ac7d9b41dee6f30c5944f824195d6f",
         "169069b9bae76dd820bc72b4838e946bc7074c3026f57573581c9c7b10cac2d6",
         "84d4ed1bd1fe7c92bfbc12989d73ce6e74781c8533a2abf90e85e4655148c500",
-        "1de7d7ef83da913eb4a7d7d970319e593d8b83fefd4d47beeb8664453d94135e",
+        "ff63db0e3e5e32131987f09ef06fa7327d918f0f73dd1e65145739700af95386",
         "f0c2d2f7777a83382e68c09cde6c68fd32ac7d9b41dee6f30c5944f824195d6f",
     ),
     "heterogeneous_fleet": (
         "623aace1bba44254e5ef66e56835578f96bbfb75da94173d11119e45fbdaa0fe",
         "d575728d1114ac65e336659a835daf96ca4680dee720891f62c62cdf12387751",
         "0adc341ef50c6d6dea5a6bf9975d2462ee6766c2d6942abe081a3536c7241154",
-        "bed4dee9763bd05331a27faec486e019cd654925e9e3c5a887788f56182e1722",
+        "304483c403ec263972bd721cbf7acd42bbc6a2c08146ef9420e255b69ac9b865",
         "623aace1bba44254e5ef66e56835578f96bbfb75da94173d11119e45fbdaa0fe",
     ),
     "cascading_overload": (
         "c0bb44102b63ed8d2dfcad8206f3d69440e72a542363c5514871d491c2aad251",
         "363ed4188c27bdbadb13490c92ad02d7ea8a81870e472e80a436b173eaa983d0",
         "ed5118b413dd556223ee5ccb96cc24929620c6944ed80faab0f0c6a6a33b7141",
-        "0c37c908d386bba5a3c43bdd32e1582637bc636a6dacc7ee5398a11f1d169f23",
+        "e09974b0a275d2ac446a1d426ef5655cd183d4fb63ae9e70d0327015dbce8e70",
         "c0bb44102b63ed8d2dfcad8206f3d69440e72a542363c5514871d491c2aad251",
     ),
     "discrimination_rollout": (
@@ -253,28 +253,28 @@ TIMELINE_GOLDEN = {
         "7303a1e2f3f6bc5e00cd15d87a07464ef8f4302db22f02a192d8912d0a1f162a",
         "f3b38a9cfe7834d31bdc62ebefc9b98c55dad1b0faa8e32dbad1a4afc231dbaa",
         "ed888878d0986042ae191f577b12127e5640ae3718a164b0d6fa079cf734203d",
-        "b5bd4a9416c883cb5d8a9468766d3c50ab7a1853a900602412699a97d11e307d",
+        "bf6a101fb45da9bc071e0009ec5ecde569a342f7648af2ffdd86a13c458d2532",
         "7303a1e2f3f6bc5e00cd15d87a07464ef8f4302db22f02a192d8912d0a1f162a",
     ),
     "elastic_web_mix": (
         "0d752ac5be5b85a98185b9e28296ad548e7e6fd453a76723e0d96a1e64fe82bc",
         "2caa59e5ddf9212032a7d4532bf5de26d8a9cf9d5efdc9fd73696c9d39ed5ddb",
         "5d8be7af630dd231e3a4abaeb7e1b972cdb7ca3e3c385e3c0539bad28b1759b1",
-        "cc9098fb94912161b829978361eb451be60c964e0d78d11327e0198e2d72ede7",
+        "961c80178e47afb5126890d8b5e8eeab1a7c254d6ae0c51c6a64ac9f2279facf",
         "0d752ac5be5b85a98185b9e28296ad548e7e6fd453a76723e0d96a1e64fe82bc",
     ),
     "latency_slo_autoscaled": (
         "43bd9d3f920c286048b5a5d75ff1610074131fc0613b5c44b969110141526b12",
         "1d0438c395c863d8dfe1c46f230237d5df1d752726ef2f0b2b81ecf3a05ecc85",
         "5d97d4173a24f4309f934d8f5d4df5cd3e93101a0d9e2c118d7be38668631d95",
-        "82604e2cdacf9a0c61b93ae8dd5575e7a8759ee42edacc59fc4425716e563959",
+        "6df4998c70b1a3df314af7590e8b1d0e576d2d31b9ad416ff4f27f5dde745bd0",
         "43bd9d3f920c286048b5a5d75ff1610074131fc0613b5c44b969110141526b12",
     ),
     "adaptive_throttler": (
         "6c1fad587a145aab56d45dba8d326c559c5d1c0a3f7b834a0affd08cbd55ed7d",
         "c496b35b785de9550960d5c4bd8f356dc371d983b9f4aa976d8f389999331b67",
         "26cab65eae965b2a8e62e61df9bc5a602b8f1b056369080007419fc2ff4cf0a5",
-        "42fe690acecc226f23af180927d244dbd77d396059639fc99012d1babfafbba3",
+        "24573aadfc09dc9fec7f84d5ef4ee3fa2d2aacafb9a97d774a03d3b3090a13d6",
         "6c1fad587a145aab56d45dba8d326c559c5d1c0a3f7b834a0affd08cbd55ed7d",
     ),
     "neutralizer_arms_race": (
@@ -288,7 +288,7 @@ TIMELINE_GOLDEN = {
         "a5659c6ffa9941deaed9c4606edf25c6ecac981fccea37ef900989567acb91cc",
         "61c44604c87a2200306bdeb883f78297191fc4e536008eec8fa288ebd825187a",
         "dcf899c92bf6a5b2f883e52cf8b1daf0c3bff4293ae8cc48750de4090762880e",
-        "372c9f863332f9bf257c168cdda904bbb9cd96b10c6d80bd6dfcd36aeab6d7a3",
+        "544253de7f09150aa1b33477a41f18a4f902c5d54ad57f073df7317d9f4bb89e",
         "a5659c6ffa9941deaed9c4606edf25c6ecac981fccea37ef900989567acb91cc",
     ),
 }
@@ -462,7 +462,7 @@ def rest_breaker_digests(result, telemetry):
 REST_BREAKER_GOLDEN = (
     "bfca026bbb76c5545362f77378045481bc4615e282e7e258a24c07d86c875e0d",
     "1c52b3b519cff8808b9408afb794ae31bd0a2a67d11389539534c088f8219fa0",
-    "8028f9634479a23836c5083243197659d87e865db848cfd3dfe5f06ac6dbcf67",
+    "ad93a787a60b44b4b6898dc743b3b4938380c6dcc2b27040ab96dfd755f2e69d",
 )
 
 
