@@ -1255,16 +1255,7 @@ class _TimelineRun:
                                            extra_setups)
         solve_span = telemetry.span("solve")
         with solve_span:
-            # Congestion prices are per-resource, and the resource list
-            # (regions + site uplinks + site CPUs, indices stable across
-            # failures) never changes shape, so they survive template
-            # rebuilds.
-            allocation = solve_allocation(
-                problem.problem,
-                warm_prices=(last.allocation.prices if last is not None
-                             else None),
-                telemetry=telemetry,
-            )
+            allocation = solve_allocation(problem.problem, telemetry=telemetry)
             fluid = template.interpret(problem, allocation)
         latency_result = None
         latency = (0.0, 0.0, 0.0, 0.0)

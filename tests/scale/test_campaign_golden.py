@@ -11,7 +11,8 @@ The campaign rows hash summaries (``E15_congested``, captured at 26851ee,
 is the one row whose fleet runs full enough to reach the alpha-fair dual;
 it and ``elastic_web_mix`` were re-captured when the dual's Rprop loop
 became a projected Newton solve, which moves their floats below 1.5e-3
-relative);
+relative, and again when the timeline stopped seeding the dual with the
+previous epoch's prices, which moves them below 6e-8 relative);
 the 13 timeline rows (captured at
 a790758, before ``FluidTimeline._run_epochs`` became a per-run object) pin
 every ``EpochRecord`` field, the per-site matrices, the span nesting and
@@ -124,8 +125,8 @@ GOLDEN = {
             "acfd4764e221f19c9a0643e32c7381859f829b0f565dd75171d7f6f998dcd6eb"),
     "E15_congested": (
         make_e15_congested,
-        "d96ee88eca8af59cba987bda507ca015b678171f2b5d94a4959801aecc0fdf0a",
-        "7dcaeaeea60af320fcef2081da6abbaad530b7936acc52f2eb65d2061e147774"),
+        "4d23678a9ec27a8fb2af587e22ac57195e370d79e932df3575fc7192699dd48c",
+        "1f992d5f2da838d5e3b4481c1625ab4d53a8c8c243da5638546f9124e9535677"),
     "E16": (make_e16,
             "41b01a4a54363df6a1ff2a414f6038557ce848ce3e988c7721f78a471e019e52",
             "a8bb913345b8ff9a7dacb9e1dbe59726158c1e3ac2c6b30f115c80bf6b491d22"),
@@ -257,11 +258,11 @@ TIMELINE_GOLDEN = {
         "7303a1e2f3f6bc5e00cd15d87a07464ef8f4302db22f02a192d8912d0a1f162a",
     ),
     "elastic_web_mix": (
-        "0d752ac5be5b85a98185b9e28296ad548e7e6fd453a76723e0d96a1e64fe82bc",
-        "2caa59e5ddf9212032a7d4532bf5de26d8a9cf9d5efdc9fd73696c9d39ed5ddb",
+        "a51ae2b0a8c6478acf73291dcbf96a21728ee1ac64fe0519f98d129658ece411",
+        "348241e2c0717461a6a76f52024a9f92834cb87b12cd70d0af67656e50c719c3",
         "5d8be7af630dd231e3a4abaeb7e1b972cdb7ca3e3c385e3c0539bad28b1759b1",
-        "961c80178e47afb5126890d8b5e8eeab1a7c254d6ae0c51c6a64ac9f2279facf",
-        "0d752ac5be5b85a98185b9e28296ad548e7e6fd453a76723e0d96a1e64fe82bc",
+        "ddd5455274232bac4bb57f49b0ce0871b79c1930a8d68d9fa7f4ef4937ca2961",
+        "a51ae2b0a8c6478acf73291dcbf96a21728ee1ac64fe0519f98d129658ece411",
     ),
     "latency_slo_autoscaled": (
         "43bd9d3f920c286048b5a5d75ff1610074131fc0613b5c44b969110141526b12",
@@ -365,7 +366,7 @@ LEGACY_BUILDER_GOLDEN = {
     "stochastic_unreliable":
         "7c5d38e0361e13fc939c353cd4e14258ced189e4694c9954de580e407d6ae907",
     "elastic_web_mix":
-        "9e2869b08e7c72002e65ac8caf5874d9938489701a99f2a481304c71e1f46a31",
+        "ad1e88269055fd7deb95c2c430edbc5ef951e3c41dac2ec5703fa79fa3fbfa31",
     "latency_slo_autoscaled":
         "d0a7a2bad9675ba6f2e43b7825991b2aa23b807669f593dc820bf83058b23c04",
     "adaptive_throttler":
