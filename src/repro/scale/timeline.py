@@ -25,13 +25,13 @@ the max-min solver through a sequence of epochs:
   throttles classifiable traffic under a policing budget while per-region
   neutralizer adoption reacts to the experienced harm, feeding per-flow
   served-demand caps and adopter re-key load back into the solve;
-* each epoch is solved *warm*: the flow structure is a cached
+* each epoch reuses what it can: the flow structure is a cached
   :class:`repro.scale.scenario.ProblemTemplate` (rebuilt incrementally, in
-  O(ring points × bins), only when the ring actually changes) and the previous
-  epoch's allocation is offered to
-  :func:`repro.scale.solver.max_min_allocation` as a verified warm start,
-  so an event-free epoch costs a few vectorized passes over per-flow
-  vectors, independent of population size.
+  O(ring points × bins), only when the ring actually changes), every solve
+  is cold and so a function of its problem alone, and a small per-run memo
+  recalls the answer of any problem the run already solved, so an epoch
+  costs a few vectorized passes over per-flow vectors, independent of
+  population size.
 
 The result is a :class:`TimelineResult`: per-epoch goodput, delivered
 fraction, per-site utilization matrices, serving-site counts, provisioning
@@ -42,6 +42,7 @@ diff says changed owner).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -67,14 +68,19 @@ from .solver import Allocation, solve_allocation
 from .telemetry import NULL, Telemetry
 
 
-def _optional_arrays_equal(left: Optional[np.ndarray],
-                           right: Optional[np.ndarray]) -> bool:
-    """Whether two maybe-absent per-flow/per-site vectors are identical."""
-    if left is None or right is None:
-        return left is None and right is None
-    return np.array_equal(left, right)
-
 DAY_SECONDS = 86_400.0
+
+#: Distinct epoch problems one run keeps the answers of, least recently
+#: used out first.  At the benchmark's scale a replica of E14, E15 or E16
+#: repeats 256, 283 and 143 problems; eight entries recall 247, 279 and
+#: all 143 of them (the previous epoch's alone recalls 39, 90 and 5).
+SOLVE_MEMO_SIZE = 8
+
+
+def _key_bytes(scale: Optional[np.ndarray]) -> Optional[bytes]:
+    """A scale vector as memo-key bytes; adding 0.0 turns -0.0 into 0.0,
+    so two vectors give equal bytes exactly when ``np.array_equal``."""
+    return None if scale is None else (scale + 0.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -879,18 +885,15 @@ class FluidTimeline:
 class SolvedEpoch:
     """One epoch's instantiated problem with everything solved from it.
 
-    The timeline's only solve memo, kept in the last epoch's
-    :class:`_DerivedEpoch`.  An epoch with the same template, demand
-    scaling and capacity scaling (steady load, no events) is the *same
-    problem*, so the instantiated problem, the allocation, the interpreted
-    fluid result and the latency metrics are all reused outright.  A changed
-    problem still takes its warm start from here.
+    Every solve is cold, so everything after ``problem`` — the allocation,
+    the interpreted fluid result and the latency metrics — is a function
+    of the problem alone: :attr:`answer` is what the run's solve memo keeps
+    (see :meth:`_TimelineRun.solve`).  The template and the problem stay
+    out of the memo; a recalled answer is paired with the current
+    template's fresh instantiation.
     """
 
     template: ProblemTemplate
-    served_scale: np.ndarray
-    capacity_scale: Optional[np.ndarray]
-    extra_setups: Optional[np.ndarray]
     problem: EpochProblem
     allocation: Allocation
     fluid: FluidResult
@@ -899,14 +902,10 @@ class SolvedEpoch:
     #: latency model.
     latency: Tuple[float, float, float, float]
 
-    def answers(self, template: ProblemTemplate, served_scale: np.ndarray,
-                capacity_scale: Optional[np.ndarray],
-                extra_setups: Optional[np.ndarray]) -> bool:
-        """Whether these inputs pose the bit-identical problem solved here."""
-        return (template is self.template
-                and np.array_equal(served_scale, self.served_scale)
-                and _optional_arrays_equal(capacity_scale, self.capacity_scale)
-                and _optional_arrays_equal(extra_setups, self.extra_setups))
+    @property
+    def answer(self) -> tuple:
+        """``(allocation, fluid, latency_result, latency)``: the memo entry."""
+        return self.allocation, self.fluid, self.latency_result, self.latency
 
 
 @dataclass(frozen=True, eq=False)
@@ -980,6 +979,13 @@ class _TimelineRun:
         self.last_metrics: Optional[EpochMetrics] = None
         #: The last epoch's derivation, taken back by a resting epoch.
         self.derived: Optional[_DerivedEpoch] = None
+        #: The solve memo: :meth:`problem_key` -> :attr:`SolvedEpoch.answer`,
+        #: at most :data:`SOLVE_MEMO_SIZE` entries, most recent last.  One
+        #: per run, so a campaign unit's answers never depend on which
+        #: worker ran the units before it.  ``warm_start=False`` turns it
+        #: off, so every epoch solves.
+        self.memo: Optional[OrderedDict] = (OrderedDict() if timeline.warm_start
+                                            else None)
         #: Committed-capacity sums (``epoch_cost`` keywords), cached while
         #: the fleet state they were summed under, ``committed_key``, holds.
         self.committed_key = None
@@ -1230,29 +1236,58 @@ class _TimelineRun:
             return None
         return scale
 
+    def problem_key(self, served_scale: np.ndarray,
+                    capacity_scale: Optional[np.ndarray],
+                    extra_setups: Optional[np.ndarray]) -> tuple:
+        """The solve memo's key: everything this epoch's problem depends on.
+
+        Within one run the population, the site specs, the cost model, the
+        region uplink and the latency model are fixed.  Events and the
+        autoscaler change the fleet only through which sites serve
+        (``ReconfigEvent`` only flips ``active``), and the ring — hence the
+        template's flows, usage matrix and site capacities — is a function
+        of that in-service set.  So the in-service mask and the three scale
+        vectors determine the instantiated problem, and a cold solve's
+        answer with it.
+        """
+        return (self.fleet.in_service_mask().tobytes(),
+                _key_bytes(served_scale), _key_bytes(capacity_scale),
+                _key_bytes(extra_setups))
+
     def solve(self, served_scale: np.ndarray,
               capacity_scale: Optional[np.ndarray],
               extra_setups: Optional[np.ndarray],
               ) -> Tuple[SolvedEpoch, bool, float]:
         """This epoch's :class:`SolvedEpoch`, whether reused, and its seconds.
 
-        The last solve, the one in ``derived``, is the reuse candidate and
-        the warm start; ``step`` keeps the new one in the next ``derived``.
+        A problem this run has solved is recalled from the memo, not
+        solved again.  It counts as *reused* (``EpochRecord.warm_started``,
+        zero solver iterations) only when it is the previous epoch's
+        problem on the same template object; an older one is recorded as
+        the solve it stands for.  ``step`` keeps the result in the next
+        ``derived``.
         """
         timeline = self.timeline
         telemetry = self.telemetry
         template = self.template
-        last = (self.derived.solved
-                if timeline.warm_start and self.derived is not None else None)
-        if last is not None and last.answers(template, served_scale,
-                                             capacity_scale, extra_setups):
-            # Bit-identical problem (steady load, same fleet state): the
-            # previous answer IS the answer.
-            return last, True, self.reuse_solve()
+        memo = self.memo
+        key = answer = None
+        if memo is not None:
+            key = self.problem_key(served_scale, capacity_scale, extra_setups)
+            answer = memo.get(key)
+        if answer is not None:
+            memo.move_to_end(key)
+            last = self.derived.solved
+            if last.template is template and last.allocation is answer[0]:
+                # The previous epoch's problem: its answer IS the answer.
+                return last, True, self.reuse_solve()
         instantiate_span = telemetry.span("template_instantiate")
         with instantiate_span:
             problem = template.instantiate(served_scale, capacity_scale,
                                            extra_setups)
+        if answer is not None:
+            return (SolvedEpoch(template, problem, *answer), False,
+                    instantiate_span.seconds + self.reuse_solve())
         solve_span = telemetry.span("solve")
         with solve_span:
             allocation = solve_allocation(problem.problem, telemetry=telemetry)
@@ -1273,15 +1308,17 @@ class _TimelineRun:
                 )
             latency_seconds = latency_span.seconds
         telemetry.observe("timeline.solver_iterations", allocation.iterations)
-        solved = SolvedEpoch(
-            template, served_scale, capacity_scale, extra_setups, problem,
-            allocation, fluid, latency_result, latency,
-        )
+        solved = SolvedEpoch(template, problem, allocation, fluid,
+                             latency_result, latency)
+        if memo is not None:
+            memo[key] = solved.answer
+            if len(memo) > SOLVE_MEMO_SIZE:
+                memo.popitem(last=False)
         return solved, False, (instantiate_span.seconds
                                + solve_span.seconds + latency_seconds)
 
     def reuse_solve(self) -> float:
-        """The ``solve`` span of an epoch whose answer is the last one."""
+        """The ``solve`` span of an epoch whose answer this run already had."""
         reuse_span = self.telemetry.span("solve", reused=True)
         with reuse_span:
             self.telemetry.inc("timeline.epochs_reused")

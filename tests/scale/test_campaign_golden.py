@@ -38,6 +38,7 @@ from functools import partial
 
 import pytest
 
+import repro.scale.timeline as timeline_module
 from repro.scale import (
     AdoptionModel,
     AdversaryCampaignRunner,
@@ -204,15 +205,15 @@ TIMELINE_GOLDEN = {
     "flash_crowd": (
         "b9b95fe7335dad67821f8de28204c2f7f6ce94118fad05fdf65925cf4cf31c0a",
         "5efaccec8cdd78cbc793d8d7d2bd3bd2b3060eec882edca6166e7986400d3c1f",
-        "1424fba3b32ac1405cf73c5061bab9cae6feabe51a0e560fa7ca454dbde71a3d",
-        "05289e216d1b286ca19646a2b0de41029eea83af390a874094d657f2c581fd5d",
+        "0343f2ef2683d1e156214bd237f91c76e2353869da291900bace98b367c95ee6",
+        "d02194e73ef5d8edde40a5f8565be6b646d326bb5f8e26c22948dc961320f910",
         "b9b95fe7335dad67821f8de28204c2f7f6ce94118fad05fdf65925cf4cf31c0a",
     ),
     "regional_outage": (
         "e88136598195a267bca70b072f14aaf73bd4d26cbfc64735482d18060d61edd6",
         "719eb414f22f24b0bc4e476147855a60eb718adc87d70d895112c9b80a455df3",
-        "931325d18b6447a00d290187cc21a18ce76930bab1d48a0e5836017a310bba04",
-        "d29b7c019fdf7d4be362acb88d6c030359bc000436ed5edf257a6108219c7edd",
+        "ae790a3211e1ccc6abb346c184ddf5addf47c48725134e43e05856e361bb7f79",
+        "9af2f898347fae54fcd515bf968533c1f85e9213b68a5841a13a61f199e21151",
         "e88136598195a267bca70b072f14aaf73bd4d26cbfc64735482d18060d61edd6",
     ),
     "diurnal_week": (
@@ -253,15 +254,15 @@ TIMELINE_GOLDEN = {
     "stochastic_unreliable": (
         "7303a1e2f3f6bc5e00cd15d87a07464ef8f4302db22f02a192d8912d0a1f162a",
         "f3b38a9cfe7834d31bdc62ebefc9b98c55dad1b0faa8e32dbad1a4afc231dbaa",
-        "ed888878d0986042ae191f577b12127e5640ae3718a164b0d6fa079cf734203d",
-        "bf6a101fb45da9bc071e0009ec5ecde569a342f7648af2ffdd86a13c458d2532",
+        "0c220911fa66b4076160a4cc4b80839b6834d763225725a4ba619ac4e09f26ac",
+        "6f0fabe44ae1342f7d05e44dac559d6919e6f69f59c76e9610003accc890e94a",
         "7303a1e2f3f6bc5e00cd15d87a07464ef8f4302db22f02a192d8912d0a1f162a",
     ),
     "elastic_web_mix": (
         "a51ae2b0a8c6478acf73291dcbf96a21728ee1ac64fe0519f98d129658ece411",
         "348241e2c0717461a6a76f52024a9f92834cb87b12cd70d0af67656e50c719c3",
-        "5d8be7af630dd231e3a4abaeb7e1b972cdb7ca3e3c385e3c0539bad28b1759b1",
-        "ddd5455274232bac4bb57f49b0ce0871b79c1930a8d68d9fa7f4ef4937ca2961",
+        "57a1ba575f2bf2c72c3e592723efd572355aefc1a6398ab312acef2a147d55ca",
+        "4d30677d96c845f9be15ad322c5e273b3d8239cf30ef97f3632ec116f3feb6c9",
         "a51ae2b0a8c6478acf73291dcbf96a21728ee1ac64fe0519f98d129658ece411",
     ),
     "latency_slo_autoscaled": (
@@ -515,8 +516,7 @@ def test_the_rest_path_changes_nothing(name, monkeypatch):
 
     def never_resting(run, epoch):
         # A rest key no epoch matches: the epoch derives everything afresh,
-        # and the last solve in ``derived`` stays its reuse candidate and
-        # warm start.
+        # and the run's solve memo still recalls the problems it solved.
         if run.derived is not None:
             run.derived = dataclasses.replace(run.derived, template=None)
         step(run, epoch)
@@ -527,6 +527,41 @@ def test_the_rest_path_changes_nothing(name, monkeypatch):
     assert rest_path_digests(name) == resting
     if name in ("rest_breakers", "E16"):
         assert any(rested), "the run never rested"
+
+
+#: Runs whose result and NDJSON digests must not depend on how many
+#: distinct problems a run's solve memo remembers.
+MEMO_RUNS = {**REST_PATH_RUNS, "E14": make_e14, "E15": make_e15}
+#: The runs among them that pose again a problem older than the last one.
+RECALLING = ("elastic_web_mix", "flash_crowd", "regional_outage",
+             "stochastic_unreliable")
+
+
+def complete_problem_key(run, served_scale, capacity_scale, extra_setups):
+    """Every input an epoch's problem depends on within one run, written
+    out here rather than taken from the timeline."""
+    return (run.fleet.in_service_mask().tobytes(), served_scale.tobytes(),
+            None if capacity_scale is None else capacity_scale.tobytes(),
+            None if extra_setups is None else extra_setups.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_RUNS))
+def test_the_solve_memo_changes_no_answer(name, monkeypatch):
+    def observed():
+        telemetry = observed_telemetry()
+        result = MEMO_RUNS[name](telemetry=telemetry).run()
+        return (observed_digests(result, telemetry)[:2],
+                telemetry.metrics.counter_value("timeline.epochs_reused"))
+
+    remembered, recalled = observed()
+    # One slot under a complete key: only the previous epoch's problem is
+    # ever recalled, as when the last solve was the only one kept.
+    monkeypatch.setattr(timeline_module, "SOLVE_MEMO_SIZE", 1)
+    monkeypatch.setattr(_TimelineRun, "problem_key", complete_problem_key)
+    one_slot, reused = observed()
+    assert remembered == one_slot
+    if name in RECALLING:
+        assert recalled > reused, "the memo recalled no older problem"
 
 
 if __name__ == "__main__":

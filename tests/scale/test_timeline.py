@@ -1,7 +1,12 @@
 """Timeline properties: conservation, warm-start equivalence, failover churn."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+
+import repro.scale.timeline as timeline_module
 
 from repro.exceptions import WorkloadError
 from repro.scale import (
@@ -16,10 +21,14 @@ from repro.scale import (
     LinearRampLoad,
     LoadCurve,
     NeutralizerFleet,
+    ScaleScenario,
     SiteFailure,
     SiteRecovery,
+    build_scenario,
     canonical_result_bytes,
 )
+from repro.scale.solver import solve_allocation
+from repro.scale.timeline import _TimelineRun
 from repro.units import mbps
 
 
@@ -335,9 +344,75 @@ class TestWarmStart:
             events=[SiteFailure(4, "site01")]
         ).run()
         assert result.records[3].warm_started
-        # The remap changes the flow structure: the stale hint is discarded.
+        # The remap changes the flow structure: a new problem, solved cold.
         assert not result.records[4].warm_started
         assert result.records[4].solver_iterations > 0
+
+
+class TestSolveMemo:
+    def test_a_timeline_solve_takes_no_hint(self, monkeypatch):
+        calls = []
+
+        def recording(problem, **kwargs):
+            calls.append(kwargs)
+            return solve_allocation(problem, **kwargs)
+
+        monkeypatch.setattr(timeline_module, "solve_allocation", recording)
+        for name in ("regional_outage", "elastic_web_mix"):
+            build_scenario(name, clients=2000, seed=7).run()
+        assert calls
+        assert all(kwargs.get("warm_start") is None
+                   and kwargs.get("warm_prices") is None for kwargs in calls)
+
+    def test_the_key_tells_two_fleet_states_apart(self):
+        # Site 1 out, then site 2 out: under a flat load the two rings pose
+        # equal scale vectors over as many flows, yet different problems.
+        def run(warm_start):
+            return small_timeline(
+                epochs=8, load=ConstantLoad(1.0), warm_start=warm_start,
+                events=[SiteFailure(2, "site01"), SiteRecovery(4, "site01"),
+                        SiteFailure(6, "site02")]).run()
+
+        remembered, cold = run(True), run(False)
+        assert not np.array_equal(remembered.cpu_utilization[2],
+                                  remembered.cpu_utilization[6])
+        assert np.array_equal(remembered.cpu_utilization, cold.cpu_utilization)
+
+    def test_the_memo_is_bounded_and_pins_no_template(self, monkeypatch):
+        runs, templates = [], []
+        init = _TimelineRun.__init__
+        build = ScaleScenario.build_template
+
+        def keeping(run, timeline):
+            init(run, timeline)
+            runs.append(run)
+
+        def watched(scenario):
+            template = build(scenario)
+            if not templates or templates[-1]() is not template:
+                templates.append(weakref.ref(template))
+            return template
+
+        monkeypatch.setattr(_TimelineRun, "__init__", keeping)
+        monkeypatch.setattr(ScaleScenario, "build_template", watched)
+        bound = timeline_module.SOLVE_MEMO_SIZE
+        epochs = 3 * bound
+        # A ramp poses a new problem every epoch; the failure and recovery
+        # replace the template twice.
+        timeline = small_timeline(
+            epochs=epochs,
+            load=LinearRampLoad(0.5, 1.5, 0.0, epochs * 3600.0),
+            events=[SiteFailure(2, "site01"), SiteRecovery(4, "site01")])
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            timeline.run()
+            assert len(runs[0].memo) == bound
+            assert len(templates) == 3
+            assert [ref() is None for ref in templates] == [True, True, False]
+        finally:
+            if collecting:
+                gc.enable()
 
 
 class TestDiscrimination:
