@@ -31,8 +31,9 @@ temp file + ``os.replace``).  An interrupted campaign re-run with the same
 directory loads completed outcomes and only executes the remainder — the
 merged table is identical to an uninterrupted run's.
 
-**Telemetry fan-in.**  Workers ship a per-unit metrics-registry delta and
-their span durations home with each outcome; the parent merges deltas into
+**Telemetry fan-in.**  Workers ship a per-unit metrics-registry delta and,
+when the campaign is traced (a parent tracer or a ``trace_dir``), their
+span durations home with each outcome; the parent merges deltas into
 the campaign registry (so a pooled run's Prometheus export reads ONE
 registry) and accumulates span durations for
 :func:`repro.scale.telemetry.phase_breakdown`.  With a ``trace_dir``, each
@@ -360,16 +361,18 @@ def _run_unit_logged(runner, unit: CampaignUnit) -> object:
     return outcome
 
 
-def _worker_init(runner, trace_dir: Optional[str],
+def _worker_init(runner, trace: bool, trace_dir: Optional[str],
                  collect_events: bool = False,
                  heartbeat_queue=None) -> None:
     """Install the campaign in a worker, as the parent prepared it, under a
     fresh telemetry.
 
     Workers ignore SIGINT so an interrupt lands only in the parent, which
-    checkpoints and tears the pool down; the worker's telemetry always
-    traces (spans are drained per unit and shipped home as durations) and
-    always carries a registry (per-unit deltas merge into the campaign's).
+    checkpoints and tears the pool down; the worker's telemetry traces
+    when ``trace`` says the parent does (its telemetry has a tracer, or
+    the run has a ``trace_dir``: spans are drained per unit and shipped
+    home as durations) and always carries a registry (per-unit deltas
+    merge into the campaign's).
     When the parent campaign carries an event log, ``collect_events``
     attaches a worker-local log whose per-unit batches ship home with each
     outcome and fan into the parent stream in unit order.
@@ -380,7 +383,7 @@ def _worker_init(runner, trace_dir: Optional[str],
     """
     global _WORKER
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    runner.telemetry = Telemetry(trace=True, events=collect_events)
+    runner.telemetry = Telemetry(trace=trace, events=collect_events)
     _WORKER = {
         "runner": runner,
         "trace_dir": Path(trace_dir) if trace_dir else None,
@@ -424,13 +427,16 @@ def _worker_run_unit(unit: CampaignUnit):
     _worker_heartbeat(unit, "complete")
     delta = MetricsRegistry.snapshot_delta(before, telemetry.metrics.as_dict())
     tracer = telemetry.tracer
-    spans = [(record.name, record.dur_s) for record in tracer.spans]
-    if trace_dir is not None:
-        span_file = trace_dir / f"worker-{os.getpid()}.jsonl"
-        with open(span_file, "a") as handle:
-            for record in tracer.spans:
-                handle.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-    tracer.spans.clear()
+    spans = []
+    if tracer is not None:
+        spans = [(record.name, record.dur_s) for record in tracer.spans]
+        if trace_dir is not None:
+            span_file = trace_dir / f"worker-{os.getpid()}.jsonl"
+            with open(span_file, "a") as handle:
+                for record in tracer.spans:
+                    handle.write(json.dumps(record.as_dict(), sort_keys=True)
+                                 + "\n")
+        tracer.spans.clear()
     # Sequence numbers are parent-assigned at fan-in, so only the raw
     # (kind, payload) pairs travel home.
     events = (telemetry.events.drain_raw()
@@ -591,6 +597,7 @@ class ProcessPoolCampaignExecutor:
             mp_context=context,
             initializer=_worker_init,
             initargs=(runner,
+                      telemetry.tracer is not None or self.trace_dir is not None,
                       str(self.trace_dir) if self.trace_dir else None,
                       telemetry.events is not None,
                       heartbeat_queue),

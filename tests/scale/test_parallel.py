@@ -212,6 +212,23 @@ class TestPooledEquivalence:
         assert executor.phase_durations.get("replica")
         assert runner.get_current_state().completed_points == runner.replicas
 
+    def test_an_untraced_pool_ships_no_span_durations(self):
+        serial_telemetry = Telemetry(trace=False, events=True)
+        serial = make_e14(telemetry=serial_telemetry).run()
+        pooled_telemetry = Telemetry(trace=False, events=True)
+        executor = ProcessPoolCampaignExecutor(
+            make_e14(telemetry=pooled_telemetry), n_workers=2)
+        pooled = executor.run()
+        assert executor.phase_durations == {}
+        assert canonical_result_bytes(pooled) == canonical_result_bytes(serial)
+        assert (pooled_telemetry.events.to_ndjson()
+                == serial_telemetry.events.to_ndjson())
+        serial_counters = serial_telemetry.metrics.as_dict()["counters"]
+        pooled_counters = pooled_telemetry.metrics.as_dict()["counters"]
+        for key, value in serial_counters.items():
+            if key.split(".")[0] in ("solver", "timeline", "scenario"):
+                assert pooled_counters.get(key, 0.0) == pytest.approx(value), key
+
     def test_pool_writes_per_worker_span_files(self, tmp_path):
         runner = make_e14()
         executor = ProcessPoolCampaignExecutor(
