@@ -39,9 +39,10 @@ def _diurnal_timeline(warm_start=True, telemetry=None):
 
 
 def _congested_timeline(warm_start=True):
-    """Steady congested load: the regime where warm-start hint reuse fires
-    (diurnal epochs change every demand, so min(prev, demands) rarely
-    certifies there; the demand certificate covers their troughs instead)."""
+    """Steady congested load: every epoch after the first poses the
+    previous epoch's problem and takes its answer (diurnal epochs change
+    every demand, so they rarely repeat one; the demand certificate covers
+    their troughs instead)."""
     population = ClientPopulation(_CLIENTS, seed=_SEED)
     fleet = provisioned_fleet(population, 16, headroom=0.85)
     return FluidTimeline(
@@ -124,25 +125,25 @@ def test_e13_monitor_overhead(once):
 
 
 def test_e13_epoch_solves_warm(benchmark):
-    """Per-epoch solve throughput with warm-start hint reuse."""
+    """Per-epoch throughput when epochs reuse the previous answer."""
     timeline = _congested_timeline(warm_start=True)
     result = benchmark(timeline.run)
     assert result.warm_fraction > 0.9
 
 
 def test_e13_epoch_solves_cold(benchmark):
-    """The same congested timeline refilled every epoch, for the ratio."""
+    """The same congested timeline solved every epoch, for the ratio."""
     timeline = _congested_timeline(warm_start=False)
     result = benchmark(timeline.run)
     assert result.warm_fraction == 0.0
 
 
 def test_e13_warm_start_is_faster_in_solver_time(once):
-    """Warm starts must measurably beat cold fills in solver work."""
+    """Reuse must measurably beat solving every epoch in solver work."""
     warm = _congested_timeline(warm_start=True).run()
     cold = once(lambda: _congested_timeline(warm_start=False).run())
-    # Every epoch after the first certifies the previous allocation; the
-    # cold run refills all of them.  Deterministic, so no wall-clock assert
+    # Every epoch after the first takes the previous epoch's answer; the
+    # cold run solves all of them.  Deterministic, so no wall-clock assert
     # (sub-millisecond timings flake on shared CI runners) — the
     # e13_epoch_solves_warm/cold benchmarks record the time ratio.
     assert warm.warm_fraction > 0.9

@@ -668,7 +668,7 @@ class TimelineCampaignRunner(CampaignRunner):
         )
         report.add_table(
             ["scenario", "epochs", "min deliv", "mean deliv", "remapped",
-             "warm frac", "fast frac", "peak cpu", "wall s"],
+             "reuse frac", "fast frac", "peak cpu", "wall s"],
             [[record.scenario, record.epochs, record.min_delivered_fraction,
               record.mean_delivered_fraction, record.total_clients_remapped,
               record.warm_fraction, record.fast_fraction,
@@ -688,10 +688,10 @@ class TimelineCampaignRunner(CampaignRunner):
             "nominal demand, so the shapes are population-size invariant"
         )
         report.add_note(
-            "warm frac: epochs solved by certifying the previous allocation "
-            "(bottleneck condition) — fires on steady congested load; fast "
-            "frac: all epochs that skipped the fill, including uncongested "
-            "epochs certified directly from the demands vector"
+            "reuse frac: epochs that posed the previous epoch's problem and "
+            "took its answer outright — steady load, no event; fast frac: "
+            "all epochs that skipped the fill, the reused ones and the "
+            "uncongested epochs certified directly from the demands vector"
         )
         return report
 

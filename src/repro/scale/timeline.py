@@ -413,6 +413,8 @@ class EpochRecord:
     clients_remapped: int
     #: Key-space fraction whose owner changed entering this epoch (0 if none).
     ring_moved_fraction: float
+    #: Whether the epoch took the previous epoch's answer outright (the
+    #: same problem on the same template), with ``solver_iterations`` 0.
     warm_started: bool
     solver_iterations: int
     solve_seconds: float
@@ -523,7 +525,12 @@ class TimelineResult:
 
     @property
     def warm_fraction(self) -> float:
-        """Fraction of epochs solved by reusing the previous allocation."""
+        """Fraction of epochs that took the previous epoch's answer outright.
+
+        Counts :attr:`EpochRecord.warm_started`: the epoch posed the
+        previous epoch's problem on the same template.  The E13 report
+        prints it as ``reuse frac``.
+        """
         if not self.records:
             return 0.0
         return sum(record.warm_started for record in self.records) / len(self.records)
@@ -533,7 +540,8 @@ class TimelineResult:
         """Fraction of epochs that skipped the fill entirely (iterations 0).
 
         Covers both fast paths: the demand certificate (uncongested epochs,
-        available in warm and cold modes alike) and warm-start reuse.
+        with ``warm_start`` on or off) and reuse of the previous epoch's
+        answer.
         """
         if not self.records:
             return 0.0
