@@ -2,8 +2,7 @@
 
 A :class:`MatchCriteria` describes which packets a rule applies to, expressed
 over what the ISP can *see*: header addresses/prefixes, protocol, ports, DSCP,
-application labels and DNS names from DPI, encryption status, and key-setup
-status.  The same criteria objects are reused by the experiment harness to
+DNS names from DPI, encryption status, and key-setup status.  The same criteria objects are reused by the experiment harness to
 measure collateral damage: "how much traffic that the ISP did *not* intend to
 hit also matched this rule".
 """
@@ -34,7 +33,6 @@ class MatchCriteria:
     protocol: Optional[int] = None
     destination_port: Optional[int] = None
     dscp: Optional[int] = None
-    application: Optional[str] = None
     dns_query_name: Optional[str] = None
     match_encrypted: Optional[bool] = None
     match_key_setup: Optional[bool] = None
@@ -54,7 +52,6 @@ class MatchCriteria:
             self._check(self.protocol, report.protocol),
             self._check(self.destination_port, report.destination_port),
             self._check(self.dscp, report.dscp),
-            self._check(self.application, report.application),
             self._check(self.dns_query_name, report.dns_query_name),
             self._check(self.match_encrypted, report.is_encrypted),
             self._check(self.match_key_setup, report.is_key_setup),
