@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Per-stage cost of a timeline epoch, resting epochs against derived ones.
+"""Per-stage cost of a timeline epoch: resting, solved and recalled epochs.
 
 Runs one E14, E15 or E16 campaign serially with every stage method of the
 timeline's per-run object (``repro.scale.timeline._TimelineRun``) and the
 adversary game's ``tick``, ``flag`` and ``observe`` wrapped in a timer from
 outside, and prints the mean microseconds each costs per epoch, split by
 whether the epoch rested (took back the previous epoch's derived object
-whole) or derived everything afresh.  Nothing in ``src/`` is touched and no
-span is added, so the numbers are the untraced code's, plus one timer call
-per method.
+whole) or derived everything afresh — and a derived epoch by whether it
+called the solver (*solved*) or took its answer from the run's solve memo
+(*recalled*).  Nothing in ``src/`` is touched and no span is added, so the
+numbers are the untraced code's, plus one timer call per method and one
+counter on the timeline's ``solve_allocation``.
 
 Run from the repo root::
 
@@ -35,13 +37,14 @@ from repro.scale import (  # noqa: E402  (path bootstrap above)
     LatencyCampaignRunner,
     StochasticCampaignRunner,
 )
+import repro.scale.timeline as timeline_module  # noqa: E402
 from repro.scale.adversary import AdversaryRun  # noqa: E402
 from repro.scale.timeline import _TimelineRun  # noqa: E402
 
 #: Timed methods in ``_TimelineRun.step`` order: (class, method, indent).
 #: A row times its method wherever it is called; an indented row runs
 #: inside the row above it (``reuse_solve`` runs inside ``solve`` on a
-#: derived epoch and on its own on a resting one).
+#: recalled epoch and on its own on a resting one).
 ROWS = ((_TimelineRun, "fire_events", 0),
         (_TimelineRun, "autoscale_step", 0),
         (_TimelineRun, "remap_ring", 0),
@@ -59,7 +62,7 @@ ROWS = ((_TimelineRun, "fire_events", 0),
 #: The accumulator of outermost timed calls only, so rows nest without
 #: counting twice in the remainder.
 OUTERMOST = "outermost"
-KINDS = ("rest", "derived")
+KINDS = ("rest", "solved", "recalled")
 
 
 def label(cls, method: str) -> str:
@@ -83,11 +86,13 @@ def make_runner(experiment: str, clients: int, epochs: int,
 
 
 class EpochSplit:
-    """Accumulates per-row seconds, per epoch kind (rest or derived)."""
+    """Accumulates per-row seconds, per epoch kind (rest, solved, recalled)."""
 
     def __init__(self) -> None:
         self.current = defaultdict(float)
         self.depth = 0
+        #: Calls of the timeline's solver entry point so far.
+        self.solves = 0
         self.seconds = {kind: defaultdict(float) for kind in KINDS}
         self.epochs = {kind: 0 for kind in KINDS}
 
@@ -107,17 +112,29 @@ class EpochSplit:
                     self.current[OUTERMOST] += elapsed
         return wrapper
 
+    def counted(self, function):
+        """``function`` with its calls counted in :attr:`solves`."""
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            self.solves += 1
+            return function(*args, **kwargs)
+        return wrapper
+
     def wrap_step(self, method):
         """Time one whole epoch and file its rows under its kind: it rested
-        when the run kept the previous epoch's derived object."""
+        when the run kept the previous epoch's derived object, and a
+        derived epoch that called no solver recalled its answer."""
         @functools.wraps(method)
         def wrapper(run, epoch):
             self.current = defaultdict(float)
-            before = run.derived
+            before, solves = run.derived, self.solves
             start = time.perf_counter()
             method(run, epoch)
             self.current["step"] = time.perf_counter() - start
-            kind = "rest" if run.derived is before else "derived"
+            if run.derived is before:
+                kind = "rest"
+            else:
+                kind = "solved" if self.solves > solves else "recalled"
             self.epochs[kind] += 1
             for name, seconds in self.current.items():
                 self.seconds[kind][name] += seconds
@@ -129,9 +146,12 @@ class EpochSplit:
             setattr(cls, method, self.timed(label(cls, method),
                                             getattr(cls, method)))
         _TimelineRun.step = self.wrap_step(_TimelineRun.step)
+        timeline_module.solve_allocation = self.counted(
+            timeline_module.solve_allocation)
 
     def rows(self):
-        """(label, rest µs/epoch, derived µs/epoch) in pipeline order."""
+        """(label, then µs/epoch per kind in :data:`KINDS` order) in
+        pipeline order."""
         def mean_us(kind: str, name: str) -> float:
             count = self.epochs[kind]
             return 1e6 * self.seconds[kind][name] / count if count else 0.0
@@ -168,15 +188,21 @@ def main(argv=None) -> int:
     runner.run()
     wall = time.perf_counter() - start
 
-    rest, derived = split.epochs["rest"], split.epochs["derived"]
-    print(f"{args.experiment}: {args.clients:,} clients, {rest + derived:,} "
-          f"epochs ({rest:,} rested, {derived:,} derived), "
+    epochs = split.epochs
+    total = sum(epochs.values())
+    derived = epochs["solved"] + epochs["recalled"]
+    print(f"{args.experiment}: {args.clients:,} clients, {total:,} epochs "
+          f"({epochs['rest']:,} rested, {derived:,} derived: "
+          f"{epochs['solved']:,} solved, {epochs['recalled']:,} recalled), "
           f"campaign {wall:.2f} s")
-    width = max(len(shown) for shown, _, _ in split.rows())
-    print(f"{'stage':<{width}}  {'rest µs':>10}  {'derived µs':>10}")
-    for shown, rest_us, derived_us in split.rows():
-        print(f"{shown:<{width}}  {rest_us:>10.1f}  {derived_us:>10.1f}")
-    if not rest + derived:
+    rows = split.rows()
+    width = max(len(row[0]) for row in rows)
+    print(f"{'stage':<{width}}"
+          + "".join(f"  {kind + ' µs':>11}" for kind in KINDS))
+    for shown, *per_kind in rows:
+        print(f"{shown:<{width}}"
+              + "".join(f"  {us:>11.1f}" for us in per_kind))
+    if not total:
         print("the campaign ran no epochs", file=sys.stderr)
         return 1
     return 0
