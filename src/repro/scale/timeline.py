@@ -71,9 +71,10 @@ from .telemetry import NULL, Telemetry
 DAY_SECONDS = 86_400.0
 
 #: Distinct epoch problems one run keeps the answers of, least recently
-#: used out first.  At the benchmark's scale a replica of E14, E15 or E16
-#: repeats 256, 283 and 143 problems; eight entries recall 247, 279 and
-#: all 143 of them (the previous epoch's alone recalls 39, 90 and 5).
+#: used out first.  On the benchmark's E14, E15 and E16 campaigns (10^6
+#: clients, seed 81, ``tools/epoch_split.py``) 256, 283 and 143 derived
+#: epochs pose a problem their replica already solved; eight entries
+#: recall 247, 279 and all 143 of them, one entry 39, 90 and 5.
 SOLVE_MEMO_SIZE = 8
 
 
@@ -990,8 +991,8 @@ class _TimelineRun:
         #: The solve memo: :meth:`problem_key` -> :attr:`SolvedEpoch.answer`,
         #: at most :data:`SOLVE_MEMO_SIZE` entries, most recent last.  One
         #: per run, so a campaign unit's answers never depend on which
-        #: worker ran the units before it.  ``warm_start=False`` turns it
-        #: off, so every epoch solves.
+        #: worker ran the units before it.  A timeline with ``warm_start``
+        #: off has none, so every epoch solves.
         self.memo: Optional[OrderedDict] = (OrderedDict() if timeline.warm_start
                                             else None)
         #: Committed-capacity sums (``epoch_cost`` keywords), cached while
