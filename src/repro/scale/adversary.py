@@ -415,6 +415,18 @@ class AdversaryRun:
         self._moves = (tuple(events), rekeyed, joiners)
         return bool(events)
 
+    def next_move(self, epoch: int) -> Optional[int]:
+        """The first epoch whose tick could move the game, if the tick at
+        ``epoch`` moved nothing and no later epoch brings a new observation
+        or a retune.
+
+        Such a tick left adoption at rest under the observation in force,
+        and a strategy that weighed that observation and held would hold
+        again, so that is ``None``: never.  A strategy still in cooldown at
+        ``epoch`` has not weighed it yet: its cooldown's end could move.
+        """
+        return self._hold_until if epoch < self._hold_until else None
+
     def flag(self, template: ProblemTemplate, offered_scale: np.ndarray,
              epoch_seconds: float) -> AdversaryEpoch:
         """This epoch's flagging, budget coverage, served multipliers, rekey

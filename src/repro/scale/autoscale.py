@@ -111,9 +111,22 @@ class AutoscaleObservation:
 class AutoscalePolicy:
     """Strategy interface: how many sites should be committed next epoch."""
 
+    #: The furthest lead, in epochs, at which :meth:`desired_sites` reads
+    #: its forecast; 0 for a policy that never calls it.
+    forecast_lead = 0
+
     def desired_sites(self, observation: AutoscaleObservation,
                       forecast: Forecast) -> int:
-        """Target committed-site count (clamped to bounds by the engine)."""
+        """Target committed-site count (clamped to bounds by the engine).
+
+        The contract every policy keeps: the answer is a function of the
+        observation less its ``epoch``, and of the forecast only when
+        :attr:`forecast_lead` says so (then of ``forecast(lead)`` for leads
+        up to it).  Two ticks that observe the same fleet, the same lagged
+        metrics and the same forecast therefore decide the same, which is
+        what lets a timeline advance over a resting stretch without asking
+        again.
+        """
         raise NotImplementedError
 
 
@@ -193,6 +206,11 @@ class PredictiveLoadPolicy(AutoscalePolicy):
             raise WorkloadError("predictive policy needs lead_epochs >= 1")
         if not 0 <= self.deadband < self.target:
             raise WorkloadError("deadband must be non-negative and below the target")
+
+    @property
+    def forecast_lead(self) -> int:
+        """The policy reads ``forecast(lead_epochs)``."""
+        return self.lead_epochs
 
     def desired_sites(self, observation: AutoscaleObservation,
                       forecast: Forecast) -> int:
@@ -367,6 +385,8 @@ class AutoscaleRun:
             site.name for site in fleet.sites if site.active
         ]
         self.cooldown_until = 0
+        #: What the last tick leaves for :meth:`next_move`.
+        self._quiet_until: Optional[int] = 0
 
     # -- bookkeeping -----------------------------------------------------------------
 
@@ -449,6 +469,10 @@ class AutoscaleRun:
             actions.append(f"up {name} live" if healthy else f"up {name} failed")
 
         if metrics is None or epoch < self.cooldown_until:
+            # The policy is not asked: the next epoch, once it has metrics,
+            # or the cooldown's end may act.
+            self._quiet_until = (epoch + 1 if actions or self.warming
+                                 or metrics is None else self.cooldown_until)
             self._count_actions(actions)
             return actions
 
@@ -473,8 +497,21 @@ class AutoscaleRun:
             self._scale_down(committed - desired, actions)
         if len(actions) > decided:
             self.cooldown_until = epoch + 1 + self.spec.cooldown_epochs
+        # A policy that held would hold again on the same observation.
+        self._quiet_until = epoch + 1 if actions or self.warming else None
         self._count_actions(actions)
         return actions
+
+    def next_move(self) -> Optional[int]:
+        """The first epoch at which the controller could act again, if
+        every tick from its last one on observes what that one did.
+
+        A tick that asked the policy and held would hold again (see
+        :meth:`AutoscalePolicy.desired_sites`), so that is ``None``: never.
+        A tick in cooldown answers the cooldown's end; one that acted, that
+        left a site warming or that had no metrics answers the next epoch.
+        """
+        return self._quiet_until
 
     def _count_actions(self, actions: List[str]) -> None:
         telemetry = self.telemetry

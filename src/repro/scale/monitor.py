@@ -93,9 +93,8 @@ def _json_bytes(payload: object) -> bytes:
 
 
 class _MonitorHandler(BaseHTTPRequestHandler):
-    """Request handler bound to one :class:`MonitorServer` (class attr)."""
+    """Request handler for the :class:`MonitorServer` its server carries."""
 
-    monitor: "MonitorServer" = None  # type: ignore[assignment]
     protocol_version = "HTTP/1.0"
     server_version = "repro-monitor/1"
 
@@ -103,6 +102,10 @@ class _MonitorHandler(BaseHTTPRequestHandler):
     # polling at 1 Hz would drown the campaign's own output.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass
+
+    @property
+    def monitor(self) -> "MonitorServer":
+        return self.server.monitor  # type: ignore[attr-defined]
 
     # -- plumbing ------------------------------------------------------
 
@@ -347,9 +350,10 @@ class MonitorServer:
         """Bind and serve on a daemon thread (idempotent)."""
         if self._server is not None:
             return self
-        handler = type("BoundMonitorHandler", (_MonitorHandler,),
-                       {"monitor": self})
-        server = ThreadingHTTPServer((self.host, self.port), handler)
+        server = ThreadingHTTPServer((self.host, self.port), _MonitorHandler)
+        # Handlers reach the monitor through their server, and close()
+        # drops the server: nothing that outlives the server holds us.
+        server.monitor = self  # type: ignore[attr-defined]
         server.daemon_threads = True  # hard close never joins SSE clients
         self._server = server
         self.port = server.server_address[1]

@@ -49,6 +49,7 @@ scalars/lists; see ``docs/observability.md`` for the full schema):
 from __future__ import annotations
 
 import json
+import weakref
 from collections import deque
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -150,7 +151,7 @@ class EventLog:
     worker counts.
     """
 
-    __slots__ = ("events", "_subscribers", "_next_token")
+    __slots__ = ("events", "_subscribers", "_next_token", "__weakref__")
 
     def __init__(self) -> None:
         self.events: List[Event] = []
@@ -476,11 +477,15 @@ class DetectorSuite:
         self._subscriptions: Tuple[Subscription, ...] = ()
 
     def attach(self, log: EventLog) -> "DetectorSuite":
+        # The log holds the callbacks, so they hold the log weakly: a
+        # strong reference back would be a cycle keeping a finished run's
+        # whole graph alive until the cycle collector happens to run.
+        log_ref = weakref.ref(log)
         subscriptions = []
         for detector in self.detectors:
             def callback(event: Event, detector=detector) -> None:
                 if event.kind != "detector":
-                    detector.observe(event, log)
+                    detector.observe(event, log_ref())
             subscriptions.append(log.subscribe(callback))
         self._subscriptions = tuple(subscriptions)
         return self

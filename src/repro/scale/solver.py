@@ -230,6 +230,10 @@ def verify_max_min(problem: CapacityProblem, rates: np.ndarray) -> Optional[np.n
         return None
 
     demand_limited = rates >= demands - np.maximum(demands, 1.0) * _TOL
+    if demand_limited.all():
+        # Every flow meets its demand: nothing needs a bottleneck, so the
+        # three resources x flows passes below have nothing to certify.
+        return np.full(problem.n_flows, -1, dtype=np.int64)
     saturated = used >= capacities - np.maximum(capacities, 1.0) * _TOL
     crosses = usage > 0
     # Highest rate among each resource's users (0 where nobody crosses).

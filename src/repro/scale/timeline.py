@@ -41,6 +41,7 @@ diff says changed owner).
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
@@ -453,6 +454,20 @@ class EpochRecord:
     exposed_latency_p95: Dict[str, float] = field(default_factory=dict)
 
 
+def _recorded_again(record: EpochRecord, epoch: int, t_seconds: float,
+                    solve_seconds: float) -> EpochRecord:
+    """``record`` under another epoch, time and solve seconds, with dicts
+    of its own: a copy of the frozen record, not a second ``__init__``."""
+    again = copy.copy(record)
+    for name, value in (("epoch", epoch), ("t_seconds", t_seconds),
+                        ("solve_seconds", solve_seconds)):
+        object.__setattr__(again, name, value)
+    for name in ("goodput_bps_by_class", "demand_bps_by_class",
+                 "neutralized_latency_p95", "exposed_latency_p95"):
+        object.__setattr__(again, name, dict(getattr(record, name)))
+    return again
+
+
 @dataclass(frozen=True)
 class TimelineResult:
     """A fully solved timeline: per-epoch records plus per-site matrices."""
@@ -862,9 +877,11 @@ class FluidTimeline:
             "timeline", epochs=self.epochs, clients=self.population.n_clients
         )
         with run_span:
-            for epoch in range(self.epochs):
+            epoch = 0
+            while epoch < self.epochs:
                 with telemetry.span("epoch", epoch=epoch):
                     state.step(epoch)
+                epoch = state.stretch(epoch + 1)
         records = state.records
         if elog is not None:
             elog.emit(
@@ -999,6 +1016,10 @@ class _TimelineRun:
         #: the fleet state they were summed under, ``committed_key``, holds.
         self.committed_key = None
         self.committed: Dict[str, float] = {}
+        #: Whether the last stepped epoch rested (see :meth:`step`).
+        self.rested = False
+        #: The last ``epoch`` event's payload, when the run emits events.
+        self.epoch_event: Optional[dict] = None
         self.records: List[EpochRecord] = []
         self.cpu_util = np.zeros((timeline.epochs, fleet.n_sites))
         self.uplink_util = np.zeros((timeline.epochs, fleet.n_sites))
@@ -1063,6 +1084,102 @@ class _TimelineRun:
         provision_cost = self.bill(remapped)
         self.record(epoch, t, fired, actions, remapped, ring_moved,
                     self.derived, reused, solve_seconds, provision_cost)
+        self.rested = rests
+
+    def rest_end(self, start: int) -> int:
+        """The first epoch from ``start`` on that must run :meth:`step`.
+
+        ``start`` follows the last stepped epoch.  When that epoch rested,
+        every epoch before the returned one would rest the same way: no
+        event is due, no live window expires (expiry changes the rest key),
+        neither the autoscaler nor the game could move (each answers for
+        itself), and the load curve returns the resting multipliers — up to
+        ``forecast_lead`` epochs further for a policy that reads the
+        forecast.  An equal array needs no :meth:`check_load`; the first
+        unequal one, or a load call that raises, ends the stretch before
+        the epoch that reads it, which then steps and raises as it would.
+        """
+        if not self.rested:
+            return start
+        timeline = self.timeline
+        ends = [timeline.epochs]
+        if self.pending:
+            ends.append(self.pending[0].at_epoch)
+        ends += [window.until_epoch
+                 for window in (*self.throttles, *self.degradations)]
+        lead = 0
+        if self.autoscale is not None:
+            ends.append(self.autoscale.next_move())
+            lead = self.autoscale.spec.policy.forecast_lead
+        if self.adversary is not None:
+            ends.append(self.adversary.next_move(start - 1))
+        end = min(bound for bound in ends if bound is not None)
+        if end <= start:
+            return start
+        regional = self.derived.regional
+        for epoch in range(start, end + lead):
+            try:
+                same = np.array_equal(timeline.load.multipliers(
+                    epoch * timeline.epoch_seconds, self.population.regions),
+                    regional)
+            except Exception:
+                # Whatever the curve raises, stepping the epoch that reads
+                # this load raises it again, after the same trail.
+                same = False
+            if not same:
+                return max(start, min(end, epoch - lead))
+        return end
+
+    def stretch(self, start: int) -> int:
+        """Advance over the resting stretch from ``start``; returns its end.
+
+        Every epoch :meth:`rest_end` proves resting leaves only the trail a
+        resting :meth:`step` leaves: its ``epoch`` span holding the stage
+        spans in step order (``autoscale_step``, ``ring_remap``,
+        ``adversary_step``, ``solve`` with ``reused=True``), the same
+        counter increments, the last record again under its own epoch,
+        time and solve seconds (with its own dicts), its matrix rows and
+        its ``epoch`` event.  Every decision the stretch holds constant —
+        the autoscaler's policy, the event scan, the ring check, the game's
+        tick, billing and the controller's metrics — is not taken again.
+        """
+        end = self.rest_end(start)
+        if end <= start:
+            return start
+        telemetry = self.telemetry
+        # The stage spans (in step order) and counter increments of a
+        # resting step; empty stage spans are only worth opening into a trace.
+        stages = ["autoscale_step"] if self.autoscale is not None else []
+        stages.append("ring_remap")
+        counts = [("timeline.epochs", 1), ("timeline.clients_remapped", 0)]
+        if self.autoscale is not None:
+            counts.append(("autoscale.actions", 0))
+        if self.adversary is not None:
+            stages.append("adversary_step")
+            counts += [("adversary.steps", 1), ("adversary.events", 0),
+                       ("adversary.clients_rekeyed", 0)]
+        if telemetry.tracer is None:
+            stages = []
+        for matrix in (self.cpu_util, self.uplink_util, self.clients_matrix):
+            matrix[start:end] = matrix[start - 1]
+        epoch_seconds = self.timeline.epoch_seconds
+        last = self.records[-1]
+        event = self.epoch_event
+        for epoch in range(start, end):
+            with telemetry.span("epoch", epoch=epoch):
+                for name in stages:
+                    with telemetry.span(name):
+                        pass
+                for name, amount in counts:
+                    telemetry.inc(name, amount)
+                self.records.append(_recorded_again(
+                    last, epoch, epoch * epoch_seconds, self.reuse_solve()))
+                if event is not None:
+                    telemetry.events.emit("epoch", **{
+                        **event, "epoch": epoch,
+                        "site_served": list(event["site_served"]),
+                        "site_active": list(event["site_active"])})
+        return end
 
     # -- the stages, in step() order -----------------------------------------------
 
@@ -1494,8 +1611,7 @@ class _TimelineRun:
                 site_served = [float(scale) if flag else 0.0
                                for flag, scale
                                in zip(in_service, capacity_scale)]
-            self.telemetry.events.emit(
-                "epoch",
+            self.epoch_event = dict(
                 epoch=epoch,
                 delivered_fraction=float(delivered),
                 demand_multiplier=float(demand_multiplier),
@@ -1506,3 +1622,4 @@ class _TimelineRun:
                 site_served=site_served,
                 site_active=[bool(site.active) for site in self.fleet.sites],
             )
+            self.telemetry.events.emit("epoch", **self.epoch_event)

@@ -20,6 +20,7 @@ from repro.scale import (
     IspStrategy,
     LatencyModel,
     ReconfigEvent,
+    Telemetry,
     cross_validate_adversary,
     provisioned_fleet,
 )
@@ -384,19 +385,17 @@ class TestRestingGame:
                                    churn_rate=1.0))
 
     def run_watched(self, monkeypatch, timeline):
-        """(result, resting epochs, flagged epochs) of one run.
+        """(result, resting epochs, flagged epochs) of one traced run.
 
-        An epoch rests when it takes back last epoch's derived object.
+        An epoch rests when the ``solve`` span under its ``epoch`` span took
+        back last epoch's answer (``reused=True``), stepped or stretched.
         """
         step, flag = _TimelineRun.step, AdversaryRun.flag
-        rested, flagged, current = [], set(), []
+        flagged, current = set(), []
 
         def watched_step(run, epoch):
             current.append(epoch)
-            before = run.derived
             step(run, epoch)
-            if run.derived is before:
-                rested.append(epoch)
 
         def watched_flag(game, *args):
             flagged.add(current[-1])
@@ -404,7 +403,15 @@ class TestRestingGame:
 
         monkeypatch.setattr(_TimelineRun, "step", watched_step)
         monkeypatch.setattr(AdversaryRun, "flag", watched_flag)
-        return timeline.run(), rested, flagged
+        timeline.telemetry = Telemetry(trace=True, metrics=False)
+        result = timeline.run()
+        spans = timeline.telemetry.tracer.spans
+        epoch_of = {span.id: span.attrs["epoch"] for span in spans
+                    if span.name == "epoch"}
+        rested = sorted(epoch_of[span.parent] for span in spans
+                        if span.name == "solve"
+                        and (span.attrs or {}).get("reused"))
+        return result, rested, flagged
 
     def test_a_resting_game_passes_no_flag_and_holds_adoption(self, monkeypatch):
         result, rested, flagged = self.run_watched(

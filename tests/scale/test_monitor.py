@@ -8,6 +8,7 @@ run.  The monitor subscribes; it never writes — and it keeps no copy:
 every view is a slice of the mounted ``EventLog`` up to a high-water mark.
 """
 
+import gc
 import json
 import os
 import queue
@@ -28,6 +29,8 @@ from repro.scale import (
     attach_detectors,
     canonical_result_bytes,
 )
+from repro.scale.obs import EventLog
+from repro.scale.telemetry import Tracer
 
 
 def make_e14(**kwargs):
@@ -586,3 +589,34 @@ class TestStreamReplay:
             canonical, _ = sse_frames(box["text"])
             assert [seq for seq, _, _ in canonical] == [0, 1, 2]
             assert json.loads(canonical[0][2])["kind"] == "campaign_started"
+
+
+class TestAFinishedRunIsFreed:
+    def test_observed_rounds_leave_no_log_or_tracer_alive(self):
+        # Reference counting alone must free a finished observed run: with
+        # the cycle collector off, no round may leave its event log or its
+        # tracer behind.
+        def alive(kind):
+            return sum(isinstance(item, kind) for item in gc.get_objects())
+
+        def observed_round():
+            telemetry = Telemetry(trace=True, events=True)
+            runner = make_e14(clients=2000, telemetry=telemetry)
+            monitor = MonitorServer.attach(telemetry, runner=runner)
+            try:
+                http_get(monitor.url + "/healthz")
+                runner.run()
+            finally:
+                monitor.close()
+
+        gc.collect()
+        before = (alive(EventLog), alive(Tracer))
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(4):
+                observed_round()
+            assert (alive(EventLog), alive(Tracer)) == before
+        finally:
+            if collecting:
+                gc.enable()

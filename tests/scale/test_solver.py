@@ -155,6 +155,10 @@ class TestVerifyMaxMin:
         problem = single_bottleneck([3, 4], 100.0)
         bottleneck = verify_max_min(problem, np.array([3.0, 4.0]))
         assert bottleneck is not None and (bottleneck == -1).all()
+        assert bottleneck.dtype == np.int64
+        # Met demands that exactly fill the link are still demand-limited.
+        saturated = single_bottleneck([5, 5], 10.0)
+        assert verify_max_min(saturated, np.array([5.0, 5.0])).tolist() == [-1, -1]
 
     def test_rejects_feasible_but_unfair(self):
         # [3, 7] saturates the link but is not max-min: flow 0 could be

@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Per-stage cost of a timeline epoch: resting, solved and recalled epochs.
+"""Per-stage cost of a timeline epoch: resting, solved, recalled, stretched.
 
 Runs one E14, E15 or E16 campaign serially with every stage method of the
 timeline's per-run object (``repro.scale.timeline._TimelineRun``) and the
 adversary game's ``tick``, ``flag`` and ``observe`` wrapped in a timer from
 outside, and prints the mean microseconds each costs per epoch, split by
-whether the epoch rested (took back the previous epoch's derived object
-whole) or derived everything afresh — and a derived epoch by whether it
+kind.  A stepped epoch rested (took back the previous epoch's derived
+object whole) or derived everything afresh — and a derived epoch either
 called the solver (*solved*) or took its answer from the run's solve memo
-(*recalled*).  Nothing in ``src/`` is touched and no span is added, so the
-numbers are the untraced code's, plus one timer call per method and one
-counter on the timeline's ``solve_allocation``.
+(*recalled*).  A *stretched* epoch was not stepped at all: the run advanced
+over it in ``_TimelineRun.stretch``, whose wall (the stretch's bounds, then
+its per-epoch trail) is shared among the epochs it advanced; a stretch of
+no epochs is filed with the epoch stepped before it.  The four counts must
+add up to epochs × replicas.  Nothing in ``src/`` is touched and no span is
+added, so the numbers are the untraced code's, plus one timer call per
+method and one counter on the timeline's ``solve_allocation``.
 
 Run from the repo root::
 
@@ -44,7 +48,7 @@ from repro.scale.timeline import _TimelineRun  # noqa: E402
 #: Timed methods in ``_TimelineRun.step`` order: (class, method, indent).
 #: A row times its method wherever it is called; an indented row runs
 #: inside the row above it (``reuse_solve`` runs inside ``solve`` on a
-#: recalled epoch and on its own on a resting one).
+#: recalled epoch and on its own on a resting or stretched one).
 ROWS = ((_TimelineRun, "fire_events", 0),
         (_TimelineRun, "autoscale_step", 0),
         (_TimelineRun, "remap_ring", 0),
@@ -62,7 +66,7 @@ ROWS = ((_TimelineRun, "fire_events", 0),
 #: The accumulator of outermost timed calls only, so rows nest without
 #: counting twice in the remainder.
 OUTERMOST = "outermost"
-KINDS = ("rest", "solved", "recalled")
+KINDS = ("rest", "solved", "recalled", "stretched")
 
 
 def label(cls, method: str) -> str:
@@ -86,7 +90,7 @@ def make_runner(experiment: str, clients: int, epochs: int,
 
 
 class EpochSplit:
-    """Accumulates per-row seconds, per epoch kind (rest, solved, recalled)."""
+    """Accumulates per-row seconds, per epoch kind (see :data:`KINDS`)."""
 
     def __init__(self) -> None:
         self.current = defaultdict(float)
@@ -95,6 +99,8 @@ class EpochSplit:
         self.solves = 0
         self.seconds = {kind: defaultdict(float) for kind in KINDS}
         self.epochs = {kind: 0 for kind in KINDS}
+        #: The kind of the last stepped epoch.
+        self.stepped = KINDS[0]
 
     def timed(self, name: str, method):
         """``method`` with its wall added to this epoch's ``name`` row."""
@@ -136,8 +142,26 @@ class EpochSplit:
             else:
                 kind = "solved" if self.solves > solves else "recalled"
             self.epochs[kind] += 1
+            self.stepped = kind
             for name, seconds in self.current.items():
                 self.seconds[kind][name] += seconds
+        return wrapper
+
+    def wrap_stretch(self, method):
+        """Time one stretch and file its rows under ``stretched`` with the
+        epochs it advanced over; one of no epochs joins the stepped epoch
+        before it."""
+        @functools.wraps(method)
+        def wrapper(run, start):
+            self.current = defaultdict(float)
+            began = time.perf_counter()
+            end = method(run, start)
+            self.current["step"] = time.perf_counter() - began
+            kind = "stretched" if end > start else self.stepped
+            self.epochs["stretched"] += end - start
+            for name, seconds in self.current.items():
+                self.seconds[kind][name] += seconds
+            return end
         return wrapper
 
     def install(self) -> None:
@@ -146,6 +170,7 @@ class EpochSplit:
             setattr(cls, method, self.timed(label(cls, method),
                                             getattr(cls, method)))
         _TimelineRun.step = self.wrap_step(_TimelineRun.step)
+        _TimelineRun.stretch = self.wrap_stretch(_TimelineRun.stretch)
         timeline_module.solve_allocation = self.counted(
             timeline_module.solve_allocation)
 
@@ -192,9 +217,9 @@ def main(argv=None) -> int:
     total = sum(epochs.values())
     derived = epochs["solved"] + epochs["recalled"]
     print(f"{args.experiment}: {args.clients:,} clients, {total:,} epochs "
-          f"({epochs['rest']:,} rested, {derived:,} derived: "
-          f"{epochs['solved']:,} solved, {epochs['recalled']:,} recalled), "
-          f"campaign {wall:.2f} s")
+          f"({epochs['stretched']:,} stretched, {epochs['rest']:,} rested, "
+          f"{derived:,} derived: {epochs['solved']:,} solved, "
+          f"{epochs['recalled']:,} recalled), campaign {wall:.2f} s")
     rows = split.rows()
     width = max(len(row[0]) for row in rows)
     print(f"{'stage':<{width}}"
@@ -202,8 +227,10 @@ def main(argv=None) -> int:
     for shown, *per_kind in rows:
         print(f"{shown:<{width}}"
               + "".join(f"  {us:>11.1f}" for us in per_kind))
-    if not total:
-        print("the campaign ran no epochs", file=sys.stderr)
+    expected = args.epochs * len(runner.unit_specs())
+    if total != expected:
+        print(f"the kinds count {total:,} epochs, the campaign ran "
+              f"{expected:,}", file=sys.stderr)
         return 1
     return 0
 
