@@ -13,7 +13,9 @@ points, so exactly the failed site's clients move — the fleet-level
 analogue of a router withdrawing its anycast route.  The sites are fixed at
 construction, so every point they can contribute is hashed and sorted once
 (the *universe*) and each in-service ring is a boolean mask of it: a
-membership change is O(ring points), with no re-hash and no re-sort.  The
+membership change flips one element of the per-site in-service mask, and
+the mask is applied to the universe — O(ring points), with no re-hash and
+no re-sort — on the ring's first read after it.  The
 ring needs only numpy and :mod:`hashlib`; nothing here imports the
 packet-level simulator.
 """
@@ -32,6 +34,20 @@ from ..units import gbps
 from .costmodel import CryptoCostModel
 
 
+_LOW_32 = np.uint64(0xFFFFFFFF)
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """The exact sum of uint64 ``values`` as a Python int.
+
+    Summed as two uint64 totals of the 32-bit halves, which cannot wrap
+    below 2^32 terms, and joined in Python ints.
+    """
+    high = int((values >> np.uint64(32)).sum(dtype=np.uint64))
+    low = int((values & _LOW_32).sum(dtype=np.uint64))
+    return (high << 32) + low
+
+
 def arc_moved_fraction(positions_a: np.ndarray, owners_a: np.ndarray,
                        positions_b: np.ndarray, owners_b: np.ndarray,
                        space: int) -> float:
@@ -43,8 +59,8 @@ def arc_moved_fraction(positions_a: np.ndarray, owners_a: np.ndarray,
     arc's upper end (inclusive successor semantics, wrapping the final arc
     past the last point to the first) and sum the lengths of arcs whose
     owners disagree.  Owner arrays are integer
-    ids shared between the two rings; arc lengths are summed in exact Python
-    ints, so an identity diff is exactly 0.0.
+    ids shared between the two rings; arc lengths are summed exactly
+    (:func:`_exact_sum`), so an identity diff is exactly 0.0.
     """
     boundaries = np.concatenate([positions_a, positions_b])
     boundaries.sort(kind="stable")
@@ -60,7 +76,7 @@ def arc_moved_fraction(positions_a: np.ndarray, owners_a: np.ndarray,
     )
     # An arc runs from its boundary up to its probe; the final one wraps
     # past the last point to the first, so its probe is ``space`` short.
-    moved = sum(probes[changed].tolist()) - sum(boundaries[changed].tolist())
+    moved = _exact_sum(probes[changed]) - _exact_sum(boundaries[changed])
     if changed.size and changed[-1] == boundaries.size - 1:
         moved += space
     return moved / space
@@ -227,9 +243,9 @@ class NeutralizerFleet:
         # The sites are fixed, so every ring point that can ever exist is
         # hashed once here (through an empty ring, so the hash stays the
         # single source of truth) and sorted once, stably, in site order:
-        # the *universe*.  Every in-service ring is a boolean mask of it, so
-        # a membership change costs one pass over ~10^3 points — no
-        # re-hashing, no re-sorting.
+        # the *universe*.  Every in-service ring is a boolean mask of it,
+        # applied on the ring's first read after a membership change: one
+        # pass over ~10^3 points, no re-hashing, no re-sorting.
         hasher = ConsistentHashRing([], replicas=replicas)
         points = np.fromiter(
             (hasher._position(f"{name}#{replica}".encode())
@@ -245,10 +261,12 @@ class NeutralizerFleet:
         #: :attr:`generation` this moves even when the ring does not (e.g.
         #: draining an already-failed site), so billing caches can key on it.
         self.active_version = 0
-        #: Bumped on every ring rebuild, so cached client assignments and
-        #: problem templates know when they are stale.
+        #: Bumped on every membership change, so cached client assignments
+        #: and problem templates know when they are stale.
         self.generation = 0
-        self._rebuild_ring()
+        self._ring_arrays: Optional[Tuple[np.ndarray, ...]] = None
+        self._set_service_mask(
+            np.array([site.in_service for site in self.sites], dtype=bool))
 
     @classmethod
     def build(cls, n_sites: int, *, cores: float = 8.0, uplink_bps: float = gbps(10),
@@ -261,34 +279,49 @@ class NeutralizerFleet:
 
     # -- health and commissioning ----------------------------------------------------
 
-    def _rebuild_ring(self) -> None:
-        serving = np.array([site.in_service for site in self.sites], dtype=bool)
+    def _set_service_mask(self, serving: np.ndarray) -> None:
+        """Adopt a new in-service set; the ring follows on its first read."""
         if not serving.any():
             raise TopologyError("every site of the fleet is out of service")
-        in_ring = serving[self._universe_owner]
-        self._ring_positions = self._universe_positions[in_ring]
-        self._ring_owner_index = self._universe_owner[in_ring]
-        # Universe arc i (keys after point i-1 up to point i; the last arc
-        # wraps) belongs to the first in-ring point at or after i: ring
-        # slot "in-ring points before i", wrapping to 0 when none is left.
-        slots = np.concatenate([[0], np.cumsum(in_ring)])
-        self._arc_owners = self._ring_owner_index[slots % self._ring_positions.size]
-        self._in_ring = in_ring
         self._service_mask = serving
+        self._ring_arrays = None
         self._cpu_capacity = None
         self._uplink_capacity = None
         self.generation += 1
 
+    def _ring(self) -> Tuple[np.ndarray, ...]:
+        """``(positions, owner index, in_ring, arc_owners)`` of the ring now.
+
+        Derived from the in-service mask by whichever reader asks first
+        after a membership change, so a run of flips that nothing reads in
+        between costs no ring pass.  Each derivation allocates fresh
+        arrays, which is what keeps earlier snapshots valid.
+        """
+        ring = self._ring_arrays
+        if ring is None:
+            in_ring = self._service_mask[self._universe_owner]
+            positions = self._universe_positions[in_ring]
+            owner_index = self._universe_owner[in_ring]
+            # Universe arc i (keys after point i-1 up to point i; the last
+            # arc wraps) belongs to the first in-ring point at or after i:
+            # ring slot "in-ring points before i", wrapping to 0 when none
+            # is left.
+            slots = np.concatenate([[0], np.cumsum(in_ring)])
+            arc_owners = owner_index[slots % positions.size]
+            ring = self._ring_arrays = (positions, owner_index, in_ring, arc_owners)
+        return ring
+
     def _set_site_state(self, name: str, *, healthy: Optional[bool] = None,
                         active: Optional[bool] = None) -> None:
-        """Flip one site's flags, rebuilding the ring only on membership change.
+        """Flip one site's flags; a membership change flips one mask element.
 
         A drain of an already-failed site (or a recovery of a drained one)
         leaves the in-service set untouched, so cached problem templates stay
         valid and no churn is charged — the ring moves only when a site
         actually enters or leaves service.
         """
-        site = self.site(name)
+        index = self.index_of_site(name)
+        site = self.sites[index]
         was_serving = site.in_service
         will_be_healthy = site.healthy if healthy is None else healthy
         will_be_active = site.active if active is None else active
@@ -305,17 +338,22 @@ class NeutralizerFleet:
         site.healthy = will_be_healthy
         site.active = will_be_active
         if will_serve != was_serving:
-            self._rebuild_ring()
+            # A copy, so a mask handed out earlier keeps the old state.
+            serving = self._service_mask.copy()
+            serving[index] = will_serve
+            self._set_service_mask(serving)
 
     def ring_state(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ring's (positions, owner indices) arrays, cheap to snapshot.
 
-        Rebuilds allocate fresh arrays, so holding the returned references
-        across a membership change is a valid zero-copy snapshot.  With
-        :meth:`ring_moved_fraction` it is the reference the universe-arc
-        churn (:meth:`universe_arc_fraction`) is checked against.
+        Every derivation allocates fresh arrays, so holding the returned
+        references across a membership change is a valid zero-copy
+        snapshot.  With :meth:`ring_moved_fraction` it is the reference the
+        universe-arc churn (:meth:`universe_arc_fraction`) is checked
+        against.
         """
-        return self._ring_positions, self._ring_owner_index
+        positions, owner_index, _, _ = self._ring()
+        return positions, owner_index
 
     @staticmethod
     def ring_moved_fraction(before: Tuple[np.ndarray, np.ndarray],
@@ -368,7 +406,7 @@ class NeutralizerFleet:
         return tuple((site.healthy, site.active) for site in self.sites)
 
     def restore_health(self, snapshot: Tuple[Tuple[bool, bool], ...]) -> None:
-        """Reset every site's flags to ``snapshot`` (at most one ring rebuild).
+        """Reset every site's flags to ``snapshot`` (one membership change at most).
 
         The undo operation for a sequence of failures/recoveries/autoscale
         actions — timeline runs use it to hand the fleet back in its pre-run
@@ -385,12 +423,12 @@ class NeutralizerFleet:
             )
         if any(site.active != active for site, (_, active) in zip(self.sites, snapshot)):
             self.active_version += 1
-        before = [site.in_service for site in self.sites]
         for site, (healthy, active) in zip(self.sites, snapshot):
             site.healthy = healthy
             site.active = active
-        if [site.in_service for site in self.sites] != before:
-            self._rebuild_ring()
+        serving = np.array([site.in_service for site in self.sites], dtype=bool)
+        if not np.array_equal(serving, self._service_mask):
+            self._set_service_mask(serving)
 
     @property
     def healthy_site_names(self) -> List[str]:
@@ -405,7 +443,7 @@ class NeutralizerFleet:
     def in_service_mask(self) -> np.ndarray:
         """Boolean per-site in-service flags, in :attr:`sites` order.
 
-        Built with the ring on every membership change — read-only.
+        Replaced (never mutated) on every membership change — read-only.
         """
         return self._service_mask
 
@@ -424,9 +462,10 @@ class NeutralizerFleet:
         :func:`ring_locate` (wrapping past the last ring
         point back to the first).
         """
-        slots = ring_locate(self._ring_positions, ring_positions)
-        slots[slots == len(self._ring_positions)] = 0
-        return self._ring_owner_index[slots]
+        points, owner_index, _, _ = self._ring()
+        slots = ring_locate(points, ring_positions)
+        slots[slots == len(points)] = 0
+        return owner_index[slots]
 
     def assignment_segments(self, positions_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The ring assignment of *sorted* client positions, as segments.
@@ -440,13 +479,14 @@ class NeutralizerFleet:
         last ring point back to the first).  Equivalent to
         :meth:`assign_sites` on the same positions, verified by tests.
         """
-        bounds = np.searchsorted(positions_sorted, self._ring_positions, side="right")
+        points, owner_index, _, _ = self._ring()
+        bounds = np.searchsorted(positions_sorted, points, side="right")
         cuts = np.concatenate([
             np.zeros(1, dtype=np.int64),
             bounds.astype(np.int64),
             np.array([positions_sorted.size], dtype=np.int64),
         ])
-        owners = np.concatenate([self._ring_owner_index, self._ring_owner_index[:1]])
+        owners = np.concatenate([owner_index, owner_index[:1]])
         return cuts, owners
 
     def universe_arcs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,14 +500,15 @@ class NeutralizerFleet:
         :class:`repro.scale.scenario.ProblemTemplate` counts clients per arc
         once, so a ring change is a diff of two ``arc_owners`` arrays.
         """
-        return self._universe_positions, self._in_ring, self._arc_owners
+        _, _, in_ring, arc_owners = self._ring()
+        return self._universe_positions, in_ring, arc_owners
 
     def universe_arc_fraction(self, arcs: np.ndarray) -> float:
         """Key-space fraction covered by the sorted universe arcs ``arcs``.
 
         Arc ``i`` holds the keys above point ``i - 1`` up to point ``i``;
         arc 0 starts at key 0 and the last arc ends at the top key.  The
-        lengths are summed in exact Python ints, as in
+        lengths are summed exactly (:func:`_exact_sum`), as in
         :func:`arc_moved_fraction`, so the moved arcs of
         two ring states give that function's fraction bit for bit.
         """
@@ -475,7 +516,7 @@ class NeutralizerFleet:
         ends = arcs[arcs < points.size]
         starts = arcs[arcs > 0] - 1
         space = 1 << ConsistentHashRing._SPACE_BITS
-        keys = (sum(points[ends].tolist()) - sum(points[starts].tolist())
+        keys = (_exact_sum(points[ends]) - _exact_sum(points[starts])
                 + (arcs.size - ends.size) * (space - 1)
                 + (arcs.size - starts.size))
         return keys / space

@@ -254,6 +254,21 @@ def verify_max_min(problem: CapacityProblem, rates: np.ndarray) -> Optional[np.n
     return bottleneck
 
 
+def _attribute(bottleneck: np.ndarray, resources: np.ndarray,
+               crosses: np.ndarray, frozen: np.ndarray) -> None:
+    """Charge each ``frozen`` flow to the first resource it crosses.
+
+    ``resources`` is ascending and ``crosses[i]`` marks the flows crossing
+    ``resources[i]``.  Frozen flows were active, and a flow leaves the
+    active set when it is charged, so none of them has a bottleneck yet.
+    """
+    if resources.size == 1:
+        bottleneck[frozen] = resources[0]   # the common pass: one resource
+    else:
+        hit = np.flatnonzero(frozen)
+        bottleneck[hit] = resources[crosses[:, hit].argmax(axis=0)]
+
+
 def max_min_allocation(problem: CapacityProblem,
                        max_iterations: Optional[int] = None,
                        warm_start: Optional[np.ndarray] = None,
@@ -308,11 +323,11 @@ def max_min_allocation(problem: CapacityProblem,
     bottleneck = np.full(n_flows, -1, dtype=np.int64)
     active = demands > 0
     # Flows that use a zero-capacity resource can never move: freeze at zero.
-    dead = (usage[capacities <= 0] > 0).any(axis=0) if (capacities <= 0).any() else None
-    if dead is not None and dead.any():
-        for resource in np.flatnonzero(capacities <= 0):
-            hit = active & (usage[resource] > 0) & (bottleneck == -1)
-            bottleneck[hit] = resource
+    zero = np.flatnonzero(capacities <= 0)
+    if zero.size:
+        crosses = usage[zero] > 0
+        dead = crosses.any(axis=0)
+        _attribute(bottleneck, zero, crosses, active & dead)
         active &= ~dead
 
     limit = max_iterations if max_iterations is not None else n_flows + problem.n_resources + 1
@@ -342,12 +357,10 @@ def max_min_allocation(problem: CapacityProblem,
             & (headroom <= increment + np.maximum(capacities, 1.0) * _TOL)
         )
         if saturated.size:
-            crossing = active & (usage[saturated] > 0).any(axis=0)
+            crosses = usage[saturated] > 0
+            crossing = active & crosses.any(axis=0)
             if crossing.any():
-                # Attribute each frozen flow to its tightest saturated resource.
-                for resource in saturated:
-                    hit = crossing & (usage[resource] > 0) & (bottleneck == -1)
-                    bottleneck[hit] = resource
+                _attribute(bottleneck, saturated, crosses, crossing)
                 active &= ~crossing
 
     telemetry.inc("solver.fill_passes", iterations)

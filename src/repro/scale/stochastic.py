@@ -131,6 +131,11 @@ def _geometric_epochs(rng: np.random.Generator, mean: float) -> int:
     return int(rng.geometric(1.0 / mean))
 
 
+def _fired_epochs(draws: np.ndarray, hazard: float) -> List[int]:
+    """The epochs after the first whose hazard draw fires, ascending."""
+    return (np.flatnonzero(draws[1:] < hazard) + 1).tolist()
+
+
 @dataclass(frozen=True)
 class PoissonSiteFailures(EventProcess):
     """Independent site failures: each site fails with a per-epoch hazard.
@@ -153,16 +158,21 @@ class PoissonSiteFailures(EventProcess):
     def sample(self, rng: np.random.Generator, *, epochs: int,
                site_names: Sequence[str]) -> SampledEvents:
         windows: List[DowntimeWindow] = []
-        n_sites = len(site_names)
         # One draw per (site, epoch), sites outer so the stream is stable.
-        draws = rng.random((n_sites, epochs))
-        for site in range(n_sites):
-            up_at = 1
-            for epoch in range(1, epochs):
-                if epoch < up_at or draws[site, epoch] >= self.failures_per_site_epoch:
-                    continue
-                up_at = epoch + _geometric_epochs(rng, self.mean_downtime_epochs)
-                windows.append((site, epoch, up_at))
+        draws = rng.random((len(site_names), epochs))
+        # Only the cells that fire are visited, site-major and epoch
+        # ascending, so the downtime draws keep their order in the stream.
+        fired_sites, fired_epochs = np.nonzero(
+            draws[:, 1:] < self.failures_per_site_epoch)
+        site, up_at = -1, 0
+        for fired_site, epoch in zip(fired_sites.tolist(),
+                                     (fired_epochs + 1).tolist()):
+            if fired_site != site:
+                site, up_at = fired_site, 1
+            if epoch < up_at:
+                continue  # still down from the previous failure
+            up_at = epoch + _geometric_epochs(rng, self.mean_downtime_epochs)
+            windows.append((site, epoch, up_at))
         return SampledEvents(downtime=tuple(windows))
 
 
@@ -194,9 +204,7 @@ class CorrelatedRegionalOutage(EventProcess):
         n_sites = len(site_names)
         group = max(1, int(round(n_sites * self.group_fraction)))
         draws = rng.random(epochs)
-        for epoch in range(1, epochs):
-            if draws[epoch] >= self.outages_per_epoch:
-                continue
+        for epoch in _fired_epochs(draws, self.outages_per_epoch):
             start = int(rng.integers(n_sites))
             until = epoch + _geometric_epochs(rng, self.mean_downtime_epochs)
             for offset in range(group):
@@ -236,9 +244,7 @@ class AttackOnset(EventProcess):
         n_sites = len(site_names)
         hit = max(1, int(round(n_sites * self.sites_hit_fraction)))
         draws = rng.random(epochs)
-        for epoch in range(1, epochs):
-            if draws[epoch] >= self.attacks_per_epoch:
-                continue
+        for epoch in _fired_epochs(draws, self.attacks_per_epoch):
             until = epoch + _geometric_epochs(rng, self.mean_duration_epochs)
             targets = rng.choice(n_sites, size=hit, replace=False)
             for site in sorted(int(s) for s in targets):

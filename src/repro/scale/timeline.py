@@ -995,8 +995,8 @@ class _TimelineRun:
                          telemetry=telemetry)
             if timeline.adversary is not None else None)
         #: The universe-arc owners of the ring last accounted for churn.
-        #: The fleet replaces (never mutates) the array on every rebuild,
-        #: so holding the reference is the snapshot.
+        #: The fleet replaces (never mutates) the array on every ring
+        #: derivation, so holding the reference is the snapshot.
         self.arc_owners = fleet.universe_arcs()[2]
         self.template: Optional[ProblemTemplate] = None
         self.base_demand_bps = 0.0

@@ -680,6 +680,81 @@ class TestRingUniverse:
         assert not first.arc_hist.flags.writeable
 
 
+flip_actions = st.lists(
+    st.tuples(
+        st.sampled_from(["fail_site", "restore_site", "drain_site",
+                         "activate_site", "restore_health"]),
+        st.integers(0, 11),
+        st.booleans(),
+    ),
+    min_size=1, max_size=16,
+)
+
+
+class TestLazyRing:
+    """A flip changes one element of the in-service mask; the ring follows
+    on its first read.  Whatever was read in between, the fleet reads the
+    same as one built fresh with the same service set."""
+
+    @settings(**RING_FUZZ)
+    @given(n_sites=st.integers(1, 12), replicas=st.integers(1, 32),
+           seed=st.integers(0, 2**16), actions=flip_actions)
+    def test_flips_read_as_a_fresh_fleet(self, n_sites, replicas, seed, actions):
+        fleet = NeutralizerFleet.build(n_sites, replicas=replicas)
+        keys = np.random.default_rng(seed).integers(0, 2**64, 300, dtype=np.uint64)
+        snapshots = [fleet.health_snapshot()]
+        held = []
+        for action, site, read in actions:
+            serving, generation = fleet.in_service_names, fleet.generation
+            try:
+                if action == "restore_health":
+                    fleet.restore_health(snapshots[site % len(snapshots)])
+                else:
+                    getattr(fleet, action)(fleet.sites[site % n_sites].name)
+            except TopologyError:  # the last serving site refuses to leave
+                assert fleet.in_service_names == serving
+            snapshots.append(fleet.health_snapshot())
+            changed = fleet.in_service_names != serving
+            assert fleet.generation == generation + changed
+            if not read:
+                continue
+            fresh = NeutralizerFleet(
+                [FleetSite(s.name, healthy=s.healthy, active=s.active)
+                 for s in fleet.sites], replicas=replicas)
+            assert np.array_equal(fleet.in_service_mask(), fresh.in_service_mask())
+            for ours, theirs in zip(fleet.universe_arcs(), fresh.universe_arcs()):
+                assert np.array_equal(ours, theirs)
+            for ours, theirs in zip(fleet.ring_state(), fresh.ring_state()):
+                assert np.array_equal(ours, theirs)
+            assert np.array_equal(fleet.assign_sites(keys), fresh.assign_sites(keys))
+            held.append((fleet.in_service_mask(), fleet.ring_state(),
+                         fleet.universe_arcs()[2], fresh))
+        # Snapshots held across later flips still read as when taken.
+        for mask, (positions, owners), arc_owners, fresh in held:
+            assert np.array_equal(mask, fresh.in_service_mask())
+            assert np.array_equal(positions, fresh.ring_state()[0])
+            assert np.array_equal(owners, fresh.ring_state()[1])
+            assert np.array_equal(arc_owners, fresh.universe_arcs()[2])
+
+    def test_a_flip_derives_no_ring_until_read(self, monkeypatch):
+        fleet = NeutralizerFleet.build(6)
+        state, arcs = fleet.ring_state(), fleet.universe_arcs()
+        generation = fleet.generation
+        monkeypatch.setattr(NeutralizerFleet, "_ring",
+                            lambda self: pytest.fail("derived an unread ring"))
+        for name in ("site01", "site02", "site03"):
+            fleet.fail_site(name)
+        fleet.restore_site("site02")
+        fleet.drain_site("site04")
+        assert fleet.generation == generation + 5
+        assert fleet.n_in_service == 3
+        assert fleet.cpu_capacity_cores()[[1, 3, 4]].tolist() == [0.0, 0.0, 0.0]
+        monkeypatch.undo()
+        assert fleet.ring_state()[0] is not state[0]
+        assert fleet.universe_arcs()[2] is not arcs[2]
+        assert fleet.ring_state()[0] is fleet.ring_state()[0]
+
+
 def locate_cases():
     """Pinned rings × keys for :func:`ring_locate`: sizes from 0 to 4,096
     points, uniform / clustered / duplicated points, and keys on, just below
@@ -833,7 +908,7 @@ class TestDrainLifecycle:
         fleet.fail_site("site01")
         generation = fleet.generation
         state = fleet.ring_state()
-        fleet.drain_site("site01")  # already out of the ring: no rebuild
+        fleet.drain_site("site01")  # already out of the ring: no change
         assert fleet.generation == generation
         assert NeutralizerFleet.ring_moved_fraction(state, fleet.ring_state()) == 0.0
         # Recovery of a drained site must NOT rejoin the ring...

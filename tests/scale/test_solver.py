@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import WorkloadError
 from repro.scale.solver import (
+    _TOL,
     CapacityProblem,
     alpha_fair_allocation,
     max_min_allocation,
@@ -141,6 +142,89 @@ class TestMaxMin:
                 usage=np.ones((1, 1)),
                 capacities=np.array([1.0]),
             )
+
+
+def max_min_fill_loop(problem):
+    """The cold progressive fill of :func:`max_min_allocation` with the
+    per-resource attribution loops it replaced.  Returns ``(rates,
+    bottleneck, contested)``: ``contested`` counts the flows frozen at a pass
+    while crossing more than one saturated (or dead) resource, where the
+    attribution order decides the answer."""
+    demands, usage = problem.demands, problem.usage
+    capacities = problem.capacities.astype(np.float64).copy()
+    rates = np.zeros(problem.n_flows)
+    bottleneck = np.full(problem.n_flows, -1, dtype=np.int64)
+    active = demands > 0
+    contested = 0
+    dead = (usage[capacities <= 0] > 0).any(axis=0) if (capacities <= 0).any() else None
+    if dead is not None and dead.any():
+        contested += int(((usage[capacities <= 0] > 0).sum(axis=0)[active] > 1).sum())
+        for resource in np.flatnonzero(capacities <= 0):
+            hit = active & (usage[resource] > 0) & (bottleneck == -1)
+            bottleneck[hit] = resource
+        active &= ~dead
+    while active.any():
+        used = usage @ rates
+        slack = capacities - used
+        active_usage = usage @ active.astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            headroom = np.where(active_usage > 0, slack / active_usage, np.inf)
+        headroom = np.maximum(headroom, 0.0)
+        remaining = demands[active] - rates[active]
+        increment = min(headroom.min(initial=np.inf), remaining.min())
+        rates[active] += increment
+        met = active & (rates >= demands - np.maximum(demands, 1.0) * _TOL)
+        active &= ~met
+        saturated = np.flatnonzero(
+            (active_usage > 0)
+            & (headroom <= increment + np.maximum(capacities, 1.0) * _TOL)
+        )
+        if saturated.size:
+            crossing = active & (usage[saturated] > 0).any(axis=0)
+            if crossing.any():
+                contested += int(((usage[saturated] > 0).sum(axis=0)[crossing] > 1).sum())
+                for resource in saturated:
+                    hit = crossing & (usage[resource] > 0) & (bottleneck == -1)
+                    bottleneck[hit] = resource
+                active &= ~crossing
+    return rates, bottleneck, contested
+
+
+def tied_problem(rng):
+    """A random problem built to saturate several resources in one pass:
+    small integer usage and capacities, some resource rows repeated with
+    their capacity (parallel constraints that bind together), and now and
+    then a zero-capacity resource."""
+    flows = int(rng.integers(2, 30))
+    base = int(rng.integers(1, 6))
+    usage = rng.integers(0, 3, size=(base, flows)).astype(float)
+    usage[rng.integers(0, base, flows), np.arange(flows)] += 1.0  # no free flow
+    capacities = rng.integers(0 if rng.random() < 0.2 else 1, 8, size=base).astype(float)
+    copies = rng.integers(0, base, int(rng.integers(0, 2 * base + 1)))
+    usage = np.concatenate([usage, usage[copies]])
+    capacities = np.concatenate([capacities, capacities[copies]])
+    order = rng.permutation(usage.shape[0])
+    demands = rng.choice([0.0, 1.0, 2.0, 100.0], size=flows, p=[0.1, 0.2, 0.2, 0.5])
+    return CapacityProblem(demands=demands, usage=usage[order],
+                           capacities=capacities[order])
+
+
+class TestBottleneckAttribution:
+    def test_equals_the_per_resource_loop_on_tied_problems(self):
+        rng = np.random.default_rng(2006)
+        filled = contested = dead = 0
+        for _ in range(600):
+            problem = tied_problem(rng)
+            allocation = max_min_allocation(problem)
+            if allocation.iterations == 0:
+                continue  # the demand certificate answered: no fill ran
+            rates, bottleneck, ties = max_min_fill_loop(problem)
+            assert np.array_equal(allocation.rates, rates)
+            assert np.array_equal(allocation.bottleneck, bottleneck)
+            filled += 1
+            contested += ties
+            dead += bool((problem.capacities <= 0).any())
+        assert filled > 500 and contested > 2_000 and dead > 10
 
 
 class TestVerifyMaxMin:

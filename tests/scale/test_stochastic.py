@@ -15,6 +15,11 @@ from repro.scale import (
     default_processes,
     run_churn_slo_frontier,
 )
+from repro.scale.stochastic import (
+    SampledEvents,
+    _geometric_epochs,
+    antithetic_uniforms,
+)
 from repro.scale.timeline import CapacityDegradation
 
 SITES = [f"site{i:02d}" for i in range(10)]
@@ -119,6 +124,110 @@ class TestEventProcesses:
             compile_events((), seed=1, epochs=0, site_names=SITES)
         with pytest.raises(WorkloadError):
             compile_events((), seed=1, epochs=5, site_names=[])
+
+
+def poisson_sample_loop(process, rng, *, epochs, site_names):
+    """:meth:`PoissonSiteFailures.sample` as the double loop over every
+    (site, epoch) cell it replaced."""
+    windows = []
+    n_sites = len(site_names)
+    draws = rng.random((n_sites, epochs))
+    for site in range(n_sites):
+        up_at = 1
+        for epoch in range(1, epochs):
+            if epoch < up_at or draws[site, epoch] >= process.failures_per_site_epoch:
+                continue
+            up_at = epoch + _geometric_epochs(rng, process.mean_downtime_epochs)
+            windows.append((site, epoch, up_at))
+    return SampledEvents(downtime=tuple(windows))
+
+
+def outage_sample_loop(process, rng, *, epochs, site_names):
+    """:meth:`CorrelatedRegionalOutage.sample` as the loop over every epoch
+    it replaced."""
+    windows = []
+    n_sites = len(site_names)
+    group = max(1, int(round(n_sites * process.group_fraction)))
+    draws = rng.random(epochs)
+    for epoch in range(1, epochs):
+        if draws[epoch] >= process.outages_per_epoch:
+            continue
+        start = int(rng.integers(n_sites))
+        until = epoch + _geometric_epochs(rng, process.mean_downtime_epochs)
+        for offset in range(group):
+            windows.append(((start + offset) % n_sites, epoch, until))
+    return SampledEvents(downtime=tuple(windows))
+
+
+def attack_sample_loop(process, rng, *, epochs, site_names):
+    """:meth:`AttackOnset.sample` as the loop over every epoch it replaced."""
+    events = []
+    n_sites = len(site_names)
+    hit = max(1, int(round(n_sites * process.sites_hit_fraction)))
+    draws = rng.random(epochs)
+    for epoch in range(1, epochs):
+        if draws[epoch] >= process.attacks_per_epoch:
+            continue
+        until = epoch + _geometric_epochs(rng, process.mean_duration_epochs)
+        targets = rng.choice(n_sites, size=hit, replace=False)
+        for site in sorted(int(s) for s in targets):
+            events.append(CapacityDegradation(
+                epoch, site=site_names[site], factor=process.severity,
+                until_epoch=until,
+            ))
+    return SampledEvents(events=tuple(events))
+
+
+class TestSamplingLoops:
+    """Each process's ``sample`` visits only the draws that fire, against
+    the per-cell loop it replaced: the same contribution, the same draws
+    consumed (the generator's next draw agrees), for plain and antithetic
+    generators."""
+
+    HAZARDS = (0.0, 0.001, 0.05, 1.0)
+    TRANSFORMS = (lambda rng: rng, antithetic_uniforms)
+
+    def assert_same_sample(self, process, reference, seed, transform, *,
+                           epochs, n_sites):
+        ours_rng = transform(np.random.default_rng(seed))
+        their_rng = transform(np.random.default_rng(seed))
+        sites = [f"site{i:02d}" for i in range(n_sites)]
+        ours = process.sample(ours_rng, epochs=epochs, site_names=sites)
+        theirs = reference(process, their_rng, epochs=epochs, site_names=sites)
+        assert ours == theirs
+        for window in ours.downtime:
+            assert all(type(value) is int for value in window)
+        assert ours_rng.random() == their_rng.random()
+        return ours
+
+    def test_poisson_failures_equal_the_double_loop(self):
+        fired = 0
+        for seed in range(40):
+            for hazard in self.HAZARDS:
+                for mean in (1.0, 3.0):
+                    for transform in self.TRANSFORMS:
+                        process = PoissonSiteFailures(
+                            failures_per_site_epoch=hazard,
+                            mean_downtime_epochs=mean)
+                        sample = self.assert_same_sample(
+                            process, poisson_sample_loop, seed, transform,
+                            epochs=1 + seed % 7 * 30, n_sites=1 + seed % 13)
+                        fired += len(sample.downtime)
+        assert fired > 1_000
+
+    def test_outages_and_attacks_equal_the_epoch_loop(self):
+        for seed in range(30):
+            for hazard in self.HAZARDS:
+                for transform in self.TRANSFORMS:
+                    shape = dict(epochs=1 + seed % 5 * 40, n_sites=2 + seed % 9)
+                    self.assert_same_sample(
+                        CorrelatedRegionalOutage(outages_per_epoch=hazard,
+                                                 mean_downtime_epochs=3.0),
+                        outage_sample_loop, seed, transform, **shape)
+                    self.assert_same_sample(
+                        AttackOnset(attacks_per_epoch=hazard,
+                                    mean_duration_epochs=1.0 + seed % 3),
+                        attack_sample_loop, seed, transform, **shape)
 
 
 def smoke_campaign(**overrides):

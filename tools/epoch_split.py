@@ -12,9 +12,12 @@ called the solver (*solved*) or took its answer from the run's solve memo
 over it in ``_TimelineRun.stretch``, whose wall (the stretch's bounds, then
 its per-epoch trail) is shared among the epochs it advanced; a stretch of
 no epochs is filed with the epoch stepped before it.  The four counts must
-add up to epochs × replicas.  Nothing in ``src/`` is touched and no span is
-added, so the numbers are the untraced code's, plus one timer call per
-method and one counter on the timeline's ``solve_allocation``.
+add up to epochs × replicas.  A footer line gives the one fixed cost each
+replica pays before its first epoch: ``compile_events``, the draw of its
+failure and attack events, in µs per replica.  Nothing in ``src/`` is
+touched and no span is added, so the numbers are the untraced code's, plus
+one timer call per method and one counter on the timeline's
+``solve_allocation``.
 
 Run from the repo root::
 
@@ -41,6 +44,7 @@ from repro.scale import (  # noqa: E402  (path bootstrap above)
     LatencyCampaignRunner,
     StochasticCampaignRunner,
 )
+import repro.scale.runner as runner_module  # noqa: E402
 import repro.scale.timeline as timeline_module  # noqa: E402
 from repro.scale.adversary import AdversaryRun  # noqa: E402
 from repro.scale.timeline import _TimelineRun  # noqa: E402
@@ -101,6 +105,9 @@ class EpochSplit:
         self.epochs = {kind: 0 for kind in KINDS}
         #: The kind of the last stepped epoch.
         self.stepped = KINDS[0]
+        #: Calls and wall of the replicas' ``compile_events``.
+        self.compiles = 0
+        self.compile_seconds = 0.0
 
     def timed(self, name: str, method):
         """``method`` with its wall added to this epoch's ``name`` row."""
@@ -124,6 +131,19 @@ class EpochSplit:
         def wrapper(*args, **kwargs):
             self.solves += 1
             return function(*args, **kwargs)
+        return wrapper
+
+    def per_replica(self, function):
+        """``function`` with its calls and wall kept in :attr:`compiles`
+        and :attr:`compile_seconds`, apart from every epoch."""
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self.compile_seconds += time.perf_counter() - start
+                self.compiles += 1
         return wrapper
 
     def wrap_step(self, method):
@@ -173,6 +193,8 @@ class EpochSplit:
         _TimelineRun.stretch = self.wrap_stretch(_TimelineRun.stretch)
         timeline_module.solve_allocation = self.counted(
             timeline_module.solve_allocation)
+        runner_module.compile_events = self.per_replica(
+            runner_module.compile_events)
 
     def rows(self):
         """(label, then µs/epoch per kind in :data:`KINDS` order) in
@@ -227,6 +249,9 @@ def main(argv=None) -> int:
     for shown, *per_kind in rows:
         print(f"{shown:<{width}}"
               + "".join(f"  {us:>11.1f}" for us in per_kind))
+    per_replica = 1e6 * split.compile_seconds / max(split.compiles, 1)
+    print(f"per replica: compile_events {per_replica:.1f} µs "
+          f"({split.compiles:,} replicas)")
     expected = args.epochs * len(runner.unit_specs())
     if total != expected:
         print(f"the kinds count {total:,} epochs, the campaign ran "
